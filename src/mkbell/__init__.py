@@ -25,7 +25,6 @@ from .errors import (
     ValueOutOfSpectrum,
 )
 from .expansion import TermExpansion, expand_terms, mermin_klyshko_pair
-from .kernels import backend
 from .measurement import (
     BellEstimate,
     JointDistribution,

@@ -11,6 +11,7 @@ per-term streams are derived from the base seed and the term index through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .classical import classical_bound
 from .errors import DimensionMismatch, NotNormalized
 from .operators import GlobalOperator, b_rotation, global_operator
 from .quantum import predicted_quantum_max
-from .spincore import ExactValue, Scenario, validate_labels
+from .spincore import Scenario, validate_labels
 
 
 @dataclass(frozen=True)
@@ -68,13 +69,28 @@ def correlation(dist: JointDistribution) -> float:
 
 @dataclass(frozen=True)
 class SampleReport:
-    """Finite-sample estimate of one correlation."""
+    """Finite-sample estimate of one correlation.
 
-    counts: dict
+    ``outcome_counts`` is the multinomial count per global outcome index;
+    ``counts`` keys the nonzero ones by their outcome-value tuples, built on
+    first access.
+    """
+
+    scenario: Scenario
+    outcome_counts: np.ndarray
     shots: int
     correlation_mean: float
     correlation_stderr: float
     seed: object
+
+    @cached_property
+    def counts(self) -> dict:
+        outcomes = self.scenario.spin.outcome_values()
+        shape = (self.scenario.local_dimension,) * self.scenario.n
+        flat = np.flatnonzero(self.outcome_counts)
+        digits = np.unravel_index(flat, shape)
+        return {tuple(outcomes[dig] for dig in key): int(count)
+                for key, count in zip(zip(*digits), self.outcome_counts[flat])}
 
 
 def _outcome_products(scenario: Scenario):
@@ -103,21 +119,8 @@ def sample_outcomes(dist: JointDistribution, shots: int, seed) -> SampleReport:
     mean = float(counts @ products) / shots
     second = float(counts @ products ** 2) / shots
     stderr = float(np.sqrt(max(second - mean * mean, 0.0) / shots))
-    scenario = dist.scenario
-    outcome_lists = [scenario.spin.outcome_values()] * scenario.n
-    d = scenario.local_dimension
-    count_map = {}
-    for flat in np.nonzero(counts)[0]:
-        digits = []
-        rem = int(flat)
-        for _ in range(scenario.n):
-            digits.append(rem % d)
-            rem //= d
-        digits.reverse()
-        key = tuple(outcome_lists[j][dig] for j, dig in enumerate(digits))
-        count_map[key] = int(counts[flat])
-    return SampleReport(counts=count_map, shots=shots, correlation_mean=mean,
-                        correlation_stderr=stderr, seed=seed)
+    return SampleReport(scenario=dist.scenario, outcome_counts=counts, shots=shots,
+                        correlation_mean=mean, correlation_stderr=stderr, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,24 @@ compared entrywise for exact equality.
 
 Tensor index convention: party 1 is the most significant digit of the
 mixed-radix global index.  This is fixed here and used everywhere.
+
+The matrix-free matvec reads the pair recursion of ``expansion.py`` as a
+matrix-product operator of bond dimension 2 (Schollwöck, Ann. Phys. 326,
+96 (2011), arXiv:1008.3477).  With S = A + B and Delta = A - B on party k,
+
+    M_k = M_{k-1} x S + K_{k-1} x Delta,    K_k = K_{k-1} x S - M_{k-1} x Delta,
+
+so for any pair of vectors (x_M, x_K)
+
+    M_k x_M + K_k x_K = M_{k-1} (S x_M - Delta x_K) + K_{k-1} (Delta x_M + S x_K),
+
+with S and Delta acting on party k.  Starting from (x_M, x_K) = (v, 0) and
+sweeping parties n, ..., 2 leaves M_1 x_M + K_1 x_K = A x_M + B x_K on
+party 1.  Written with p = x_M + x_K and q = x_M - x_K, the update is
+(A q + B p, A p - B q), so each party costs four diagonal-or-flip products
+of the state, and one matvec is O(n D) rather than O(T n D) over the
+T = 4**(n // 2) product terms.  ``dense_scaled_terms`` (the summed term
+Kronecker products) stays as the term-level oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +35,6 @@ from math import sqrt
 
 import numpy as np
 
-from . import kernels
 from .errors import CapExceeded, DimensionMismatch
 from .expansion import TermExpansion, expand_terms
 from .spincore import LABEL_B, ExactValue, Scenario, Spin, validate_labels
@@ -86,57 +103,64 @@ def b_rotation(spin: Spin) -> np.ndarray:
     return np.vstack([vec for _, vec in b_eigenbasis(spin)])
 
 
-def _labels_to_uint8(terms, n: int) -> np.ndarray:
-    out = np.zeros((len(terms), n), dtype=np.uint8)
-    for t, (_, labels) in enumerate(terms):
-        for j, ch in enumerate(labels):
-            out[t, j] = 1 if ch == LABEL_B else 0
-    return out
-
-
 @dataclass
 class GlobalOperator:
     """The assembled n-party Bell operator, matrix-free with optional dense form.
 
-    ``apply`` evaluates the operator term by term without materializing it;
-    the two dense paths are retained as mutual oracles.
+    ``apply`` sweeps the recursion's bond-dimension-2 operator over the state
+    tensor without materializing the matrix; the two dense paths are retained
+    as mutual oracles.
     """
 
     scenario: Scenario
     expansion: TermExpansion
-    _coeffs: np.ndarray = field(repr=False)
-    _labels: np.ndarray = field(repr=False)
-    _diag_vals: np.ndarray = field(repr=False)
-    _anti_vals: np.ndarray = field(repr=False)
+    _diag_vals: np.ndarray = field(repr=False)  # (d, 1): A's diagonal
+    _anti_vals: np.ndarray = field(repr=False)  # (d, 1): B's entry on row i
     _dense: np.ndarray | None = field(default=None, repr=False)
 
-    def apply(self, v: np.ndarray, pure=None) -> np.ndarray:
-        """Matrix-free matvec M @ v."""
-        v = np.ascontiguousarray(v, dtype=np.float64)
+    def _vector(self, v) -> np.ndarray:
+        v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.scenario.global_dimension(),):
             raise DimensionMismatch(
                 f"expected vector of length {self.scenario.global_dimension()}, "
                 f"got shape {v.shape}"
             )
-        out = np.zeros_like(v)
-        kernels.accumulate_terms(
-            out, v, self._coeffs, self._labels, self._diag_vals, self._anti_vals,
-            self.scenario.local_dimension, pure=pure,
-        )
-        return out
+        return v
 
-    def apply_term(self, labels: str, v: np.ndarray, pure=None) -> np.ndarray:
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """Matrix-free matvec M @ v by a right-to-left sweep over the parties."""
+        v = self._vector(v)
+        n, d = self.scenario.n, self.scenario.local_dimension
+        a, b = self._diag_vals, self._anti_vals
+        if n == 1:
+            return (a * v.reshape(d, 1)).reshape(-1)
+        # Party n: (x_M, x_K) = (v, 0) becomes (S v, Delta v).
+        x = v.reshape(d ** (n - 1), d, 1)
+        av, bv = a * x, b * x[:, ::-1]
+        x_m, x_k = av + bv, av - bv
+        # Parties n-1..2: S x_M - Delta x_K = A q + B p and
+        # Delta x_M + S x_K = A p - B q, with p = x_M + x_K, q = x_M - x_K.
+        for k in range(n - 2, 0, -1):
+            shape = (d ** k, d, -1)
+            p = (x_m + x_k).reshape(shape)
+            q = (x_m - x_k).reshape(shape)
+            x_m = a * q + b * p[:, ::-1]
+            x_k = a * p - b * q[:, ::-1]
+        # Party 1: A x_M + B x_K.
+        x_m, x_k = x_m.reshape(d, -1), x_k.reshape(d, -1)
+        return (a * x_m + b * x_k[::-1]).reshape(-1)
+
+    def apply_term(self, labels: str, v: np.ndarray) -> np.ndarray:
         """Matvec of a single unit-coefficient product term."""
         validate_labels(labels)
-        v = np.ascontiguousarray(v, dtype=np.float64)
-        if len(labels) != self.scenario.n or v.shape != (self.scenario.global_dimension(),):
+        if len(labels) != self.scenario.n:
             raise DimensionMismatch("term labels or vector do not match the scenario")
-        out = np.zeros_like(v)
-        kernels.accumulate_terms(
-            out, v, np.ones(1), _labels_to_uint8([(1, labels)], self.scenario.n),
-            self._diag_vals, self._anti_vals, self.scenario.local_dimension, pure=pure,
-        )
-        return out
+        w = self._vector(v)
+        d = self.scenario.local_dimension
+        for j, ch in enumerate(labels):
+            w = w.reshape(d ** j, d, -1)
+            w = self._anti_vals * w[:, ::-1] if ch == LABEL_B else self._diag_vals * w
+        return w.reshape(-1)
 
     def dense(self) -> np.ndarray:
         """Dense symmetric matrix (recursion path), cached."""
@@ -151,16 +175,14 @@ class GlobalOperator:
 
 
 def global_operator(scenario: Scenario) -> GlobalOperator:
-    expansion = expand_terms(scenario.n)
     spin = scenario.spin
     d = spin.dimension
     diag_vals = np.array(spin.twice_outcomes(), dtype=np.float64) / 2.0
     anti_vals = np.array(
         [spin.twice_spin - 2 * min(i, d - 1 - i) for i in range(d)], dtype=np.float64
     ) / 2.0
-    coeffs = np.array([c for c, _ in expansion.terms], dtype=np.float64)
-    labels = _labels_to_uint8(expansion.terms, scenario.n)
-    return GlobalOperator(scenario, expansion, coeffs, labels, diag_vals, anti_vals)
+    return GlobalOperator(scenario, expand_terms(scenario.n),
+                          diag_vals.reshape(d, 1), anti_vals.reshape(d, 1))
 
 
 def _check_dense_cap(scenario: Scenario, cap: int):

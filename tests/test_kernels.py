@@ -1,52 +1,51 @@
 import numpy as np
 import pytest
 
-from mkbell import kernels
-from mkbell.operators import global_operator, term_matrix
+from mkbell.operators import assemble_dense, dense_scaled_terms, global_operator, term_matrix
 from mkbell.spincore import Scenario, Spin
 
-SCENARIOS = [(2, 1), (2, 3), (3, 2), (4, 1), (5, 1), (3, 4)]
+SCENARIOS = [(2, 1), (2, 3), (3, 2), (4, 1), (5, 1), (3, 4), (1, 1), (1, 4), (9, 1)]
 
 
-def test_backend_reports_known_name():
-    assert kernels.backend() in ("compiled", "pure")
+def _relative_error(got, want):
+    return np.abs(got - want).max() / max(1.0, np.abs(want).max())
 
 
 @pytest.mark.parametrize("n,twice", SCENARIOS)
-def test_pure_matches_compiled(n, twice):
+def test_apply_matches_dense_oracles(n, twice):
     scenario = Scenario(n, Spin(twice))
     op = global_operator(scenario)
+    by_terms = dense_scaled_terms(scenario).astype(np.float64) / float(1 << n)
+    by_recursion = assemble_dense(scenario)
     rng = np.random.default_rng(11)
     for _ in range(5):
         v = rng.standard_normal(scenario.global_dimension())
-        fast = op.apply(v, pure=False)
-        slow = op.apply(v, pure=True)
-        assert np.allclose(fast, slow, atol=1e-12 * max(1.0, np.abs(slow).max()))
+        got = op.apply(v)
+        assert _relative_error(got, by_terms @ v) <= 1e-12
+        assert _relative_error(got, by_recursion @ v) <= 1e-12
 
 
-@pytest.mark.parametrize("pure", [False, True])
+def test_apply_matches_term_sum_oracle():
+    scenario = Scenario(10, Spin(1))
+    op = global_operator(scenario)
+    rng = np.random.default_rng(13)
+    v = rng.standard_normal(scenario.global_dimension())
+    term_sum = np.zeros_like(v)
+    for coeff, labels in op.expansion.terms:
+        term_sum += coeff * op.apply_term(labels, v)
+    assert _relative_error(op.apply(v), term_sum) <= 1e-12
+
+
+@pytest.mark.parametrize("half_integer", [False, True])
 @pytest.mark.parametrize("labels", ["AA", "AB", "BA", "BB", "ABA", "BBB"])
-def test_single_term_matches_kron_oracle(labels, pure):
+def test_single_term_matches_kron_oracle(labels, half_integer):
     n = len(labels)
-    scenario = Scenario(n, Spin(2))
+    scenario = Scenario(n, Spin(3 if half_integer else 2))
     op = global_operator(scenario)
     dense = term_matrix(scenario, labels)
     rng = np.random.default_rng(3)
     v = rng.standard_normal(scenario.global_dimension())
-    assert np.allclose(op.apply_term(labels, v, pure=pure), dense @ v, atol=1e-12)
-
-
-def test_accumulates_into_out():
-    scenario = Scenario(2, Spin(1))
-    op = global_operator(scenario)
-    v = np.arange(4, dtype=np.float64)
-    base = op.apply(v)
-    out = np.ones(4)
-    kernels.accumulate_terms(
-        out, v, op._coeffs, op._labels, op._diag_vals, op._anti_vals,
-        scenario.local_dimension,
-    )
-    assert np.allclose(out, base + 1.0, atol=1e-12)
+    assert np.allclose(op.apply_term(labels, v), dense @ v, atol=1e-12)
 
 
 def test_term_order_is_deterministic():

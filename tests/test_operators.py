@@ -149,6 +149,10 @@ class TestApply:
         op = global_operator(Scenario(2, Spin(1)))
         with pytest.raises(DimensionMismatch):
             op.apply(np.ones(5))
+        with pytest.raises(DimensionMismatch):
+            op.apply_term("AB", np.ones(5))
+        with pytest.raises(DimensionMismatch):
+            op.apply_term("ABA", np.ones(4))
 
 
 class TestCommutation:
