@@ -16,7 +16,7 @@ from .errors import BudgetExceeded, ValueOutOfSpectrum
 from .expansion import expand_terms
 from .spincore import ExactValue, Scenario
 
-#: Largest full-grid enumeration allowed, in total strategies.
+#: Largest strategy enumeration allowed (extremal or full grid), in strategies.
 FULL_GRID_BUDGET = 10 ** 8
 
 
@@ -80,23 +80,21 @@ def _twice_value_table(scenario: Scenario, extremal: bool):
     """
     n = scenario.n
     ts = scenario.spin.twice_spin
+    d = scenario.spin.dimension
+    count = 4 ** n if extremal else d ** (2 * n)
+    if count > FULL_GRID_BUDGET:
+        kind = "extremal enumeration" if extremal else "full grid"
+        raise BudgetExceeded(
+            f"{kind} has {count} strategies, budget is {FULL_GRID_BUDGET}"
+        )
+    idx = np.arange(count, dtype=np.int64)
+    a_cols, b_cols = [], []
     if extremal:
-        count = 4 ** n
-        idx = np.arange(count, dtype=np.int64)
-        a_cols, b_cols = [], []
         for j in range(n):
             crumb = (idx >> (2 * (n - 1 - j))) & 3
             a_cols.append(np.where(crumb & 2, -ts, ts).astype(np.int64))
             b_cols.append(np.where(crumb & 1, -ts, ts).astype(np.int64))
         return count, a_cols, b_cols
-    d = scenario.spin.dimension
-    count = d ** (2 * n)
-    if count > FULL_GRID_BUDGET:
-        raise BudgetExceeded(
-            f"full grid has {count} strategies, budget is {FULL_GRID_BUDGET}"
-        )
-    idx = np.arange(count, dtype=np.int64)
-    a_cols, b_cols = [], []
     for j in range(n):
         dig_a = (idx // d ** (2 * (n - 1 - j) + 1)) % d
         dig_b = (idx // d ** (2 * (n - 1 - j))) % d

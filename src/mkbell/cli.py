@@ -107,16 +107,17 @@ def _cmd_classical_max(args):
 
 
 def _quantum_top(scenario, tol):
-    result = quantum.largest_eigenpair(scenario, tol=tol)
+    op = global_operator(scenario)
+    result = quantum.largest_eigenpair(scenario, tol=tol, operator=op)
     gap = None
     if scenario.global_dimension() <= SPECTRUM_CAP:
         gap = quantum.degeneracy_check(scenario).gap
-    return result, gap
+    return op, result, gap
 
 
 def _cmd_quantum_max(args):
     scenario = _scenario(args)
-    result, gap = _quantum_top(scenario, args.tol)
+    _, result, gap = _quantum_top(scenario, args.tol)
     predicted = quantum.predicted_quantum_max(scenario)
     payload = {
         "config": _config_dict(args, tol=args.tol),
@@ -146,9 +147,7 @@ def _cmd_ratio(args):
     _emit(args, payload)
 
 
-def _sample_block(scenario, shots, seed):
-    op = global_operator(scenario)
-    state = quantum.largest_eigenpair(scenario, operator=op).vector
+def _sample_block(scenario, op, state, shots, seed):
     n_terms = op.expansion.term_count
     shots_per_setting = max(1, shots // n_terms)
     estimate = measurement.estimate_bell_value(
@@ -160,7 +159,11 @@ def _sample_block(scenario, shots, seed):
 
 def _cmd_sample(args):
     scenario = _scenario(args)
-    estimate, shots_per_setting, sigmas = _sample_block(scenario, args.shots, args.seed)
+    op = global_operator(scenario)
+    state = quantum.largest_eigenpair(scenario, operator=op).vector
+    estimate, shots_per_setting, sigmas = _sample_block(
+        scenario, op, state, args.shots, args.seed
+    )
     payload = {
         "config": _config_dict(args, shots=args.shots, seed=args.seed),
         "n": args.n,
@@ -213,7 +216,7 @@ def _cmd_report(args):
         for spin in s_values:
             scenario = Scenario(n=n, spin=spin, dim_cap=dim_cap)
             cert = classical.verify_bound(scenario)
-            result, gap = _quantum_top(scenario, args.tol)
+            op, result, gap = _quantum_top(scenario, args.tol)
             row = {
                 "n": n,
                 "s": str(spin),
@@ -224,7 +227,7 @@ def _cmd_report(args):
             }
             if args.sample:
                 estimate, shots_per_setting, sigmas = _sample_block(
-                    scenario, args.shots, args.seed
+                    scenario, op, result.vector, args.shots, args.seed
                 )
                 row["bell_estimate"] = _fmt(estimate.value)
                 row["bell_stderr"] = _fmt(estimate.stderr)

@@ -64,9 +64,6 @@ class TermExpansion:
     def term_count(self) -> int:
         return len(self.terms)
 
-    def coefficient_sum_abs(self) -> int:
-        return sum(abs(c) for c, _ in self.terms)
-
     def as_dict(self) -> dict[str, int]:
         return {labels: c for c, labels in self.terms}
 

@@ -168,11 +168,6 @@ class GlobalOperator:
             self._dense = assemble_dense(self.scenario)
         return self._dense
 
-    def shift_bound(self) -> float:
-        """Cheap upper bound on the spectral radius: sum_t |c_t| s**n."""
-        s = self.scenario.spin.twice_spin / 2.0
-        return self.expansion.coefficient_sum_abs() * s ** self.scenario.n
-
 
 def global_operator(scenario: Scenario) -> GlobalOperator:
     spin = scenario.spin

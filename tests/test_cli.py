@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mkbell.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -55,6 +61,14 @@ class TestClassicalMax:
                            "--full-grid")
         assert code == 3
         assert "error" in err
+
+    @pytest.mark.parametrize("command", ["classical-max", "ratio", "report"])
+    def test_extremal_budget_exit_code(self, capsys, command):
+        # 4**14 sign patterns exceed the enumeration budget; the default
+        # dimension cap still admits n = 14 at spin 1/2.
+        code, _, err = run(capsys, command, "--n", "14", "--spin", "1/2")
+        assert code == 3
+        assert "budget" in err
 
 
 class TestQuantumMax:
@@ -132,6 +146,17 @@ class TestReport:
     def test_missing_scenario_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["report"])
+
+
+class TestImports:
+    def test_cli_does_not_import_scipy(self):
+        # The CLI's import time and memory stay at numpy's.
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        subprocess.run(
+            [sys.executable, "-c",
+             "import mkbell.cli, sys; assert 'scipy' not in sys.modules"],
+            env=env, check=True, timeout=60,
+        )
 
 
 class TestArgs:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mkbell.errors import CapExceeded, NotConverged, NotNormalized
+from mkbell.operators import assemble_dense, global_operator
 from mkbell.quantum import (
     degeneracy_check,
     dense_spectrum,
@@ -70,23 +71,62 @@ class TestPowerIteration:
         assert result.value == pytest.approx(top, rel=1e-8)
         vec = result.vector
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
+        residual = np.linalg.norm(assemble_dense(scenario) @ vec - result.value * vec)
+        assert residual <= 1e-9 * max(1.0, abs(result.value))
 
     def test_survives_all_ones_fixed_point(self):
-        # For three spin-1 parties the uniform start vector sits in a lower
-        # eigenspace; the seeded restart must still find the true maximum.
+        # For three spin-1 parties the uniform vector sits in a lower
+        # eigenspace; the solver must still find the true maximum.
         result = largest_eigenpair(Scenario(3, Spin(2)))
         assert result.value == pytest.approx(8.0, rel=1e-8)
 
     def test_not_converged_carries_best_state(self):
-        with pytest.raises(NotConverged) as info:
-            largest_eigenpair(Scenario(2, Spin(1)), tol=1e-13, max_iter=2)
-        err = info.value
-        assert err.iterations == 4  # both starts exhausted their budget
-        assert np.isfinite(err.best_residual)
+        # (3, 5/2) needs 21 matvecs at tol 1e-9, so each budget runs out.
+        scenario = Scenario(3, Spin(5))
+        for max_iter in (1, 2, 7):
+            op = global_operator(scenario)
+            exact, calls = op.apply, []
+            op.apply = lambda v: calls.append(1) or exact(v)
+            with pytest.raises(NotConverged) as info:
+                largest_eigenpair(scenario, max_iter=max_iter, operator=op)
+            err = info.value
+            assert err.iterations == len(calls) == max_iter
+            assert np.isfinite(err.best_residual) and err.best_residual > 0
+            assert np.isfinite(err.best_value)
 
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError):
             largest_eigenpair(Scenario(2, Spin(1)), tol=0.0)
+
+
+class TestLanczos:
+    def test_repeat_call_is_bit_identical(self):
+        scenario = Scenario(3, Spin(3))
+        first = largest_eigenpair(scenario)
+        second = largest_eigenpair(scenario)
+        assert np.array_equal(first.vector, second.vector)
+        assert first.value == second.value
+        assert first.iterations == second.iterations
+
+    @pytest.mark.parametrize("n,twice", [(3, 3), (3, 5), (4, 11)])
+    def test_few_matvecs_and_closed_form(self, n, twice):
+        scenario = Scenario(n, Spin(twice))
+        result = largest_eigenpair(scenario)
+        assert result.iterations <= 60
+        assert result.value == pytest.approx(predicted_quantum_max(scenario), rel=1e-12)
+
+    @pytest.mark.parametrize("n,twice", [(3, 3), (3, 5)])
+    def test_stable_under_matvec_rounding_noise(self, n, twice):
+        # Relative noise of 1e-16 on every matvec stands in for a matvec that
+        # differs only in its last bits; the eigenvalue must not move.
+        scenario = Scenario(n, Spin(twice))
+        clean = largest_eigenpair(scenario)
+        op = global_operator(scenario)
+        exact, rng = op.apply, np.random.default_rng(7)
+        op.apply = lambda v: exact(v) * (1 + 1e-16 * rng.standard_normal(v.size))
+        noisy = largest_eigenpair(scenario, operator=op)
+        assert noisy.value == pytest.approx(clean.value, rel=1e-12)
+        assert noisy.iterations <= 60
 
 
 class TestExpectation:
