@@ -46,8 +46,10 @@ from .operators import (
     make_B,
 )
 from .quantum import (
+    BlockSpectrum,
     EigenResult,
     SpectrumReport,
+    block_spectrum,
     degeneracy_check,
     dense_spectrum,
     expectation,

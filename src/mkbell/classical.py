@@ -103,11 +103,19 @@ def _twice_value_table(scenario: Scenario, extremal: bool):
     return count, a_cols, b_cols
 
 
-def _values_scaled(a_cols, b_cols):
-    """Vectorized pair recursion on twice-values; result is 2**n * M_n."""
+def _values_scaled(a_cols, b_cols, t: int):
+    """Vectorized pair recursion on twice-values; result is 2**n * M_n.
+
+    With twice-values of size at most t = 2s, the values and partial sums over
+    the first j + 1 parties stay within 2**j t**(j+1).  The recursion runs in
+    int64 while that bound is below 2**63 and on exact Python ints (dtype
+    object) from the first party where it is not.
+    """
     m = a_cols[0].copy()
     k = b_cols[0].copy()
     for j in range(1, len(a_cols)):
+        if m.dtype != object and (1 << j) * t ** (j + 1) >= 1 << 63:
+            m, k = m.astype(object), k.astype(object)
         tot = a_cols[j] + b_cols[j]
         dif = a_cols[j] - b_cols[j]
         m, k = m * tot + k * dif, k * tot - m * dif
@@ -129,7 +137,7 @@ def classical_max(scenario: Scenario, extremal_only: bool = True) -> ClassicalRe
     broken by the smallest strategy index.
     """
     count, a_cols, b_cols = _twice_value_table(scenario, extremal_only)
-    values = _values_scaled(a_cols, b_cols)
+    values = _values_scaled(a_cols, b_cols, scenario.spin.twice_spin)
     best = int(np.max(np.abs(values)))
     hits = np.nonzero(values == best)[0]
     if len(hits) == 0:  # maximum only attained with negative sign

@@ -110,7 +110,7 @@ def _quantum_top(scenario, tol):
     op = global_operator(scenario)
     result = quantum.largest_eigenpair(scenario, tol=tol, operator=op)
     gap = None
-    if scenario.global_dimension() <= SPECTRUM_CAP:
+    if 1 << scenario.n <= SPECTRUM_CAP:
         gap = quantum.degeneracy_check(scenario).gap
     return op, result, gap
 

@@ -3,8 +3,8 @@
 Matrix entries are half-integers, held as twice-entry integers until the
 float conversion boundary.  All dyadic values at desk scale are exactly
 representable in float64, so the two dense construction paths (pair
-recursion vs. summed Kronecker products of the term expansion) can be
-compared entrywise for exact equality.
+recursion vs. the summed product terms of the expansion) can be compared
+entrywise for exact equality.
 
 Tensor index convention: party 1 is the most significant digit of the
 mixed-radix global index.  This is fixed here and used everywhere.
@@ -24,20 +24,21 @@ sweeping parties n, ..., 2 leaves M_1 x_M + K_1 x_K = A x_M + B x_K on
 party 1.  Written with p = x_M + x_K and q = x_M - x_K, the update is
 (A q + B p, A p - B q), so each party costs four diagonal-or-flip products
 of the state, and one matvec is O(n D) rather than O(T n D) over the
-T = 4**(n // 2) product terms.  ``dense_scaled_terms`` (the summed term
-Kronecker products) stays as the term-level oracle.
+T = 4**(n // 2) product terms.  ``dense_scaled_terms`` (the summed product
+terms) stays as the term-level oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import sqrt
 
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch
 from .expansion import TermExpansion, expand_terms
-from .spincore import LABEL_B, ExactValue, Scenario, Spin, validate_labels
+from .spincore import LABEL_A, LABEL_B, ExactValue, Scenario, Spin, validate_labels
 
 #: Default cap (rows) for materializing dense global operators.
 DENSE_CAP = 1 << 13
@@ -113,10 +114,14 @@ class GlobalOperator:
     """
 
     scenario: Scenario
-    expansion: TermExpansion
     _diag_vals: np.ndarray = field(repr=False)  # (d, 1): A's diagonal
     _anti_vals: np.ndarray = field(repr=False)  # (d, 1): B's entry on row i
     _dense: np.ndarray | None = field(default=None, repr=False)
+
+    @cached_property
+    def expansion(self) -> TermExpansion:
+        """The product terms, expanded on first use; ``apply`` never reads them."""
+        return expand_terms(self.scenario.n)
 
     def _vector(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
@@ -176,8 +181,7 @@ def global_operator(scenario: Scenario) -> GlobalOperator:
     anti_vals = np.array(
         [spin.twice_spin - 2 * min(i, d - 1 - i) for i in range(d)], dtype=np.float64
     ) / 2.0
-    return GlobalOperator(scenario, expand_terms(scenario.n),
-                          diag_vals.reshape(d, 1), anti_vals.reshape(d, 1))
+    return GlobalOperator(scenario, diag_vals.reshape(d, 1), anti_vals.reshape(d, 1))
 
 
 def _check_dense_cap(scenario: Scenario, cap: int):
@@ -202,19 +206,32 @@ def dense_scaled_recursive(scenario: Scenario, cap: int = DENSE_CAP) -> np.ndarr
 
 
 def dense_scaled_terms(scenario: Scenario, cap: int = DENSE_CAP) -> np.ndarray:
-    """Integer matrix 2**n * M_n by summing term Kronecker products."""
+    """Integer matrix 2**n * M_n by summing the expansion's product terms.
+
+    A and B have at most one nonzero per row, so every term is a generalised
+    permutation: row r holds the single entry coeff * vals[r] in column
+    cols[r], both built party by party.
+    """
     _check_dense_cap(scenario, cap)
     expansion = expand_terms(scenario.n)
-    a = make_A(scenario.spin).twice_entries
-    b = make_B(scenario.spin).twice_entries
-    local = {0: a, 1: b}
+    d = scenario.local_dimension
+    local = {}
+    for label, op in ((LABEL_A, make_A(scenario.spin)), (LABEL_B, make_B(scenario.spin))):
+        twice = op.twice_entries
+        assert (np.count_nonzero(twice, axis=1) <= 1).all()
+        col = np.argmax(twice != 0, axis=1)
+        local[label] = (col, twice[np.arange(d), col])
     D = scenario.global_dimension()
+    rows = np.arange(D)
     total = np.zeros((D, D), dtype=np.int64)
     for coeff, labels in expansion.terms:
-        factor = np.array([[1]], dtype=np.int64)
+        cols = np.zeros(1, dtype=np.int64)
+        vals = np.ones(1, dtype=np.int64)
         for ch in labels:
-            factor = np.kron(factor, local[1 if ch == LABEL_B else 0])
-        total += coeff * factor
+            col, val = local[ch]
+            cols = (cols[:, None] * d + col).reshape(-1)
+            vals = (vals[:, None] * val).reshape(-1)
+        total[rows, cols] += coeff * vals
     return total
 
 

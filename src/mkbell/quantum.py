@@ -4,6 +4,29 @@ The operator is real symmetric, so the whole pipeline works over real
 vectors.  A dense symmetric eigensolver gives full spectra for small
 dimensions and serves as the oracle there.
 
+The exact spectrum for any spin comes from a block decomposition.  Label
+the local levels by outcome s, s-1, ..., -s and pair level s-p with level
+-(s-p), p = 0, ..., ceil(s)-1.  A is diagonal and B maps level s-p to level
+-(s-p) and back with entry s-p, so both map the span of each level pair
+into itself, acting there as (s-p) sigma_z and (s-p) sigma_x; for integer
+s both vanish on the middle level 0.  The product space therefore splits
+into invariant blocks, one for each choice of a level pair or the middle
+level at every party.  Every product term of M_n has exactly one factor per
+party, so M_n is homogeneous of degree 1 in each party's pair (A_j, B_j).
+On the block of level pairs (p_1, ..., p_n) it is thus
+
+    prod_j (s - p_j) M_n(sigma_z, sigma_x) = prod_j 2(s - p_j) M_n^(1/2),
+
+where M_n^(1/2) is the 2**n x 2**n spin-1/2 operator, and on a block that
+holds a middle level it is zero.  So the spectrum is the spin-1/2 spectrum
+q_1 >= q_2 >= ... scaled by each prod_j 2(s - p_j), plus zeros.  The top
+eigenvalue (2s)**n q_1 lies in the block of the extreme levels +-s, where
+Cabello's multilevel GHZ states live (Phys. Rev. A 63, 022104 (2001)).  The
+next one is the largest of (2s)**n q_2 from the same block,
+(2s)**(n-1) (2s-2) q_1 from the next largest scale (s >= 3/2) and 0 (integer
+s).  This costs one dense solve of dimension 2**n for any s, and
+``dense_spectrum`` stays as the oracle of the full space.
+
 The largest eigenpair comes from restarted Lanczos iteration (Lanczos,
 J. Res. Nat. Bur. Standards 45, 255 (1950)) on the matrix-free applier.  A
 cycle grows an orthonormal Krylov basis v_0, M v_0, ... of at most
@@ -26,6 +49,7 @@ and no spectral shift are needed, and results are reproducible.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +57,9 @@ import numpy as np
 from .classical import classical_max
 from .errors import CapExceeded, DimensionMismatch, NotConverged, NotNormalized
 from .operators import GlobalOperator, assemble_dense, global_operator
-from .spincore import Scenario
+from .spincore import Scenario, Spin
 
-#: Default cap (rows) for full dense spectra.
+#: Default cap (rows) for full dense spectra and for the spin-1/2 block.
 SPECTRUM_CAP = 1 << 12
 
 #: Largest Krylov basis, in rows of the global dimension, per Lanczos cycle.
@@ -189,6 +213,53 @@ def violation_ratio(scenario: Scenario, tol: float = 1e-9) -> float:
 
 
 @dataclass(frozen=True)
+class BlockSpectrum:
+    """Spectrum of M_n as scaled copies of the spin-1/2 operator's spectrum.
+
+    ``qubit`` holds the 2**n eigenvalues of the spin-1/2 operator, ascending.
+    The block of level pairs (p_1, ..., p_n) carries them times the scale
+    prod_j 2(s - p_j); ``zeros`` eigenvalues come from the blocks that hold a
+    middle level.
+    """
+
+    scenario: Scenario
+    qubit: np.ndarray
+
+    def scales(self, above: float = 0.0) -> dict[int, int]:
+        """Block scales greater than ``above``, with their multiplicities."""
+        n, ts = self.scenario.n, self.scenario.spin.twice_spin
+        counts = {1: 1}
+        for left in range(n - 1, -1, -1):
+            grown: dict[int, int] = defaultdict(int)
+            for scale, mult in counts.items():
+                for factor in range(ts, 0, -2):  # 2(s - p), descending
+                    if scale * factor * ts ** left <= above:
+                        break
+                    grown[scale * factor] += mult
+            counts = grown
+        return counts
+
+    @property
+    def zeros(self) -> int:
+        pairs = (self.scenario.spin.twice_spin + 1) // 2
+        return self.scenario.global_dimension() - (2 * pairs) ** self.scenario.n
+
+    def eigenvalues(self) -> np.ndarray:
+        """The whole multiset, ascending; allocates the global dimension."""
+        parts = [np.repeat(scale * self.qubit, mult) for scale, mult in self.scales().items()]
+        return np.sort(np.concatenate(parts + [np.zeros(self.zeros)]))
+
+
+def block_spectrum(scenario: Scenario, cap: int = SPECTRUM_CAP) -> BlockSpectrum:
+    """Exact block spectrum from one dense solve of the spin-1/2 operator."""
+    rows = 1 << scenario.n
+    if rows > cap:
+        raise CapExceeded(f"block spectrum needs {rows} rows, cap is {cap}")
+    qubit = np.linalg.eigvalsh(assemble_dense(Scenario(scenario.n, Spin(1)), cap=cap))
+    return BlockSpectrum(scenario=scenario, qubit=qubit)
+
+
+@dataclass(frozen=True)
 class GapReport:
     top_value: float
     gap: float
@@ -200,8 +271,25 @@ class GapReport:
 
 
 def degeneracy_check(scenario: Scenario, cap: int = SPECTRUM_CAP) -> GapReport:
-    """Gap between the two largest eigenvalues, from the dense oracle."""
-    report = dense_spectrum(scenario, cap=cap)
-    gap = float(report.eigenvalues[-1] - report.eigenvalues[-2])
-    return GapReport(top_value=report.top_value, gap=gap,
-                     degeneracy_of_top=report.degeneracy_of_top)
+    """Gap between the two largest eigenvalues, read off the block spectrum.
+
+    ``cap`` bounds the spin-1/2 block, 2**n rows, for any spin.  The gap is
+    lambda[-1] - lambda[-2] of the full multiset, and the degeneracy counts
+    the eigenvalues within 1e-9 * max(1, |top|) of the top, as in
+    ``dense_spectrum``; no array of the global dimension is formed.
+    """
+    blocks = block_spectrum(scenario, cap=cap)
+    q = blocks.qubit
+    n, ts = scenario.n, scenario.spin.twice_spin
+    top = ts ** n * q[-1]
+    second = [ts ** n * q[-2]]
+    if ts >= 3:
+        second.append(ts ** (n - 1) * (ts - 2) * q[-1])
+    if ts % 2 == 0:
+        second.append(0.0)
+    # top >= 1/2, so the zero blocks never reach the top.
+    tol = 1e-9 * max(1.0, abs(top))
+    degeneracy = sum(mult * int(np.count_nonzero(scale * q > top - tol))
+                     for scale, mult in blocks.scales(above=(top - tol) / q[-1]).items())
+    return GapReport(top_value=float(top), gap=float(top - max(second)),
+                     degeneracy_of_top=degeneracy)

@@ -5,12 +5,14 @@ conftest.py).  Tolerances are pinned in-line:
 
   * exact integer/dyadic checks carry zero tolerance;
   * dense eigensolver comparisons use 1e-9 relative;
+  * the block spectrum matches the dense spectrum at 1e-12 relative;
   * matrix-free eigenvalues at large dimension use 1e-7 relative;
   * ratio and scaling-law checks use 1e-8;
   * Born-rule consistency uses 1e-10 absolute;
   * statistical checks use 5 standard errors at 10**6 total shots.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -37,6 +39,8 @@ from mkbell.operators import (
     global_operator,
 )
 from mkbell.quantum import (
+    block_spectrum,
+    degeneracy_check,
     dense_spectrum,
     largest_eigenpair,
     predicted_quantum_max,
@@ -55,6 +59,12 @@ DENSE_GRID = [
 
 # Larger scenarios handled only through the matrix-free path.
 MATRIX_FREE_CASES = [(10, 1), (6, 2), (4, 15), (5, 15)]
+
+
+@functools.cache
+def _dense_spectrum(n, twice):
+    """The dense oracle's spectrum, solved once per scenario for the module."""
+    return dense_spectrum(Scenario(n, Spin(twice)))
 
 
 def test_classical_bound_is_exact_on_grid():
@@ -85,7 +95,7 @@ def test_top_eigenvalue_matches_closed_form():
     1e-7 relative."""
     for n, twice in DENSE_GRID:
         scenario = Scenario(n, Spin(twice))
-        report = dense_spectrum(scenario)
+        report = _dense_spectrum(n, twice)
         predicted = predicted_quantum_max(scenario)
         assert abs(report.top_value - predicted) <= 1e-9 * predicted, (n, twice)
         assert report.degeneracy_of_top == 1, (n, twice)
@@ -94,6 +104,24 @@ def test_top_eigenvalue_matches_closed_form():
         result = largest_eigenpair(scenario, tol=1e-7)
         predicted = predicted_quantum_max(scenario)
         assert abs(result.value - predicted) <= 1e-7 * predicted, (n, twice)
+
+
+def test_block_spectrum_matches_dense_oracle():
+    """The spin-1/2 spectrum scaled by every level-pair block factor, plus
+    the zero blocks, equals the dense spectrum at 1e-12 relative on the
+    dense grid; the gap agrees at 1e-12 relative and the top degeneracy
+    exactly."""
+    for n, twice in DENSE_GRID:
+        scenario = Scenario(n, Spin(twice))
+        dense = _dense_spectrum(n, twice)
+        scale = max(1.0, abs(dense.top_value))
+        blocks = block_spectrum(scenario).eigenvalues()
+        assert blocks.shape == dense.eigenvalues.shape, (n, twice)
+        assert np.max(np.abs(blocks - dense.eigenvalues)) <= 1e-12 * scale, (n, twice)
+        report = degeneracy_check(scenario)
+        dense_gap = dense.eigenvalues[-1] - dense.eigenvalues[-2]
+        assert abs(report.gap - dense_gap) <= 1e-12 * scale, (n, twice)
+        assert report.degeneracy_of_top == dense.degeneracy_of_top, (n, twice)
 
 
 def test_violation_ratio_matches_prediction_and_is_spin_independent():

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mkbell import operators, quantum
 from mkbell.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -62,6 +63,16 @@ class TestClassicalMax:
         assert code == 3
         assert "error" in err
 
+    def test_exact_beyond_int64(self, capsys):
+        # Values reach 2**9 * 200**10 > 2**63; int64 arithmetic would wrap.
+        code, out, _ = run(capsys, "classical-max", "--n", "10", "--spin", "100",
+                           "--dim-cap", str(10 ** 27))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["bound"] == "51200000000000000000000"
+        assert payload["achieved"] is True
+        assert payload["argmax_a"] == payload["argmax_b"] == ["100"] * 10
+
     @pytest.mark.parametrize("command", ["classical-max", "ratio", "report"])
     def test_extremal_budget_exit_code(self, capsys, command):
         # 4**14 sign patterns exceed the enumeration budget; the default
@@ -80,6 +91,28 @@ class TestQuantumMax:
         assert payload["predicted"] == pytest.approx(np.sqrt(2) / 2, rel=1e-12)
         assert payload["relative_error"] < 1e-8
         assert payload["gap"] == pytest.approx(np.sqrt(2) / 2, rel=1e-6)
+
+    def test_gap_beyond_dense_spectrum_cap(self, capsys):
+        # D = 12**4 exceeds SPECTRUM_CAP; the 16-row spin-1/2 block does not.
+        code, out, _ = run(capsys, "quantum-max", "--n", "4", "--spin", "11/2")
+        assert code == 0
+        gap = json.loads(out)["gap"]
+        assert gap is not None and gap > 0
+
+    def test_gap_never_assembles_the_full_space(self, capsys, monkeypatch):
+        real = operators.assemble_dense
+
+        def qubit_only(scenario, *args, **kwargs):
+            if scenario.global_dimension() > 1 << scenario.n:
+                raise AssertionError(f"dense assembly of {scenario}")
+            return real(scenario, *args, **kwargs)
+
+        monkeypatch.setattr(operators, "assemble_dense", qubit_only)
+        monkeypatch.setattr(quantum, "assemble_dense", qubit_only)
+        code, out, _ = run(capsys, "quantum-max", "--n", "6", "--spin", "3/2")
+        assert code == 0
+        # The gap the dense oracle prints from its 4096 x 4096 spectrum.
+        assert json.loads(out)["gap"] == 1374.61558263
 
     def test_dim_cap_exit_code(self, capsys):
         code, _, err = run(capsys, "quantum-max", "--n", "3", "--spin", "1",

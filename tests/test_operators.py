@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mkbell import operators
 from mkbell.errors import CapExceeded, DimensionMismatch
 from mkbell.operators import (
     assemble_dense,
@@ -144,6 +145,18 @@ class TestApply:
         w, vecs = np.linalg.eigh(dense)
         top_vec = vecs[:, -1]
         assert np.allclose(op.apply(top_vec), w[-1] * top_vec, atol=1e-12)
+
+    def test_terms_expand_on_first_use(self, monkeypatch):
+        calls = []
+        real = operators.expand_terms
+        monkeypatch.setattr(operators, "expand_terms",
+                            lambda n: calls.append(n) or real(n))
+        op = global_operator(Scenario(3, Spin(2)))
+        op.apply(np.ones(27))
+        assert calls == []
+        assert op.expansion.term_count == 4
+        assert op.expansion is op.expansion
+        assert calls == [3]
 
     def test_dimension_mismatch(self):
         op = global_operator(Scenario(2, Spin(1)))

@@ -174,3 +174,9 @@ class TestDegeneracy:
         report = degeneracy_check(Scenario(n, Spin(twice)))
         assert report.nondegenerate
         assert report.gap > 0
+
+    def test_cap_bounds_the_qubit_block(self):
+        # D = 12**4 is past the cap, but the spin-1/2 block has 16 rows.
+        assert degeneracy_check(Scenario(4, Spin(11)), cap=16).gap > 0
+        with pytest.raises(CapExceeded):
+            degeneracy_check(Scenario(4, Spin(1)), cap=15)
