@@ -1,8 +1,9 @@
 """Mermin-Klyshko Bell operators for n spin-s particles.
 
-Constructs the recursive Bell expression, computes the exact classical
-bound by enumeration, the quantum maximum by eigen-analysis, and checks the
-violation ratio 2**((n-1)/2) by formula and by simulated measurement.
+Constructs the recursive Bell expression, certifies the exact classical
+bound by an O(n) dynamic program over the pair recursion, computes the
+quantum maximum by eigen-analysis, and checks the violation ratio
+2**((n-1)/2) by formula and by simulated measurement.
 """
 
 from .classical import (

@@ -2,8 +2,44 @@
 
 Deterministic strategies assign a predefined outcome to every local
 observable.  The expression value is computed by running the pair recursion
-on numbers instead of operators; all arithmetic in this module is exact
-(twice-value integers internally, dyadic values at the API).
+on numbers instead of operators,
+
+    (m, k) <- (m (a_j + b_j) + k (a_j - b_j),  k (a_j + b_j) - m (a_j - b_j)),
+
+starting from (m, k) = (a_1, b_1); M_n is the final m.  ``_pair_step`` is the
+one copy of this step, shared by exact values, Python ints and NumPy arrays.
+All arithmetic in this module is exact (twice-value integers internally,
+dyadic values at the API).
+
+**Certificate.**  ``classical_max`` is an exact dynamic program over the
+recursion's state.  Going party by party, it keeps a dict from every
+reachable (m, k) to the smallest strategy-index prefix that reaches it; the
+next party maps each entry through the four sign pairs (a, b) in {+-s}^2,
+with prefix ``4 * index + crumb``.  The future of a prefix depends only on
+its state, and of two prefixes of one length, the smaller one gives the
+smaller index under every completion; so the smallest index reaching each
+final state is kept.  The DP is exhaustive by construction and reproduces
+enumeration's maximum and its tie-break.
+
+**Four states.**  With t = 2s, the pair (+s, +s) maps (m, k) to t (m, k),
+(-s, -s) to -t (m, k), and (+s, -s), (-s, +s) to t (k, -m), t (-k, m): the
+state is scaled by t and turned by a multiple of 90 degrees.  The first party
+gives the four rotations of (s, s), so after every party exactly four
+states are live and the DP costs 16 steps per party, O(n) in all.  Only the cost rests
+on this; the result does not.
+
+**Full grid.**  M_n is affine in each outcome separately (multilinear), so
+|M_n| on the box [-s, s]^(2n) is maximised at a vertex: the full-grid
+maximum is the extremal one.  Index 0 (every outcome +s) is the smallest
+index on both grids and attains M_n = s (2s)^(n-1) = 2^(n-1) s^n, the
+bound itself; so it is the smallest full-grid maximiser.  The code checks
+that the extremal DP's argmax is index 0 before reporting it, and
+``verify_bound`` raises if a maximum ever exceeds the bound.
+
+Strategy indices are mixed-radix with party 1 most significant and, within a
+party, a before b; digit 0 is +s.  ``strategies_checked`` is the size of the
+certified set, 4^n sign patterns or (2s+1)^(2n) grid points.  The test
+oracle ``classical_max_enumerated`` enumerates the whole table instead.
 """
 
 from __future__ import annotations
@@ -16,8 +52,9 @@ from .errors import BudgetExceeded, ValueOutOfSpectrum
 from .expansion import expand_terms
 from .spincore import ExactValue, Scenario
 
-#: Largest strategy enumeration allowed (extremal or full grid), in strategies.
-FULL_GRID_BUDGET = 10 ** 8
+#: Largest table the enumeration oracle builds, in int64 entries
+#: (strategies x 2n, 128 MiB).
+FULL_GRID_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -37,22 +74,24 @@ class ClassicalResult:
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    """Outcome of checking the classical bound 2**(n-1) s**n by enumeration."""
+    """Outcome of certifying the classical bound 2**(n-1) s**n."""
 
     bound: ExactValue
     achieved: bool
     argmax: Strategy
     strategies_checked: int
 
-    @property
-    def holds(self) -> bool:
-        return self.achieved
-
 
 def classical_bound(scenario: Scenario) -> ExactValue:
     """2**(n-1) * s**n, exactly."""
     n = scenario.n
     return ExactValue(scenario.spin.twice_spin ** n, n) * ExactValue(1 << (n - 1))
+
+
+def _pair_step(m, k, a, b):
+    """One party of the pair recursion, on any numbers or arrays."""
+    tot, dif = a + b, a - b
+    return m * tot + k * dif, k * tot - m * dif
 
 
 def strategy_value(scenario: Scenario, strategy: Strategy) -> ExactValue:
@@ -65,27 +104,70 @@ def strategy_value(scenario: Scenario, strategy: Strategy) -> ExactValue:
             raise ValueOutOfSpectrum(f"value {v} not in the spectrum of s={scenario.spin}")
     m, k = strategy.a[0], strategy.b[0]
     for j in range(1, n):
-        tot = strategy.a[j] + strategy.b[j]
-        dif = strategy.a[j] - strategy.b[j]
-        m, k = m * tot + k * dif, k * tot - m * dif
+        m, k = _pair_step(m, k, strategy.a[j], strategy.b[j])
     return m
 
 
-def _twice_value_table(scenario: Scenario, extremal: bool):
-    """Per-party twice-value arrays (a_j, b_j) over all strategy indices.
+def _extremal_states(n: int, t: int) -> dict:
+    """Each reachable final twice-value state (m, k) of the extremal
+    strategies, mapped to the smallest strategy index that reaches it."""
+    pairs = ((t, t), (t, -t), (-t, t), (-t, -t))  # crumbs 0..3
+    states = {pair: crumb for crumb, pair in enumerate(pairs)}
+    for _ in range(1, n):
+        reached = {}
+        for (m, k), index in states.items():
+            for crumb, (a, b) in enumerate(pairs):
+                state = _pair_step(m, k, a, b)
+                prefix = 4 * index + crumb
+                if prefix < reached.get(state, prefix + 1):
+                    reached[state] = prefix
+        states = reached
+    return states
 
-    Strategy indices are mixed-radix with party 1 most significant and, within
-    a party, a before b.  Digit 0 maps to the largest outcome +s, so index 0
-    is the all-plus strategy and ties resolve to the smallest index.
+
+def _extremal_strategy(n: int, t: int, index: int) -> Strategy:
+    crumbs = [(index >> (2 * (n - 1 - j))) & 3 for j in range(n)]
+    a = tuple(ExactValue(-t if crumb & 2 else t, 1) for crumb in crumbs)
+    b = tuple(ExactValue(-t if crumb & 1 else t, 1) for crumb in crumbs)
+    return Strategy(a=a, b=b)
+
+
+def classical_max(scenario: Scenario, extremal_only: bool = True) -> ClassicalResult:
+    """Exact maximum of |M_n| over deterministic strategies, by the O(n) DP.
+
+    With ``extremal_only`` the certified set is the 4**n sign patterns
+    a_j, b_j = +-s; otherwise the full (2s+1)**(2n) outcome grid, whose
+    maximum is the extremal one by multilinearity (module docstring).  The
+    argmax is reported for the positive side, ties broken by the smallest
+    strategy index.
     """
+    n, t = scenario.n, scenario.spin.twice_spin
+    states = _extremal_states(n, t)
+    best = max(abs(m) for m, _ in states)
+    index = min([i for (m, _), i in states.items() if m == best]
+                or [i for (m, _), i in states.items() if m == -best])
+    if not extremal_only and index != 0:
+        raise AssertionError(f"all +s does not attain the extremal maximum for {scenario}")
+    return ClassicalResult(
+        max_value=ExactValue(best, n),
+        argmax=_extremal_strategy(n, t, index),
+        strategies_checked=4 ** n if extremal_only else scenario.spin.dimension ** (2 * n),
+    )
+
+
+def _twice_value_table(scenario: Scenario, extremal: bool):
+    """Per-party twice-value arrays (a_j, b_j) over all strategy indices,
+    in the strategy-index order of the module docstring."""
     n = scenario.n
     ts = scenario.spin.twice_spin
     d = scenario.spin.dimension
     count = 4 ** n if extremal else d ** (2 * n)
-    if count > FULL_GRID_BUDGET:
+    entries = count * 2 * n
+    if entries > FULL_GRID_BUDGET:
         kind = "extremal enumeration" if extremal else "full grid"
         raise BudgetExceeded(
-            f"{kind} has {count} strategies, budget is {FULL_GRID_BUDGET}"
+            f"{kind} table has {entries} entries ({count} strategies), "
+            f"budget is {FULL_GRID_BUDGET}"
         )
     idx = np.arange(count, dtype=np.int64)
     a_cols, b_cols = [], []
@@ -116,9 +198,7 @@ def _values_scaled(a_cols, b_cols, t: int):
     for j in range(1, len(a_cols)):
         if m.dtype != object and (1 << j) * t ** (j + 1) >= 1 << 63:
             m, k = m.astype(object), k.astype(object)
-        tot = a_cols[j] + b_cols[j]
-        dif = a_cols[j] - b_cols[j]
-        m, k = m * tot + k * dif, k * tot - m * dif
+        m, k = _pair_step(m, k, a_cols[j], b_cols[j])
     return m
 
 
@@ -128,13 +208,13 @@ def _strategy_at(scenario: Scenario, a_cols, b_cols, index: int) -> Strategy:
     return Strategy(a=a, b=b)
 
 
-def classical_max(scenario: Scenario, extremal_only: bool = True) -> ClassicalResult:
-    """Exhaustive maximum of |M_n| over deterministic strategies.
+def classical_max_enumerated(scenario: Scenario,
+                             extremal_only: bool = True) -> ClassicalResult:
+    """Test oracle for ``classical_max``: enumerate every strategy.
 
-    With ``extremal_only`` the 4**n sign patterns a_j, b_j = +-s are
-    enumerated; otherwise the full (2s+1)**(2n) outcome grid (small
-    instances only).  The argmax is reported for the positive side, ties
-    broken by the smallest strategy index.
+    Builds the whole twice-value table, so it raises ``BudgetExceeded``
+    before allocating when the table would exceed ``FULL_GRID_BUDGET``
+    entries.
     """
     count, a_cols, b_cols = _twice_value_table(scenario, extremal_only)
     values = _values_scaled(a_cols, b_cols, scenario.spin.twice_spin)
@@ -156,7 +236,7 @@ def verify_bound(scenario: Scenario, extremal_only: bool = True) -> BoundCertifi
     bound = classical_bound(scenario)
     if result.max_value > bound:
         raise AssertionError(
-            f"enumeration found {result.max_value} above the bound {bound} "
+            f"the certificate found {result.max_value} above the bound {bound} "
             f"for {scenario}"
         )
     return BoundCertificate(
@@ -208,9 +288,7 @@ def lhv_sample(scenario: Scenario, shots: int, seed: int,
     m = a[:, 0].copy()
     k = b[:, 0].copy()
     for j in range(1, n):
-        tot = a[:, j] + b[:, j]
-        dif = a[:, j] - b[:, j]
-        m, k = m * tot + k * dif, k * tot - m * dif
+        m, k = _pair_step(m, k, a[:, j], b[:, j])
     mean = float(np.mean(m))
     stderr = float(np.std(m) / np.sqrt(shots))
     return LhvSampleReport(mean=mean, stderr=stderr, shots=shots, seed=seed,

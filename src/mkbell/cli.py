@@ -1,7 +1,7 @@
 """Command-line interface tying the toolkit into reproducible reports.
 
-Exit codes: 0 success, 2 validation error, 3 dimension cap or enumeration
-budget exceeded, 4 numerical non-convergence.
+Exit codes: 0 success, 2 validation error, 3 dimension cap exceeded,
+4 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import classical, measurement, quantum
-from .errors import BudgetExceeded, CapExceeded, MkBellError, NotConverged
+from .errors import CapExceeded, MkBellError, NotConverged
 from .operators import global_operator
 from .quantum import SPECTRUM_CAP
 from .spincore import DEFAULT_DIM_CAP, Scenario, Spin
@@ -272,10 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_expand, spin=Spin(1))
 
-    p = sub.add_parser("classical-max", help="exact classical maximum by enumeration")
+    p = sub.add_parser("classical-max", help="exact classical maximum, certified by an O(n) DP")
     add_common(p)
     p.add_argument("--full-grid", action="store_true",
-                   help="enumerate the full outcome grid instead of sign patterns")
+                   help="certify the full outcome grid instead of sign patterns")
     p.set_defaults(func=_cmd_classical_max)
 
     p = sub.add_parser("quantum-max", help="largest eigenvalue of the Bell operator")
@@ -319,7 +319,7 @@ def main(argv=None) -> int:
         parser.error("report needs either --grid or both --n and --spin")
     try:
         args.func(args)
-    except (CapExceeded, BudgetExceeded) as exc:
+    except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NotConverged as exc:

@@ -206,7 +206,7 @@ def expectation(state: np.ndarray, scenario: Scenario,
 
 
 def violation_ratio(scenario: Scenario, tol: float = 1e-9) -> float:
-    """Quantum maximum divided by the enumerated classical maximum."""
+    """Quantum maximum divided by the certified classical maximum."""
     quantum = largest_eigenpair(scenario, tol=tol).value
     classical = float(classical_max(scenario).max_value)
     return quantum / classical

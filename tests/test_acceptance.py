@@ -21,6 +21,7 @@ import pytest
 from mkbell.classical import (
     classical_bound,
     classical_max,
+    classical_max_enumerated,
     lhv_sample,
     strategy_value,
 )
@@ -68,7 +69,7 @@ def _dense_spectrum(n, twice):
 
 
 def test_classical_bound_is_exact_on_grid():
-    """2**(n-1) s**n equals the enumerated extremal maximum, exactly."""
+    """2**(n-1) s**n equals the certified extremal maximum, exactly."""
     for n in range(2, 7):
         for twice in (1, 2, 3, 4):
             scenario = Scenario(n, Spin(twice))
@@ -83,7 +84,7 @@ def test_full_outcome_grid_never_beats_extremal_strategies():
     for n in (2, 3):
         for twice in (1, 2, 3):
             scenario = Scenario(n, Spin(twice))
-            full = classical_max(scenario, extremal_only=False)
+            full = classical_max_enumerated(scenario, extremal_only=False)
             extremal = classical_max(scenario)
             assert full.max_value == extremal.max_value, (n, twice)
             assert full.strategies_checked == (twice + 1) ** (2 * n)

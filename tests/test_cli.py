@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -57,11 +58,14 @@ class TestClassicalMax:
         assert payload["bound"] == "2"
         assert payload["strategies_checked"] == 81
 
-    def test_budget_exit_code(self, capsys):
-        code, _, err = run(capsys, "classical-max", "--n", "6", "--spin", "2",
+    def test_full_grid_beyond_enumeration(self, capsys):
+        code, out, _ = run(capsys, "classical-max", "--n", "6", "--spin", "2",
                            "--full-grid")
-        assert code == 3
-        assert "error" in err
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["bound"] == "2048"
+        assert payload["achieved"] is True
+        assert payload["strategies_checked"] == 5 ** 12
 
     def test_exact_beyond_int64(self, capsys):
         # Values reach 2**9 * 200**10 > 2**63; int64 arithmetic would wrap.
@@ -74,12 +78,28 @@ class TestClassicalMax:
         assert payload["argmax_a"] == payload["argmax_b"] == ["100"] * 10
 
     @pytest.mark.parametrize("command", ["classical-max", "ratio", "report"])
-    def test_extremal_budget_exit_code(self, capsys, command):
-        # 4**14 sign patterns exceed the enumeration budget; the default
-        # dimension cap still admits n = 14 at spin 1/2.
-        code, _, err = run(capsys, command, "--n", "14", "--spin", "1/2")
-        assert code == 3
-        assert "budget" in err
+    def test_extremal_beyond_enumeration(self, capsys, command):
+        # 4**14 sign patterns: a 60 GB enumeration table, certified without one.
+        code, out, _ = run(capsys, command, "--n", "14", "--spin", "1/2")
+        assert code == 0
+        payload = json.loads(out)
+        if command == "classical-max":
+            assert payload["bound"] == "1/2"
+            assert payload["achieved"] is True
+        elif command == "ratio":
+            assert payload["relative_error"] < 1e-8
+        else:
+            assert payload["rows"][0]["classical"] == "1/2"
+
+    def test_largest_n_under_default_cap(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "classical-max", "--n", "24", "--spin", "1/2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["bound"] == "1/2"
+        assert payload["achieved"] is True
+        assert payload["strategies_checked"] == 4 ** 24
 
 
 class TestQuantumMax:
