@@ -1,15 +1,12 @@
 """Exact local-hidden-variable analysis of the Bell expression.
 
 Deterministic strategies assign a predefined outcome to every local
-observable.  The expression value is computed by running the pair recursion
-on numbers instead of operators,
-
-    (m, k) <- (m (a_j + b_j) + k (a_j - b_j),  k (a_j + b_j) - m (a_j - b_j)),
-
-starting from (m, k) = (a_1, b_1); M_n is the final m.  ``_pair_step`` is the
-one copy of this step, shared by exact values, Python ints and NumPy arrays.
-All arithmetic in this module is exact (twice-value integers internally,
-dyadic values at the API).
+observable.  The expression value is the product form of ``expansion.py``
+on numbers instead of operators: starting from z = m + i k = a_1 + i b_1,
+each further party multiplies z by (1 - i)(a_j + i b_j) (``pair_step``, on
+exact values, Python ints and NumPy arrays), and M_n is the final m.  All
+arithmetic in this module is exact (twice-value integers internally, dyadic
+values at the API).
 
 **Certificate.**  ``classical_max`` is an exact dynamic program over the
 recursion's state.  Going party by party, it keeps a dict from every
@@ -21,12 +18,12 @@ smaller index under every completion; so the smallest index reaching each
 final state is kept.  The DP is exhaustive by construction and reproduces
 enumeration's maximum and its tie-break.
 
-**Four states.**  With t = 2s, the pair (+s, +s) maps (m, k) to t (m, k),
-(-s, -s) to -t (m, k), and (+s, -s), (-s, +s) to t (k, -m), t (-k, m): the
-state is scaled by t and turned by a multiple of 90 degrees.  The first party
+**Four states.**  With t = 2s, the factor (1 - i)(a + i b) of a sign pair
+is t, -t i, t i or -t for (+s, +s), (+s, -s), (-s, +s), (-s, -s): the state
+is scaled by t and turned by a multiple of 90 degrees.  The first party
 gives the four rotations of (s, s), so after every party exactly four
-states are live and the DP costs 16 steps per party, O(n) in all.  Only the cost rests
-on this; the result does not.
+states are live and the DP costs 16 steps per party, O(n) in all.  Only the
+cost rests on this; the result does not.
 
 **Full grid.**  M_n is affine in each outcome separately (multilinear), so
 |M_n| on the box [-s, s]^(2n) is maximised at a vertex: the full-grid
@@ -49,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded, ValueOutOfSpectrum
-from .expansion import expand_terms
+from .expansion import expand_terms, pair_step
 from .spincore import ExactValue, Scenario
 
 #: Largest table the enumeration oracle builds, in int64 entries
@@ -88,10 +85,9 @@ def classical_bound(scenario: Scenario) -> ExactValue:
     return ExactValue(scenario.spin.twice_spin ** n, n) * ExactValue(1 << (n - 1))
 
 
-def _pair_step(m, k, a, b):
-    """One party of the pair recursion, on any numbers or arrays."""
-    tot, dif = a + b, a - b
-    return m * tot + k * dif, k * tot - m * dif
+def strategy_count(scenario: Scenario, extremal_only: bool = True) -> int:
+    """Size of the certified set: 4**n sign patterns or (2s+1)**(2n) grid points."""
+    return 4 ** scenario.n if extremal_only else scenario.spin.dimension ** (2 * scenario.n)
 
 
 def strategy_value(scenario: Scenario, strategy: Strategy) -> ExactValue:
@@ -104,7 +100,7 @@ def strategy_value(scenario: Scenario, strategy: Strategy) -> ExactValue:
             raise ValueOutOfSpectrum(f"value {v} not in the spectrum of s={scenario.spin}")
     m, k = strategy.a[0], strategy.b[0]
     for j in range(1, n):
-        m, k = _pair_step(m, k, strategy.a[j], strategy.b[j])
+        m, k = pair_step(m, k, strategy.a[j], strategy.b[j])
     return m
 
 
@@ -117,7 +113,7 @@ def _extremal_states(n: int, t: int) -> dict:
         reached = {}
         for (m, k), index in states.items():
             for crumb, (a, b) in enumerate(pairs):
-                state = _pair_step(m, k, a, b)
+                state = pair_step(m, k, a, b)
                 prefix = 4 * index + crumb
                 if prefix < reached.get(state, prefix + 1):
                     reached[state] = prefix
@@ -151,7 +147,7 @@ def classical_max(scenario: Scenario, extremal_only: bool = True) -> ClassicalRe
     return ClassicalResult(
         max_value=ExactValue(best, n),
         argmax=_extremal_strategy(n, t, index),
-        strategies_checked=4 ** n if extremal_only else scenario.spin.dimension ** (2 * n),
+        strategies_checked=strategy_count(scenario, extremal_only),
     )
 
 
@@ -161,7 +157,7 @@ def _twice_value_table(scenario: Scenario, extremal: bool):
     n = scenario.n
     ts = scenario.spin.twice_spin
     d = scenario.spin.dimension
-    count = 4 ** n if extremal else d ** (2 * n)
+    count = strategy_count(scenario, extremal)
     entries = count * 2 * n
     if entries > FULL_GRID_BUDGET:
         kind = "extremal enumeration" if extremal else "full grid"
@@ -198,7 +194,7 @@ def _values_scaled(a_cols, b_cols, t: int):
     for j in range(1, len(a_cols)):
         if m.dtype != object and (1 << j) * t ** (j + 1) >= 1 << 63:
             m, k = m.astype(object), k.astype(object)
-        m, k = _pair_step(m, k, a_cols[j], b_cols[j])
+        m, k = pair_step(m, k, a_cols[j], b_cols[j])
     return m
 
 
@@ -288,7 +284,7 @@ def lhv_sample(scenario: Scenario, shots: int, seed: int,
     m = a[:, 0].copy()
     k = b[:, 0].copy()
     for j in range(1, n):
-        m, k = _pair_step(m, k, a[:, j], b[:, j])
+        m, k = pair_step(m, k, a[:, j], b[:, j])
     mean = float(np.mean(m))
     stderr = float(np.std(m) / np.sqrt(shots))
     return LhvSampleReport(mean=mean, stderr=stderr, shots=shots, seed=seed,

@@ -1,7 +1,7 @@
 """Command-line interface tying the toolkit into reproducible reports.
 
-Exit codes: 0 success, 2 validation error, 3 dimension cap exceeded,
-4 numerical non-convergence.
+Exit codes: 0 success, 2 validation error, 3 cap exceeded (global dimension,
+or digits of a printed exact integer), 4 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -92,8 +92,23 @@ def _cmd_expand(args):
     _emit(args, payload)
 
 
+def _check_printable(scenario, extremal_only):
+    """Raise CapExceeded before the DP if the bound's numerator or the strategy
+    count (at least 4**n, too long once n >= 2 * limit) has more digits than
+    Python converts to text."""
+    limit = sys.get_int_max_str_digits()
+    if limit and (scenario.n >= 2 * limit or 10 ** limit <= max(
+            classical.classical_bound(scenario).numerator,
+            classical.strategy_count(scenario, extremal_only))):
+        raise CapExceeded(
+            f"the certificate for {scenario} prints an integer of more than {limit} "
+            "digits, the limit of sys.get_int_max_str_digits()"
+        )
+
+
 def _cmd_classical_max(args):
     scenario = _scenario(args)
+    _check_printable(scenario, not args.full_grid)
     cert = classical.verify_bound(scenario, extremal_only=not args.full_grid)
     payload = {
         "config": _config_dict(args, full_grid=args.full_grid),

@@ -1,45 +1,62 @@
-"""Symbolic expansion of the recursive Bell expression into product terms.
+"""The Bell expression as one product over the parties, and its terms.
 
-The expression for n parties is built by the pair recursion
+The n-party expression is the Mermin-Klyshko pair recursion
 
     M_k = M_{k-1} (A_k + B_k) + K_{k-1} (A_k - B_k)
     K_k = K_{k-1} (A_k + B_k) + M_{k-1} (B_k - A_k)
 
-with M_1 = A_1 and K_1 = B_1.  K_k is always the A<->B relabeling of M_k,
-so a single pass produces both expansions.  Like terms are combined and
-zero coefficients dropped, which is where the odd-n cancellation down to
-2^(n-1) surviving terms happens.
+with M_1 = A_1 and K_1 = B_1.  For Z_k = M_k + i K_k a step is
+Z_k = Z_{k-1} (1 - i)(A_k + i B_k), so every party contributes one factor:
+
+    Z_n = M_n + i K_n = (1 - i)^(n-1) (A_1 + i B_1) x ... x (A_n + i B_n),
+
+M_n = Re Z_n and K_n = Im Z_n: Mermin's Re prod_j (sigma_x + i sigma_y)
+(PRL 65, 1838 (1990); Belinskii & Klyshko, Phys. Usp. 36, 653 (1993)).  It
+holds wherever A_j and B_j take values: strategy outcomes
+(``classical.py``), matrices and states (``operators.py``) and label
+strings (here).  ``prefactor`` is (1 - i)^(n-1) and ``pair_step`` one factor
+(1 - i)(a + i b), on (real, imaginary) pairs of exact values, ints or
+arrays.  The label string with b letters B has coefficient
+(1 - i)^(n-1) i^b, its real part in M_n and its imaginary part in K_n.  For
+odd n, (1 - i)^(n-1) is real or imaginary, so half of the coefficients
+vanish and 2^(n-1) terms survive.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
+from itertools import product
 
-from .spincore import LABEL_A, LABEL_B
+from .spincore import LABEL_A, LABEL_B, LABELS
+
+
+def pair_step(m, k, a, b):
+    """(m + i k) (1 - i)(a + i b) as (real, imaginary), on any numbers or arrays."""
+    tot, dif = a + b, a - b
+    return m * tot + k * dif, k * tot - m * dif
+
+
+def prefactor(n: int) -> tuple[int, int]:
+    """(1 - i)^(n-1) as exact (real, imaginary) Python ints."""
+    re, im = 1, 0
+    for _ in range(n - 1):
+        re, im = pair_step(re, im, 1, 0)
+    return re, im
 
 
 def mermin_klyshko_pair(n: int):
     """Return the (M_n, K_n) expansions as dicts label-string -> int coeff."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    m = {LABEL_A: 1}
-    k = {LABEL_B: 1}
-    for _ in range(n - 1):
-        new_m: dict[str, int] = defaultdict(int)
-        new_k: dict[str, int] = defaultdict(int)
-        for labels, c in m.items():
-            new_m[labels + LABEL_A] += c
-            new_m[labels + LABEL_B] += c
-            new_k[labels + LABEL_B] += c
-            new_k[labels + LABEL_A] -= c
-        for labels, c in k.items():
-            new_m[labels + LABEL_A] += c
-            new_m[labels + LABEL_B] -= c
-            new_k[labels + LABEL_A] += c
-            new_k[labels + LABEL_B] += c
-        m = {lab: c for lab, c in new_m.items() if c}
-        k = {lab: c for lab, c in new_k.items() if c}
+    re, im = prefactor(n)
+    by_b = ((re, im), (-im, re), (-re, -im), (im, -re))  # (1 - i)^(n-1) i^b
+    m, k = {}, {}
+    for labels in map("".join, product(LABELS, repeat=n)):
+        c_m, c_k = by_b[labels.count(LABEL_B) % 4]
+        if c_m:
+            m[labels] = c_m
+        if c_k:
+            k[labels] = c_k
     return m, k
 
 

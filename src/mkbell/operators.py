@@ -2,30 +2,20 @@
 
 Matrix entries are half-integers, held as twice-entry integers until the
 float conversion boundary.  All dyadic values at desk scale are exactly
-representable in float64, so the two dense construction paths (pair
-recursion vs. the summed product terms of the expansion) can be compared
+representable in float64, so the two dense construction paths (product
+form vs. the summed product terms of the expansion) can be compared
 entrywise for exact equality.
 
 Tensor index convention: party 1 is the most significant digit of the
 mixed-radix global index.  This is fixed here and used everywhere.
 
-The matrix-free matvec reads the pair recursion of ``expansion.py`` as a
-matrix-product operator of bond dimension 2 (Schollwöck, Ann. Phys. 326,
-96 (2011), arXiv:1008.3477).  With S = A + B and Delta = A - B on party k,
-
-    M_k = M_{k-1} x S + K_{k-1} x Delta,    K_k = K_{k-1} x S - M_{k-1} x Delta,
-
-so for any pair of vectors (x_M, x_K)
-
-    M_k x_M + K_k x_K = M_{k-1} (S x_M - Delta x_K) + K_{k-1} (Delta x_M + S x_K),
-
-with S and Delta acting on party k.  Starting from (x_M, x_K) = (v, 0) and
-sweeping parties n, ..., 2 leaves M_1 x_M + K_1 x_K = A x_M + B x_K on
-party 1.  Written with p = x_M + x_K and q = x_M - x_K, the update is
-(A q + B p, A p - B q), so each party costs four diagonal-or-flip products
-of the state, and one matvec is O(n D) rather than O(T n D) over the
-T = 4**(n // 2) product terms.  ``dense_scaled_terms`` (the summed product
-terms) stays as the term-level oracle.
+Both the matvec and ``dense_scaled_product`` evaluate the product form
+M_n = Re[(1 - i)^(n-1) (A + iB) x ... x (A + iB)] derived in
+``expansion.py``: the matvec applies A + iB to one party of a complex state
+at a time, so it costs O(n D) rather than O(T n D) over the
+T = 4**(n // 2) product terms, and the dense path multiplies out the
+Kronecker product in Gaussian integers.  ``dense_scaled_terms`` (the summed
+product terms) stays as the term-level oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +27,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch
-from .expansion import TermExpansion, expand_terms
+from .expansion import TermExpansion, expand_terms, prefactor
 from .spincore import LABEL_A, LABEL_B, ExactValue, Scenario, Spin, validate_labels
 
 #: Default cap (rows) for materializing dense global operators.
@@ -106,17 +96,15 @@ def b_rotation(spin: Spin) -> np.ndarray:
 
 @dataclass
 class GlobalOperator:
-    """The assembled n-party Bell operator, matrix-free with optional dense form.
+    """The assembled n-party Bell operator, matrix-free.
 
-    ``apply`` sweeps the recursion's bond-dimension-2 operator over the state
-    tensor without materializing the matrix; the two dense paths are retained
-    as mutual oracles.
+    ``apply`` multiplies the state tensor by the product form party by party
+    without materializing the matrix; ``assemble_dense`` builds the matrix.
     """
 
     scenario: Scenario
     _diag_vals: np.ndarray = field(repr=False)  # (d, 1): A's diagonal
     _anti_vals: np.ndarray = field(repr=False)  # (d, 1): B's entry on row i
-    _dense: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
     def expansion(self) -> TermExpansion:
@@ -133,27 +121,14 @@ class GlobalOperator:
         return v
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-free matvec M @ v by a right-to-left sweep over the parties."""
-        v = self._vector(v)
-        n, d = self.scenario.n, self.scenario.local_dimension
-        a, b = self._diag_vals, self._anti_vals
-        if n == 1:
-            return (a * v.reshape(d, 1)).reshape(-1)
-        # Party n: (x_M, x_K) = (v, 0) becomes (S v, Delta v).
-        x = v.reshape(d ** (n - 1), d, 1)
-        av, bv = a * x, b * x[:, ::-1]
-        x_m, x_k = av + bv, av - bv
-        # Parties n-1..2: S x_M - Delta x_K = A q + B p and
-        # Delta x_M + S x_K = A p - B q, with p = x_M + x_K, q = x_M - x_K.
-        for k in range(n - 2, 0, -1):
-            shape = (d ** k, d, -1)
-            p = (x_m + x_k).reshape(shape)
-            q = (x_m - x_k).reshape(shape)
-            x_m = a * q + b * p[:, ::-1]
-            x_k = a * p - b * q[:, ::-1]
-        # Party 1: A x_M + B x_K.
-        x_m, x_k = x_m.reshape(d, -1), x_k.reshape(d, -1)
-        return (a * x_m + b * x_k[::-1]).reshape(-1)
+        """Matrix-free matvec M @ v = Re[(1 - i)^(n-1) (A + iB) x ... x (A + iB) v]."""
+        z = self._vector(v).astype(np.complex128)
+        d, a, ib = self.scenario.local_dimension, self._diag_vals, 1j * self._anti_vals
+        for j in range(self.scenario.n):
+            z = z.reshape(d ** j, d, -1)
+            z = a * z + ib * z[:, ::-1]
+        re, im = prefactor(self.scenario.n)
+        return (re * z.real - im * z.imag).reshape(-1)
 
     def apply_term(self, labels: str, v: np.ndarray) -> np.ndarray:
         """Matvec of a single unit-coefficient product term."""
@@ -167,14 +142,14 @@ class GlobalOperator:
             w = self._anti_vals * w[:, ::-1] if ch == LABEL_B else self._diag_vals * w
         return w.reshape(-1)
 
-    def dense(self) -> np.ndarray:
-        """Dense symmetric matrix (recursion path), cached."""
-        if self._dense is None:
-            self._dense = assemble_dense(self.scenario)
-        return self._dense
-
 
 def global_operator(scenario: Scenario) -> GlobalOperator:
+    """The matrix-free operator, once the global dimension is within the cap."""
+    cap = scenario.dim_cap  # d**n >= 2**n > cap once n reaches the cap's bit length
+    if scenario.n >= cap.bit_length() or scenario.global_dimension() > cap:
+        raise CapExceeded(
+            f"global dimension {scenario.local_dimension}**{scenario.n} exceeds cap {cap}"
+        )
     spin = scenario.spin
     d = spin.dimension
     diag_vals = np.array(spin.twice_outcomes(), dtype=np.float64) / 2.0
@@ -191,18 +166,17 @@ def _check_dense_cap(scenario: Scenario, cap: int):
         )
 
 
-def dense_scaled_recursive(scenario: Scenario, cap: int = DENSE_CAP) -> np.ndarray:
-    """Integer matrix 2**n * M_n via the operator pair recursion."""
+def dense_scaled_product(scenario: Scenario, cap: int = DENSE_CAP) -> np.ndarray:
+    """Integer matrix 2**n * M_n = Re[(1 - i)^(n-1) (2A + 2iB) x ... x (2A + 2iB)],
+    the Kronecker product held as (real, imaginary) int64 parts."""
     _check_dense_cap(scenario, cap)
     a = make_A(scenario.spin).twice_entries
     b = make_B(scenario.spin).twice_entries
-    m, k = a, b
-    for _ in range(scenario.n - 1):
-        m, k = (
-            np.kron(m, a + b) + np.kron(k, a - b),
-            np.kron(k, a + b) + np.kron(m, b - a),
-        )
-    return m
+    re, im = np.ones((1, 1), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)
+    for _ in range(scenario.n):
+        re, im = np.kron(re, a) - np.kron(im, b), np.kron(re, b) + np.kron(im, a)
+    c_re, c_im = prefactor(scenario.n)
+    return c_re * re - c_im * im
 
 
 def dense_scaled_terms(scenario: Scenario, cap: int = DENSE_CAP) -> np.ndarray:
@@ -235,15 +209,9 @@ def dense_scaled_terms(scenario: Scenario, cap: int = DENSE_CAP) -> np.ndarray:
     return total
 
 
-def assemble_dense(scenario: Scenario, path: str = "recursion", cap: int = DENSE_CAP) -> np.ndarray:
+def assemble_dense(scenario: Scenario, cap: int = DENSE_CAP) -> np.ndarray:
     """Dense float64 M_n, exact (entries are dyadics on the 2**-n grid)."""
-    if path == "recursion":
-        scaled = dense_scaled_recursive(scenario, cap)
-    elif path == "terms":
-        scaled = dense_scaled_terms(scenario, cap)
-    else:
-        raise ValueError(f"unknown assembly path {path!r}")
-    return scaled.astype(np.float64) / float(1 << scenario.n)
+    return dense_scaled_product(scenario, cap).astype(np.float64) / float(1 << scenario.n)
 
 
 def term_matrix(scenario: Scenario, labels: str, cap: int = DENSE_CAP) -> np.ndarray:

@@ -11,9 +11,10 @@ the local levels by outcome s, s-1, ..., -s and pair level s-p with level
 into itself, acting there as (s-p) sigma_z and (s-p) sigma_x; for integer
 s both vanish on the middle level 0.  The product space therefore splits
 into invariant blocks, one for each choice of a level pair or the middle
-level at every party.  Every product term of M_n has exactly one factor per
-party, so M_n is homogeneous of degree 1 in each party's pair (A_j, B_j).
-On the block of level pairs (p_1, ..., p_n) it is thus
+level at every party.  The product form of ``expansion.py``,
+M_n = Re[(1 - i)^(n-1) (A_1 + i B_1) x ... x (A_n + i B_n)], is linear in
+each party's pair (A_j, B_j).  On the block of level pairs (p_1, ..., p_n)
+it is thus
 
     prod_j (s - p_j) M_n(sigma_z, sigma_x) = prod_j 2(s - p_j) M_n^(1/2),
 
@@ -90,11 +91,6 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     top_value: float
     degeneracy_of_top: int
-
-    @property
-    def gap(self) -> float:
-        """Distance from the top eigenvalue to the next distinct one."""
-        return float(self.top_value - self.eigenvalues[-1 - self.degeneracy_of_top])
 
 
 @dataclass(frozen=True)

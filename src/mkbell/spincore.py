@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import CapExceeded
-
-#: Default cap on the global Hilbert-space dimension (2s+1)**n.
+#: Default cap on the global Hilbert-space dimension (2s+1)**n, enforced by
+#: ``operators.global_operator`` for every path that holds vectors of it.
 DEFAULT_DIM_CAP = 1 << 24
 
 #: The two observable labels, in canonical order.
@@ -197,12 +196,6 @@ class Scenario:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"party count must be an integer >= 1, got {self.n!r}")
-        dim = self.spin.dimension ** self.n
-        if dim > self.dim_cap:
-            raise CapExceeded(
-                f"global dimension {self.spin.dimension}**{self.n} = {dim} "
-                f"exceeds cap {self.dim_cap}"
-            )
 
     @property
     def local_dimension(self) -> int:

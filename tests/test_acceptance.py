@@ -35,7 +35,7 @@ from mkbell.measurement import (
 from mkbell.operators import (
     assemble_dense,
     commutation_report,
-    dense_scaled_recursive,
+    dense_scaled_product,
     dense_scaled_terms,
     global_operator,
 )
@@ -178,13 +178,13 @@ def test_term_commutation_pattern():
 
 
 def test_construction_paths_agree():
-    """Recursive and termwise dense assembly agree exactly in scaled integer
-    arithmetic, and the matrix-free product matches the dense product at
-    1e-12 relative on 100 random vectors per scenario."""
+    """Product-form and termwise dense assembly agree exactly in scaled
+    integer arithmetic, and the matrix-free product matches the dense product
+    at 1e-12 relative on 100 random vectors per scenario."""
     for n, twice in DENSE_GRID:
         scenario = Scenario(n, Spin(twice))
         assert np.array_equal(
-            dense_scaled_recursive(scenario), dense_scaled_terms(scenario)
+            dense_scaled_product(scenario), dense_scaled_terms(scenario)
         ), (n, twice)
         op = global_operator(scenario)
         dense = assemble_dense(scenario)

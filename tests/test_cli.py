@@ -101,6 +101,77 @@ class TestClassicalMax:
         assert payload["achieved"] is True
         assert payload["strategies_checked"] == 4 ** 24
 
+    def test_beyond_dimension_cap(self, capsys):
+        # The certificate allocates nothing of the global dimension 2**30.
+        code, out, _ = run(capsys, "classical-max", "--n", "30", "--spin", "1/2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["bound"] == "1/2"
+        assert payload["achieved"] is True
+        assert payload["strategies_checked"] == 4 ** 30
+
+    @pytest.mark.parametrize("digits", [640, None])
+    @pytest.mark.parametrize("spin,twice,grid", [("1/2", 1, ()), ("1", 2, ("--full-grid",)),
+                                                 ("5/2", 5, ())])
+    def test_digit_cap(self, capsys, digits, spin, twice, grid):
+        # Exit 3 at the first n whose report holds an exact integer longer than
+        # Python converts to text: the strategy count 4**n, 9**n or the bound's
+        # numerator 5**n.  The DP runs below it only at the short limit.
+        default = sys.get_int_max_str_digits()
+        limit = 10 ** (digits or default)
+
+        def largest(n):
+            numerator = twice ** n if twice % 2 else twice ** n // 2
+            return max(numerator, 4 ** n if not grid else (twice + 1) ** (2 * n))
+
+        lo, hi = 1, 2  # largest(lo) < limit <= largest(hi)
+        while largest(hi) < limit:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if largest(mid) < limit else (lo, mid)
+        sys.set_int_max_str_digits(digits or default)
+        try:
+            code, out, err = run(capsys, "classical-max", "--n", str(hi), "--spin", spin, *grid)
+            assert (code, out) == (3, "")
+            assert "digits" in err
+            if digits:
+                code, out, _ = run(capsys, "classical-max", "--n", str(lo), "--spin", spin, *grid)
+                assert code == 0
+                assert json.loads(out)["achieved"] is True
+        finally:
+            sys.set_int_max_str_digits(default)
+
+    def test_huge_n_fails_fast(self, capsys):
+        # The exact bound alone takes seconds to form at n = 10**5.
+        start = time.perf_counter()
+        code, _, err = run(capsys, "classical-max", "--n", str(10 ** 5), "--spin", "1/2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "digits" in err
+
+
+class TestDimensionCap:
+    @pytest.mark.parametrize("command", ["quantum-max", "ratio", "sample", "report"])
+    def test_first_n_past_default_cap(self, capsys, monkeypatch, command):
+        # 2**25 > 2**24: exit 3 before the eigensolver draws its start vector.
+        def no_start_vector(*args, **kwargs):
+            raise AssertionError("drew a start vector beyond the cap")
+
+        monkeypatch.setattr(np.random, "default_rng", no_start_vector)
+        code, out, err = run(capsys, command, "--n", "25", "--spin", "1/2")
+        assert code == 3
+        assert out == ""
+        assert "exceeds cap 16777216" in err
+
+    def test_huge_n_fails_fast(self, capsys):
+        # Forming 3**(10**7) alone takes seconds.
+        start = time.perf_counter()
+        code, _, err = run(capsys, "quantum-max", "--n", str(10 ** 7), "--spin", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "exceeds cap" in err
+
 
 class TestQuantumMax:
     def test_two_party_half(self, capsys):

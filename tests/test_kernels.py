@@ -16,13 +16,14 @@ def test_apply_matches_dense_oracles(n, twice):
     scenario = Scenario(n, Spin(twice))
     op = global_operator(scenario)
     by_terms = dense_scaled_terms(scenario).astype(np.float64) / float(1 << n)
-    by_recursion = assemble_dense(scenario)
+    by_product = assemble_dense(scenario)
     rng = np.random.default_rng(11)
     for _ in range(5):
         v = rng.standard_normal(scenario.global_dimension())
         got = op.apply(v)
+        assert got.dtype == np.float64
         assert _relative_error(got, by_terms @ v) <= 1e-12
-        assert _relative_error(got, by_recursion @ v) <= 1e-12
+        assert _relative_error(got, by_product @ v) <= 1e-12
 
 
 def test_apply_matches_term_sum_oracle():

@@ -8,7 +8,7 @@ from mkbell.operators import (
     b_eigenbasis,
     b_rotation,
     commutation_report,
-    dense_scaled_recursive,
+    dense_scaled_product,
     dense_scaled_terms,
     global_operator,
     make_A,
@@ -82,6 +82,17 @@ SMALL_SCENARIOS = [
 ]
 
 
+def _dense_pair_recursion(scenario):
+    """Oracle: 2**n * M_n by the real pair recursion over Kronecker products,
+    M_k = M_{k-1} x (A+B) + K_{k-1} x (A-B), K_k = K_{k-1} x (A+B) + M_{k-1} x (B-A)."""
+    a = make_A(scenario.spin).twice_entries
+    b = make_B(scenario.spin).twice_entries
+    m, k = a, b
+    for _ in range(scenario.n - 1):
+        m, k = np.kron(m, a + b) + np.kron(k, a - b), np.kron(k, a + b) + np.kron(m, b - a)
+    return m
+
+
 class TestDenseAssembly:
     def test_single_party_is_A(self):
         dense = assemble_dense(Scenario(1, Spin(1)))
@@ -101,9 +112,10 @@ class TestDenseAssembly:
     @pytest.mark.parametrize("n,twice", SMALL_SCENARIOS)
     def test_paths_agree_exactly(self, n, twice):
         scenario = Scenario(n, Spin(twice))
-        assert np.array_equal(
-            dense_scaled_recursive(scenario), dense_scaled_terms(scenario)
-        )
+        product = dense_scaled_product(scenario)
+        assert product.dtype == np.int64
+        assert np.array_equal(product, dense_scaled_terms(scenario))
+        assert np.array_equal(product, _dense_pair_recursion(scenario))
 
     @pytest.mark.parametrize("n,twice", SMALL_SCENARIOS)
     def test_dense_symmetric(self, n, twice):
@@ -130,7 +142,7 @@ class TestApply:
     def test_apply_random_vectors(self):
         scenario = Scenario(4, Spin(2))
         op = global_operator(scenario)
-        dense = op.dense()
+        dense = assemble_dense(scenario)
         rng = np.random.default_rng(7)
         for _ in range(20):
             v = rng.standard_normal(scenario.global_dimension())
@@ -141,7 +153,7 @@ class TestApply:
     def test_top_eigenvector_reproduced(self):
         scenario = Scenario(2, Spin(1))
         op = global_operator(scenario)
-        dense = op.dense()
+        dense = assemble_dense(scenario)
         w, vecs = np.linalg.eigh(dense)
         top_vec = vecs[:, -1]
         assert np.allclose(op.apply(top_vec), w[-1] * top_vec, atol=1e-12)

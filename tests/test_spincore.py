@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mkbell.errors import CapExceeded
+from mkbell.operators import global_operator
 from mkbell.spincore import ExactValue, Scenario, Spin
 
 dyadics = st.builds(
@@ -124,9 +125,13 @@ class TestScenario:
         assert Scenario(n, Spin(twice)).global_dimension() == dim
 
     def test_cap_enforced(self):
+        # The cap bounds what is allocated: the operator, not the scenario.
+        scenario = Scenario(30, Spin(1))
         with pytest.raises(CapExceeded):
-            Scenario(30, Spin(1))
-        Scenario(30, Spin(1), dim_cap=1 << 31)  # override admits it
+            global_operator(scenario)
+        with pytest.raises(CapExceeded):
+            global_operator(Scenario(10 ** 6, Spin(1)))
+        global_operator(Scenario(30, Spin(1), dim_cap=1 << 31))  # override admits it
 
     def test_rejects_zero_parties(self):
         with pytest.raises(ValueError):
