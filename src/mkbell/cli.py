@@ -1,7 +1,8 @@
 """Command-line interface tying the toolkit into reproducible reports.
 
 Exit codes: 0 success, 2 validation error, 3 cap exceeded (global dimension,
-or digits of a printed exact integer), 4 numerical non-convergence.
+or digits of a printed exact integer), 4 numerical non-convergence (the
+closed-form top eigenpair fails its one-matvec residual check).
 """
 
 from __future__ import annotations
@@ -11,12 +12,10 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import classical, measurement, quantum
 from .errors import CapExceeded, MkBellError, NotConverged
-from .operators import global_operator
-from .quantum import SPECTRUM_CAP
+from .operators import check_dimension, global_operator
 from .spincore import DEFAULT_DIM_CAP, Scenario, Spin
 
 DEFAULT_SHOTS = 10 ** 6
@@ -87,6 +86,7 @@ def _to_csv(payload):
 def _cmd_expand(args):
     from .expansion import expand_terms
 
+    check_dimension(_scenario(args))  # 2**n label strings: the spin-1/2 dimension
     expansion = expand_terms(args.n)
     payload = [{"coefficient": c, "labels": labels} for c, labels in expansion.terms]
     _emit(args, payload)
@@ -107,7 +107,7 @@ def _check_printable(scenario, extremal_only):
 
 
 def _cmd_classical_max(args):
-    scenario = _scenario(args)
+    scenario = Scenario(n=args.n, spin=args.spin)
     _check_printable(scenario, not args.full_grid)
     cert = classical.verify_bound(scenario, extremal_only=not args.full_grid)
     payload = {
@@ -124,10 +124,7 @@ def _cmd_classical_max(args):
 def _quantum_top(scenario, tol):
     op = global_operator(scenario)
     result = quantum.largest_eigenpair(scenario, tol=tol, operator=op)
-    gap = None
-    if 1 << scenario.n <= SPECTRUM_CAP:
-        gap = quantum.degeneracy_check(scenario).gap
-    return op, result, gap
+    return op, result, quantum.spectral_gap(scenario)
 
 
 def _cmd_quantum_max(args):
@@ -141,7 +138,7 @@ def _cmd_quantum_max(args):
         "top_eigenvalue": _fmt(result.value),
         "predicted": _fmt(predicted),
         "relative_error": _fmt(abs(result.value - predicted) / abs(predicted)),
-        "gap": None if gap is None else _fmt(gap),
+        "gap": _fmt(gap),
         "iterations": result.iterations,
     }
     _emit(args, payload)
@@ -238,7 +235,7 @@ def _cmd_report(args):
                 "classical": cert.bound.fraction_str(),
                 "quantum": _fmt(result.value),
                 "ratio": _fmt(result.value / float(cert.bound)),
-                "gap": None if gap is None else _fmt(gap),
+                "gap": _fmt(gap),
             }
             if args.sample:
                 estimate, shots_per_setting, sigmas = _sample_block(
@@ -269,14 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_scenario=True):
-        if need_scenario:
-            p.add_argument("--n", type=int, required=True, help="number of parties")
-        if need_scenario:
-            p.add_argument("--spin", type=_spin_arg, required=True,
-                           help='spin, e.g. "1/2", "1", "3/2" (or "0.5")')
-        p.add_argument("--dim-cap", type=int, default=None,
-                       help="override the global dimension cap (env MKBELL_DIM_CAP)")
+    def add_common(p, dim_cap=True):
+        p.add_argument("--n", type=int, required=True, help="number of parties")
+        p.add_argument("--spin", type=_spin_arg, required=True,
+                       help='spin, e.g. "1/2", "1", "3/2" (or "0.5")')
+        if dim_cap:
+            p.add_argument("--dim-cap", type=int, default=None,
+                           help="override the global dimension cap (env MKBELL_DIM_CAP)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None, help="write the report to this file")
 
@@ -288,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_expand, spin=Spin(1))
 
     p = sub.add_parser("classical-max", help="exact classical maximum, certified by an O(n) DP")
-    add_common(p)
+    add_common(p, dim_cap=False)
     p.add_argument("--full-grid", action="store_true",
                    help="certify the full outcome grid instead of sign patterns")
     p.set_defaults(func=_cmd_classical_max)

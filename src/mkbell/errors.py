@@ -26,7 +26,7 @@ class ValueOutOfSpectrum(MkBellError):
 
 
 class NotConverged(MkBellError):
-    """The iterative eigensolver failed to reach the requested residual."""
+    """An eigenpair failed its check against the requested residual."""
 
     def __init__(self, message, best_value=None, best_residual=None, iterations=0):
         super().__init__(message)

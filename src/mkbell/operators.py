@@ -143,13 +143,19 @@ class GlobalOperator:
         return w.reshape(-1)
 
 
-def global_operator(scenario: Scenario) -> GlobalOperator:
-    """The matrix-free operator, once the global dimension is within the cap."""
+def check_dimension(scenario: Scenario) -> None:
+    """Raise CapExceeded, before anything is allocated, when the global
+    dimension (2s+1)**n exceeds the scenario's cap."""
     cap = scenario.dim_cap  # d**n >= 2**n > cap once n reaches the cap's bit length
     if scenario.n >= cap.bit_length() or scenario.global_dimension() > cap:
         raise CapExceeded(
             f"global dimension {scenario.local_dimension}**{scenario.n} exceeds cap {cap}"
         )
+
+
+def global_operator(scenario: Scenario) -> GlobalOperator:
+    """The matrix-free operator, once the global dimension is within the cap."""
+    check_dimension(scenario)
     spin = scenario.spin
     d = spin.dimension
     diag_vals = np.array(spin.twice_outcomes(), dtype=np.float64) / 2.0

@@ -8,11 +8,11 @@ half-integer outcomes need scale at most n, so all bound arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 #: Default cap on the global Hilbert-space dimension (2s+1)**n, enforced by
-#: ``operators.global_operator`` for every path that holds vectors of it.
+#: ``operators.check_dimension`` for every path that holds vectors of it.
 DEFAULT_DIM_CAP = 1 << 24
 
 #: The two observable labels, in canonical order.
@@ -43,9 +43,10 @@ class ExactValue:
         if self.scale < 0:
             raise ValueError("scale must be nonnegative")
         num, sc = int(self.numerator), int(self.scale)
-        while sc > 0 and num % 2 == 0:
-            num //= 2
-            sc -= 1
+        # Strip min(scale, trailing zero bits) factors of two in one shift.
+        shift = min(sc, (num & -num).bit_length() - 1) if num else sc
+        num >>= shift
+        sc -= shift
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "scale", sc)
 

@@ -5,8 +5,10 @@ conftest.py).  Tolerances are pinned in-line:
 
   * exact integer/dyadic checks carry zero tolerance;
   * dense eigensolver comparisons use 1e-9 relative;
-  * the block spectrum matches the dense spectrum at 1e-12 relative;
-  * matrix-free eigenvalues at large dimension use 1e-7 relative;
+  * the block spectrum, the closed-form gap and the closed-form top state
+    match the dense oracle at 1e-12 relative;
+  * matrix-free eigenvalues at large dimension, and the Lanczos oracle
+    there, use 1e-7 relative;
   * ratio and scaling-law checks use 1e-8;
   * Born-rule consistency uses 1e-10 absolute;
   * statistical checks use 5 standard errors at 10**6 total shots.
@@ -16,7 +18,6 @@ import functools
 import itertools
 
 import numpy as np
-import pytest
 
 from mkbell.classical import (
     classical_bound,
@@ -40,15 +41,16 @@ from mkbell.operators import (
     global_operator,
 )
 from mkbell.quantum import (
-    block_spectrum,
-    degeneracy_check,
     dense_spectrum,
     largest_eigenpair,
     predicted_quantum_max,
     predicted_ratio,
+    spectral_gap,
+    top_state,
     violation_ratio,
 )
 from mkbell.spincore import Scenario, Spin
+from oracles import block_spectrum, lanczos_top
 
 # n in 2..6 crossed with s in 1/2..2, restricted to dense-solver size.
 DENSE_GRID = [
@@ -92,37 +94,54 @@ def test_full_outcome_grid_never_beats_extremal_strategies():
 
 def test_top_eigenvalue_matches_closed_form():
     """Largest eigenvalue equals 2**(3(n-1)/2) s**n: dense grid at 1e-9
-    relative with an isolated top eigenvalue, large matrix-free cases at
-    1e-7 relative."""
+    relative with an isolated top eigenvalue, whose eigenvector is the
+    closed-form top state (dense residual at 1e-12 relative); large
+    matrix-free cases at 1e-7 relative, where the Lanczos oracle, started
+    from a random vector, finds the same top value at 1e-7 relative."""
     for n, twice in DENSE_GRID:
         scenario = Scenario(n, Spin(twice))
         report = _dense_spectrum(n, twice)
         predicted = predicted_quantum_max(scenario)
         assert abs(report.top_value - predicted) <= 1e-9 * predicted, (n, twice)
         assert report.degeneracy_of_top == 1, (n, twice)
+        # With a simple top, a small residual at the top value pins the vector;
+        # the matvec equals the dense product (test_construction_paths_agree).
+        x = top_state(scenario)
+        residual = global_operator(scenario).apply(x) - report.top_value * x
+        assert np.linalg.norm(residual) <= 1e-12 * report.top_value, (n, twice)
     for n, twice in MATRIX_FREE_CASES:
         scenario = Scenario(n, Spin(twice))
         result = largest_eigenpair(scenario, tol=1e-7)
         predicted = predicted_quantum_max(scenario)
         assert abs(result.value - predicted) <= 1e-7 * predicted, (n, twice)
+        oracle = lanczos_top(scenario, tol=1e-7)
+        assert abs(oracle.value - result.value) <= 1e-7 * result.value, (n, twice)
 
 
 def test_block_spectrum_matches_dense_oracle():
     """The spin-1/2 spectrum scaled by every level-pair block factor, plus
     the zero blocks, equals the dense spectrum at 1e-12 relative on the
-    dense grid; the gap agrees at 1e-12 relative and the top degeneracy
-    exactly."""
+    dense grid, and the closed-form gap top * min(1, 1/s) equals
+    lambda[-1] - lambda[-2] at 1e-12 relative."""
     for n, twice in DENSE_GRID:
         scenario = Scenario(n, Spin(twice))
         dense = _dense_spectrum(n, twice)
         scale = max(1.0, abs(dense.top_value))
-        blocks = block_spectrum(scenario).eigenvalues()
+        blocks = block_spectrum(scenario)
         assert blocks.shape == dense.eigenvalues.shape, (n, twice)
         assert np.max(np.abs(blocks - dense.eigenvalues)) <= 1e-12 * scale, (n, twice)
-        report = degeneracy_check(scenario)
         dense_gap = dense.eigenvalues[-1] - dense.eigenvalues[-2]
-        assert abs(report.gap - dense_gap) <= 1e-12 * scale, (n, twice)
-        assert report.degeneracy_of_top == dense.degeneracy_of_top, (n, twice)
+        assert abs(spectral_gap(scenario) - dense_gap) <= 1e-12 * scale, (n, twice)
+
+
+def test_spin_half_spectrum_has_rank_two():
+    """The spin-1/2 spectrum is exactly {+-2**((n-3)/2), 0 x (2**n - 2)} for
+    n = 1..12 (1e-12 relative), the rank-2 lemma behind the closed forms."""
+    for n in range(1, 13):
+        eigenvalues = dense_spectrum(Scenario(n, Spin(1))).eigenvalues
+        q = 2.0 ** ((n - 3) / 2)
+        want = np.concatenate([[-q], np.zeros(2 ** n - 2), [q]])
+        assert np.max(np.abs(eigenvalues - want)) <= 1e-12 * max(1.0, q), n
 
 
 def test_violation_ratio_matches_prediction_and_is_spin_independent():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -39,6 +40,26 @@ class TestExpand:
         assert lines[0] == "coefficient,labels"
         assert lines[1:] == ["2,AAB", "2,ABA", "2,BAA", "-2,BBB"]
 
+    def test_five_party_bytes(self, capsys):
+        # Re[(1 - i)^4 i^b] = -4, 0, 4, 0 for b = 0, 1, 2, 3 (mod 4) letters B.
+        terms = [{"coefficient": 4 if labels.count("B") == 2 else -4, "labels": labels}
+                 for labels in map("".join, itertools.product("AB", repeat=5))
+                 if labels.count("B") % 2 == 0]
+        code, out, _ = run(capsys, "expand", "--n", "5")
+        assert code == 0
+        assert out == json.dumps(terms, indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv", [("--n", "25"), ("--n", "6", "--dim-cap", "32")])
+    def test_label_strings_past_cap(self, capsys, monkeypatch, argv):
+        # 2**n label strings: exit 3 before any is built.
+        def no_expansion(n):
+            raise AssertionError("expanded past the cap")
+
+        monkeypatch.setattr("mkbell.expansion.expand_terms", no_expansion)
+        code, out, err = run(capsys, "expand", *argv)
+        assert (code, out) == (3, "")
+        assert "exceeds cap" in err
+
 
 class TestClassicalMax:
     def test_two_party_half(self, capsys):
@@ -69,8 +90,7 @@ class TestClassicalMax:
 
     def test_exact_beyond_int64(self, capsys):
         # Values reach 2**9 * 200**10 > 2**63; int64 arithmetic would wrap.
-        code, out, _ = run(capsys, "classical-max", "--n", "10", "--spin", "100",
-                           "--dim-cap", str(10 ** 27))
+        code, out, _ = run(capsys, "classical-max", "--n", "10", "--spin", "100")
         assert code == 0
         payload = json.loads(out)
         assert payload["bound"] == "51200000000000000000000"
@@ -142,8 +162,13 @@ class TestClassicalMax:
         finally:
             sys.set_int_max_str_digits(default)
 
+    def test_dim_cap_is_not_an_option(self, capsys):
+        # The certificate allocates nothing of the global dimension.
+        with pytest.raises(SystemExit):
+            main(["classical-max", "--n", "2", "--spin", "1/2", "--dim-cap", "8"])
+
     def test_huge_n_fails_fast(self, capsys):
-        # The exact bound alone takes seconds to form at n = 10**5.
+        # 4**(10**5) has 60206 digits; exit 3 before the certificate runs.
         start = time.perf_counter()
         code, _, err = run(capsys, "classical-max", "--n", str(10 ** 5), "--spin", "1/2")
         assert time.perf_counter() - start < 1.0
@@ -154,11 +179,11 @@ class TestClassicalMax:
 class TestDimensionCap:
     @pytest.mark.parametrize("command", ["quantum-max", "ratio", "sample", "report"])
     def test_first_n_past_default_cap(self, capsys, monkeypatch, command):
-        # 2**25 > 2**24: exit 3 before the eigensolver draws its start vector.
-        def no_start_vector(*args, **kwargs):
-            raise AssertionError("drew a start vector beyond the cap")
+        # 2**25 > 2**24: exit 3 before the top state is built.
+        def no_state(*args, **kwargs):
+            raise AssertionError("built a state beyond the cap")
 
-        monkeypatch.setattr(np.random, "default_rng", no_start_vector)
+        monkeypatch.setattr(quantum, "top_state", no_state)
         code, out, err = run(capsys, command, "--n", "25", "--spin", "1/2")
         assert code == 3
         assert out == ""
@@ -184,11 +209,42 @@ class TestQuantumMax:
         assert payload["gap"] == pytest.approx(np.sqrt(2) / 2, rel=1e-6)
 
     def test_gap_beyond_dense_spectrum_cap(self, capsys):
-        # D = 12**4 exceeds SPECTRUM_CAP; the 16-row spin-1/2 block does not.
+        # D = 12**4 is past any dense solve; the gap is top / s in closed form.
         code, out, _ = run(capsys, "quantum-max", "--n", "4", "--spin", "11/2")
         assert code == 0
-        gap = json.loads(out)["gap"]
-        assert gap is not None and gap > 0
+        payload = json.loads(out)
+        assert payload["gap"] == pytest.approx(payload["predicted"] * 2 / 11, rel=1e-11)
+        assert payload["iterations"] == 1
+
+    def test_gap_for_every_n_under_the_cap(self, capsys):
+        # The spin-1/2 top 2**((n-3)/2) is also the gap: 32 at n = 13.
+        code, out, _ = run(capsys, "quantum-max", "--n", "13", "--spin", "1/2")
+        assert code == 0
+        assert json.loads(out)["gap"] == 32.0
+
+    def test_corrupted_matvec_exits_4(self, capsys, monkeypatch):
+        exact = operators.GlobalOperator.apply
+        monkeypatch.setattr(operators.GlobalOperator, "apply",
+                            lambda self, v: exact(self, v) + 1e-6 * np.roll(v, 1))
+        code, out, err = run(capsys, "quantum-max", "--n", "3", "--spin", "1")
+        assert (code, out) == (4, "")
+        assert "residual" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("quantum-max", "--n", "3", "--spin", "1"),
+        ("ratio", "--n", "3", "--spin", "3/2"),
+        ("sample", "--n", "2", "--spin", "1", "--shots", "4000"),
+        ("report", "--grid", "n=1..3", "s=1/2..1", "--sample", "--shots", "4000"),
+    ])
+    def test_no_dense_eigensolver_on_the_command_path(self, capsys, monkeypatch, argv):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("called a dense eigensolver")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_solve)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out
 
     def test_gap_never_assembles_the_full_space(self, capsys, monkeypatch):
         real = operators.assemble_dense

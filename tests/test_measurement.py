@@ -11,7 +11,7 @@ from mkbell.measurement import (
     sample_outcomes,
     violation_sigmas,
 )
-from mkbell.quantum import expectation, largest_eigenpair
+from mkbell.quantum import expectation, largest_eigenpair, top_state
 from mkbell.spincore import ExactValue, Scenario, Spin
 
 
@@ -112,6 +112,20 @@ class TestBellEstimate:
         assert one == two
         assert one.value == pytest.approx(np.sqrt(2) / 2, abs=6 * one.stderr)
         assert violation_sigmas(scenario, one) > 5
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_spin_s_estimate_scales_spin_half(self, n):
+        # The top state of every spin lives on the levels +-s with the spin-1/2
+        # amplitudes, so one seed draws the same counts: the paper's
+        # spin-independent ratio, seen in simulation.
+        shots = 10 ** 6 // 4 ** (n // 2)
+        half = estimate_bell_value(Scenario(n, Spin(1)), top_state(Scenario(n, Spin(1))),
+                                   shots, seed=7)
+        for twice in range(2, 6):
+            scenario = Scenario(n, Spin(twice))
+            est = estimate_bell_value(scenario, top_state(scenario), shots, seed=7)
+            assert est.value == pytest.approx(twice ** n * half.value, rel=1e-12, abs=0)
+            assert est.stderr == pytest.approx(twice ** n * half.stderr, rel=1e-12, abs=0)
 
     def test_sigma_edge_cases(self):
         scenario = Scenario(2, Spin(1))

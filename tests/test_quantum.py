@@ -4,15 +4,17 @@ import pytest
 from mkbell.errors import CapExceeded, NotConverged, NotNormalized
 from mkbell.operators import assemble_dense, global_operator
 from mkbell.quantum import (
-    degeneracy_check,
     dense_spectrum,
     expectation,
     largest_eigenpair,
     predicted_quantum_max,
     predicted_ratio,
+    spectral_gap,
+    top_state,
     violation_ratio,
 )
 from mkbell.spincore import Scenario, Spin
+from oracles import lanczos_top
 
 SQRT2 = np.sqrt(2.0)
 
@@ -64,6 +66,8 @@ class TestDenseSpectrum:
 
 
 class TestPowerIteration:
+    """``largest_eigenpair``: the closed-form state, checked by one matvec."""
+
     @pytest.mark.parametrize("n,twice", [(2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (5, 1)])
     def test_matches_dense_top(self, n, twice):
         scenario = Scenario(n, Spin(twice))
@@ -80,20 +84,27 @@ class TestPowerIteration:
         # eigenspace; the solver must still find the true maximum.
         result = largest_eigenpair(Scenario(3, Spin(2)))
         assert result.value == pytest.approx(8.0, rel=1e-8)
+        assert lanczos_top(Scenario(3, Spin(2))).value == pytest.approx(8.0, rel=1e-8)
 
     def test_not_converged_carries_best_state(self):
-        # (3, 5/2) needs 21 matvecs at tol 1e-9, so each budget runs out.
+        # A matvec that is off by 1e-6 of a shifted vector fails the check.
         scenario = Scenario(3, Spin(5))
-        for max_iter in (1, 2, 7):
-            op = global_operator(scenario)
-            exact, calls = op.apply, []
-            op.apply = lambda v: calls.append(1) or exact(v)
-            with pytest.raises(NotConverged) as info:
-                largest_eigenpair(scenario, max_iter=max_iter, operator=op)
-            err = info.value
-            assert err.iterations == len(calls) == max_iter
-            assert np.isfinite(err.best_residual) and err.best_residual > 0
-            assert np.isfinite(err.best_value)
+        op = global_operator(scenario)
+        exact, calls = op.apply, []
+        op.apply = lambda v: calls.append(1) or exact(v) + 1e-6 * np.roll(v, 1)
+        with pytest.raises(NotConverged) as info:
+            largest_eigenpair(scenario, operator=op)
+        err = info.value
+        assert err.iterations == len(calls) == 1
+        assert 1e-9 * err.best_value < err.best_residual < 1e-5
+        assert err.best_value == pytest.approx(predicted_quantum_max(scenario), rel=1e-6)
+
+    def test_tolerance_below_rounding_fails_the_check(self):
+        scenario = Scenario(4, Spin(3))
+        residual = largest_eigenpair(scenario).residual
+        assert 0 < residual <= 1e-14 * predicted_quantum_max(scenario)
+        with pytest.raises(NotConverged):
+            largest_eigenpair(scenario, tol=residual / predicted_quantum_max(scenario) / 2)
 
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError):
@@ -101,20 +112,27 @@ class TestPowerIteration:
 
 
 class TestLanczos:
+    """The restarted Lanczos oracle against the closed-form eigenpair."""
+
     def test_repeat_call_is_bit_identical(self):
         scenario = Scenario(3, Spin(3))
-        first = largest_eigenpair(scenario)
-        second = largest_eigenpair(scenario)
-        assert np.array_equal(first.vector, second.vector)
-        assert first.value == second.value
-        assert first.iterations == second.iterations
+        for solve in (largest_eigenpair, lanczos_top):
+            first = solve(scenario)
+            second = solve(scenario)
+            assert np.array_equal(first.vector, second.vector)
+            assert first.value == second.value
+            assert first.iterations == second.iterations
 
     @pytest.mark.parametrize("n,twice", [(3, 3), (3, 5), (4, 11)])
     def test_few_matvecs_and_closed_form(self, n, twice):
         scenario = Scenario(n, Spin(twice))
         result = largest_eigenpair(scenario)
-        assert result.iterations <= 60
+        assert result.iterations == 1
         assert result.value == pytest.approx(predicted_quantum_max(scenario), rel=1e-12)
+        oracle = lanczos_top(scenario)
+        assert oracle.iterations <= 60
+        assert oracle.value == pytest.approx(result.value, rel=1e-12)
+        assert abs(oracle.vector @ result.vector) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("n,twice", [(3, 3), (3, 5)])
     def test_stable_under_matvec_rounding_noise(self, n, twice):
@@ -122,12 +140,27 @@ class TestLanczos:
         # differs only in its last bits; the eigenvalue must not move.
         scenario = Scenario(n, Spin(twice))
         clean = largest_eigenpair(scenario)
-        op = global_operator(scenario)
-        exact, rng = op.apply, np.random.default_rng(7)
-        op.apply = lambda v: exact(v) * (1 + 1e-16 * rng.standard_normal(v.size))
-        noisy = largest_eigenpair(scenario, operator=op)
-        assert noisy.value == pytest.approx(clean.value, rel=1e-12)
-        assert noisy.iterations <= 60
+        for solve, most in ((largest_eigenpair, 1), (lanczos_top, 60)):
+            op = global_operator(scenario)
+            exact, rng = op.apply, np.random.default_rng(7)
+            op.apply = lambda v: exact(v) * (1 + 1e-16 * rng.standard_normal(v.size))
+            noisy = solve(scenario, operator=op)
+            assert noisy.value == pytest.approx(clean.value, rel=1e-12)
+            assert noisy.iterations <= most
+
+    def test_budget_raises_not_converged(self):
+        # (3, 5/2) needs 21 Lanczos matvecs at tol 1e-9, so each budget runs out.
+        scenario = Scenario(3, Spin(5))
+        for max_iter in (1, 2, 7):
+            op = global_operator(scenario)
+            exact, calls = op.apply, []
+            op.apply = lambda v: calls.append(1) or exact(v)
+            with pytest.raises(NotConverged) as info:
+                lanczos_top(scenario, max_iter=max_iter, operator=op)
+            err = info.value
+            assert err.iterations == len(calls) == max_iter
+            assert np.isfinite(err.best_residual) and err.best_residual > 0
+            assert np.isfinite(err.best_value)
 
 
 class TestExpectation:
@@ -172,12 +205,42 @@ class TestRatio:
 class TestDegeneracy:
     @pytest.mark.parametrize("n,twice", [(2, 1), (3, 1), (3, 2), (4, 1)])
     def test_top_is_isolated(self, n, twice):
-        report = degeneracy_check(Scenario(n, Spin(twice)))
-        assert report.nondegenerate
-        assert report.gap > 0
+        scenario = Scenario(n, Spin(twice))
+        eigenvalues = dense_spectrum(scenario).eigenvalues
+        assert spectral_gap(scenario) > 0
+        assert spectral_gap(scenario) == pytest.approx(
+            eigenvalues[-1] - eigenvalues[-2], rel=1e-12)
 
-    def test_cap_bounds_the_qubit_block(self):
-        # D = 12**4 is past the cap, but the spin-1/2 block has 16 rows.
-        assert degeneracy_check(Scenario(4, Spin(11)), cap=16).gap > 0
+    @pytest.mark.parametrize("twice", [1, 2, 3, 4])
+    def test_one_party_gap_is_the_level_spacing(self, twice):
+        eigenvalues = dense_spectrum(Scenario(1, Spin(twice))).eigenvalues
+        assert spectral_gap(Scenario(1, Spin(twice))) == eigenvalues[-1] - eigenvalues[-2] == 1.0
+
+    def test_gap_needs_no_cap(self):
+        # D = 12**30 is far past any cap; the gap is a formula in n and s.
+        scenario = Scenario(30, Spin(11), dim_cap=16)
+        assert spectral_gap(scenario) == pytest.approx(
+            predicted_quantum_max(scenario) * 2 / 11, rel=1e-15)
+
+
+class TestTopState:
+    @pytest.mark.parametrize("n,twice", [(1, 1), (1, 4), (2, 1), (3, 2), (4, 3), (5, 1)])
+    def test_supported_on_extreme_levels(self, n, twice):
+        scenario = Scenario(n, Spin(twice))
+        state = top_state(scenario).reshape((twice + 1,) * n)
+        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-15)
+        extreme = state[(slice(None, None, twice),) * n]
+        assert np.linalg.norm(extreme) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_amplitudes_follow_the_cosine_formula(self, n):
+        # Spin 1/2: index bits are the parties, bit 1 the level -1/2.
+        state = top_state(Scenario(n, Spin(1)))
+        for index, amp in enumerate(state):
+            b = bin(index).count("1")
+            want = 2 ** ((1 - n) / 2) * np.cos(np.pi * (4 * b - n + 1) / 8)
+            assert amp == pytest.approx(want, abs=1e-15)
+
+    def test_cap_checked_before_allocation(self):
         with pytest.raises(CapExceeded):
-            degeneracy_check(Scenario(4, Spin(1)), cap=15)
+            top_state(Scenario(9, Spin(2), dim_cap=3 ** 8))

@@ -1,9 +1,11 @@
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from mkbell.classical import classical_bound
 from mkbell.errors import CapExceeded
 from mkbell.operators import global_operator
 from mkbell.spincore import ExactValue, Scenario, Spin
@@ -20,6 +22,24 @@ class TestExactValue:
         assert ExactValue(4, 2) == ExactValue(1, 0)
         assert ExactValue(6, 1) == ExactValue(3, 0)
         assert ExactValue(0, 5) == ExactValue(0, 0)
+
+    @given(st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+           st.integers(min_value=0, max_value=120))
+    @example(0, 7)
+    @example(-3 << 40, 50)
+    def test_normalization_matches_fraction(self, numerator, scale):
+        value = ExactValue(numerator, scale)
+        assert value.as_fraction() == Fraction(numerator, 1 << scale)
+        assert value.scale == 0 or value.numerator % 2 == 1
+        if numerator == 0:
+            assert (value.numerator, value.scale) == (0, 0)
+
+    def test_normalization_of_huge_powers_is_fast(self):
+        # 2**(n-1) / 2**n at n = 10**5: one shift, not 10**5 halvings.
+        start = time.perf_counter()
+        bound = classical_bound(Scenario(10 ** 5, Spin(1)))
+        assert time.perf_counter() - start < 0.5
+        assert (bound.numerator, bound.scale) == (1, 1)
 
     def test_basic_arithmetic(self):
         half = ExactValue(1, 1)
