@@ -18,7 +18,6 @@ from .classical import (
     verify_bound,
 )
 from .errors import (
-    BudgetExceeded,
     CapExceeded,
     DimensionMismatch,
     MkBellError,

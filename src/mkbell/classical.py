@@ -45,13 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, ValueOutOfSpectrum
+from .errors import ValueOutOfSpectrum
 from .expansion import expand_terms, pair_step
 from .spincore import ExactValue, Scenario
-
-#: Largest table the enumeration oracle builds, in int64 entries
-#: (strategies x 2n, 128 MiB).
-FULL_GRID_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -157,14 +153,9 @@ def _twice_value_table(scenario: Scenario, extremal: bool):
     n = scenario.n
     ts = scenario.spin.twice_spin
     d = scenario.spin.dimension
+    scenario.check_entries(f"the strategy table of {scenario}",
+                           lambda: 2 * n * strategy_count(scenario, extremal))
     count = strategy_count(scenario, extremal)
-    entries = count * 2 * n
-    if entries > FULL_GRID_BUDGET:
-        kind = "extremal enumeration" if extremal else "full grid"
-        raise BudgetExceeded(
-            f"{kind} table has {entries} entries ({count} strategies), "
-            f"budget is {FULL_GRID_BUDGET}"
-        )
     idx = np.arange(count, dtype=np.int64)
     a_cols, b_cols = [], []
     if extremal:
@@ -208,9 +199,9 @@ def classical_max_enumerated(scenario: Scenario,
                              extremal_only: bool = True) -> ClassicalResult:
     """Test oracle for ``classical_max``: enumerate every strategy.
 
-    Builds the whole twice-value table, so it raises ``BudgetExceeded``
-    before allocating when the table would exceed ``FULL_GRID_BUDGET``
-    entries.
+    Builds the whole twice-value table, 2n entries per strategy, so it
+    raises ``CapExceeded`` before allocating when the table would exceed the
+    scenario's ``dim_cap`` entries.
     """
     count, a_cols, b_cols = _twice_value_table(scenario, extremal_only)
     values = _values_scaled(a_cols, b_cols, scenario.spin.twice_spin)

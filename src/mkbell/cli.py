@@ -1,8 +1,9 @@
 """Command-line interface tying the toolkit into reproducible reports.
 
-Exit codes: 0 success, 2 validation error, 3 cap exceeded (global dimension,
-or digits of a printed exact integer), 4 numerical non-convergence (the
-closed-form top eigenpair fails its one-matvec residual check).
+Exit codes: 0 success, 2 validation error, 3 cap exceeded (the array budget
+``--dim-cap``, or digits of a printed exact integer), 4 numerical
+non-convergence (the closed-form top eigenpair fails its one-matvec residual
+check).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 
 from . import classical, measurement, quantum
 from .errors import CapExceeded, MkBellError, NotConverged
-from .operators import check_dimension, global_operator
+from .operators import global_operator
 from .spincore import DEFAULT_DIM_CAP, Scenario, Spin
 
 DEFAULT_SHOTS = 10 ** 6
@@ -86,8 +87,10 @@ def _to_csv(payload):
 def _cmd_expand(args):
     from .expansion import expand_terms
 
-    check_dimension(_scenario(args))  # 2**n label strings: the spin-1/2 dimension
-    expansion = expand_terms(args.n)
+    n = args.n  # n letters in each of 2**n label strings, whatever the spin
+    Scenario(n, Spin(1), _dim_cap(args)).check_entries(
+        f"the label strings for n={n}", lambda: n << n)
+    expansion = expand_terms(n)
     payload = [{"coefficient": c, "labels": labels} for c, labels in expansion.terms]
     _emit(args, payload)
 
@@ -133,8 +136,6 @@ def _cmd_quantum_max(args):
     predicted = quantum.predicted_quantum_max(scenario)
     payload = {
         "config": _config_dict(args, tol=args.tol),
-        "n": args.n,
-        "s": str(args.spin),
         "top_eigenvalue": _fmt(result.value),
         "predicted": _fmt(predicted),
         "relative_error": _fmt(abs(result.value - predicted) / abs(predicted)),
@@ -150,8 +151,6 @@ def _cmd_ratio(args):
     predicted = quantum.predicted_ratio(args.n)
     payload = {
         "config": _config_dict(args, tol=args.tol),
-        "n": args.n,
-        "s": str(args.spin),
         "ratio": _fmt(ratio),
         "predicted": _fmt(predicted),
         "relative_error": _fmt(abs(ratio - predicted) / predicted),
@@ -178,10 +177,7 @@ def _cmd_sample(args):
     )
     payload = {
         "config": _config_dict(args, shots=args.shots, seed=args.seed),
-        "n": args.n,
-        "s": str(args.spin),
         "shots_per_setting": shots_per_setting,
-        "seed": args.seed,
         "per_term": [
             {"labels": labels, "correlation": _fmt(mean), "stderr": _fmt(err)}
             for labels, mean, err in estimate.per_term
@@ -266,22 +262,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_dim_cap(p):
+        p.add_argument("--dim-cap", type=int, default=None, help=(
+            "array budget: the most array entries the command may build "
+            f"(default {DEFAULT_DIM_CAP}, env MKBELL_DIM_CAP); a state vector "
+            "counts (2s+1)**n, sampling 4**(n//2) (2s+1)**n, expand n 2**n"))
+
     def add_common(p, dim_cap=True):
         p.add_argument("--n", type=int, required=True, help="number of parties")
         p.add_argument("--spin", type=_spin_arg, required=True,
                        help='spin, e.g. "1/2", "1", "3/2" (or "0.5")')
         if dim_cap:
-            p.add_argument("--dim-cap", type=int, default=None,
-                           help="override the global dimension cap (env MKBELL_DIM_CAP)")
+            add_dim_cap(p)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None, help="write the report to this file")
 
     p = sub.add_parser("expand", help="term expansion of the Bell expression")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dim-cap", type=int, default=None)
+    add_dim_cap(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_expand, spin=Spin(1))
+    p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("classical-max", help="exact classical maximum, certified by an O(n) DP")
     add_common(p, dim_cap=False)
@@ -311,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spin", type=_spin_arg, default=None)
     p.add_argument("--grid", nargs="+", default=None,
                    metavar="RANGE", help='e.g. --grid n=2..4 s=1/2..3/2')
-    p.add_argument("--dim-cap", type=int, default=None)
+    add_dim_cap(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None)
     p.add_argument("--tol", type=float, default=1e-9)

@@ -6,11 +6,8 @@ class MkBellError(Exception):
 
 
 class CapExceeded(MkBellError):
-    """A requested instance is larger than the configured dimension cap."""
-
-
-class BudgetExceeded(MkBellError):
-    """An exhaustive enumeration would exceed the configured state budget."""
+    """A requested instance exceeds the array budget ``Scenario.dim_cap`` or,
+    in the CLI, the digits Python prints of an integer."""
 
 
 class DimensionMismatch(MkBellError):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .classical import classical_bound
 from .errors import DimensionMismatch, NotNormalized
+from .expansion import expected_term_count
 from .operators import GlobalOperator, b_rotation, global_operator
 from .quantum import predicted_quantum_max
 from .spincore import Scenario, validate_labels
@@ -140,8 +141,12 @@ def estimate_bell_value(scenario: Scenario, state: np.ndarray, shots_per_setting
 
     Term t uses the stream seeded by SeedSequence([seed, t]); the combined
     standard error is the root sum of squares of coefficient-weighted
-    per-term errors.
+    per-term errors.  The T distributions of length D count T D entries
+    against the cap, checked before the first one is built.
     """
+    scenario.check_entries(
+        f"the outcome distributions of {scenario}",
+        lambda: expected_term_count(scenario.n) * scenario.global_dimension())
     op = operator if operator is not None else global_operator(scenario)
     per_term = []
     value = 0.0

@@ -26,12 +26,9 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import CapExceeded, DimensionMismatch
-from .expansion import TermExpansion, expand_terms, prefactor
+from .errors import DimensionMismatch
+from .expansion import TermExpansion, expand_terms, expected_term_count, prefactor
 from .spincore import LABEL_A, LABEL_B, ExactValue, Scenario, Spin, validate_labels
-
-#: Default cap (rows) for materializing dense global operators.
-DENSE_CAP = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -143,19 +140,9 @@ class GlobalOperator:
         return w.reshape(-1)
 
 
-def check_dimension(scenario: Scenario) -> None:
-    """Raise CapExceeded, before anything is allocated, when the global
-    dimension (2s+1)**n exceeds the scenario's cap."""
-    cap = scenario.dim_cap  # d**n >= 2**n > cap once n reaches the cap's bit length
-    if scenario.n >= cap.bit_length() or scenario.global_dimension() > cap:
-        raise CapExceeded(
-            f"global dimension {scenario.local_dimension}**{scenario.n} exceeds cap {cap}"
-        )
-
-
 def global_operator(scenario: Scenario) -> GlobalOperator:
-    """The matrix-free operator, once the global dimension is within the cap."""
-    check_dimension(scenario)
+    """The matrix-free operator, once a state vector (D entries) is within the cap."""
+    scenario.check_entries(f"a state vector of {scenario}")
     spin = scenario.spin
     d = spin.dimension
     diag_vals = np.array(spin.twice_outcomes(), dtype=np.float64) / 2.0
@@ -165,17 +152,11 @@ def global_operator(scenario: Scenario) -> GlobalOperator:
     return GlobalOperator(scenario, diag_vals.reshape(d, 1), anti_vals.reshape(d, 1))
 
 
-def _check_dense_cap(scenario: Scenario, cap: int):
-    if scenario.global_dimension() > cap:
-        raise CapExceeded(
-            f"dense assembly needs {scenario.global_dimension()} rows, cap is {cap}"
-        )
-
-
-def dense_scaled_product(scenario: Scenario, cap: int = DENSE_CAP) -> np.ndarray:
+def dense_scaled_product(scenario: Scenario) -> np.ndarray:
     """Integer matrix 2**n * M_n = Re[(1 - i)^(n-1) (2A + 2iB) x ... x (2A + 2iB)],
     the Kronecker product held as (real, imaginary) int64 parts."""
-    _check_dense_cap(scenario, cap)
+    scenario.check_entries(f"a dense matrix of {scenario}",
+                           lambda: scenario.global_dimension() ** 2)
     a = make_A(scenario.spin).twice_entries
     b = make_B(scenario.spin).twice_entries
     re, im = np.ones((1, 1), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)
@@ -185,14 +166,15 @@ def dense_scaled_product(scenario: Scenario, cap: int = DENSE_CAP) -> np.ndarray
     return c_re * re - c_im * im
 
 
-def dense_scaled_terms(scenario: Scenario, cap: int = DENSE_CAP) -> np.ndarray:
+def dense_scaled_terms(scenario: Scenario) -> np.ndarray:
     """Integer matrix 2**n * M_n by summing the expansion's product terms.
 
     A and B have at most one nonzero per row, so every term is a generalised
     permutation: row r holds the single entry coeff * vals[r] in column
     cols[r], both built party by party.
     """
-    _check_dense_cap(scenario, cap)
+    scenario.check_entries(f"a dense matrix of {scenario}",
+                           lambda: scenario.global_dimension() ** 2)
     expansion = expand_terms(scenario.n)
     d = scenario.local_dimension
     local = {}
@@ -215,17 +197,18 @@ def dense_scaled_terms(scenario: Scenario, cap: int = DENSE_CAP) -> np.ndarray:
     return total
 
 
-def assemble_dense(scenario: Scenario, cap: int = DENSE_CAP) -> np.ndarray:
+def assemble_dense(scenario: Scenario) -> np.ndarray:
     """Dense float64 M_n, exact (entries are dyadics on the 2**-n grid)."""
-    return dense_scaled_product(scenario, cap).astype(np.float64) / float(1 << scenario.n)
+    return dense_scaled_product(scenario).astype(np.float64) / float(1 << scenario.n)
 
 
-def term_matrix(scenario: Scenario, labels: str, cap: int = DENSE_CAP) -> np.ndarray:
+def term_matrix(scenario: Scenario, labels: str) -> np.ndarray:
     """Dense matrix of one product term O_1 x ... x O_n (unit coefficient)."""
     validate_labels(labels)
     if len(labels) != scenario.n:
         raise DimensionMismatch("term labels do not match the scenario")
-    _check_dense_cap(scenario, cap)
+    scenario.check_entries(f"a dense matrix of {scenario}",
+                           lambda: scenario.global_dimension() ** 2)
     a = make_A(scenario.spin).twice_entries
     b = make_B(scenario.spin).twice_entries
     factor = np.array([[1]], dtype=np.int64)
@@ -244,10 +227,15 @@ class CommutationReport:
     all_commute: bool
 
 
-def commutation_report(scenario: Scenario, tol: float = 1e-12, cap: int = DENSE_CAP) -> CommutationReport:
-    """Check every term pair for commutation (max-norm of the commutator)."""
+def commutation_report(scenario: Scenario, tol: float = 1e-12) -> CommutationReport:
+    """Check every term pair for commutation (max-norm of the commutator).
+
+    Holds all T term matrices at once, so it counts T D**2 entries."""
+    scenario.check_entries(
+        f"the term matrices of {scenario}",
+        lambda: expected_term_count(scenario.n) * scenario.global_dimension() ** 2)
     expansion = expand_terms(scenario.n)
-    mats = [term_matrix(scenario, labels, cap) for _, labels in expansion.terms]
+    mats = [term_matrix(scenario, labels) for _, labels in expansion.terms]
     T = len(mats)
     commuting = np.ones((T, T), dtype=bool)
     for i in range(T):

@@ -57,12 +57,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import classical_max
-from .errors import CapExceeded, DimensionMismatch, NotConverged, NotNormalized
-from .operators import GlobalOperator, assemble_dense, check_dimension, global_operator
+from .errors import DimensionMismatch, NotConverged, NotNormalized
+from .operators import GlobalOperator, assemble_dense, global_operator
 from .spincore import Scenario
-
-#: Default cap (rows) for full dense spectra.
-SPECTRUM_CAP = 1 << 12
 
 
 def predicted_quantum_max(scenario: Scenario) -> float:
@@ -93,13 +90,10 @@ class EigenResult:
     residual: float
 
 
-def dense_spectrum(scenario: Scenario, cap: int = SPECTRUM_CAP) -> SpectrumReport:
-    """All eigenvalues of the dense operator via a symmetric eigensolver."""
-    if scenario.global_dimension() > cap:
-        raise CapExceeded(
-            f"dense spectrum needs {scenario.global_dimension()} rows, cap is {cap}"
-        )
-    eigenvalues = np.linalg.eigvalsh(assemble_dense(scenario, cap=cap))
+def dense_spectrum(scenario: Scenario) -> SpectrumReport:
+    """All eigenvalues of the dense operator via a symmetric eigensolver;
+    ``assemble_dense`` counts its D**2 entries against the cap."""
+    eigenvalues = np.linalg.eigvalsh(assemble_dense(scenario))
     top = float(eigenvalues[-1])
     tol = 1e-9 * max(1.0, abs(top))
     degeneracy = int(np.sum(eigenvalues > top - tol))
@@ -109,7 +103,7 @@ def dense_spectrum(scenario: Scenario, cap: int = SPECTRUM_CAP) -> SpectrumRepor
 
 def top_state(scenario: Scenario) -> np.ndarray:
     """The unit top eigenvector: the multilevel GHZ state of the module docstring."""
-    check_dimension(scenario)
+    scenario.check_entries(f"a state vector of {scenario}")
     n, d = scenario.n, scenario.local_dimension
     b = np.zeros((), dtype=np.uint8)
     for _ in range(n):  # b mod 4 on the extreme strings, b = parties at -s

@@ -11,8 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-#: Default cap on the global Hilbert-space dimension (2s+1)**n, enforced by
-#: ``operators.check_dimension`` for every path that holds vectors of it.
+from .errors import CapExceeded
+
+#: Default array budget: the total number of entries a path may build, as
+#: counted by that path and enforced by ``Scenario.check_entries``.  With
+#: D = (2s+1)**n and T = 4**(n//2) terms, a state vector counts D, a dense
+#: matrix D**2, the commutation report T D**2, a sampled estimate T D, the
+#: enumeration oracle 2n per strategy and the expansion n 2**n letters.
 DEFAULT_DIM_CAP = 1 << 24
 
 #: The two observable labels, in canonical order.
@@ -204,6 +209,23 @@ class Scenario:
 
     def global_dimension(self) -> int:
         return self.spin.dimension ** self.n
+
+    def check_entries(self, what: str, entries=None) -> None:
+        """Raise CapExceeded, before anything is allocated, when ``what``
+        would hold more than ``dim_cap`` array entries in all.
+
+        ``entries()`` counts them (default: the global dimension, one state
+        vector).  Every count is at least 2**n, so once n reaches the cap's
+        bit length this raises before any count such as (2s+1)**n is formed.
+        """
+        cap = self.dim_cap
+        if self.n >= cap.bit_length():
+            count = f"at least 2**{self.n}"
+        else:
+            count = (entries or self.global_dimension)()
+            if count <= cap:
+                return
+        raise CapExceeded(f"{what} would hold {count} entries, which exceeds cap {cap}")
 
     def __str__(self) -> str:
         return f"n={self.n}, s={self.spin}"

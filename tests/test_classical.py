@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mkbell.classical import (
-    FULL_GRID_BUDGET,
     Strategy,
     classical_bound,
     classical_max,
@@ -12,8 +11,8 @@ from mkbell.classical import (
     value_from_terms,
     verify_bound,
 )
-from mkbell.errors import BudgetExceeded, ValueOutOfSpectrum
-from mkbell.spincore import ExactValue, Scenario, Spin
+from mkbell.errors import CapExceeded, ValueOutOfSpectrum
+from mkbell.spincore import DEFAULT_DIM_CAP, ExactValue, Scenario, Spin
 
 
 def ev(text):
@@ -89,13 +88,13 @@ class TestClassicalMax:
         assert full.strategies_checked == d ** (2 * n)
 
     def test_full_grid_budget(self):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(CapExceeded):
             classical_max_enumerated(Scenario(5, Spin(7)), extremal_only=False)
 
     def test_oracle_budget_counts_table_entries(self):
         # 4**13 strategies fit a budget on strategies, but their table holds
         # 26 * 4**13 int64 entries (14 GB); the oracle raises before allocating.
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(CapExceeded):
             classical_max_enumerated(Scenario(13, Spin(1)))
 
     @pytest.mark.parametrize("twice", range(1, 6))
@@ -103,7 +102,7 @@ class TestClassicalMax:
     def test_dp_matches_enumeration(self, n, twice):
         scenario = Scenario(n, Spin(twice))
         assert classical_max(scenario) == classical_max_enumerated(scenario)
-        if (twice + 1) ** (2 * n) * 2 * n <= FULL_GRID_BUDGET:
+        if (twice + 1) ** (2 * n) * 2 * n <= DEFAULT_DIM_CAP:
             assert (classical_max(scenario, extremal_only=False)
                     == classical_max_enumerated(scenario, extremal_only=False))
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mkbell import operators, quantum
+from mkbell import measurement, operators, quantum
 from mkbell.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -59,6 +59,21 @@ class TestExpand:
         code, out, err = run(capsys, "expand", *argv)
         assert (code, out) == (3, "")
         assert "exceeds cap" in err
+
+    def test_budget_counts_letters(self, capsys, monkeypatch):
+        # n 2**n = 160 letters at n = 5: printed at cap 160; at 159, exit 3
+        # before the expansion runs.
+        code, out, _ = run(capsys, "expand", "--n", "5", "--dim-cap", "160")
+        assert code == 0
+        assert len(json.loads(out)) == 16
+
+        def no_expansion(n):
+            raise AssertionError("expanded past the cap")
+
+        monkeypatch.setattr("mkbell.expansion.expand_terms", no_expansion)
+        code, out, err = run(capsys, "expand", "--n", "5", "--dim-cap", "159")
+        assert (code, out) == (3, "")
+        assert "exceeds cap 159" in err
 
 
 class TestClassicalMax:
@@ -189,6 +204,19 @@ class TestDimensionCap:
         assert out == ""
         assert "exceeds cap 16777216" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("expand", "--n", "20"),
+        ("sample", "--n", "14", "--spin", "1/2"),
+        ("report", "--grid", "n=13..13", "s=1/2..1/2", "--sample"),
+    ])
+    def test_past_the_budget_fails_fast(self, capsys, argv):
+        # 20 * 2**20 letters, 4**7 * 2**14 and 4**6 * 2**13 outcome probabilities.
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "exceeds cap 16777216" in err
+
     def test_huge_n_fails_fast(self, capsys):
         # Forming 3**(10**7) alone takes seconds.
         start = time.perf_counter()
@@ -295,6 +323,22 @@ class TestSample:
         )
         assert payload["sigmas_above_classical"] > 5
 
+    def test_budget_counts_distributions(self, capsys, monkeypatch):
+        # 4**2 setting contexts, each a distribution over 2**4 outcomes: 256
+        # entries.  At cap 255, exit 3 before the first distribution.
+        def no_distribution(*args, **kwargs):
+            raise AssertionError("built a distribution past the cap")
+
+        argv = ("sample", "--n", "4", "--spin", "1/2", "--dim-cap")
+        with monkeypatch.context() as patch:
+            patch.setattr(measurement, "joint_distribution", no_distribution)
+            code, out, err = run(capsys, *argv, "255")
+        assert (code, out) == (3, "")
+        assert "exceeds cap 255" in err
+        code, out, _ = run(capsys, *argv, "256")
+        assert code == 0
+        assert len(json.loads(out)["per_term"]) == 16
+
 
 class TestReport:
     def test_grid_json(self, capsys):
@@ -326,6 +370,45 @@ class TestReport:
     def test_missing_scenario_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["report"])
+
+
+class TestPayloadKeys:
+    @pytest.mark.parametrize("argv,keys,config", [
+        (("classical-max", "--n", "2", "--spin", "1/2"),
+         ["config", "bound", "achieved", "argmax_a", "argmax_b", "strategies_checked"],
+         ["command", "n", "s", "full_grid"]),
+        (("quantum-max", "--n", "2", "--spin", "1/2"),
+         ["config", "top_eigenvalue", "predicted", "relative_error", "gap", "iterations"],
+         ["command", "n", "s", "tol"]),
+        (("ratio", "--n", "2", "--spin", "1/2"),
+         ["config", "ratio", "predicted", "relative_error"],
+         ["command", "n", "s", "tol"]),
+        (("sample", "--n", "2", "--spin", "1/2", "--shots", "400"),
+         ["config", "shots_per_setting", "per_term", "bell_estimate", "bell_stderr",
+          "classical_bound", "quantum_prediction", "sigmas_above_classical"],
+         ["command", "n", "s", "shots", "seed"]),
+        (("report", "--n", "2", "--spin", "1/2", "--sample", "--shots", "400"),
+         ["config", "rows"],
+         ["command", "grid", "tol", "sample", "shots", "seed"]),
+    ])
+    def test_exact_keys(self, capsys, argv, keys, config):
+        # n, s and seed appear once, in config.
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == keys
+        assert list(payload["config"]) == config
+
+    def test_expand_and_report_rows(self, capsys):
+        code, out, _ = run(capsys, "expand", "--n", "2")
+        assert code == 0
+        assert {tuple(term) for term in json.loads(out)} == {("coefficient", "labels")}
+        code, out, _ = run(capsys, "report", "--n", "2", "--spin", "1/2", "--sample",
+                           "--shots", "400")
+        assert code == 0
+        assert list(json.loads(out)["rows"][0]) == [
+            "n", "s", "classical", "quantum", "ratio", "gap",
+            "bell_estimate", "bell_stderr", "shots_per_setting"]
 
 
 class TestImports:
