@@ -5,59 +5,49 @@ bound by an O(n) dynamic program over the pair recursion, gives the quantum
 maximum and its eigenvector in closed form, checked by one matvec, and
 checks the violation ratio 2**((n-1)/2) by formula and by simulated
 measurement.
+
+Names resolve on first access (PEP 562), so importing the package, or the
+exact layer ``spincore``, ``errors``, ``expansion`` and ``classical`` alone,
+does not import NumPy; the array layer ``operators``, ``quantum`` and
+``measurement`` does.
 """
 
-from .classical import (
-    BoundCertificate,
-    ClassicalResult,
-    Strategy,
-    classical_bound,
-    classical_max,
-    lhv_sample,
-    strategy_value,
-    verify_bound,
-)
-from .errors import (
-    CapExceeded,
-    DimensionMismatch,
-    MkBellError,
-    NotConverged,
-    NotNormalized,
-    ValueOutOfSpectrum,
-)
-from .expansion import TermExpansion, expand_terms, mermin_klyshko_pair
-from .measurement import (
-    BellEstimate,
-    JointDistribution,
-    SampleReport,
-    correlation,
-    estimate_bell_value,
-    joint_distribution,
-    sample_outcomes,
-)
-from .operators import (
-    CommutationReport,
-    GlobalOperator,
-    LocalOperator,
-    assemble_dense,
-    b_eigenbasis,
-    commutation_report,
-    global_operator,
-    make_A,
-    make_B,
-)
-from .quantum import (
-    EigenResult,
-    SpectrumReport,
-    dense_spectrum,
-    expectation,
-    largest_eigenpair,
-    predicted_quantum_max,
-    predicted_ratio,
-    spectral_gap,
-    top_state,
-    violation_ratio,
-)
-from .spincore import ExactValue, Scenario, Spin
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+#: Each exported name, by the module that defines it.
+_EXPORTS = {
+    "classical": ("BoundCertificate", "ClassicalResult", "Strategy", "classical_bound",
+                  "classical_max", "strategy_value", "verify_bound"),
+    "errors": ("CapExceeded", "DimensionMismatch", "MkBellError", "NotConverged",
+               "NotNormalized", "ValueOutOfSpectrum"),
+    "expansion": ("TermExpansion", "expand_terms", "mermin_klyshko_pair"),
+    "measurement": ("BellEstimate", "JointDistribution", "SampleReport", "correlation",
+                    "estimate_bell_value", "joint_distribution", "lhv_sample",
+                    "sample_outcomes"),
+    "operators": ("CommutationReport", "GlobalOperator", "LocalOperator", "assemble_dense",
+                  "b_eigenbasis", "commutation_report", "global_operator", "make_A",
+                  "make_B"),
+    "quantum": ("EigenResult", "SpectrumReport", "dense_spectrum", "expectation",
+                "largest_eigenpair", "predicted_quantum_max", "predicted_ratio",
+                "spectral_gap", "top_state", "violation_ratio"),
+    "spincore": ("ExactValue", "Scenario", "Spin"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_EXPORTS, *_HOME, "__version__"]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

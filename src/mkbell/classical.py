@@ -4,9 +4,9 @@ Deterministic strategies assign a predefined outcome to every local
 observable.  The expression value is the product form of ``expansion.py``
 on numbers instead of operators: starting from z = m + i k = a_1 + i b_1,
 each further party multiplies z by (1 - i)(a_j + i b_j) (``pair_step``, on
-exact values, Python ints and NumPy arrays), and M_n is the final m.  All
-arithmetic in this module is exact (twice-value integers internally, dyadic
-values at the API).
+exact values and Python ints), and M_n is the final m.  All arithmetic in
+this module is exact (twice-value integers internally, dyadic values at the
+API), and the module is pure Python: it never imports NumPy.
 
 **Certificate.**  ``classical_max`` is an exact dynamic program over the
 recursion's state.  Going party by party, it keeps a dict from every
@@ -36,17 +36,17 @@ that the extremal DP's argmax is index 0 before reporting it, and
 Strategy indices are mixed-radix with party 1 most significant and, within a
 party, a before b; digit 0 is +s.  ``strategies_checked`` is the size of the
 certified set, 4^n sign patterns or (2s+1)^(2n) grid points.  The test
-oracle ``classical_max_enumerated`` enumerates the whole table instead.
+oracle ``classical_max_enumerated`` (``tests/oracles.py``) enumerates the
+whole table instead.  Sampled strategies (``lhv_sample``) live with the
+other sampling in ``measurement.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValueOutOfSpectrum
-from .expansion import expand_terms, pair_step
+from .expansion import pair_step
 from .spincore import ExactValue, Scenario
 
 
@@ -147,76 +147,6 @@ def classical_max(scenario: Scenario, extremal_only: bool = True) -> ClassicalRe
     )
 
 
-def _twice_value_table(scenario: Scenario, extremal: bool):
-    """Per-party twice-value arrays (a_j, b_j) over all strategy indices,
-    in the strategy-index order of the module docstring."""
-    n = scenario.n
-    ts = scenario.spin.twice_spin
-    d = scenario.spin.dimension
-    scenario.check_entries(f"the strategy table of {scenario}",
-                           lambda: 2 * n * strategy_count(scenario, extremal))
-    count = strategy_count(scenario, extremal)
-    idx = np.arange(count, dtype=np.int64)
-    a_cols, b_cols = [], []
-    if extremal:
-        for j in range(n):
-            crumb = (idx >> (2 * (n - 1 - j))) & 3
-            a_cols.append(np.where(crumb & 2, -ts, ts).astype(np.int64))
-            b_cols.append(np.where(crumb & 1, -ts, ts).astype(np.int64))
-        return count, a_cols, b_cols
-    for j in range(n):
-        dig_a = (idx // d ** (2 * (n - 1 - j) + 1)) % d
-        dig_b = (idx // d ** (2 * (n - 1 - j))) % d
-        a_cols.append((ts - 2 * dig_a).astype(np.int64))
-        b_cols.append((ts - 2 * dig_b).astype(np.int64))
-    return count, a_cols, b_cols
-
-
-def _values_scaled(a_cols, b_cols, t: int):
-    """Vectorized pair recursion on twice-values; result is 2**n * M_n.
-
-    With twice-values of size at most t = 2s, the values and partial sums over
-    the first j + 1 parties stay within 2**j t**(j+1).  The recursion runs in
-    int64 while that bound is below 2**63 and on exact Python ints (dtype
-    object) from the first party where it is not.
-    """
-    m = a_cols[0].copy()
-    k = b_cols[0].copy()
-    for j in range(1, len(a_cols)):
-        if m.dtype != object and (1 << j) * t ** (j + 1) >= 1 << 63:
-            m, k = m.astype(object), k.astype(object)
-        m, k = pair_step(m, k, a_cols[j], b_cols[j])
-    return m
-
-
-def _strategy_at(scenario: Scenario, a_cols, b_cols, index: int) -> Strategy:
-    a = tuple(ExactValue(int(col[index]), 1) for col in a_cols)
-    b = tuple(ExactValue(int(col[index]), 1) for col in b_cols)
-    return Strategy(a=a, b=b)
-
-
-def classical_max_enumerated(scenario: Scenario,
-                             extremal_only: bool = True) -> ClassicalResult:
-    """Test oracle for ``classical_max``: enumerate every strategy.
-
-    Builds the whole twice-value table, 2n entries per strategy, so it
-    raises ``CapExceeded`` before allocating when the table would exceed the
-    scenario's ``dim_cap`` entries.
-    """
-    count, a_cols, b_cols = _twice_value_table(scenario, extremal_only)
-    values = _values_scaled(a_cols, b_cols, scenario.spin.twice_spin)
-    best = int(np.max(np.abs(values)))
-    hits = np.nonzero(values == best)[0]
-    if len(hits) == 0:  # maximum only attained with negative sign
-        hits = np.nonzero(values == -best)[0]
-    index = int(hits[0])
-    return ClassicalResult(
-        max_value=ExactValue(best, scenario.n),
-        argmax=_strategy_at(scenario, a_cols, b_cols, index),
-        strategies_checked=count,
-    )
-
-
 def verify_bound(scenario: Scenario, extremal_only: bool = True) -> BoundCertificate:
     """Certify that no strategy exceeds 2**(n-1) s**n and some strategy attains it."""
     result = classical_max(scenario, extremal_only=extremal_only)
@@ -232,63 +162,3 @@ def verify_bound(scenario: Scenario, extremal_only: bool = True) -> BoundCertifi
         argmax=result.argmax,
         strategies_checked=result.strategies_checked,
     )
-
-
-@dataclass(frozen=True)
-class LhvSampleReport:
-    """Empirical Bell value from sampled local-hidden-variable strategies."""
-
-    mean: float
-    stderr: float
-    shots: int
-    seed: int
-    distribution: str
-
-
-def lhv_sample(scenario: Scenario, shots: int, seed: int,
-               distribution: str = "uniform_extremal",
-               strategy: Strategy | None = None) -> LhvSampleReport:
-    """Sample i.i.d. strategies and average the per-shot Bell value.
-
-    ``uniform_extremal`` draws each a_j, b_j = +-s with equal probability;
-    ``point_mass`` repeats one fixed strategy.  Uses NumPy's PCG64 generator
-    seeded with ``seed``, so reports are reproducible.  The standard error is
-    the plug-in standard deviation over shots divided by sqrt(shots).
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    n = scenario.n
-    s = scenario.spin.twice_spin / 2.0
-    if distribution == "uniform_extremal":
-        rng = np.random.default_rng(seed)
-        signs = rng.integers(0, 2, size=(shots, 2 * n)) * 2 - 1
-        a = signs[:, :n] * s
-        b = signs[:, n:] * s
-    elif distribution == "point_mass":
-        if strategy is None:
-            raise ValueError("point_mass distribution needs a strategy")
-        strategy_value(scenario, strategy)  # spectrum validation
-        a = np.tile([float(v) for v in strategy.a], (shots, 1))
-        b = np.tile([float(v) for v in strategy.b], (shots, 1))
-    else:
-        raise ValueError(f"unknown distribution {distribution!r}")
-    m = a[:, 0].copy()
-    k = b[:, 0].copy()
-    for j in range(1, n):
-        m, k = pair_step(m, k, a[:, j], b[:, j])
-    mean = float(np.mean(m))
-    stderr = float(np.std(m) / np.sqrt(shots))
-    return LhvSampleReport(mean=mean, stderr=stderr, shots=shots, seed=seed,
-                           distribution=distribution)
-
-
-def value_from_terms(scenario: Scenario, strategy: Strategy) -> ExactValue:
-    """Independent oracle: inner product of term coefficients with outcome products."""
-    expansion = expand_terms(scenario.n)
-    total = ExactValue(0)
-    for coeff, labels in expansion.terms:
-        prod = ExactValue(coeff)
-        for j, ch in enumerate(labels):
-            prod = prod * (strategy.a[j] if ch == "A" else strategy.b[j])
-        total = total + prod
-    return total

@@ -6,6 +6,9 @@ the Born rule: rotate the state into each measuring party's eigenbasis
 eigenbasis), then square amplitudes.  Sampling uses NumPy's PCG64 generator;
 per-term streams are derived from the base seed and the term index through
 ``numpy.random.SeedSequence``, so every report is reproducible.
+
+``lhv_sample`` is the classical control: it samples deterministic
+local-hidden-variable strategies and averages their Bell values.
 """
 
 from __future__ import annotations
@@ -15,11 +18,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .classical import classical_bound
+from .classical import Strategy, classical_bound, strategy_value
 from .errors import DimensionMismatch, NotNormalized
-from .expansion import expected_term_count
+from .expansion import expected_term_count, pair_step
 from .operators import GlobalOperator, b_rotation, global_operator
-from .quantum import predicted_quantum_max
 from .spincore import Scenario, validate_labels
 
 
@@ -135,18 +137,24 @@ class BellEstimate:
     seed: int
 
 
+def check_distribution_budget(scenario: Scenario) -> None:
+    """Raise CapExceeded unless the T outcome distributions of length D that
+    ``estimate_bell_value`` builds, T D entries, fit the array budget."""
+    scenario.check_entries(
+        f"the outcome distributions of {scenario}",
+        lambda: expected_term_count(scenario.n) * scenario.global_dimension())
+
+
 def estimate_bell_value(scenario: Scenario, state: np.ndarray, shots_per_setting: int,
                         seed: int, operator: GlobalOperator | None = None) -> BellEstimate:
     """Sample every term's setting context and combine with its coefficient.
 
     Term t uses the stream seeded by SeedSequence([seed, t]); the combined
     standard error is the root sum of squares of coefficient-weighted
-    per-term errors.  The T distributions of length D count T D entries
-    against the cap, checked before the first one is built.
+    per-term errors.  The budget is checked before the first distribution
+    is built (``check_distribution_budget``).
     """
-    scenario.check_entries(
-        f"the outcome distributions of {scenario}",
-        lambda: expected_term_count(scenario.n) * scenario.global_dimension())
+    check_distribution_budget(scenario)
     op = operator if operator is not None else global_operator(scenario)
     per_term = []
     value = 0.0
@@ -168,3 +176,51 @@ def violation_sigmas(scenario: Scenario, estimate: BellEstimate) -> float:
     if estimate.stderr == 0.0:
         return float("inf") if margin > 0 else float("-inf")
     return margin / estimate.stderr
+
+
+@dataclass(frozen=True)
+class LhvSampleReport:
+    """Empirical Bell value from sampled local-hidden-variable strategies."""
+
+    mean: float
+    stderr: float
+    shots: int
+    seed: int
+    distribution: str
+
+
+def lhv_sample(scenario: Scenario, shots: int, seed: int,
+               distribution: str = "uniform_extremal",
+               strategy: Strategy | None = None) -> LhvSampleReport:
+    """Sample i.i.d. strategies and average the per-shot Bell value.
+
+    ``uniform_extremal`` draws each a_j, b_j = +-s with equal probability;
+    ``point_mass`` repeats one fixed strategy.  Uses NumPy's PCG64 generator
+    seeded with ``seed``, so reports are reproducible.  The standard error is
+    the plug-in standard deviation over shots divided by sqrt(shots).
+    """
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    n = scenario.n
+    s = scenario.spin.twice_spin / 2.0
+    if distribution == "uniform_extremal":
+        rng = np.random.default_rng(seed)
+        signs = rng.integers(0, 2, size=(shots, 2 * n)) * 2 - 1
+        a = signs[:, :n] * s
+        b = signs[:, n:] * s
+    elif distribution == "point_mass":
+        if strategy is None:
+            raise ValueError("point_mass distribution needs a strategy")
+        strategy_value(scenario, strategy)  # spectrum validation
+        a = np.tile([float(v) for v in strategy.a], (shots, 1))
+        b = np.tile([float(v) for v in strategy.b], (shots, 1))
+    else:
+        raise ValueError(f"unknown distribution {distribution!r}")
+    m = a[:, 0].copy()
+    k = b[:, 0].copy()
+    for j in range(1, n):
+        m, k = pair_step(m, k, a[:, j], b[:, j])
+    mean = float(np.mean(m))
+    stderr = float(np.std(m) / np.sqrt(shots))
+    return LhvSampleReport(mean=mean, stderr=stderr, shots=shots, seed=seed,
+                           distribution=distribution)

@@ -121,9 +121,12 @@ class GlobalOperator:
         """Matrix-free matvec M @ v = Re[(1 - i)^(n-1) (A + iB) x ... x (A + iB) v]."""
         z = self._vector(v).astype(np.complex128)
         d, a, ib = self.scenario.local_dimension, self._diag_vals, 1j * self._anti_vals
-        for j in range(self.scenario.n):
+        for j in range(self.scenario.n):  # in place: two complex D-arrays per step
             z = z.reshape(d ** j, d, -1)
-            z = a * z + ib * z[:, ::-1]
+            flipped = ib * z[:, ::-1]
+            z *= a
+            z += flipped
+            del flipped  # freed before the next step allocates its own
         re, im = prefactor(self.scenario.n)
         return (re * z.real - im * z.imag).reshape(-1)
 

@@ -1,4 +1,4 @@
-"""Independent numerical solvers, kept as test oracles for the closed forms.
+"""Independent solvers, kept as test oracles for the closed forms and the DP.
 
 ``lanczos_top`` is restarted Lanczos iteration (Lanczos, J. Res. Nat. Bur.
 Standards 45, 255 (1950)) on the matrix-free applier.  A cycle grows an
@@ -20,16 +20,23 @@ eigenvalue without being told where it lies.
 spectrum, one per level-pair block, plus the zero blocks (the block
 argument of the ``quantum.py`` docstring), from one dense solve of
 dimension 2**n.
+
+``classical_max_enumerated`` is the oracle for the classical certificate
+``mkbell.classical.classical_max``: it evaluates every strategy of the
+table on NumPy arrays, within the array budget.  ``value_from_terms``
+evaluates one strategy on the expanded terms instead of the product form.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from mkbell.classical import ClassicalResult, Strategy, strategy_count
 from mkbell.errors import NotConverged
+from mkbell.expansion import expand_terms, pair_step
 from mkbell.operators import GlobalOperator, assemble_dense, global_operator
 from mkbell.quantum import EigenResult
-from mkbell.spincore import Scenario, Spin
+from mkbell.spincore import ExactValue, Scenario, Spin
 
 #: Largest Krylov basis, in rows of the global dimension, per Lanczos cycle.
 KRYLOV_ROWS = 10
@@ -111,3 +118,85 @@ def block_spectrum(scenario: Scenario) -> np.ndarray:
     zeros = scenario.global_dimension() - scales.size * qubit.size
     return np.sort(np.concatenate([np.multiply.outer(scales, qubit).reshape(-1),
                                    np.zeros(zeros)]))
+
+
+def _twice_value_table(scenario: Scenario, extremal: bool):
+    """Per-party twice-value arrays (a_j, b_j) over all strategy indices,
+    in the strategy-index order of the ``mkbell.classical`` docstring."""
+    n = scenario.n
+    ts = scenario.spin.twice_spin
+    d = scenario.spin.dimension
+    scenario.check_entries(f"the strategy table of {scenario}",
+                           lambda: 2 * n * strategy_count(scenario, extremal))
+    count = strategy_count(scenario, extremal)
+    idx = np.arange(count, dtype=np.int64)
+    a_cols, b_cols = [], []
+    if extremal:
+        for j in range(n):
+            crumb = (idx >> (2 * (n - 1 - j))) & 3
+            a_cols.append(np.where(crumb & 2, -ts, ts).astype(np.int64))
+            b_cols.append(np.where(crumb & 1, -ts, ts).astype(np.int64))
+        return count, a_cols, b_cols
+    for j in range(n):
+        dig_a = (idx // d ** (2 * (n - 1 - j) + 1)) % d
+        dig_b = (idx // d ** (2 * (n - 1 - j))) % d
+        a_cols.append((ts - 2 * dig_a).astype(np.int64))
+        b_cols.append((ts - 2 * dig_b).astype(np.int64))
+    return count, a_cols, b_cols
+
+
+def _values_scaled(a_cols, b_cols, t: int):
+    """Vectorized pair recursion on twice-values; result is 2**n * M_n.
+
+    With twice-values of size at most t = 2s, the values and partial sums over
+    the first j + 1 parties stay within 2**j t**(j+1).  The recursion runs in
+    int64 while that bound is below 2**63 and on exact Python ints (dtype
+    object) from the first party where it is not.
+    """
+    m = a_cols[0].copy()
+    k = b_cols[0].copy()
+    for j in range(1, len(a_cols)):
+        if m.dtype != object and (1 << j) * t ** (j + 1) >= 1 << 63:
+            m, k = m.astype(object), k.astype(object)
+        m, k = pair_step(m, k, a_cols[j], b_cols[j])
+    return m
+
+
+def _strategy_at(scenario: Scenario, a_cols, b_cols, index: int) -> Strategy:
+    a = tuple(ExactValue(int(col[index]), 1) for col in a_cols)
+    b = tuple(ExactValue(int(col[index]), 1) for col in b_cols)
+    return Strategy(a=a, b=b)
+
+
+def classical_max_enumerated(scenario: Scenario,
+                             extremal_only: bool = True) -> ClassicalResult:
+    """Test oracle for ``classical_max``: enumerate every strategy.
+
+    Builds the whole twice-value table, 2n entries per strategy, so it
+    raises ``CapExceeded`` before allocating when the table would exceed the
+    scenario's ``dim_cap`` entries.
+    """
+    count, a_cols, b_cols = _twice_value_table(scenario, extremal_only)
+    values = _values_scaled(a_cols, b_cols, scenario.spin.twice_spin)
+    best = int(np.max(np.abs(values)))
+    hits = np.nonzero(values == best)[0]
+    if len(hits) == 0:  # maximum only attained with negative sign
+        hits = np.nonzero(values == -best)[0]
+    index = int(hits[0])
+    return ClassicalResult(
+        max_value=ExactValue(best, scenario.n),
+        argmax=_strategy_at(scenario, a_cols, b_cols, index),
+        strategies_checked=count,
+    )
+
+
+def value_from_terms(scenario: Scenario, strategy: Strategy) -> ExactValue:
+    """Independent oracle: inner product of term coefficients with outcome products."""
+    expansion = expand_terms(scenario.n)
+    total = ExactValue(0)
+    for coeff, labels in expansion.terms:
+        prod = ExactValue(coeff)
+        for j, ch in enumerate(labels):
+            prod = prod * (strategy.a[j] if ch == "A" else strategy.b[j])
+        total = total + prod
+    return total

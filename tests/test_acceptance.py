@@ -22,8 +22,6 @@ import numpy as np
 from mkbell.classical import (
     classical_bound,
     classical_max,
-    classical_max_enumerated,
-    lhv_sample,
     strategy_value,
 )
 from mkbell.expansion import expand_terms, expected_term_count, swap_labels
@@ -31,6 +29,7 @@ from mkbell.measurement import (
     correlation,
     estimate_bell_value,
     joint_distribution,
+    lhv_sample,
     violation_sigmas,
 )
 from mkbell.operators import (
@@ -50,7 +49,7 @@ from mkbell.quantum import (
     violation_ratio,
 )
 from mkbell.spincore import Scenario, Spin
-from oracles import block_spectrum, lanczos_top
+from oracles import block_spectrum, classical_max_enumerated, lanczos_top
 
 # n in 2..6 crossed with s in 1/2..2, restricted to dense-solver size.
 DENSE_GRID = [

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from mkbell import operators
-from mkbell.classical import classical_max_enumerated
 from mkbell.errors import CapExceeded
 from mkbell.measurement import estimate_bell_value
 from mkbell.operators import (
@@ -18,6 +17,7 @@ from mkbell.operators import (
 )
 from mkbell.quantum import dense_spectrum, top_state
 from mkbell.spincore import Scenario, Spin
+from oracles import classical_max_enumerated
 
 #: (path, call on a scenario and its top state, entries as a function of n,
 #: D and T = 4**(n//2)).

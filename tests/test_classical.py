@@ -5,14 +5,13 @@ from mkbell.classical import (
     Strategy,
     classical_bound,
     classical_max,
-    classical_max_enumerated,
-    lhv_sample,
     strategy_value,
-    value_from_terms,
     verify_bound,
 )
 from mkbell.errors import CapExceeded, ValueOutOfSpectrum
+from mkbell.measurement import lhv_sample
 from mkbell.spincore import DEFAULT_DIM_CAP, ExactValue, Scenario, Spin
+from oracles import classical_max_enumerated, value_from_terms
 
 
 def ev(text):

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mkbell import measurement, operators, quantum
+import mkbell
+import mkbell.cli
+from mkbell import classical, measurement, operators, quantum
 from mkbell.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -217,6 +219,20 @@ class TestDimensionCap:
         assert (code, out) == (3, "")
         assert "exceeds cap 16777216" in err
 
+    def test_grid_checks_every_row_before_the_first(self, capsys, monkeypatch):
+        # Rows n = 10..12 fit; n = 13 samples 4**6 * 2**13 > 2**24 entries.
+        def no_row(*args, **kwargs):
+            raise AssertionError("computed a row of a grid past the budget")
+
+        monkeypatch.setattr(classical, "verify_bound", no_row)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "report", "--grid", "n=10..13", "s=1/2..1/2",
+                             "--sample")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "the outcome distributions of n=13, s=1/2" in err
+        assert "exceeds cap 16777216" in err
+
     def test_huge_n_fails_fast(self, capsys):
         # Forming 3**(10**7) alone takes seconds.
         start = time.perf_counter()
@@ -420,6 +436,64 @@ class TestImports:
              "import mkbell.cli, sys; assert 'scipy' not in sys.modules"],
             env=env, check=True, timeout=60,
         )
+
+
+def _cli_process(*argv, block_numpy=False):
+    # With ``sys.modules["numpy"] = None`` every ``import numpy`` raises.
+    code = ("import runpy, sys\n"
+            + ("sys.modules['numpy'] = None\n" if block_numpy else "")
+            + "sys.argv = ['mkbell', *sys.argv[1:]]\n"
+            "runpy.run_module('mkbell.cli', run_name='__main__')\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+class TestExactLayerWithoutNumpy:
+    @pytest.mark.parametrize("argv", [
+        ("classical-max", "--n", "10", "--spin", "1/2"),
+        ("classical-max", "--n", "6", "--spin", "1", "--full-grid"),
+        ("expand", "--n", "5"),
+    ])
+    def test_exact_commands_run_without_numpy(self, argv):
+        blocked = _cli_process(*argv, block_numpy=True)
+        normal = _cli_process(*argv)
+        assert (blocked.returncode, blocked.stderr) == (0, "")
+        assert normal.returncode == 0
+        assert blocked.stdout == normal.stdout
+
+    def test_array_command_needs_numpy(self):
+        blocked = _cli_process("quantum-max", "--n", "2", "--spin", "1/2",
+                               block_numpy=True)
+        assert blocked.returncode != 0
+        assert "numpy" in blocked.stderr
+
+    def test_cli_import_leaves_numpy_out(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        subprocess.run(
+            [sys.executable, "-c",
+             "import mkbell.cli, sys; assert 'numpy' not in sys.modules"],
+            env=env, check=True, timeout=60,
+        )
+
+    def test_every_exported_name_resolves(self):
+        for name in mkbell.__all__:
+            assert getattr(mkbell, name) is not None
+        assert mkbell.lhv_sample is measurement.lhv_sample
+        assert mkbell.global_operator is operators.global_operator
+        assert set(mkbell.__all__) <= set(dir(mkbell))
+
+    def test_unknown_names_raise(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            mkbell.no_such_name
+        with pytest.raises(ImportError):
+            from mkbell import no_such_name  # noqa: F401
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            mkbell.cli.no_such_name
+
+    def test_cli_global_operator_is_the_operators_one(self):
+        # The benchmark's self-check reads this alias.
+        assert mkbell.cli.global_operator is operators.global_operator
 
 
 class TestArgs:
