@@ -32,7 +32,7 @@ _EXPORTS = {
     "quantum": ("EigenResult", "SpectrumReport", "dense_spectrum", "expectation",
                 "largest_eigenpair", "predicted_quantum_max", "predicted_ratio",
                 "spectral_gap", "top_state", "violation_ratio"),
-    "spincore": ("ExactValue", "Scenario", "Spin"),
+    "spincore": ("Scenario", "Spin"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -4,8 +4,8 @@ Deterministic strategies assign a predefined outcome to every local
 observable.  The expression value is the product form of ``expansion.py``
 on numbers instead of operators: starting from z = m + i k = a_1 + i b_1,
 each further party multiplies z by (1 - i)(a_j + i b_j) (``pair_step``, on
-exact values and Python ints), and M_n is the final m.  All arithmetic in
-this module is exact (twice-value integers internally, dyadic values at the
+Fractions and Python ints), and M_n is the final m.  All arithmetic in this
+module is exact (twice-value integers internally, ``Fraction`` values at the
 API), and the module is pure Python: it never imports NumPy.
 
 **Certificate.**  ``classical_max`` is an exact dynamic program over the
@@ -44,23 +44,24 @@ other sampling in ``measurement.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import ValueOutOfSpectrum
 from .expansion import pair_step
-from .spincore import ExactValue, Scenario
+from .spincore import Scenario
 
 
 @dataclass(frozen=True)
 class Strategy:
     """Predefined outcomes (a_j, b_j) for every party's two observables."""
 
-    a: tuple[ExactValue, ...]
-    b: tuple[ExactValue, ...]
+    a: tuple[Fraction, ...]
+    b: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
 class ClassicalResult:
-    max_value: ExactValue
+    max_value: Fraction
     argmax: Strategy
     strategies_checked: int
 
@@ -69,16 +70,15 @@ class ClassicalResult:
 class BoundCertificate:
     """Outcome of certifying the classical bound 2**(n-1) s**n."""
 
-    bound: ExactValue
+    bound: Fraction
     achieved: bool
     argmax: Strategy
     strategies_checked: int
 
 
-def classical_bound(scenario: Scenario) -> ExactValue:
-    """2**(n-1) * s**n, exactly."""
-    n = scenario.n
-    return ExactValue(scenario.spin.twice_spin ** n, n) * ExactValue(1 << (n - 1))
+def classical_bound(scenario: Scenario) -> Fraction:
+    """2**(n-1) * s**n = (2s)**n / 2, exactly."""
+    return Fraction(scenario.spin.twice_spin ** scenario.n, 2)
 
 
 def strategy_count(scenario: Scenario, extremal_only: bool = True) -> int:
@@ -86,7 +86,7 @@ def strategy_count(scenario: Scenario, extremal_only: bool = True) -> int:
     return 4 ** scenario.n if extremal_only else scenario.spin.dimension ** (2 * scenario.n)
 
 
-def strategy_value(scenario: Scenario, strategy: Strategy) -> ExactValue:
+def strategy_value(scenario: Scenario, strategy: Strategy) -> Fraction:
     """Evaluate the Bell expression on one deterministic strategy, exactly."""
     n = scenario.n
     if len(strategy.a) != n or len(strategy.b) != n:
@@ -97,7 +97,7 @@ def strategy_value(scenario: Scenario, strategy: Strategy) -> ExactValue:
     m, k = strategy.a[0], strategy.b[0]
     for j in range(1, n):
         m, k = pair_step(m, k, strategy.a[j], strategy.b[j])
-    return m
+    return Fraction(m)
 
 
 def _extremal_states(n: int, t: int) -> dict:
@@ -119,8 +119,8 @@ def _extremal_states(n: int, t: int) -> dict:
 
 def _extremal_strategy(n: int, t: int, index: int) -> Strategy:
     crumbs = [(index >> (2 * (n - 1 - j))) & 3 for j in range(n)]
-    a = tuple(ExactValue(-t if crumb & 2 else t, 1) for crumb in crumbs)
-    b = tuple(ExactValue(-t if crumb & 1 else t, 1) for crumb in crumbs)
+    a = tuple(Fraction(-t if crumb & 2 else t, 2) for crumb in crumbs)
+    b = tuple(Fraction(-t if crumb & 1 else t, 2) for crumb in crumbs)
     return Strategy(a=a, b=b)
 
 
@@ -141,7 +141,7 @@ def classical_max(scenario: Scenario, extremal_only: bool = True) -> ClassicalRe
     if not extremal_only and index != 0:
         raise AssertionError(f"all +s does not attain the extremal maximum for {scenario}")
     return ClassicalResult(
-        max_value=ExactValue(best, n),
+        max_value=Fraction(best, 1 << n),
         argmax=_extremal_strategy(n, t, index),
         strategies_checked=strategy_count(scenario, extremal_only),
     )

@@ -1,9 +1,9 @@
 """Command-line interface tying the toolkit into reproducible reports.
 
-Exit codes: 0 success, 2 validation error, 3 cap exceeded (the array budget
-``--dim-cap``, or digits of a printed exact integer), 4 numerical
-non-convergence (the closed-form top eigenpair fails its one-matvec residual
-check).
+Exit codes: 0 success, 2 validation error or unwritable ``--output``, 3 cap
+exceeded (the array budget ``--dim-cap``, or digits of a printed exact
+integer), 4 numerical non-convergence (the closed-form top eigenpair fails
+its one-matvec residual check).
 
 Only the commands that build arrays (``quantum-max``, ``ratio``, ``sample``
 and ``report``) import ``operators``, ``quantum`` and ``measurement``, and
@@ -21,6 +21,7 @@ import sys
 
 from . import classical
 from .errors import CapExceeded, MkBellError, NotConverged
+from .expansion import expected_term_count
 from .spincore import DEFAULT_DIM_CAP, Scenario, Spin
 
 DEFAULT_SHOTS = 10 ** 6
@@ -46,6 +47,16 @@ def _spin_arg(text: str) -> Spin:
         return Spin.from_string(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _shots_arg(text: str) -> int:
+    try:
+        shots = int(text)
+    except ValueError:
+        shots = 0
+    if shots < 1:
+        raise argparse.ArgumentTypeError(f"shots must be an integer >= 1, got {text!r}")
+    return shots
 
 
 def _dim_cap(args) -> int:
@@ -128,10 +139,10 @@ def _cmd_classical_max(args):
     cert = classical.verify_bound(scenario, extremal_only=not args.full_grid)
     payload = {
         "config": _config_dict(args, full_grid=args.full_grid),
-        "bound": cert.bound.fraction_str(),
+        "bound": str(cert.bound),
         "achieved": cert.achieved,
-        "argmax_a": [v.fraction_str() for v in cert.argmax.a],
-        "argmax_b": [v.fraction_str() for v in cert.argmax.b],
+        "argmax_a": [str(v) for v in cert.argmax.a],
+        "argmax_b": [str(v) for v in cert.argmax.b],
         "strategies_checked": cert.strategies_checked,
     }
     _emit(args, payload)
@@ -139,18 +150,15 @@ def _cmd_classical_max(args):
 
 def _quantum_top(scenario, tol):
     from . import quantum
-    from .operators import global_operator
 
-    op = global_operator(scenario)
-    result = quantum.largest_eigenpair(scenario, tol=tol, operator=op)
-    return op, result, quantum.spectral_gap(scenario)
+    return quantum.largest_eigenpair(scenario, tol=tol), quantum.spectral_gap(scenario)
 
 
 def _cmd_quantum_max(args):
     from . import quantum
 
     scenario = _scenario(args)
-    _, result, gap = _quantum_top(scenario, args.tol)
+    result, gap = _quantum_top(scenario, args.tol)
     predicted = quantum.predicted_quantum_max(scenario)
     payload = {
         "config": _config_dict(args, tol=args.tol),
@@ -178,27 +186,22 @@ def _cmd_ratio(args):
     _emit(args, payload)
 
 
-def _sample_block(scenario, op, state, shots, seed):
+def _sample_block(scenario, state, shots, seed):
     from . import measurement
 
-    n_terms = op.expansion.term_count
-    shots_per_setting = max(1, shots // n_terms)
-    estimate = measurement.estimate_bell_value(
-        scenario, state, shots_per_setting, seed, operator=op
-    )
+    shots_per_setting = max(1, shots // expected_term_count(scenario.n))
+    estimate = measurement.estimate_bell_value(scenario, state, shots_per_setting, seed)
     sigmas = measurement.violation_sigmas(scenario, estimate)
     return estimate, shots_per_setting, sigmas
 
 
 def _cmd_sample(args):
     from . import quantum
-    from .operators import global_operator
 
     scenario = _scenario(args)
-    op = global_operator(scenario)
-    state = quantum.largest_eigenpair(scenario, operator=op).vector
+    state = quantum.largest_eigenpair(scenario).vector
     estimate, shots_per_setting, sigmas = _sample_block(
-        scenario, op, state, args.shots, args.seed
+        scenario, state, args.shots, args.seed
     )
     payload = {
         "config": _config_dict(args, shots=args.shots, seed=args.seed),
@@ -209,7 +212,7 @@ def _cmd_sample(args):
         ],
         "bell_estimate": _fmt(estimate.value),
         "bell_stderr": _fmt(estimate.stderr),
-        "classical_bound": classical.classical_bound(scenario).fraction_str(),
+        "classical_bound": str(classical.classical_bound(scenario)),
         "quantum_prediction": _fmt(quantum.predicted_quantum_max(scenario)),
         "sigmas_above_classical": _fmt(sigmas) if sigmas not in (float("inf"), float("-inf")) else str(sigmas),
     }
@@ -228,11 +231,13 @@ def _parse_grid(tokens):
             raise ValueError(f"bad grid token {token!r}; expected n=LO..HI or s=LO..HI")
         key, lo, hi = match.groups()
         if key == "n":
-            n_range = list(range(int(lo), int(hi) + 1))
+            n_range = values = list(range(int(lo), int(hi) + 1))
         else:
             lo_t = Spin.from_string(lo).twice_spin
             hi_t = Spin.from_string(hi).twice_spin
-            s_range = [Spin(t) for t in range(lo_t, hi_t + 1)]
+            s_range = values = [Spin(t) for t in range(lo_t, hi_t + 1)]
+        if not values:
+            raise ValueError(f"empty grid range {token!r}: LO is above HI")
     if n_range is None or s_range is None:
         raise ValueError("grid must give both an n range and an s range")
     return n_range, s_range
@@ -257,18 +262,18 @@ def _cmd_report(args):
     rows = []
     for scenario in scenarios:
         cert = classical.verify_bound(scenario)
-        op, result, gap = _quantum_top(scenario, args.tol)
+        result, gap = _quantum_top(scenario, args.tol)
         row = {
             "n": scenario.n,
             "s": str(scenario.spin),
-            "classical": cert.bound.fraction_str(),
+            "classical": str(cert.bound),
             "quantum": _fmt(result.value),
             "ratio": _fmt(result.value / float(cert.bound)),
             "gap": _fmt(gap),
         }
         if args.sample:
-            estimate, shots_per_setting, sigmas = _sample_block(
-                scenario, op, result.vector, args.shots, args.seed
+            estimate, shots_per_setting, _ = _sample_block(
+                scenario, result.vector, args.shots, args.seed
             )
             row["bell_estimate"] = _fmt(estimate.value)
             row["bell_stderr"] = _fmt(estimate.stderr)
@@ -335,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="simulated-measurement Bell estimate")
     add_common(p)
-    p.add_argument("--shots", type=int, default=DEFAULT_SHOTS,
+    p.add_argument("--shots", type=_shots_arg, default=DEFAULT_SHOTS,
                    help="total shots, split evenly across setting contexts")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_sample)
@@ -350,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--sample", action="store_true", help="add sampled Bell estimates")
-    p.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
+    p.add_argument("--shots", type=_shots_arg, default=DEFAULT_SHOTS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_report)
 
@@ -370,7 +375,7 @@ def main(argv=None) -> int:
     except NotConverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (MkBellError, ValueError) as exc:
+    except (MkBellError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -81,9 +81,6 @@ class TermExpansion:
     def term_count(self) -> int:
         return len(self.terms)
 
-    def as_dict(self) -> dict[str, int]:
-        return {labels: c for c, labels in self.terms}
-
 
 def _sorted_terms(expansion: dict[str, int]):
     return tuple((expansion[labels], labels) for labels in sorted(expansion))

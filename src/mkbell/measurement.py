@@ -20,8 +20,8 @@ import numpy as np
 
 from .classical import Strategy, classical_bound, strategy_value
 from .errors import DimensionMismatch, NotNormalized
-from .expansion import expected_term_count, pair_step
-from .operators import GlobalOperator, b_rotation, global_operator
+from .expansion import expand_terms, expected_term_count, pair_step
+from .operators import b_rotation
 from .spincore import Scenario, validate_labels
 
 
@@ -146,7 +146,7 @@ def check_distribution_budget(scenario: Scenario) -> None:
 
 
 def estimate_bell_value(scenario: Scenario, state: np.ndarray, shots_per_setting: int,
-                        seed: int, operator: GlobalOperator | None = None) -> BellEstimate:
+                        seed: int) -> BellEstimate:
     """Sample every term's setting context and combine with its coefficient.
 
     Term t uses the stream seeded by SeedSequence([seed, t]); the combined
@@ -155,11 +155,10 @@ def estimate_bell_value(scenario: Scenario, state: np.ndarray, shots_per_setting
     is built (``check_distribution_budget``).
     """
     check_distribution_budget(scenario)
-    op = operator if operator is not None else global_operator(scenario)
     per_term = []
     value = 0.0
     var = 0.0
-    for t, (coeff, labels) in enumerate(op.expansion.terms):
+    for t, (coeff, labels) in enumerate(expand_terms(scenario.n).terms):
         dist = joint_distribution(scenario, state, labels)
         report = sample_outcomes(dist, shots_per_setting, np.random.SeedSequence([seed, t]))
         per_term.append((labels, report.correlation_mean, report.correlation_stderr))

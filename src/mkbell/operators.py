@@ -21,14 +21,14 @@ product terms) stays as the term-level oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from fractions import Fraction
 from math import sqrt
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .expansion import TermExpansion, expand_terms, expected_term_count, prefactor
-from .spincore import LABEL_A, LABEL_B, ExactValue, Scenario, Spin, validate_labels
+from .expansion import expand_terms, expected_term_count, prefactor
+from .spincore import LABEL_A, LABEL_B, Scenario, Spin, validate_labels
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def make_B(spin: Spin) -> LocalOperator:
     return LocalOperator(spin, twice)
 
 
-def b_eigenbasis(spin: Spin) -> list[tuple[ExactValue, np.ndarray]]:
+def b_eigenbasis(spin: Spin) -> list[tuple[Fraction, np.ndarray]]:
     """Analytic eigenpairs of the anti-diagonal observable.
 
     Returned in descending eigenvalue order (s, s-1, ..., -s), so entry i is
@@ -82,7 +82,7 @@ def b_eigenbasis(spin: Spin) -> list[tuple[ExactValue, np.ndarray]]:
             vec[i] = -inv_sqrt2
         else:
             vec[i] = 1.0
-        pairs.append((ExactValue(spin.twice_spin - 2 * i, 1), vec))
+        pairs.append((Fraction(spin.twice_spin - 2 * i, 2), vec))
     return pairs
 
 
@@ -102,11 +102,6 @@ class GlobalOperator:
     scenario: Scenario
     _diag_vals: np.ndarray = field(repr=False)  # (d, 1): A's diagonal
     _anti_vals: np.ndarray = field(repr=False)  # (d, 1): B's entry on row i
-
-    @cached_property
-    def expansion(self) -> TermExpansion:
-        """The product terms, expanded on first use; ``apply`` never reads them."""
-        return expand_terms(self.scenario.n)
 
     def _vector(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)

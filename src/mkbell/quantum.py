@@ -58,6 +58,7 @@ import numpy as np
 
 from .classical import classical_max
 from .errors import DimensionMismatch, NotConverged, NotNormalized
+from .expansion import expand_terms
 from .operators import GlobalOperator, assemble_dense, global_operator
 from .spincore import Scenario
 
@@ -154,10 +155,9 @@ class ExpectationReport:
     value: float
 
 
-def expectation(state: np.ndarray, scenario: Scenario,
-                operator: GlobalOperator | None = None) -> ExpectationReport:
+def expectation(state: np.ndarray, scenario: Scenario) -> ExpectationReport:
     """Quantum correlation of each product term in the given state."""
-    op = operator if operator is not None else global_operator(scenario)
+    op = global_operator(scenario)
     state = np.asarray(state, dtype=np.float64)
     if state.shape != (scenario.global_dimension(),):
         raise DimensionMismatch(
@@ -168,7 +168,7 @@ def expectation(state: np.ndarray, scenario: Scenario,
         raise NotNormalized(f"state norm {norm} is not 1 within 1e-9")
     per_term = []
     total = 0.0
-    for coeff, labels in op.expansion.terms:
+    for coeff, labels in expand_terms(scenario.n).terms:
         corr = float(state @ op.apply_term(labels, state))
         per_term.append((labels, corr))
         total += coeff * corr

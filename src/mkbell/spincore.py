@@ -1,9 +1,10 @@
-"""Exact domain types: dyadic values, spins, scenarios, observable labels.
+"""Exact domain types: spins, scenarios, observable labels.
 
 Spins are stored as twice-spin integers (units of hbar, hbar = 1) so that
 half-integer outcomes never touch floating point.  Every classical value in
-the toolkit is a dyadic rational ``numerator / 2**scale``; products of n
-half-integer outcomes need scale at most n, so all bound arithmetic is exact.
+the toolkit (an outcome, a strategy value, the bound) is an exact
+``fractions.Fraction``; products of n half-integer outcomes have a
+denominator dividing 2**n.
 """
 
 from __future__ import annotations
@@ -34,117 +35,6 @@ def validate_labels(labels):
 
 
 @dataclass(frozen=True)
-class ExactValue:
-    """A dyadic rational ``numerator / 2**scale`` with exact arithmetic.
-
-    Instances normalize on construction (numerator odd or scale zero), so
-    equality and hashing are structural.
-    """
-
-    numerator: int
-    scale: int = 0
-
-    def __post_init__(self):
-        if self.scale < 0:
-            raise ValueError("scale must be nonnegative")
-        num, sc = int(self.numerator), int(self.scale)
-        # Strip min(scale, trailing zero bits) factors of two in one shift.
-        shift = min(sc, (num & -num).bit_length() - 1) if num else sc
-        num >>= shift
-        sc -= shift
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "scale", sc)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_int(cls, value: int) -> "ExactValue":
-        return cls(value, 0)
-
-    @classmethod
-    def from_fraction(cls, frac: Fraction) -> "ExactValue":
-        den = frac.denominator
-        if den & (den - 1):
-            raise ValueError(f"{frac} is not a dyadic rational")
-        return cls(frac.numerator, den.bit_length() - 1)
-
-    @classmethod
-    def parse(cls, text: str) -> "ExactValue":
-        """Parse "3", "-1/2", or a finite decimal such as "0.5"."""
-        return cls.from_fraction(Fraction(text.strip()))
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "ExactValue") -> "ExactValue":
-        sc = max(self.scale, other.scale)
-        num = (self.numerator << (sc - self.scale)) + (other.numerator << (sc - other.scale))
-        return ExactValue(num, sc)
-
-    def __sub__(self, other: "ExactValue") -> "ExactValue":
-        return self + (-other)
-
-    def __mul__(self, other: "ExactValue") -> "ExactValue":
-        return ExactValue(self.numerator * other.numerator, self.scale + other.scale)
-
-    def __neg__(self) -> "ExactValue":
-        return ExactValue(-self.numerator, self.scale)
-
-    def __abs__(self) -> "ExactValue":
-        return ExactValue(abs(self.numerator), self.scale)
-
-    def _key(self, other: "ExactValue"):
-        return (self.numerator << other.scale, other.numerator << self.scale)
-
-    def __lt__(self, other):
-        a, b = self._key(other)
-        return a < b
-
-    def __le__(self, other):
-        a, b = self._key(other)
-        return a <= b
-
-    def __gt__(self, other):
-        a, b = self._key(other)
-        return a > b
-
-    def __ge__(self, other):
-        a, b = self._key(other)
-        return a >= b
-
-    def __float__(self) -> float:
-        return self.numerator / (1 << self.scale)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.numerator == 0
-
-    # -- formatting --------------------------------------------------------
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, 1 << self.scale)
-
-    def fraction_str(self) -> str:
-        if self.scale == 0:
-            return str(self.numerator)
-        return f"{self.numerator}/{1 << self.scale}"
-
-    def decimal_str(self) -> str:
-        """Exact finite decimal representation (dyadics always have one)."""
-        if self.scale == 0:
-            return str(self.numerator)
-        sign = "-" if self.numerator < 0 else ""
-        digits = str(abs(self.numerator) * 5 ** self.scale).rjust(self.scale + 1, "0")
-        return f"{sign}{digits[:-self.scale]}.{digits[-self.scale:]}"
-
-    def __str__(self) -> str:
-        return self.fraction_str()
-
-
-ZERO = ExactValue(0)
-ONE = ExactValue(1)
-
-
-@dataclass(frozen=True)
 class Spin:
     """A spin quantum number s >= 1/2, stored as the integer 2s."""
 
@@ -160,24 +50,24 @@ class Spin:
         return self.twice_spin + 1
 
     @property
-    def value(self) -> ExactValue:
+    def value(self) -> Fraction:
         """s itself, exactly."""
-        return ExactValue(self.twice_spin, 1)
+        return Fraction(self.twice_spin, 2)
 
-    def outcome_values(self) -> list[ExactValue]:
+    def outcome_values(self) -> list[Fraction]:
         """The descending outcome list s, s-1, ..., -s."""
-        return [ExactValue(self.twice_spin - 2 * i, 1) for i in range(self.dimension)]
+        return [Fraction(t, 2) for t in self.twice_outcomes()]
 
     def twice_outcomes(self) -> list[int]:
         """Outcomes as twice-value integers, descending 2s, 2s-2, ..., -2s."""
         return [self.twice_spin - 2 * i for i in range(self.dimension)]
 
-    def contains(self, value: ExactValue) -> bool:
-        """Whether ``value`` lies in the spectrum {-s, ..., s}."""
-        if value.scale > 1:
-            return False
-        twice = value.numerator << (1 - value.scale)
-        return abs(twice) <= self.twice_spin and (twice - self.twice_spin) % 2 == 0
+    def contains(self, value) -> bool:
+        """Whether ``value`` lies in the spectrum {-s, ..., s}: 2 * value is an
+        integer of size at most 2s and of the parity of 2s."""
+        twice = 2 * Fraction(value)
+        return (twice.denominator == 1 and abs(twice) <= self.twice_spin
+                and (twice - self.twice_spin) % 2 == 0)
 
     @classmethod
     def from_string(cls, text: str) -> "Spin":
@@ -188,7 +78,7 @@ class Spin:
         return cls(int(2 * frac))
 
     def __str__(self) -> str:
-        return self.value.fraction_str()
+        return str(self.value)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,8 @@ evaluates one strategy on the expanded terms instead of the product form.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from mkbell.classical import ClassicalResult, Strategy, strategy_count
@@ -36,7 +38,7 @@ from mkbell.errors import NotConverged
 from mkbell.expansion import expand_terms, pair_step
 from mkbell.operators import GlobalOperator, assemble_dense, global_operator
 from mkbell.quantum import EigenResult
-from mkbell.spincore import ExactValue, Scenario, Spin
+from mkbell.spincore import Scenario, Spin
 
 #: Largest Krylov basis, in rows of the global dimension, per Lanczos cycle.
 KRYLOV_ROWS = 10
@@ -163,8 +165,8 @@ def _values_scaled(a_cols, b_cols, t: int):
 
 
 def _strategy_at(scenario: Scenario, a_cols, b_cols, index: int) -> Strategy:
-    a = tuple(ExactValue(int(col[index]), 1) for col in a_cols)
-    b = tuple(ExactValue(int(col[index]), 1) for col in b_cols)
+    a = tuple(Fraction(int(col[index]), 2) for col in a_cols)
+    b = tuple(Fraction(int(col[index]), 2) for col in b_cols)
     return Strategy(a=a, b=b)
 
 
@@ -184,18 +186,18 @@ def classical_max_enumerated(scenario: Scenario,
         hits = np.nonzero(values == -best)[0]
     index = int(hits[0])
     return ClassicalResult(
-        max_value=ExactValue(best, scenario.n),
+        max_value=Fraction(best, 1 << scenario.n),
         argmax=_strategy_at(scenario, a_cols, b_cols, index),
         strategies_checked=count,
     )
 
 
-def value_from_terms(scenario: Scenario, strategy: Strategy) -> ExactValue:
+def value_from_terms(scenario: Scenario, strategy: Strategy) -> Fraction:
     """Independent oracle: inner product of term coefficients with outcome products."""
     expansion = expand_terms(scenario.n)
-    total = ExactValue(0)
+    total = Fraction(0)
     for coeff, labels in expansion.terms:
-        prod = ExactValue(coeff)
+        prod = Fraction(coeff)
         for j, ch in enumerate(labels):
             prod = prod * (strategy.a[j] if ch == "A" else strategy.b[j])
         total = total + prod

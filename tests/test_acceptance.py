@@ -242,11 +242,9 @@ def test_simulated_experiment_shows_statistical_violation():
     seed = 42
     for n, twice in [(2, 1), (2, 2), (3, 1)]:
         scenario = Scenario(n, Spin(twice))
-        op = global_operator(scenario)
-        state = largest_eigenpair(scenario, operator=op).vector
-        shots_per_setting = total_shots // op.expansion.term_count
-        estimate = estimate_bell_value(scenario, state, shots_per_setting, seed,
-                                       operator=op)
+        state = largest_eigenpair(scenario).vector
+        shots_per_setting = total_shots // expected_term_count(n)
+        estimate = estimate_bell_value(scenario, state, shots_per_setting, seed)
         assert violation_sigmas(scenario, estimate) >= 5, (n, twice)
         quantum = predicted_quantum_max(scenario)
         assert abs(estimate.value - quantum) <= 5 * estimate.stderr, (n, twice)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,12 @@ from mkbell.classical import (
 )
 from mkbell.errors import CapExceeded, ValueOutOfSpectrum
 from mkbell.measurement import lhv_sample
-from mkbell.spincore import DEFAULT_DIM_CAP, ExactValue, Scenario, Spin
+from mkbell.spincore import DEFAULT_DIM_CAP, Scenario, Spin
 from oracles import classical_max_enumerated, value_from_terms
 
 
 def ev(text):
-    return ExactValue.parse(text)
+    return Fraction(text)
 
 
 class TestBoundFormula:
@@ -33,7 +35,7 @@ class TestBoundFormula:
     )
     def test_fixtures(self, n, twice, expected):
         bound = classical_bound(Scenario(n, Spin(twice)))
-        assert bound.fraction_str() == expected
+        assert str(bound) == expected
 
 
 class TestStrategyValue:

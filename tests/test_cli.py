@@ -96,6 +96,29 @@ class TestClassicalMax:
         assert payload["bound"] == "2"
         assert payload["strategies_checked"] == 81
 
+    def test_csv_bytes(self, capsys):
+        # Exact fractions in the key,value layout: (2s)**n / 2 = 27/2.
+        code, out, _ = run(capsys, "classical-max", "--n", "3", "--spin", "3/2",
+                           "--format", "csv")
+        assert code == 0
+        assert out == (
+            "key,value\n"
+            'config,{"command": "classical-max", "n": 3, "s": "3/2", "full_grid": false}\n'
+            "bound,27/2\n"
+            "achieved,True\n"
+            'argmax_a,["3/2", "3/2", "3/2"]\n'
+            'argmax_b,["3/2", "3/2", "3/2"]\n'
+            "strategies_checked,64\n"
+        )
+
+    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "classical-max", "--n", "2", "--spin", "1/2",
+                             "--output", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(target) in err
+        assert not target.exists()
+
     def test_full_grid_beyond_enumeration(self, capsys):
         code, out, _ = run(capsys, "classical-max", "--n", "6", "--spin", "2",
                            "--full-grid")
@@ -339,6 +362,13 @@ class TestSample:
         )
         assert payload["sigmas_above_classical"] > 5
 
+    @pytest.mark.parametrize("shots", ["0", "-5"])
+    def test_nonpositive_shots_are_usage_errors(self, capsys, shots):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--n", "2", "--spin", "1/2", "--shots", shots])
+        assert exc.value.code == 2
+        assert "shots must be an integer >= 1" in capsys.readouterr().err
+
     def test_budget_counts_distributions(self, capsys, monkeypatch):
         # 4**2 setting contexts, each a distribution over 2**4 outcomes: 256
         # entries.  At cap 255, exit 3 before the first distribution.
@@ -386,6 +416,22 @@ class TestReport:
     def test_missing_scenario_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["report"])
+
+    @pytest.mark.parametrize("grid,fmt", [
+        (("n=4..2", "s=1/2..1/2"), "csv"),
+        (("n=4..2", "s=1/2..1/2"), "json"),
+        (("n=2..2", "s=3/2..1/2"), "json"),
+    ])
+    def test_empty_grid_range_exit_code(self, capsys, grid, fmt):
+        code, out, err = run(capsys, "report", "--grid", *grid, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert "empty grid range" in err
+
+    def test_nonpositive_shots_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--n", "2", "--spin", "1/2", "--sample", "--shots", "0"])
+        assert exc.value.code == 2
+        assert "shots must be an integer >= 1" in capsys.readouterr().err
 
 
 class TestPayloadKeys:

@@ -1,5 +1,6 @@
 import itertools
 from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from mkbell.expansion import (
     prefactor,
     swap_labels,
 )
-from mkbell.spincore import ExactValue
 
 TWO_PARTY_TERMS = ((1, "AA"), (1, "AB"), (1, "BA"), (-1, "BB"))
 
@@ -125,10 +125,10 @@ def _gaussian(m, k, a, b):
 
 
 def test_pair_step_exact_values():
-    values = [ExactValue(v, 1) for v in (-3, -1, 1, 5)]
+    values = [Fraction(v, 2) for v in (-3, -1, 1, 5)]
     for m, k, a, b in itertools.product(values, repeat=4):
         re, im = pair_step(m, k, a, b)
-        assert isinstance(re, ExactValue) and isinstance(im, ExactValue)
+        assert isinstance(re, Fraction) and isinstance(im, Fraction)
         want = _gaussian(float(m), float(k), float(a), float(b))
         assert complex(float(re), float(im)) == want
 

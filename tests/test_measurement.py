@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from mkbell.measurement import (
     violation_sigmas,
 )
 from mkbell.quantum import expectation, largest_eigenpair, top_state
-from mkbell.spincore import ExactValue, Scenario, Spin
+from mkbell.spincore import Scenario, Spin
 
 
 def random_state(rng, dim):
@@ -83,7 +84,7 @@ class TestSampling:
         scenario = Scenario(2, Spin(1))
         state = np.array([1.0, 0.0, 0.0, 0.0])
         report = sample_outcomes(joint_distribution(scenario, state, "AA"), 10, seed=0)
-        key = (ExactValue(1, 1), ExactValue(1, 1))
+        key = (Fraction(1, 2), Fraction(1, 2))
         assert report.counts == {key: 10}
         assert report.correlation_mean == 0.25
         assert report.correlation_stderr == 0.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mkbell import operators
+from mkbell import measurement, operators
 from mkbell.errors import CapExceeded, DimensionMismatch
 from mkbell.operators import (
     assemble_dense,
@@ -14,6 +14,7 @@ from mkbell.operators import (
     make_A,
     make_B,
 )
+from mkbell.quantum import top_state
 from mkbell.spincore import Scenario, Spin
 
 
@@ -159,15 +160,19 @@ class TestApply:
         assert np.allclose(op.apply(top_vec), w[-1] * top_vec, atol=1e-12)
 
     def test_terms_expand_on_first_use(self, monkeypatch):
+        # Building the operator and a matvec never expand the terms; a
+        # sampled estimate expands them once.
         calls = []
         real = operators.expand_terms
-        monkeypatch.setattr(operators, "expand_terms",
-                            lambda n: calls.append(n) or real(n))
-        op = global_operator(Scenario(3, Spin(2)))
+        for module in (operators, measurement):
+            monkeypatch.setattr(module, "expand_terms",
+                                lambda n: calls.append(n) or real(n))
+        scenario = Scenario(3, Spin(2))
+        op = global_operator(scenario)
         op.apply(np.ones(27))
         assert calls == []
-        assert op.expansion.term_count == 4
-        assert op.expansion is op.expansion
+        estimate = measurement.estimate_bell_value(scenario, top_state(scenario), 10, seed=0)
+        assert len(estimate.per_term) == 4
         assert calls == [3]
 
     def test_dimension_mismatch(self):
