@@ -19,19 +19,16 @@ __version__ = "0.1.0"
 #: Each exported name, by the module that defines it.
 _EXPORTS = {
     "classical": ("BoundCertificate", "ClassicalResult", "Strategy", "classical_bound",
-                  "classical_max", "strategy_value", "verify_bound"),
+                  "classical_max", "verify_bound"),
     "errors": ("CapExceeded", "DimensionMismatch", "MkBellError", "NotConverged",
-               "NotNormalized", "ValueOutOfSpectrum"),
-    "expansion": ("TermExpansion", "expand_terms", "mermin_klyshko_pair"),
-    "measurement": ("BellEstimate", "JointDistribution", "SampleReport", "correlation",
-                    "estimate_bell_value", "joint_distribution", "lhv_sample",
-                    "sample_outcomes"),
-    "operators": ("CommutationReport", "GlobalOperator", "LocalOperator", "assemble_dense",
-                  "b_eigenbasis", "commutation_report", "global_operator", "make_A",
-                  "make_B"),
-    "quantum": ("EigenResult", "SpectrumReport", "dense_spectrum", "expectation",
-                "largest_eigenpair", "predicted_quantum_max", "predicted_ratio",
-                "spectral_gap", "top_state", "violation_ratio"),
+               "NotNormalized"),
+    "expansion": ("TermExpansion", "expand_terms"),
+    "measurement": ("BellEstimate", "JointDistribution", "SampleReport",
+                    "estimate_bell_value", "joint_distribution", "sample_outcomes"),
+    "operators": ("GlobalOperator", "assemble_dense", "global_operator", "make_A", "make_B"),
+    "quantum": ("EigenResult", "SpectrumReport", "dense_spectrum", "largest_eigenpair",
+                "predicted_quantum_max", "predicted_ratio", "spectral_gap", "top_state",
+                "violation_ratio"),
     "spincore": ("Scenario", "Spin"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

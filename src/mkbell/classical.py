@@ -37,8 +37,8 @@ Strategy indices are mixed-radix with party 1 most significant and, within a
 party, a before b; digit 0 is +s.  ``strategies_checked`` is the size of the
 certified set, 4^n sign patterns or (2s+1)^(2n) grid points.  The test
 oracle ``classical_max_enumerated`` (``tests/oracles.py``) enumerates the
-whole table instead.  Sampled strategies (``lhv_sample``) live with the
-other sampling in ``measurement.py``.
+whole table instead; the same file evaluates single strategies and samples
+them, the classical control of the simulated experiment.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ValueOutOfSpectrum
 from .expansion import pair_step
 from .spincore import Scenario
 
@@ -84,20 +83,6 @@ def classical_bound(scenario: Scenario) -> Fraction:
 def strategy_count(scenario: Scenario, extremal_only: bool = True) -> int:
     """Size of the certified set: 4**n sign patterns or (2s+1)**(2n) grid points."""
     return 4 ** scenario.n if extremal_only else scenario.spin.dimension ** (2 * scenario.n)
-
-
-def strategy_value(scenario: Scenario, strategy: Strategy) -> Fraction:
-    """Evaluate the Bell expression on one deterministic strategy, exactly."""
-    n = scenario.n
-    if len(strategy.a) != n or len(strategy.b) != n:
-        raise ValueOutOfSpectrum(f"strategy must assign values for all {n} parties")
-    for v in (*strategy.a, *strategy.b):
-        if not scenario.spin.contains(v):
-            raise ValueOutOfSpectrum(f"value {v} not in the spectrum of s={scenario.spin}")
-    m, k = strategy.a[0], strategy.b[0]
-    for j in range(1, n):
-        m, k = pair_step(m, k, strategy.a[j], strategy.b[j])
-    return Fraction(m)
 
 
 def _extremal_states(n: int, t: int) -> dict:

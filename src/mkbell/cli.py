@@ -45,8 +45,18 @@ def _fmt(x):
 def _spin_arg(text: str) -> Spin:
     try:
         return Spin.from_string(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _tol_arg(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = 0.0
+    if not 0 < tol < float("inf"):
+        raise argparse.ArgumentTypeError(f"tol must be a finite number > 0, got {text!r}")
+    return tol
 
 
 def _shots_arg(text: str) -> int:
@@ -330,12 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantum-max", help="largest eigenvalue of the Bell operator")
     add_common(p)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tol_arg, default=1e-9)
     p.set_defaults(func=_cmd_quantum_max)
 
     p = sub.add_parser("ratio", help="quantum-to-classical violation ratio")
     add_common(p)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tol_arg, default=1e-9)
     p.set_defaults(func=_cmd_ratio)
 
     p = sub.add_parser("sample", help="simulated-measurement Bell estimate")
@@ -353,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_dim_cap(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tol_arg, default=1e-9)
     p.add_argument("--sample", action="store_true", help="add sampled Bell estimates")
     p.add_argument("--shots", type=_shots_arg, default=DEFAULT_SHOTS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -18,10 +18,6 @@ class NotNormalized(MkBellError):
     """A state vector is not a unit vector within tolerance."""
 
 
-class ValueOutOfSpectrum(MkBellError):
-    """A strategy assigns an outcome outside the spin's spectrum."""
-
-
 class NotConverged(MkBellError):
     """An eigenpair failed its check against the requested residual."""
 

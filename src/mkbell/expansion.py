@@ -17,9 +17,8 @@ holds wherever A_j and B_j take values: strategy outcomes
 strings (here).  ``prefactor`` is (1 - i)^(n-1) and ``pair_step`` one factor
 (1 - i)(a + i b), on (real, imaginary) pairs of exact values, ints or
 arrays.  The label string with b letters B has coefficient
-(1 - i)^(n-1) i^b, its real part in M_n and its imaginary part in K_n.  For
-odd n, (1 - i)^(n-1) is real or imaginary, so half of the coefficients
-vanish and 2^(n-1) terms survive.
+Re[(1 - i)^(n-1) i^b] in M_n.  For odd n, (1 - i)^(n-1) is real or
+imaginary, so half of the coefficients vanish and 2^(n-1) terms survive.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .spincore import LABEL_A, LABEL_B, LABELS
+from .spincore import LABEL_B, LABELS
 
 
 def pair_step(m, k, a, b):
@@ -44,22 +43,6 @@ def prefactor(n: int) -> tuple[int, int]:
     return re, im
 
 
-def mermin_klyshko_pair(n: int):
-    """Return the (M_n, K_n) expansions as dicts label-string -> int coeff."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    re, im = prefactor(n)
-    by_b = ((re, im), (-im, re), (-re, -im), (im, -re))  # (1 - i)^(n-1) i^b
-    m, k = {}, {}
-    for labels in map("".join, product(LABELS, repeat=n)):
-        c_m, c_k = by_b[labels.count(LABEL_B) % 4]
-        if c_m:
-            m[labels] = c_m
-        if c_k:
-            k[labels] = c_k
-    return m, k
-
-
 def expected_term_count(n: int) -> int:
     """2^(2 * floor(n/2)): 2^n terms for even n, 2^(n-1) for odd n."""
     return 1 << (2 * (n // 2))
@@ -67,35 +50,31 @@ def expected_term_count(n: int) -> int:
 
 @dataclass(frozen=True)
 class TermExpansion:
-    """The Bell expression as sorted (coefficient, label-string) terms.
-
-    ``terms`` is the main expansion; ``companion`` is its A<->B relabeling
-    (the K_n member of the recursion pair).
-    """
+    """The Bell expression M_n as sorted (coefficient, label-string) terms."""
 
     n: int
     terms: tuple[tuple[int, str], ...]
-    companion: tuple[tuple[int, str], ...]
 
     @property
     def term_count(self) -> int:
         return len(self.terms)
 
 
-def _sorted_terms(expansion: dict[str, int]):
-    return tuple((expansion[labels], labels) for labels in sorted(expansion))
-
-
 def expand_terms(n: int) -> TermExpansion:
-    """Expand the n-party Bell expression, combining like terms."""
-    m, k = mermin_klyshko_pair(n)
-    result = TermExpansion(n=n, terms=_sorted_terms(m), companion=_sorted_terms(k))
+    """Expand the n-party Bell expression, combining like terms.
+
+    The label string with b letters B has coefficient Re[(1 - i)^(n-1) i^b];
+    the strings come in sorted order.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    re, im = prefactor(n)
+    by_b = (re, -im, -re, im)  # Re[(1 - i)^(n-1) i^b], b mod 4
+    terms = []
+    for labels in map("".join, product(LABELS, repeat=n)):
+        coeff = by_b[labels.count(LABEL_B) % 4]
+        if coeff:
+            terms.append((coeff, labels))
+    result = TermExpansion(n=n, terms=tuple(terms))
     assert result.term_count == expected_term_count(n)
     return result
-
-
-def swap_labels(terms):
-    """A<->B relabeling of a term tuple, re-sorted canonically."""
-    table = str.maketrans(LABEL_A + LABEL_B, LABEL_B + LABEL_A)
-    swapped = {labels.translate(table): c for c, labels in terms}
-    return _sorted_terms(swapped)

@@ -6,21 +6,17 @@ the Born rule: rotate the state into each measuring party's eigenbasis
 eigenbasis), then square amplitudes.  Sampling uses NumPy's PCG64 generator;
 per-term streams are derived from the base seed and the term index through
 ``numpy.random.SeedSequence``, so every report is reproducible.
-
-``lhv_sample`` is the classical control: it samples deterministic
-local-hidden-variable strategies and averages their Bell values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .classical import Strategy, classical_bound, strategy_value
+from .classical import classical_bound
 from .errors import DimensionMismatch, NotNormalized
-from .expansion import expand_terms, expected_term_count, pair_step
+from .expansion import expand_terms, expected_term_count
 from .operators import b_rotation
 from .spincore import Scenario, validate_labels
 
@@ -60,23 +56,12 @@ def joint_distribution(scenario: Scenario, state: np.ndarray, settings: str) -> 
                              probs=(amps ** 2).reshape(-1))
 
 
-def correlation(dist: JointDistribution) -> float:
-    """Exact correlation sum_m m_1 ... m_n P(m_1, ..., m_n)."""
-    d = dist.scenario.local_dimension
-    vals = np.array(dist.scenario.spin.twice_outcomes(), dtype=np.float64) / 2.0
-    acc = dist.probs.reshape((d,) * dist.scenario.n)
-    for _ in range(dist.scenario.n):
-        acc = np.tensordot(vals, acc, axes=(0, 0))
-    return float(acc)
-
-
 @dataclass(frozen=True)
 class SampleReport:
     """Finite-sample estimate of one correlation.
 
-    ``outcome_counts`` is the multinomial count per global outcome index;
-    ``counts`` keys the nonzero ones by their outcome-value tuples, built on
-    first access.
+    ``outcome_counts`` is the multinomial count per global outcome index
+    (the index convention of ``JointDistribution.probs``).
     """
 
     scenario: Scenario
@@ -85,15 +70,6 @@ class SampleReport:
     correlation_mean: float
     correlation_stderr: float
     seed: object
-
-    @cached_property
-    def counts(self) -> dict:
-        outcomes = self.scenario.spin.outcome_values()
-        shape = (self.scenario.local_dimension,) * self.scenario.n
-        flat = np.flatnonzero(self.outcome_counts)
-        digits = np.unravel_index(flat, shape)
-        return {tuple(outcomes[dig] for dig in key): int(count)
-                for key, count in zip(zip(*digits), self.outcome_counts[flat])}
 
 
 def _outcome_products(scenario: Scenario):
@@ -175,51 +151,3 @@ def violation_sigmas(scenario: Scenario, estimate: BellEstimate) -> float:
     if estimate.stderr == 0.0:
         return float("inf") if margin > 0 else float("-inf")
     return margin / estimate.stderr
-
-
-@dataclass(frozen=True)
-class LhvSampleReport:
-    """Empirical Bell value from sampled local-hidden-variable strategies."""
-
-    mean: float
-    stderr: float
-    shots: int
-    seed: int
-    distribution: str
-
-
-def lhv_sample(scenario: Scenario, shots: int, seed: int,
-               distribution: str = "uniform_extremal",
-               strategy: Strategy | None = None) -> LhvSampleReport:
-    """Sample i.i.d. strategies and average the per-shot Bell value.
-
-    ``uniform_extremal`` draws each a_j, b_j = +-s with equal probability;
-    ``point_mass`` repeats one fixed strategy.  Uses NumPy's PCG64 generator
-    seeded with ``seed``, so reports are reproducible.  The standard error is
-    the plug-in standard deviation over shots divided by sqrt(shots).
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    n = scenario.n
-    s = scenario.spin.twice_spin / 2.0
-    if distribution == "uniform_extremal":
-        rng = np.random.default_rng(seed)
-        signs = rng.integers(0, 2, size=(shots, 2 * n)) * 2 - 1
-        a = signs[:, :n] * s
-        b = signs[:, n:] * s
-    elif distribution == "point_mass":
-        if strategy is None:
-            raise ValueError("point_mass distribution needs a strategy")
-        strategy_value(scenario, strategy)  # spectrum validation
-        a = np.tile([float(v) for v in strategy.a], (shots, 1))
-        b = np.tile([float(v) for v in strategy.b], (shots, 1))
-    else:
-        raise ValueError(f"unknown distribution {distribution!r}")
-    m = a[:, 0].copy()
-    k = b[:, 0].copy()
-    for j in range(1, n):
-        m, k = pair_step(m, k, a[:, j], b[:, j])
-    mean = float(np.mean(m))
-    stderr = float(np.std(m) / np.sqrt(shots))
-    return LhvSampleReport(mean=mean, stderr=stderr, shots=shots, seed=seed,
-                           distribution=distribution)

@@ -57,8 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import classical_max
-from .errors import DimensionMismatch, NotConverged, NotNormalized
-from .expansion import expand_terms
+from .errors import NotConverged
 from .operators import GlobalOperator, assemble_dense, global_operator
 from .spincore import Scenario
 
@@ -122,10 +121,11 @@ def largest_eigenpair(scenario: Scenario, tol: float = 1e-9,
     Returns ``top_state`` with lam = x.Mx once the true residual
     ||Mx - lam x|| is at most tol * max(1, |lam|); raises NotConverged,
     carrying lam and the residual, otherwise.  ``iterations`` is the one
-    matvec.
+    matvec.  A ``tol`` that is not finite and positive raises ValueError:
+    with NaN or infinity the check would pass any state.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < float("inf"):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     op = operator if operator is not None else global_operator(scenario)
     x = top_state(scenario)
     w = op.apply(x)
@@ -145,34 +145,6 @@ def spectral_gap(scenario: Scenario) -> float:
     if scenario.n == 1:
         return 1.0
     return predicted_quantum_max(scenario) * min(1.0, 2.0 / scenario.spin.twice_spin)
-
-
-@dataclass(frozen=True)
-class ExpectationReport:
-    """Per-term quantum correlations and the coefficient-weighted total."""
-
-    per_term: tuple[tuple[str, float], ...]
-    value: float
-
-
-def expectation(state: np.ndarray, scenario: Scenario) -> ExpectationReport:
-    """Quantum correlation of each product term in the given state."""
-    op = global_operator(scenario)
-    state = np.asarray(state, dtype=np.float64)
-    if state.shape != (scenario.global_dimension(),):
-        raise DimensionMismatch(
-            f"state must have length {scenario.global_dimension()}, got {state.shape}"
-        )
-    norm = float(np.linalg.norm(state))
-    if abs(norm - 1.0) > 1e-9:
-        raise NotNormalized(f"state norm {norm} is not 1 within 1e-9")
-    per_term = []
-    total = 0.0
-    for coeff, labels in expand_terms(scenario.n).terms:
-        corr = float(state @ op.apply_term(labels, state))
-        per_term.append((labels, corr))
-        total += coeff * corr
-    return ExpectationReport(per_term=tuple(per_term), value=total)
 
 
 def violation_ratio(scenario: Scenario, tol: float = 1e-9) -> float:

@@ -17,8 +17,9 @@ from .errors import CapExceeded
 #: Default array budget: the total number of entries a path may build, as
 #: counted by that path and enforced by ``Scenario.check_entries``.  With
 #: D = (2s+1)**n and T = 4**(n//2) terms, a state vector counts D, a dense
-#: matrix D**2, the commutation report T D**2, a sampled estimate T D, the
-#: enumeration oracle 2n per strategy and the expansion n 2**n letters.
+#: matrix D**2, a sampled estimate T D, the expansion n 2**n letters and,
+#: among the test oracles, the commutation report T D**2 and the enumeration
+#: 2n per strategy.
 DEFAULT_DIM_CAP = 1 << 24
 
 #: The two observable labels, in canonical order.
@@ -62,17 +63,13 @@ class Spin:
         """Outcomes as twice-value integers, descending 2s, 2s-2, ..., -2s."""
         return [self.twice_spin - 2 * i for i in range(self.dimension)]
 
-    def contains(self, value) -> bool:
-        """Whether ``value`` lies in the spectrum {-s, ..., s}: 2 * value is an
-        integer of size at most 2s and of the parity of 2s."""
-        twice = 2 * Fraction(value)
-        return (twice.denominator == 1 and abs(twice) <= self.twice_spin
-                and (twice - self.twice_spin) % 2 == 0)
-
     @classmethod
     def from_string(cls, text: str) -> "Spin":
         """Parse "1/2", "1", "3/2", ... (also accepts decimals like "0.5")."""
-        frac = Fraction(text.strip())
+        try:
+            frac = Fraction(text.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"spin has a zero denominator: {text!r}") from None
         if frac.denominator not in (1, 2):
             raise ValueError(f"spin must be a half-integer, got {text!r}")
         return cls(int(2 * frac))
@@ -92,6 +89,8 @@ class Scenario:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"party count must be an integer >= 1, got {self.n!r}")
+        if not isinstance(self.dim_cap, int) or self.dim_cap < 1:
+            raise ValueError(f"dim_cap must be an integer >= 1, got {self.dim_cap!r}")
 
     @property
     def local_dimension(self) -> int:

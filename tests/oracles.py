@@ -23,22 +23,35 @@ dimension 2**n.
 
 ``classical_max_enumerated`` is the oracle for the classical certificate
 ``mkbell.classical.classical_max``: it evaluates every strategy of the
-table on NumPy arrays, within the array budget.  ``value_from_terms``
-evaluates one strategy on the expanded terms instead of the product form.
+table on NumPy arrays, within the array budget.  ``strategy_value``
+evaluates one strategy by the pair recursion, ``value_from_terms`` on the
+expanded terms instead, and ``lhv_sample``, the classical control of the
+simulated experiment, averages sampled strategies.
+
+The term-level oracles work one product term at a time: ``pair_recursion``
+expands the real pair recursion (M_n, K_n) on label strings,
+``dense_scaled_terms`` sums the expansion's dense product terms,
+``term_matrix`` and ``apply_term`` give one term as a matrix and as a
+matvec, ``commutation_report`` checks the terms pairwise for commutation,
+and ``correlation`` is a Born-rule distribution's exact correlation.  Each
+dense oracle counts its entries against the scenario's array budget.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from mkbell.classical import ClassicalResult, Strategy, strategy_count
-from mkbell.errors import NotConverged
-from mkbell.expansion import expand_terms, pair_step
-from mkbell.operators import GlobalOperator, assemble_dense, global_operator
+from mkbell.errors import DimensionMismatch, MkBellError, NotConverged
+from mkbell.expansion import expand_terms, expected_term_count, pair_step
+from mkbell.measurement import JointDistribution
+from mkbell.operators import GlobalOperator, assemble_dense, global_operator, make_A, make_B
 from mkbell.quantum import EigenResult
-from mkbell.spincore import Scenario, Spin
+from mkbell.spincore import LABEL_A, LABEL_B, Scenario, Spin, validate_labels
 
 #: Largest Krylov basis, in rows of the global dimension, per Lanczos cycle.
 KRYLOV_ROWS = 10
@@ -202,3 +215,201 @@ def value_from_terms(scenario: Scenario, strategy: Strategy) -> Fraction:
             prod = prod * (strategy.a[j] if ch == "A" else strategy.b[j])
         total = total + prod
     return total
+
+
+class ValueOutOfSpectrum(MkBellError):
+    """A strategy assigns an outcome outside the spin's spectrum."""
+
+
+def spectrum_contains(spin: Spin, value) -> bool:
+    """Whether ``value`` lies in the spectrum {-s, ..., s}: 2 * value is an
+    integer of size at most 2s and of the parity of 2s."""
+    twice = 2 * Fraction(value)
+    return (twice.denominator == 1 and abs(twice) <= spin.twice_spin
+            and (twice - spin.twice_spin) % 2 == 0)
+
+
+def strategy_value(scenario: Scenario, strategy: Strategy) -> Fraction:
+    """Evaluate the Bell expression on one deterministic strategy, exactly."""
+    n = scenario.n
+    if len(strategy.a) != n or len(strategy.b) != n:
+        raise ValueOutOfSpectrum(f"strategy must assign values for all {n} parties")
+    for v in (*strategy.a, *strategy.b):
+        if not spectrum_contains(scenario.spin, v):
+            raise ValueOutOfSpectrum(f"value {v} not in the spectrum of s={scenario.spin}")
+    m, k = strategy.a[0], strategy.b[0]
+    for j in range(1, n):
+        m, k = pair_step(m, k, strategy.a[j], strategy.b[j])
+    return Fraction(m)
+
+
+@dataclass(frozen=True)
+class LhvSampleReport:
+    """Empirical Bell value from sampled local-hidden-variable strategies."""
+
+    mean: float
+    stderr: float
+    shots: int
+    seed: int
+    distribution: str
+
+
+def lhv_sample(scenario: Scenario, shots: int, seed: int,
+               distribution: str = "uniform_extremal",
+               strategy: Strategy | None = None) -> LhvSampleReport:
+    """Sample i.i.d. strategies and average the per-shot Bell value.
+
+    ``uniform_extremal`` draws each a_j, b_j = +-s with equal probability;
+    ``point_mass`` repeats one fixed strategy.  Uses NumPy's PCG64 generator
+    seeded with ``seed``, so reports are reproducible.  The standard error is
+    the plug-in standard deviation over shots divided by sqrt(shots).
+    """
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    n = scenario.n
+    s = scenario.spin.twice_spin / 2.0
+    if distribution == "uniform_extremal":
+        rng = np.random.default_rng(seed)
+        signs = rng.integers(0, 2, size=(shots, 2 * n)) * 2 - 1
+        a = signs[:, :n] * s
+        b = signs[:, n:] * s
+    elif distribution == "point_mass":
+        if strategy is None:
+            raise ValueError("point_mass distribution needs a strategy")
+        strategy_value(scenario, strategy)  # spectrum validation
+        a = np.tile([float(v) for v in strategy.a], (shots, 1))
+        b = np.tile([float(v) for v in strategy.b], (shots, 1))
+    else:
+        raise ValueError(f"unknown distribution {distribution!r}")
+    m = a[:, 0].copy()
+    k = b[:, 0].copy()
+    for j in range(1, n):
+        m, k = pair_step(m, k, a[:, j], b[:, j])
+    mean = float(np.mean(m))
+    stderr = float(np.std(m) / np.sqrt(shots))
+    return LhvSampleReport(mean=mean, stderr=stderr, shots=shots, seed=seed,
+                           distribution=distribution)
+
+
+def pair_recursion(n: int):
+    """The (M_n, K_n) label dicts by the real pair recursion,
+    M_k = M_{k-1} (A + B) + K_{k-1} (A - B), K_k = K_{k-1} (A + B) + M_{k-1} (B - A)."""
+    m = {"A": 1}
+    k = {"B": 1}
+    for _ in range(n - 1):
+        new_m = defaultdict(int)
+        new_k = defaultdict(int)
+        for labels, c in m.items():
+            new_m[labels + "A"] += c
+            new_m[labels + "B"] += c
+            new_k[labels + "B"] += c
+            new_k[labels + "A"] -= c
+        for labels, c in k.items():
+            new_m[labels + "A"] += c
+            new_m[labels + "B"] -= c
+            new_k[labels + "A"] += c
+            new_k[labels + "B"] += c
+        m = {lab: c for lab, c in new_m.items() if c}
+        k = {lab: c for lab, c in new_k.items() if c}
+    return m, k
+
+
+def dense_scaled_terms(scenario: Scenario) -> np.ndarray:
+    """Integer matrix 2**n * M_n by summing the expansion's product terms.
+
+    A and B have at most one nonzero per row, so every term is a generalised
+    permutation: row r holds the single entry coeff * vals[r] in column
+    cols[r], both built party by party.
+    """
+    scenario.check_entries(f"a dense matrix of {scenario}",
+                           lambda: scenario.global_dimension() ** 2)
+    expansion = expand_terms(scenario.n)
+    d = scenario.local_dimension
+    local = {}
+    for label, twice in ((LABEL_A, make_A(scenario.spin)), (LABEL_B, make_B(scenario.spin))):
+        assert (np.count_nonzero(twice, axis=1) <= 1).all()
+        col = np.argmax(twice != 0, axis=1)
+        local[label] = (col, twice[np.arange(d), col])
+    D = scenario.global_dimension()
+    rows = np.arange(D)
+    total = np.zeros((D, D), dtype=np.int64)
+    for coeff, labels in expansion.terms:
+        cols = np.zeros(1, dtype=np.int64)
+        vals = np.ones(1, dtype=np.int64)
+        for ch in labels:
+            col, val = local[ch]
+            cols = (cols[:, None] * d + col).reshape(-1)
+            vals = (vals[:, None] * val).reshape(-1)
+        total[rows, cols] += coeff * vals
+    return total
+
+
+def term_matrix(scenario: Scenario, labels: str) -> np.ndarray:
+    """Dense matrix of one product term O_1 x ... x O_n (unit coefficient)."""
+    validate_labels(labels)
+    if len(labels) != scenario.n:
+        raise DimensionMismatch("term labels do not match the scenario")
+    scenario.check_entries(f"a dense matrix of {scenario}",
+                           lambda: scenario.global_dimension() ** 2)
+    a, b = make_A(scenario.spin), make_B(scenario.spin)
+    factor = np.array([[1]], dtype=np.int64)
+    for ch in labels:
+        factor = np.kron(factor, b if ch == LABEL_B else a)
+    return factor.astype(np.float64) / float(1 << scenario.n)
+
+
+def apply_term(op: GlobalOperator, labels: str, v: np.ndarray) -> np.ndarray:
+    """Matvec of a single unit-coefficient product term."""
+    validate_labels(labels)
+    if len(labels) != op.scenario.n:
+        raise DimensionMismatch("term labels or vector do not match the scenario")
+    w = op._vector(v)
+    d = op.scenario.local_dimension
+    for j, ch in enumerate(labels):
+        w = w.reshape(d ** j, d, -1)
+        w = op._anti_vals * w[:, ::-1] if ch == LABEL_B else op._diag_vals * w
+    return w.reshape(-1)
+
+
+@dataclass(frozen=True)
+class CommutationReport:
+    """Pairwise commutation of the expansion's term operators."""
+
+    scenario: Scenario
+    labels: tuple[str, ...]
+    commuting: np.ndarray  # bool, (T, T)
+    all_commute: bool
+
+
+def commutation_report(scenario: Scenario, tol: float = 1e-12) -> CommutationReport:
+    """Check every term pair for commutation (max-norm of the commutator).
+
+    Holds all T term matrices at once, so it counts T D**2 entries."""
+    scenario.check_entries(
+        f"the term matrices of {scenario}",
+        lambda: expected_term_count(scenario.n) * scenario.global_dimension() ** 2)
+    expansion = expand_terms(scenario.n)
+    mats = [term_matrix(scenario, labels) for _, labels in expansion.terms]
+    T = len(mats)
+    commuting = np.ones((T, T), dtype=bool)
+    for i in range(T):
+        for j in range(i + 1, T):
+            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
+            ok = np.max(np.abs(comm)) < tol
+            commuting[i, j] = commuting[j, i] = ok
+    return CommutationReport(
+        scenario=scenario,
+        labels=tuple(labels for _, labels in expansion.terms),
+        commuting=commuting,
+        all_commute=bool(commuting.all()),
+    )
+
+
+def correlation(dist: JointDistribution) -> float:
+    """Exact correlation sum_m m_1 ... m_n P(m_1, ..., m_n)."""
+    d = dist.scenario.local_dimension
+    vals = np.array(dist.scenario.spin.twice_outcomes(), dtype=np.float64) / 2.0
+    acc = dist.probs.reshape((d,) * dist.scenario.n)
+    for _ in range(dist.scenario.n):
+        acc = np.tensordot(vals, acc, axes=(0, 0))
+    return float(acc)

@@ -19,26 +19,10 @@ import itertools
 
 import numpy as np
 
-from mkbell.classical import (
-    classical_bound,
-    classical_max,
-    strategy_value,
-)
-from mkbell.expansion import expand_terms, expected_term_count, swap_labels
-from mkbell.measurement import (
-    correlation,
-    estimate_bell_value,
-    joint_distribution,
-    lhv_sample,
-    violation_sigmas,
-)
-from mkbell.operators import (
-    assemble_dense,
-    commutation_report,
-    dense_scaled_product,
-    dense_scaled_terms,
-    global_operator,
-)
+from mkbell.classical import classical_bound, classical_max
+from mkbell.expansion import expand_terms, expected_term_count
+from mkbell.measurement import estimate_bell_value, joint_distribution, violation_sigmas
+from mkbell.operators import assemble_dense, dense_scaled_product, global_operator
 from mkbell.quantum import (
     dense_spectrum,
     largest_eigenpair,
@@ -49,7 +33,18 @@ from mkbell.quantum import (
     violation_ratio,
 )
 from mkbell.spincore import Scenario, Spin
-from oracles import block_spectrum, classical_max_enumerated, lanczos_top
+from oracles import (
+    apply_term,
+    block_spectrum,
+    classical_max_enumerated,
+    commutation_report,
+    correlation,
+    dense_scaled_terms,
+    lanczos_top,
+    lhv_sample,
+    pair_recursion,
+    strategy_value,
+)
 
 # n in 2..6 crossed with s in 1/2..2, restricted to dense-solver size.
 DENSE_GRID = [
@@ -168,7 +163,8 @@ def test_term_expansion_structure():
     """Term counts are 4**floor(n/2) for n = 1..10; odd n has 2**(n-1)
     terms with coefficients +-2**((n-1)/2); the two- and three-party
     expansions match their printed forms exactly (the three-party one as
-    the relabeled companion)."""
+    the relabeled companion K_3 of the pair recursion)."""
+    swap = str.maketrans("AB", "BA")
     for n in range(1, 11):
         e = expand_terms(n)
         assert e.term_count == expected_term_count(n) == 4 ** (n // 2), n
@@ -176,11 +172,12 @@ def test_term_expansion_structure():
             assert e.term_count == 2 ** (n - 1)
             magnitude = 2 ** ((n - 1) // 2)
             assert all(abs(c) == magnitude for c, _ in e.terms), n
-        assert swap_labels(e.terms) == e.companion, n
+        companion = pair_recursion(n)[1]
+        assert {labels.translate(swap): c for c, labels in e.terms} == companion, n
     two = expand_terms(2)
     assert two.terms == ((1, "AA"), (1, "AB"), (1, "BA"), (-1, "BB"))
     three = expand_terms(3)
-    assert three.companion == ((-2, "AAA"), (2, "ABB"), (2, "BAB"), (2, "BBA"))
+    assert pair_recursion(3)[1] == {"AAA": -2, "ABB": 2, "BAB": 2, "BBA": 2}
     assert three.terms == ((2, "AAB"), (2, "ABA"), (2, "BAA"), (-2, "BBB"))
 
 
@@ -229,7 +226,7 @@ def test_born_rule_consistent_with_operator_expectations():
             state /= np.linalg.norm(state)
             for settings in map("".join, itertools.product("AB", repeat=n)):
                 born = correlation(joint_distribution(scenario, state, settings))
-                operator_value = float(state @ op.apply_term(settings, state))
+                operator_value = float(state @ apply_term(op, settings, state))
                 assert abs(born - operator_value) <= 1e-10, (n, twice, settings)
 
 

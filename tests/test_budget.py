@@ -1,23 +1,22 @@
-"""The one array budget: every path that builds arrays counts their entries
-against ``Scenario.dim_cap`` and raises before it allocates any."""
+"""The one array budget: every path that builds arrays, in the library and
+among the dense test oracles, counts their entries against
+``Scenario.dim_cap`` and raises before it allocates any."""
 
 import numpy as np
 import pytest
 
-from mkbell import operators
+import oracles
 from mkbell.errors import CapExceeded
 from mkbell.measurement import estimate_bell_value
-from mkbell.operators import (
-    assemble_dense,
-    commutation_report,
-    dense_scaled_product,
-    dense_scaled_terms,
-    global_operator,
-    term_matrix,
-)
+from mkbell.operators import assemble_dense, dense_scaled_product, global_operator
 from mkbell.quantum import dense_spectrum, top_state
 from mkbell.spincore import Scenario, Spin
-from oracles import classical_max_enumerated
+from oracles import (
+    classical_max_enumerated,
+    commutation_report,
+    dense_scaled_terms,
+    term_matrix,
+)
 
 #: (path, call on a scenario and its top state, entries as a function of n,
 #: D and T = 4**(n//2)).
@@ -68,7 +67,7 @@ def test_commutation_report_raises_before_its_first_term_matrix(monkeypatch):
     def no_term(*args, **kwargs):
         raise AssertionError("built a term matrix past the cap")
 
-    monkeypatch.setattr(operators, "term_matrix", no_term)
+    monkeypatch.setattr(oracles, "term_matrix", no_term)
     with pytest.raises(CapExceeded, match="exceeds cap 16777216"):
         commutation_report(Scenario(12, Spin(1)))
 

@@ -3,17 +3,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mkbell.classical import (
-    Strategy,
-    classical_bound,
-    classical_max,
-    strategy_value,
-    verify_bound,
-)
-from mkbell.errors import CapExceeded, ValueOutOfSpectrum
-from mkbell.measurement import lhv_sample
+from mkbell.classical import Strategy, classical_bound, classical_max, verify_bound
+from mkbell.errors import CapExceeded
 from mkbell.spincore import DEFAULT_DIM_CAP, Scenario, Spin
-from oracles import classical_max_enumerated, value_from_terms
+from oracles import (
+    ValueOutOfSpectrum,
+    classical_max_enumerated,
+    lhv_sample,
+    strategy_value,
+    value_from_terms,
+)
 
 
 def ev(text):

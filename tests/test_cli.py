@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import os
@@ -15,6 +16,7 @@ from mkbell import classical, measurement, operators, quantum
 from mkbell.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = SRC.parent / "perfbench"
 
 
 def run(capsys, *argv):
@@ -264,6 +266,19 @@ class TestDimensionCap:
         assert code == 3
         assert "exceeds cap" in err
 
+    @pytest.mark.parametrize("argv,env", [
+        (("quantum-max", "--n", "2", "--spin", "1/2", "--dim-cap", "-3"), None),
+        (("sample", "--n", "2", "--spin", "1/2", "--dim-cap", "0"), None),
+        (("expand", "--n", "2"), "0"),
+        (("report", "--grid", "n=2..2", "s=1/2..1/2"), "-1"),
+    ])
+    def test_cap_below_one_is_a_validation_error(self, capsys, monkeypatch, argv, env):
+        if env is not None:
+            monkeypatch.setenv("MKBELL_DIM_CAP", env)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "dim_cap must be an integer >= 1" in err
+
 
 class TestQuantumMax:
     def test_two_party_half(self, capsys):
@@ -433,6 +448,12 @@ class TestReport:
         assert exc.value.code == 2
         assert "shots must be an integer >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", [("n=2..3", "s=1/0..1"), ("n=2..3", "s=1/2..1/0")])
+    def test_zero_denominator_in_grid_exit_code(self, capsys, grid):
+        code, out, err = run(capsys, "report", "--grid", *grid)
+        assert (code, out) == (2, "")
+        assert "zero denominator" in err
+
 
 class TestPayloadKeys:
     @pytest.mark.parametrize("argv,keys,config", [
@@ -525,7 +546,7 @@ class TestExactLayerWithoutNumpy:
     def test_every_exported_name_resolves(self):
         for name in mkbell.__all__:
             assert getattr(mkbell, name) is not None
-        assert mkbell.lhv_sample is measurement.lhv_sample
+        assert mkbell.sample_outcomes is measurement.sample_outcomes
         assert mkbell.global_operator is operators.global_operator
         assert set(mkbell.__all__) <= set(dir(mkbell))
 
@@ -541,8 +562,54 @@ class TestExactLayerWithoutNumpy:
         # The benchmark's self-check reads this alias.
         assert mkbell.cli.global_operator is operators.global_operator
 
+    def test_exports_are_what_the_commands_run(self):
+        assert sorted(mkbell.__all__) == sorted([
+            "__version__", "classical", "errors", "expansion", "measurement",
+            "operators", "quantum", "spincore",
+            "BoundCertificate", "ClassicalResult", "Strategy", "classical_bound",
+            "classical_max", "verify_bound",
+            "CapExceeded", "DimensionMismatch", "MkBellError", "NotConverged",
+            "NotNormalized",
+            "TermExpansion", "expand_terms",
+            "BellEstimate", "JointDistribution", "SampleReport", "estimate_bell_value",
+            "joint_distribution", "sample_outcomes",
+            "GlobalOperator", "assemble_dense", "global_operator", "make_A", "make_B",
+            "EigenResult", "SpectrumReport", "dense_spectrum", "largest_eigenpair",
+            "predicted_quantum_max", "predicted_ratio", "spectral_gap", "top_state",
+            "violation_ratio",
+            "Scenario", "Spin",
+        ])
+
+
+class TestBenchmarkHooks:
+    def test_every_trace_hook_resolves(self, monkeypatch):
+        # ``perfbench/run.py --self-check`` fails on an absent hook; this is
+        # the same check without its workloads.
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        tracing = importlib.import_module("tracing")
+        apply = operators.GlobalOperator.apply
+        with tracing.Trace() as trace:
+            assert operators.GlobalOperator.apply is not apply
+        assert trace.absent == []
+        assert operators.GlobalOperator.apply is apply
+
 
 class TestArgs:
     def test_bad_spin_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["classical-max", "--n", "2", "--spin", "1/3"])
+
+    @pytest.mark.parametrize("argv", [
+        ("quantum-max", "--n", "2", "--spin", "1/2"),
+        ("ratio", "--n", "2", "--spin", "1/2"),
+        ("report", "--n", "2", "--spin", "1/2"),
+    ], ids=["quantum-max", "ratio", "report"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+    def test_tol_must_be_finite_and_positive(self, capsys, argv, tol):
+        # NaN and infinity would certify any state; exit 2 at parse time.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--tol={tol}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tol must be a finite number > 0" in captured.err

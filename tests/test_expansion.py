@@ -1,30 +1,20 @@
 import itertools
-from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mkbell.expansion import (
-    expand_terms,
-    expected_term_count,
-    mermin_klyshko_pair,
-    pair_step,
-    prefactor,
-    swap_labels,
-)
+from mkbell.expansion import expand_terms, expected_term_count, pair_step, prefactor
+from oracles import pair_recursion
 
 TWO_PARTY_TERMS = ((1, "AA"), (1, "AB"), (1, "BA"), (-1, "BB"))
-
-# The two three-party companions; each is the A<->B mirror of the other.
 THREE_PARTY_MAIN = ((2, "AAB"), (2, "ABA"), (2, "BAA"), (-2, "BBB"))
-THREE_PARTY_COMPANION = ((-2, "AAA"), (2, "ABB"), (2, "BAB"), (2, "BBA"))
+
+_SWAP = str.maketrans("AB", "BA")
 
 
 def test_single_party_base_case():
-    e = expand_terms(1)
-    assert e.terms == ((1, "A"),)
-    assert e.companion == ((1, "B"),)
+    assert expand_terms(1).terms == ((1, "A"),)
 
 
 def test_two_party_terms():
@@ -32,16 +22,13 @@ def test_two_party_terms():
 
 
 def test_three_party_terms():
-    e = expand_terms(3)
-    assert e.terms == THREE_PARTY_MAIN
-    assert e.companion == THREE_PARTY_COMPANION
+    assert expand_terms(3).terms == THREE_PARTY_MAIN
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_term_count(n):
     e = expand_terms(n)
     assert e.term_count == expected_term_count(n) == 1 << (2 * (n // 2))
-    assert len(e.companion) == e.term_count
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
@@ -50,14 +37,13 @@ def test_odd_n_coefficients(n):
     assert e.term_count == 1 << (n - 1)
     magnitude = 1 << ((n - 1) // 2)
     assert all(abs(c) == magnitude for c, _ in e.terms)
-    assert all(abs(c) == magnitude for c, _ in e.companion)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_companion_is_label_swap(n):
-    e = expand_terms(n)
-    assert swap_labels(e.terms) == e.companion
-    assert swap_labels(e.companion) == e.terms
+    # The recursion's other half K_n is M_n with A and B swapped.
+    _, k = pair_recursion(n)
+    assert {labels.translate(_SWAP): c for c, labels in expand_terms(n).terms} == k
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -70,47 +56,10 @@ def test_terms_sorted_and_unique(n):
     assert all(c != 0 for c, _ in e.terms)
 
 
-def test_pair_recursion_step_consistency():
-    # One unrolled step: M_3 must equal M_2 (A+B) + K_2 (A-B) termwise.
-    m2, k2 = mermin_klyshko_pair(2)
-    built = {}
-    for lab, c in m2.items():
-        built[lab + "A"] = built.get(lab + "A", 0) + c
-        built[lab + "B"] = built.get(lab + "B", 0) + c
-    for lab, c in k2.items():
-        built[lab + "A"] = built.get(lab + "A", 0) + c
-        built[lab + "B"] = built.get(lab + "B", 0) - c
-    built = {lab: c for lab, c in built.items() if c}
-    m3, _ = mermin_klyshko_pair(3)
-    assert built == m3
-
-
-def _pair_recursion(n):
-    """Oracle: the (M_n, K_n) label dicts by the real pair recursion,
-    M_k = M_{k-1} (A + B) + K_{k-1} (A - B), K_k = K_{k-1} (A + B) + M_{k-1} (B - A)."""
-    m = {"A": 1}
-    k = {"B": 1}
-    for _ in range(n - 1):
-        new_m = defaultdict(int)
-        new_k = defaultdict(int)
-        for labels, c in m.items():
-            new_m[labels + "A"] += c
-            new_m[labels + "B"] += c
-            new_k[labels + "B"] += c
-            new_k[labels + "A"] -= c
-        for labels, c in k.items():
-            new_m[labels + "A"] += c
-            new_m[labels + "B"] -= c
-            new_k[labels + "A"] += c
-            new_k[labels + "B"] += c
-        m = {lab: c for lab, c in new_m.items() if c}
-        k = {lab: c for lab, c in new_k.items() if c}
-    return m, k
-
-
 @pytest.mark.parametrize("n", range(1, 13))
 def test_product_form_matches_pair_recursion(n):
-    assert mermin_klyshko_pair(n) == _pair_recursion(n)
+    m, _ = pair_recursion(n)
+    assert {labels: c for c, labels in expand_terms(n).terms} == m
 
 
 @pytest.mark.parametrize("n", range(1, 40))

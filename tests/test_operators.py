@@ -5,17 +5,15 @@ from mkbell import measurement, operators
 from mkbell.errors import CapExceeded, DimensionMismatch
 from mkbell.operators import (
     assemble_dense,
-    b_eigenbasis,
     b_rotation,
-    commutation_report,
     dense_scaled_product,
-    dense_scaled_terms,
     global_operator,
     make_A,
     make_B,
 )
 from mkbell.quantum import top_state
 from mkbell.spincore import Scenario, Spin
+from oracles import apply_term, commutation_report, dense_scaled_terms
 
 
 class TestLocalOperators:
@@ -24,19 +22,19 @@ class TestLocalOperators:
         [(1, [0.5, -0.5]), (2, [1.0, 0.0, -1.0]), (3, [1.5, 0.5, -0.5, -1.5])],
     )
     def test_make_A_diagonal(self, twice, diag):
-        mat = make_A(Spin(twice)).matrix
+        mat = make_A(Spin(twice)) / 2
         assert np.array_equal(mat, np.diag(diag))
 
     def test_make_B_half(self):
-        mat = make_B(Spin(1)).matrix
+        mat = make_B(Spin(1)) / 2
         assert np.array_equal(mat, [[0.0, 0.5], [0.5, 0.0]])
 
     def test_make_B_one(self):
-        mat = make_B(Spin(2)).matrix
+        mat = make_B(Spin(2)) / 2
         assert np.array_equal(mat, [[0, 0, 1], [0, 0, 0], [1, 0, 0]])
 
     def test_make_B_three_halves(self):
-        mat = make_B(Spin(3)).matrix
+        mat = make_B(Spin(3)) / 2
         expected = np.zeros((4, 4))
         for i, val in enumerate([1.5, 0.5, 0.5, 1.5]):
             expected[i, 3 - i] = val
@@ -46,25 +44,21 @@ class TestLocalOperators:
     def test_spectra_are_the_outcome_set(self, twice):
         spin = Spin(twice)
         outcomes = sorted(float(v) for v in spin.outcome_values())
-        for op in (make_A(spin), make_B(spin)):
-            assert np.allclose(np.linalg.eigvalsh(op.matrix), outcomes, atol=1e-12)
-            assert np.array_equal(op.matrix, op.matrix.T)
+        for mat in (make_A(spin) / 2, make_B(spin) / 2):
+            assert np.allclose(np.linalg.eigvalsh(mat), outcomes, atol=1e-12)
+            assert np.array_equal(mat, mat.T)
 
 
 class TestBEigenbasis:
     @pytest.mark.parametrize("twice", range(1, 8))
     def test_eigenpairs(self, twice):
         spin = Spin(twice)
-        B = make_B(spin).matrix
-        pairs = b_eigenbasis(spin)
-        assert len(pairs) == spin.dimension
-        seen = []
-        for value, vec in pairs:
-            lam = float(value)
-            seen.append(lam)
-            assert np.allclose(B @ vec, lam * vec, atol=1e-12)
-        assert seen == sorted(seen, reverse=True)
-        assert len(set(seen)) == spin.dimension
+        B = make_B(spin) / 2
+        rot = b_rotation(spin)
+        assert rot.shape == (spin.dimension, spin.dimension)
+        # Row i is the eigenvector for outcome s - i, in descending order.
+        for value, vec in zip(spin.outcome_values(), rot):
+            assert np.allclose(B @ vec, float(value) * vec, atol=1e-12)
 
     @pytest.mark.parametrize("twice", range(1, 8))
     def test_orthonormal(self, twice):
@@ -72,10 +66,13 @@ class TestBEigenbasis:
         assert np.allclose(rot @ rot.T, np.eye(twice + 1), atol=1e-12)
 
     def test_integer_spin_center(self):
-        pairs = b_eigenbasis(Spin(2))
-        value, vec = pairs[1]
-        assert float(value) == 0.0
-        assert np.array_equal(vec, [0.0, 1.0, 0.0])
+        assert np.array_equal(b_rotation(Spin(2))[1], [0.0, 1.0, 0.0])
+
+    def test_closed_form_rows(self):
+        r = 1.0 / np.sqrt(2.0)
+        assert np.array_equal(b_rotation(Spin(2)), [[r, 0, r], [0, 1, 0], [r, 0, -r]])
+        assert np.array_equal(b_rotation(Spin(3)), [[r, 0, 0, r], [0, r, r, 0],
+                                                    [0, r, -r, 0], [r, 0, 0, -r]])
 
 
 SMALL_SCENARIOS = [
@@ -86,8 +83,7 @@ SMALL_SCENARIOS = [
 def _dense_pair_recursion(scenario):
     """Oracle: 2**n * M_n by the real pair recursion over Kronecker products,
     M_k = M_{k-1} x (A+B) + K_{k-1} x (A-B), K_k = K_{k-1} x (A+B) + M_{k-1} x (B-A)."""
-    a = make_A(scenario.spin).twice_entries
-    b = make_B(scenario.spin).twice_entries
+    a, b = make_A(scenario.spin), make_B(scenario.spin)
     m, k = a, b
     for _ in range(scenario.n - 1):
         m, k = np.kron(m, a + b) + np.kron(k, a - b), np.kron(k, a + b) + np.kron(m, b - a)
@@ -162,11 +158,11 @@ class TestApply:
     def test_terms_expand_on_first_use(self, monkeypatch):
         # Building the operator and a matvec never expand the terms; a
         # sampled estimate expands them once.
+        assert not hasattr(operators, "expand_terms")
         calls = []
-        real = operators.expand_terms
-        for module in (operators, measurement):
-            monkeypatch.setattr(module, "expand_terms",
-                                lambda n: calls.append(n) or real(n))
+        real = measurement.expand_terms
+        monkeypatch.setattr(measurement, "expand_terms",
+                            lambda n: calls.append(n) or real(n))
         scenario = Scenario(3, Spin(2))
         op = global_operator(scenario)
         op.apply(np.ones(27))
@@ -180,9 +176,9 @@ class TestApply:
         with pytest.raises(DimensionMismatch):
             op.apply(np.ones(5))
         with pytest.raises(DimensionMismatch):
-            op.apply_term("AB", np.ones(5))
+            apply_term(op, "AB", np.ones(5))
         with pytest.raises(DimensionMismatch):
-            op.apply_term("ABA", np.ones(4))
+            apply_term(op, "ABA", np.ones(4))
 
 
 class TestCommutation:

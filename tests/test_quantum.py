@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from mkbell.errors import CapExceeded, NotConverged, NotNormalized
+from mkbell.errors import CapExceeded, NotConverged
+from mkbell.expansion import expand_terms
 from mkbell.operators import assemble_dense, global_operator
 from mkbell.quantum import (
     dense_spectrum,
-    expectation,
     largest_eigenpair,
     predicted_quantum_max,
     predicted_ratio,
@@ -14,7 +14,7 @@ from mkbell.quantum import (
     violation_ratio,
 )
 from mkbell.spincore import Scenario, Spin
-from oracles import lanczos_top
+from oracles import apply_term, lanczos_top
 
 SQRT2 = np.sqrt(2.0)
 
@@ -110,6 +110,12 @@ class TestPowerIteration:
         with pytest.raises(ValueError):
             largest_eigenpair(Scenario(2, Spin(1)), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_rejects_non_finite_tol(self, tol):
+        # NaN and infinity would pass any state through the residual check.
+        with pytest.raises(ValueError, match="finite and positive"):
+            largest_eigenpair(Scenario(2, Spin(1)), tol=tol)
+
 
 class TestLanczos:
     """The restarted Lanczos oracle against the closed-form eigenpair."""
@@ -163,29 +169,32 @@ class TestLanczos:
             assert np.isfinite(err.best_value)
 
 
+def _term_correlations(state, scenario):
+    """Each product term's correlation <state|term|state>, by label string."""
+    op = global_operator(scenario)
+    return {labels: float(state @ apply_term(op, labels, state))
+            for _, labels in expand_terms(scenario.n).terms}
+
+
 class TestExpectation:
     def test_top_state_reproduces_eigenvalue(self):
         scenario = Scenario(3, Spin(1))
         result = largest_eigenpair(scenario)
-        report = expectation(result.vector, scenario)
-        assert report.value == pytest.approx(result.value, rel=1e-8)
+        corr = _term_correlations(result.vector, scenario)
+        value = sum(c * corr[labels] for c, labels in expand_terms(3).terms)
+        assert value == pytest.approx(result.value, rel=1e-8)
 
     def test_two_party_half_per_term(self):
         scenario = Scenario(2, Spin(1))
         state = largest_eigenpair(scenario).vector
-        report = expectation(state, scenario)
-        terms = dict(report.per_term)
+        terms = _term_correlations(state, scenario)
         unit = 1.0 / (4 * SQRT2)
         assert terms["AA"] == pytest.approx(unit, abs=1e-9)
         assert terms["AB"] == pytest.approx(unit, abs=1e-9)
         assert terms["BA"] == pytest.approx(unit, abs=1e-9)
         assert terms["BB"] == pytest.approx(-unit, abs=1e-9)
-        assert report.value == pytest.approx(SQRT2 / 2, rel=1e-9)
-
-    def test_rejects_unnormalized(self):
-        scenario = Scenario(2, Spin(1))
-        with pytest.raises(NotNormalized):
-            expectation(np.ones(4), scenario)
+        value = sum(c * terms[labels] for c, labels in expand_terms(2).terms)
+        assert value == pytest.approx(SQRT2 / 2, rel=1e-9)
 
 
 class TestRatio:

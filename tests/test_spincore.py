@@ -7,6 +7,7 @@ from mkbell.classical import classical_bound
 from mkbell.errors import CapExceeded
 from mkbell.operators import global_operator
 from mkbell.spincore import Scenario, Spin
+from oracles import spectrum_contains
 
 class TestExactBound:
     def test_normalization_of_huge_powers_is_fast(self):
@@ -40,13 +41,13 @@ class TestSpin:
 
     def test_contains(self):
         spin = Spin(3)
-        assert spin.contains(Fraction(1, 2))
-        assert spin.contains(Fraction(-3, 2))
-        assert not spin.contains(Fraction(1))  # wrong parity for s=3/2
-        assert not spin.contains(1)
-        assert not spin.contains(Fraction(5, 2))
-        assert not spin.contains(Fraction(1, 4))
-        assert not spin.contains(Fraction(1, 3))
+        assert spectrum_contains(spin, Fraction(1, 2))
+        assert spectrum_contains(spin, Fraction(-3, 2))
+        assert not spectrum_contains(spin, Fraction(1))  # wrong parity for s=3/2
+        assert not spectrum_contains(spin, 1)
+        assert not spectrum_contains(spin, Fraction(5, 2))
+        assert not spectrum_contains(spin, Fraction(1, 4))
+        assert not spectrum_contains(spin, Fraction(1, 3))
 
     @pytest.mark.parametrize("text", ["1/2", "1", "3/2", "2", "5/2"])
     def test_string_round_trip(self, text):
@@ -61,6 +62,11 @@ class TestSpin:
             Spin(0)
         with pytest.raises(ValueError):
             Spin.from_string("1/3")
+
+    @pytest.mark.parametrize("text", ["1/0", "0/0", " 3/0 "])
+    def test_zero_denominator_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="zero denominator"):
+            Spin.from_string(text)
 
 
 class TestScenario:
@@ -82,3 +88,13 @@ class TestScenario:
     def test_rejects_zero_parties(self):
         with pytest.raises(ValueError):
             Scenario(0, Spin(1))
+
+    @pytest.mark.parametrize("cap", [0, -3, 2.5, "8", None])
+    def test_rejects_a_cap_below_one(self, cap):
+        with pytest.raises(ValueError, match="dim_cap must be an integer >= 1"):
+            Scenario(2, Spin(1), dim_cap=cap)
+
+    def test_smallest_cap_is_one_entry(self):
+        scenario = Scenario(1, Spin(1), dim_cap=1)
+        with pytest.raises(CapExceeded, match="exceeds cap 1$"):
+            scenario.check_entries("a state vector")
