@@ -1,9 +1,9 @@
 """Command-line interface tying the toolkit into reproducible reports.
 
 Exit codes: 0 success, 2 validation error or unwritable ``--output``, 3 cap
-exceeded (the array budget ``--dim-cap``, or digits of a printed exact
-integer), 4 numerical non-convergence (the closed-form top eigenpair fails
-its one-matvec residual check).
+exceeded (the array budget ``--dim-cap``, digits of a printed exact integer,
+or a top eigenvalue past the float range), 4 numerical non-convergence (the
+closed-form top eigenpair fails its one-matvec residual check).
 
 Only the commands that build arrays (``quantum-max``, ``ratio``, ``sample``
 and ``report``) import ``operators``, ``quantum`` and ``measurement``, and
@@ -233,28 +233,31 @@ _GRID_PART = re.compile(r"^(n|s)=(.+?)\.\.(.+)$")
 
 
 def _parse_grid(tokens):
-    n_range = None
-    s_range = None
+    ranges = {}
     for token in tokens:
         match = _GRID_PART.match(token)
         if not match:
             raise ValueError(f"bad grid token {token!r}; expected n=LO..HI or s=LO..HI")
         key, lo, hi = match.groups()
+        if key in ranges:
+            raise ValueError(f"grid gives the {key} range twice, in {token!r}")
         if key == "n":
-            n_range = values = list(range(int(lo), int(hi) + 1))
+            values = list(range(int(lo), int(hi) + 1))
         else:
             lo_t = Spin.from_string(lo).twice_spin
             hi_t = Spin.from_string(hi).twice_spin
-            s_range = values = [Spin(t) for t in range(lo_t, hi_t + 1)]
+            values = [Spin(t) for t in range(lo_t, hi_t + 1)]
         if not values:
             raise ValueError(f"empty grid range {token!r}: LO is above HI")
-    if n_range is None or s_range is None:
+        ranges[key] = values
+    if len(ranges) < 2:
         raise ValueError("grid must give both an n range and an s range")
-    return n_range, s_range
+    return ranges["n"], ranges["s"]
 
 
 def _cmd_report(args):
     from .measurement import check_distribution_budget
+    from .quantum import block_scale
 
     if args.grid:
         n_values, s_values = _parse_grid(args.grid)
@@ -263,10 +266,11 @@ def _cmd_report(args):
     dim_cap = _dim_cap(args)
     scenarios = [Scenario(n=n, spin=spin, dim_cap=dim_cap)
                  for n in n_values for spin in s_values]
-    # Every row's budget, before any row runs: its state and operator count
-    # D entries each, and its sampled estimate T * D.
+    # Every row's budget and float range, before any row runs: its state
+    # counts 2**n entries and its sampled estimate T 2**n.
     for scenario in scenarios:
         scenario.check_entries(f"a state vector of {scenario}")
+        block_scale(scenario)
         if args.sample:
             check_distribution_budget(scenario)
     rows = []
@@ -313,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_dim_cap(p):
         p.add_argument("--dim-cap", type=int, default=None, help=(
             "array budget: the most array entries the command may build "
-            f"(default {DEFAULT_DIM_CAP}, env MKBELL_DIM_CAP); a state vector "
-            "counts (2s+1)**n, sampling 4**(n//2) (2s+1)**n, expand n 2**n"))
+            f"(default {DEFAULT_DIM_CAP}, env MKBELL_DIM_CAP); at every spin a "
+            "state vector counts 2**n, sampling 4**(n//2) 2**n, expand n 2**n"))
 
     def add_common(p, dim_cap=True):
         p.add_argument("--n", type=int, required=True, help="number of parties")
@@ -375,8 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "report" and not args.grid and (args.n is None or args.spin is None):
-        parser.error("report needs either --grid or both --n and --spin")
+    if args.command == "report":
+        if args.grid and (args.n is not None or args.spin is not None):
+            parser.error("report takes either --grid or --n and --spin, not both")
+        if not args.grid and (args.n is None or args.spin is None):
+            parser.error("report needs either --grid or both --n and --spin")
     try:
         args.func(args)
     except CapExceeded as exc:

@@ -1,84 +1,83 @@
 """Projective local measurement simulation and finite-sample Bell estimates.
 
-For a fixed per-party setting choice, the joint outcome distribution follows
-the Born rule: rotate the state into each measuring party's eigenbasis
-(diagonal observable: computational basis; anti-diagonal: its analytic
-eigenbasis), then square amplitudes.  Sampling uses NumPy's PCG64 generator;
-per-term streams are derived from the base seed and the term index through
-``numpy.random.SeedSequence``, so every report is reproducible.
+The top state lives on the 2**n strings of the extreme levels +-s
+(``quantum.py`` docstring), where A and B are s sigma_z and s sigma_x.  So
+each setting context follows the spin-1/2 Born rule: rotate each party
+measuring B into B's eigenbasis, then square amplitudes.  An outcome
+product is (2s)**n times the spin-1/2 one, +-2**-n, so correlations and
+their errors are sampled at spin 1/2 and scaled by ``quantum.block_scale``.
+Sampling uses NumPy's PCG64 generator; per-term streams are derived from
+the base seed and the term index through ``numpy.random.SeedSequence``, so
+every report is reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
 from .classical import classical_bound
 from .errors import DimensionMismatch, NotNormalized
 from .expansion import expand_terms, expected_term_count
-from .operators import b_rotation
+from .quantum import block_scale
 from .spincore import Scenario, validate_labels
+
+#: Row 0 is B's eigenvector for outcome +s on the levels (+s, -s), row 1 for -s.
+_B_ROTATION = np.array([[1.0, 1.0], [1.0, -1.0]]) / sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class JointDistribution:
     """Probability table over joint outcomes for one setting choice.
 
-    ``probs`` is indexed by the mixed-radix outcome tuple (party 1 most
-    significant); local index i means outcome s - i.
+    ``probs`` has length 2**n: index bit j (party 1 most significant) is 0
+    for party j's outcome +s and 1 for -s.
     """
 
     scenario: Scenario
-    settings: str
     probs: np.ndarray
 
 
 def joint_distribution(scenario: Scenario, state: np.ndarray, settings: str) -> JointDistribution:
-    """Born-rule outcome distribution for measuring ``settings`` on ``state``."""
+    """Born-rule outcome distribution for measuring ``settings`` on ``state``,
+    a unit vector on the 2**n extreme levels (the index of ``top_state``)."""
     validate_labels(settings)
-    if len(settings) != scenario.n:
-        raise DimensionMismatch(f"settings must have length {scenario.n}")
+    n = scenario.n
+    if len(settings) != n:
+        raise DimensionMismatch(f"settings must have length {n}")
     state = np.asarray(state, dtype=np.float64)
-    D = scenario.global_dimension()
-    if state.shape != (D,):
-        raise DimensionMismatch(f"state must have length {D}, got {state.shape}")
+    if state.shape != (1 << n,):
+        raise DimensionMismatch(f"state must have length {1 << n}, got {state.shape}")
     norm = float(np.linalg.norm(state))
     if abs(norm - 1.0) > 1e-9:
         raise NotNormalized(f"state norm {norm} is not 1 within 1e-9")
-    d = scenario.local_dimension
-    rot = b_rotation(scenario.spin)
-    amps = state.reshape((d,) * scenario.n)
+    amps = state.reshape((2,) * n)
     for j, label in enumerate(settings):
         if label == "B":
-            amps = np.moveaxis(np.tensordot(rot, amps, axes=(1, j)), 0, j)
-    return JointDistribution(scenario=scenario, settings=settings,
-                             probs=(amps ** 2).reshape(-1))
+            amps = np.moveaxis(np.tensordot(_B_ROTATION, amps, axes=(1, j)), 0, j)
+    return JointDistribution(scenario=scenario, probs=(amps ** 2).reshape(-1))
 
 
 @dataclass(frozen=True)
 class SampleReport:
     """Finite-sample estimate of one correlation.
 
-    ``outcome_counts`` is the multinomial count per global outcome index
+    ``outcome_counts`` is the multinomial count per joint outcome index
     (the index convention of ``JointDistribution.probs``).
     """
 
-    scenario: Scenario
     outcome_counts: np.ndarray
-    shots: int
     correlation_mean: float
     correlation_stderr: float
-    seed: object
 
 
-def _outcome_products(scenario: Scenario):
-    """Product m_1 ... m_n for every global outcome index."""
-    d = scenario.local_dimension
-    vals = np.array(scenario.spin.twice_outcomes(), dtype=np.float64) / 2.0
+def _outcome_products(n: int) -> np.ndarray:
+    """Product of the spin-1/2 outcomes +-1/2 for every joint outcome index."""
     prod = np.ones(1)
-    for _ in range(scenario.n):
-        prod = np.multiply.outer(prod, vals).reshape(-1)
+    for _ in range(n):
+        prod = np.multiply.outer(prod, [0.5, -0.5]).reshape(-1)
     return prod
 
 
@@ -86,20 +85,23 @@ def sample_outcomes(dist: JointDistribution, shots: int, seed) -> SampleReport:
     """Draw i.i.d. outcome tuples and estimate the correlation.
 
     The multinomial count vector is drawn in one call (identical in law to
-    sequential draws) from ``default_rng(seed)``.  The standard error uses
-    the plug-in sample variance of the outcome product.
+    sequential draws) from ``default_rng(seed)``, with the probabilities
+    normalised over their 2**n entries.  The standard error uses the plug-in
+    sample variance of the spin-1/2 outcome product; mean and error are then
+    scaled by (2s)**n.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     rng = np.random.default_rng(seed)
     probs = dist.probs / dist.probs.sum()  # guard against 1e-16 drift
     counts = rng.multinomial(shots, probs)
-    products = _outcome_products(dist.scenario)
+    products = _outcome_products(dist.scenario.n)
     mean = float(counts @ products) / shots
     second = float(counts @ products ** 2) / shots
     stderr = float(np.sqrt(max(second - mean * mean, 0.0) / shots))
-    return SampleReport(scenario=dist.scenario, outcome_counts=counts, shots=shots,
-                        correlation_mean=mean, correlation_stderr=stderr, seed=seed)
+    scale = block_scale(dist.scenario)
+    return SampleReport(outcome_counts=counts, correlation_mean=scale * mean,
+                        correlation_stderr=scale * stderr)
 
 
 @dataclass(frozen=True)
@@ -109,16 +111,14 @@ class BellEstimate:
     value: float
     stderr: float
     per_term: tuple[tuple[str, float, float], ...]  # (labels, mean, stderr)
-    shots_per_setting: int
-    seed: int
 
 
 def check_distribution_budget(scenario: Scenario) -> None:
-    """Raise CapExceeded unless the T outcome distributions of length D that
-    ``estimate_bell_value`` builds, T D entries, fit the array budget."""
+    """Raise CapExceeded unless the T outcome distributions of length 2**n
+    that ``estimate_bell_value`` builds, T 2**n entries, fit the array budget."""
     scenario.check_entries(
         f"the outcome distributions of {scenario}",
-        lambda: expected_term_count(scenario.n) * scenario.global_dimension())
+        lambda: expected_term_count(scenario.n) << scenario.n)
 
 
 def estimate_bell_value(scenario: Scenario, state: np.ndarray, shots_per_setting: int,
@@ -127,10 +127,12 @@ def estimate_bell_value(scenario: Scenario, state: np.ndarray, shots_per_setting
 
     Term t uses the stream seeded by SeedSequence([seed, t]); the combined
     standard error is the root sum of squares of coefficient-weighted
-    per-term errors.  The budget is checked before the first distribution
-    is built (``check_distribution_budget``).
+    per-term errors, summed at spin 1/2 and scaled once by (2s)**n, so that
+    no square leaves the float range.  The budget is checked before the
+    first distribution is built (``check_distribution_budget``).
     """
     check_distribution_budget(scenario)
+    scale = block_scale(scenario)
     per_term = []
     value = 0.0
     var = 0.0
@@ -139,10 +141,9 @@ def estimate_bell_value(scenario: Scenario, state: np.ndarray, shots_per_setting
         report = sample_outcomes(dist, shots_per_setting, np.random.SeedSequence([seed, t]))
         per_term.append((labels, report.correlation_mean, report.correlation_stderr))
         value += coeff * report.correlation_mean
-        var += (coeff * report.correlation_stderr) ** 2
-    return BellEstimate(value=value, stderr=float(np.sqrt(var)),
-                        per_term=tuple(per_term),
-                        shots_per_setting=shots_per_setting, seed=seed)
+        var += (coeff * report.correlation_stderr / scale) ** 2
+    return BellEstimate(value=value, stderr=scale * float(np.sqrt(var)),
+                        per_term=tuple(per_term))
 
 
 def violation_sigmas(scenario: Scenario, estimate: BellEstimate) -> float:

@@ -1,4 +1,5 @@
-"""Local observables, B's eigenbasis, and the assembled global operator.
+"""Local observables, the matrix-free operator on the extreme block, and
+the dense operator.
 
 Matrix entries are half-integers, held as twice-entry integers until the
 float conversion boundary.  All dyadic values at desk scale are exactly
@@ -9,24 +10,28 @@ can be compared entrywise for exact equality.
 Tensor index convention: party 1 is the most significant digit of the
 mixed-radix global index.  This is fixed here and used everywhere.
 
-Both the matvec and ``dense_scaled_product`` evaluate the product form
-M_n = Re[(1 - i)^(n-1) (A + iB) x ... x (A + iB)] derived in
-``expansion.py``: the matvec applies A + iB to one party of a complex state
-at a time, so it costs O(n D) rather than O(T n D) over the
-T = 4**(n // 2) product terms, and the dense path multiplies out the
+On the extreme levels +-s, where the top eigenvector lies, the spin-s
+operator is (2s)**n times the spin-1/2 one (``quantum.py`` docstring), so
+the commands build only the spin-1/2 operator, on 2**n entries at any spin.
+Its matvec applies the product form
+M_n = Re[(1 - i)^(n-1) (A + iB) x ... x (A + iB)] of ``expansion.py`` to
+one party of a complex state at a time, in O(n 2**n) rather than over the
+T = 4**(n // 2) product terms.  The dense path multiplies out the spin-s
 Kronecker product in Gaussian integers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import sqrt
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch
 from .expansion import prefactor
 from .spincore import Scenario, Spin
+
+#: A's diagonal at spin 1/2, as a (2, 1) column; B = sigma_x / 2 swaps the levels.
+_HALF_A = np.array([[0.5], [-0.5]])
 
 
 def _twice_diagonals(spin: Spin) -> tuple[np.ndarray, np.ndarray]:
@@ -49,68 +54,38 @@ def make_B(spin: Spin) -> np.ndarray:
     return np.diag(_twice_diagonals(spin)[1])[:, ::-1].copy()
 
 
-def b_rotation(spin: Spin) -> np.ndarray:
-    """Orthogonal matrix whose row i is B's eigenvector for outcome s - i.
-
-    B swaps levels i and d-1-i with entry |s - i|, so row i is
-    (e_i + e_{d-1-i})/sqrt(2) for s - i > 0, (e_{d-1-i} - e_i)/sqrt(2) for
-    s - i < 0, and e_i on the middle level of integer s.
-    """
-    twice_a, _ = _twice_diagonals(spin)
-    d = spin.dimension
-    inv_sqrt2 = 1.0 / sqrt(2.0)
-    rot = np.zeros((d, d))
-    for i, twice in enumerate(twice_a):
-        if twice == 0:
-            rot[i, i] = 1.0
-        else:
-            rot[i, d - 1 - i] = inv_sqrt2
-            rot[i, i] = inv_sqrt2 if twice > 0 else -inv_sqrt2
-    return rot
-
-
 @dataclass
 class GlobalOperator:
-    """The assembled n-party Bell operator, matrix-free.
+    """The spin-1/2 Bell operator on the 2**n extreme levels, matrix-free.
 
-    ``apply`` multiplies the state tensor by the product form party by party
-    without materializing the matrix; ``assemble_dense`` builds the matrix.
+    Index bit j (party 1 most significant) is party j's level: 0 for +s,
+    1 for -s.  ``apply`` multiplies by the product form party by party
+    without materializing the matrix.
     """
 
     scenario: Scenario
-    _diag_vals: np.ndarray = field(repr=False)  # (d, 1): A's diagonal
-    _anti_vals: np.ndarray = field(repr=False)  # (d, 1): B's entry on row i
-
-    def _vector(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.scenario.global_dimension(),):
-            raise DimensionMismatch(
-                f"expected vector of length {self.scenario.global_dimension()}, "
-                f"got shape {v.shape}"
-            )
-        return v
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Matrix-free matvec M @ v = Re[(1 - i)^(n-1) (A + iB) x ... x (A + iB) v]."""
-        z = self._vector(v).astype(np.complex128)
-        d, a, ib = self.scenario.local_dimension, self._diag_vals, 1j * self._anti_vals
-        for j in range(self.scenario.n):  # in place: two complex D-arrays per step
-            z = z.reshape(d ** j, d, -1)
-            flipped = ib * z[:, ::-1]
-            z *= a
+        n = self.scenario.n
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (1 << n,):
+            raise DimensionMismatch(f"expected vector of length {1 << n}, got shape {v.shape}")
+        z = v.astype(np.complex128)
+        for j in range(n):  # in place: two complex 2**n-arrays per step
+            z = z.reshape(1 << j, 2, -1)
+            flipped = 0.5j * z[:, ::-1]
+            z *= _HALF_A
             z += flipped
             del flipped  # freed before the next step allocates its own
-        re, im = prefactor(self.scenario.n)
+        re, im = prefactor(n)
         return (re * z.real - im * z.imag).reshape(-1)
 
 
 def global_operator(scenario: Scenario) -> GlobalOperator:
-    """The matrix-free operator, once a state vector (D entries) is within the cap."""
+    """The matrix-free operator, once a state vector (2**n entries) is within the cap."""
     scenario.check_entries(f"a state vector of {scenario}")
-    twice_a, twice_b = _twice_diagonals(scenario.spin)
-    d = scenario.local_dimension
-    return GlobalOperator(scenario, (twice_a / 2.0).reshape(d, 1),
-                          (twice_b / 2.0).reshape(d, 1))
+    return GlobalOperator(scenario)
 
 
 def dense_scaled_product(scenario: Scenario) -> np.ndarray:

@@ -39,10 +39,12 @@ has amplitude
 
     x_b = 2**((1-n)/2) cos(pi (4b - n + 1) / 8),
 
-and every other amplitude is zero.  ``top_state`` builds x in O(D), and
-``largest_eigenpair`` certifies it with one matvec: lam = x.Mx, and the true
-residual ||Mx - lam x|| must be at most tol * max(1, |lam|), or
-NotConverged is raised.  A wrong state or a wrong operator fails this check.
+and every other amplitude is zero.  So the commands never leave the
+extreme block: ``top_state`` builds x on its 2**n entries, and
+``largest_eigenpair`` certifies it with one spin-1/2 matvec:
+lam = (2s)**n x.M^(1/2)x, and the true residual, scaled alike, must be at
+most tol * max(1, |lam|), or NotConverged is raised.  A wrong state or a
+wrong operator fails this check.
 
 **Gap.**  For n >= 2 the next eigenvalue is the largest of
 (2s)**(n-1) (2s - 2) q (the next largest block scale, s >= 3/2) and 0 (a
@@ -52,12 +54,13 @@ For n = 1, M_1 = A, whose levels are 1 apart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classical import classical_max
-from .errors import NotConverged
+from .errors import CapExceeded, NotConverged
 from .operators import GlobalOperator, assemble_dense, global_operator
 from .spincore import Scenario
 
@@ -66,6 +69,20 @@ def predicted_quantum_max(scenario: Scenario) -> float:
     """The greatest eigenvalue formula 2**(3(n-1)/2) * s**n."""
     s = scenario.spin.twice_spin / 2.0
     return 2.0 ** (1.5 * (scenario.n - 1)) * s ** scenario.n
+
+
+def block_scale(scenario: Scenario) -> float:
+    """(2s)**n, the one factor from the spin-1/2 operator to the spin-s one on
+    the extreme block; raises CapExceeded when it or the top eigenvalue
+    2**(3(n-1)/2) s**n is not a finite float."""
+    try:
+        scale = float(scenario.spin.twice_spin) ** scenario.n  # raises past the range
+        top = predicted_quantum_max(scenario)
+    except OverflowError:
+        top = math.inf
+    if math.isinf(top):
+        raise CapExceeded(f"the top eigenvalue of {scenario} is past the float range")
+    return scale
 
 
 def predicted_ratio(n: int) -> float:
@@ -102,35 +119,38 @@ def dense_spectrum(scenario: Scenario) -> SpectrumReport:
 
 
 def top_state(scenario: Scenario) -> np.ndarray:
-    """The unit top eigenvector: the multilevel GHZ state of the module docstring."""
+    """The unit top eigenvector on the extreme block, the multilevel GHZ state
+    of the module docstring: index bit j is party j's level, 0 for +s and 1
+    for -s."""
     scenario.check_entries(f"a state vector of {scenario}")
-    n, d = scenario.n, scenario.local_dimension
+    n = scenario.n
     b = np.zeros((), dtype=np.uint8)
-    for _ in range(n):  # b mod 4 on the extreme strings, b = parties at -s
+    for _ in range(n):  # b mod 4, b = parties at -s
         b = np.add.outer(b, np.array([0, 1], dtype=np.uint8)) % 4
     amps = 2.0 ** ((1 - n) / 2) * np.cos(np.pi * (4 * np.arange(4) - n + 1) / 8)
-    state = np.zeros((d,) * n)
-    state[(slice(None, None, d - 1),) * n] = amps[b]  # levels +s and -s of every party
-    return state.reshape(-1)
+    return amps[b].reshape(-1)
 
 
 def largest_eigenpair(scenario: Scenario, tol: float = 1e-9,
                       operator: GlobalOperator | None = None) -> EigenResult:
     """The closed-form top eigenpair, certified by one matvec.
 
-    Returns ``top_state`` with lam = x.Mx once the true residual
-    ||Mx - lam x|| is at most tol * max(1, |lam|); raises NotConverged,
-    carrying lam and the residual, otherwise.  ``iterations`` is the one
-    matvec.  A ``tol`` that is not finite and positive raises ValueError:
-    with NaN or infinity the check would pass any state.
+    Returns ``top_state`` with lam = (2s)**n x.Mx, M the spin-1/2 operator,
+    once the true residual (2s)**n ||Mx - x.Mx x|| is at most
+    tol * max(1, |lam|); raises NotConverged, carrying both, otherwise.
+    ``iterations`` is the one matvec.  A ``tol`` that is not finite and
+    positive raises ValueError: with NaN or infinity the check would pass
+    any state.
     """
     if not 0 < tol < float("inf"):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     op = operator if operator is not None else global_operator(scenario)
+    scale = block_scale(scenario)
     x = top_state(scenario)
     w = op.apply(x)
-    value = float(x @ w)
-    residual = float(np.linalg.norm(w - value * x))
+    half = float(x @ w)
+    value = scale * half
+    residual = scale * float(np.linalg.norm(w - half * x))
     if residual > tol * max(1.0, abs(value)):
         raise NotConverged(
             f"the closed-form top state of {scenario} has residual {residual:.3e}, "

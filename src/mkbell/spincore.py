@@ -16,10 +16,10 @@ from .errors import CapExceeded
 
 #: Default array budget: the total number of entries a path may build, as
 #: counted by that path and enforced by ``Scenario.check_entries``.  With
-#: D = (2s+1)**n and T = 4**(n//2) terms, a state vector counts D, a dense
-#: matrix D**2, a sampled estimate T D, the expansion n 2**n letters and,
-#: among the test oracles, the commutation report T D**2 and the enumeration
-#: 2n per strategy.
+#: T = 4**(n//2) terms and at any spin, a state vector counts 2**n, a sampled
+#: estimate T 2**n and the expansion n 2**n letters; with D = (2s+1)**n, a
+#: dense matrix D**2 and, among the test oracles, a full-space state D, the
+#: commutation report T D**2 and the enumeration 2n per strategy.
 DEFAULT_DIM_CAP = 1 << 24
 
 #: The two observable labels, in canonical order.
@@ -55,10 +55,6 @@ class Spin:
         """s itself, exactly."""
         return Fraction(self.twice_spin, 2)
 
-    def outcome_values(self) -> list[Fraction]:
-        """The descending outcome list s, s-1, ..., -s."""
-        return [Fraction(t, 2) for t in self.twice_outcomes()]
-
     def twice_outcomes(self) -> list[int]:
         """Outcomes as twice-value integers, descending 2s, 2s-2, ..., -2s."""
         return [self.twice_spin - 2 * i for i in range(self.dimension)]
@@ -92,26 +88,23 @@ class Scenario:
         if not isinstance(self.dim_cap, int) or self.dim_cap < 1:
             raise ValueError(f"dim_cap must be an integer >= 1, got {self.dim_cap!r}")
 
-    @property
-    def local_dimension(self) -> int:
-        return self.spin.dimension
-
     def global_dimension(self) -> int:
+        """The full space's dimension (2s+1)**n, which only the dense path builds."""
         return self.spin.dimension ** self.n
 
     def check_entries(self, what: str, entries=None) -> None:
         """Raise CapExceeded, before anything is allocated, when ``what``
         would hold more than ``dim_cap`` array entries in all.
 
-        ``entries()`` counts them (default: the global dimension, one state
-        vector).  Every count is at least 2**n, so once n reaches the cap's
-        bit length this raises before any count such as (2s+1)**n is formed.
+        ``entries()`` counts them (default: 2**n, one state vector).  Every
+        count is at least 2**n, so once n reaches the cap's bit length this
+        raises before any count such as (2s+1)**n is formed.
         """
         cap = self.dim_cap
         if self.n >= cap.bit_length():
             count = f"at least 2**{self.n}"
         else:
-            count = (entries or self.global_dimension)()
+            count = entries() if entries else 1 << self.n
             if count <= cap:
                 return
         raise CapExceeded(f"{what} would hold {count} entries, which exceeds cap {cap}")

@@ -28,13 +28,23 @@ evaluates one strategy by the pair recursion, ``value_from_terms`` on the
 expanded terms instead, and ``lhv_sample``, the classical control of the
 simulated experiment, averages sampled strategies.
 
+The full-space oracle is the spin-s operator on all D = (2s+1)**n levels,
+which the commands replace by (2s)**n times the spin-1/2 operator on the
+2**n extreme levels: ``full_space_operator`` is the d-level matvec,
+``extreme_indices`` locates the extreme levels in the full space, ``embed``
+places a 2**n block state, such as ``top_state``, there, ``b_rotation`` is
+B's eigenbasis at every level and ``full_space_distribution`` the Born rule
+over all D joint outcomes.  ``predicted_correlation`` is each product
+term's correlation in the top state, in closed form.
+
 The term-level oracles work one product term at a time: ``pair_recursion``
 expands the real pair recursion (M_n, K_n) on label strings,
 ``dense_scaled_terms`` sums the expansion's dense product terms,
 ``term_matrix`` and ``apply_term`` give one term as a matrix and as a
 matvec, ``commutation_report`` checks the terms pairwise for commutation,
-and ``correlation`` is a Born-rule distribution's exact correlation.  Each
-dense oracle counts its entries against the scenario's array budget.
+and ``correlation`` is a full-space Born-rule distribution's exact
+correlation.  Each dense or full-space oracle counts its entries against
+the scenario's array budget.
 """
 
 from __future__ import annotations
@@ -42,14 +52,15 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import sqrt
 
 import numpy as np
 
 from mkbell.classical import ClassicalResult, Strategy, strategy_count
 from mkbell.errors import DimensionMismatch, MkBellError, NotConverged
-from mkbell.expansion import expand_terms, expected_term_count, pair_step
+from mkbell.expansion import expand_terms, expected_term_count, pair_step, prefactor
 from mkbell.measurement import JointDistribution
-from mkbell.operators import GlobalOperator, assemble_dense, global_operator, make_A, make_B
+from mkbell.operators import _twice_diagonals, assemble_dense, make_A, make_B
 from mkbell.quantum import EigenResult
 from mkbell.spincore import LABEL_A, LABEL_B, Scenario, Spin, validate_labels
 
@@ -63,9 +74,113 @@ START_SEED = 0x5EED
 BREAKDOWN = 1e-12
 
 
+@dataclass
+class FullSpaceOperator:
+    """The Bell operator on the full space of D = (2s+1)**n entries,
+    matrix-free: the product form applied party by party with the spin-s A
+    and B (index convention of ``mkbell.operators``)."""
+
+    scenario: Scenario
+    diag: np.ndarray  # (d, 1): A's diagonal
+    anti: np.ndarray  # (d, 1): B's entry on row i, in column d-1-i
+
+    def vector(self, v) -> np.ndarray:
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (self.scenario.global_dimension(),):
+            raise DimensionMismatch(
+                f"expected vector of length {self.scenario.global_dimension()}, "
+                f"got shape {v.shape}"
+            )
+        return v
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """M @ v = Re[(1 - i)^(n-1) (A + iB) x ... x (A + iB) v]."""
+        z = self.vector(v).astype(np.complex128)
+        d, a, ib = self.scenario.spin.dimension, self.diag, 1j * self.anti
+        for j in range(self.scenario.n):  # in place: two complex D-arrays per step
+            z = z.reshape(d ** j, d, -1)
+            flipped = ib * z[:, ::-1]
+            z *= a
+            z += flipped
+            del flipped
+        re, im = prefactor(self.scenario.n)
+        return (re * z.real - im * z.imag).reshape(-1)
+
+
+def full_space_operator(scenario: Scenario) -> FullSpaceOperator:
+    """The full-space matvec, once a state vector (D entries) is within the cap."""
+    scenario.check_entries(f"a full-space state vector of {scenario}",
+                           scenario.global_dimension)
+    twice_a, twice_b = _twice_diagonals(scenario.spin)
+    d = scenario.spin.dimension
+    return FullSpaceOperator(scenario, (twice_a / 2.0).reshape(d, 1),
+                             (twice_b / 2.0).reshape(d, 1))
+
+
+def extreme_indices(scenario: Scenario) -> np.ndarray:
+    """The full-space index of each of the 2**n strings of extreme levels, in
+    the block's order: index bit j is 0 for party j's level +s, 1 for -s."""
+    d = scenario.spin.dimension
+    idx = np.zeros(1, dtype=np.int64)
+    for _ in range(scenario.n):
+        idx = (idx[:, None] * d + np.array([0, d - 1])).reshape(-1)
+    return idx
+
+
+def embed(scenario: Scenario, x: np.ndarray) -> np.ndarray:
+    """The 2**n block vector ``x`` on the extreme levels of the full space
+    of D entries, zero elsewhere."""
+    scenario.check_entries(f"a full-space state vector of {scenario}",
+                           scenario.global_dimension)
+    state = np.zeros(scenario.global_dimension())
+    state[extreme_indices(scenario)] = x
+    return state
+
+
+def b_rotation(spin: Spin) -> np.ndarray:
+    """Orthogonal matrix whose row i is B's eigenvector for outcome s - i.
+
+    B swaps levels i and d-1-i with entry |s - i|, so row i is
+    (e_i + e_{d-1-i})/sqrt(2) for s - i > 0, (e_{d-1-i} - e_i)/sqrt(2) for
+    s - i < 0, and e_i on the middle level of integer s.
+    """
+    twice_a, _ = _twice_diagonals(spin)
+    d = spin.dimension
+    inv_sqrt2 = 1.0 / sqrt(2.0)
+    rot = np.zeros((d, d))
+    for i, twice in enumerate(twice_a):
+        if twice == 0:
+            rot[i, i] = 1.0
+        else:
+            rot[i, d - 1 - i] = inv_sqrt2
+            rot[i, i] = inv_sqrt2 if twice > 0 else -inv_sqrt2
+    return rot
+
+
+def full_space_distribution(scenario: Scenario, state: np.ndarray,
+                            settings: str) -> JointDistribution:
+    """The Born rule on the full space: ``probs`` over the D joint outcomes,
+    mixed-radix with local index i for outcome s - i."""
+    validate_labels(settings)
+    if len(settings) != scenario.n:
+        raise DimensionMismatch(f"settings must have length {scenario.n}")
+    state = np.asarray(state, dtype=np.float64)
+    D = scenario.global_dimension()
+    if state.shape != (D,):
+        raise DimensionMismatch(f"state must have length {D}, got {state.shape}")
+    d = scenario.spin.dimension
+    rot = b_rotation(scenario.spin)
+    amps = state.reshape((d,) * scenario.n)
+    for j, label in enumerate(settings):
+        if label == "B":
+            amps = np.moveaxis(np.tensordot(rot, amps, axes=(1, j)), 0, j)
+    return JointDistribution(scenario=scenario, probs=(amps ** 2).reshape(-1))
+
+
 def lanczos_top(scenario: Scenario, tol: float = 1e-9, max_iter: int = 100_000,
-                operator: GlobalOperator | None = None) -> EigenResult:
-    """Largest eigenvalue and unit eigenvector by restarted Lanczos.
+                operator: FullSpaceOperator | None = None) -> EigenResult:
+    """Largest eigenvalue and unit eigenvector by restarted Lanczos on the
+    full space.
 
     ``max_iter`` is the budget of matvecs and ``iterations`` the number
     used.  Returns once the true residual ||Mx - lam x|| is at most
@@ -74,7 +189,7 @@ def lanczos_top(scenario: Scenario, tol: float = 1e-9, max_iter: int = 100_000,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    op = operator if operator is not None else global_operator(scenario)
+    op = operator if operator is not None else full_space_operator(scenario)
     D = scenario.global_dimension()
     rows = min(KRYLOV_ROWS, D)
     basis = np.empty((rows, D))
@@ -324,7 +439,7 @@ def dense_scaled_terms(scenario: Scenario) -> np.ndarray:
     scenario.check_entries(f"a dense matrix of {scenario}",
                            lambda: scenario.global_dimension() ** 2)
     expansion = expand_terms(scenario.n)
-    d = scenario.local_dimension
+    d = scenario.spin.dimension
     local = {}
     for label, twice in ((LABEL_A, make_A(scenario.spin)), (LABEL_B, make_B(scenario.spin))):
         assert (np.count_nonzero(twice, axis=1) <= 1).all()
@@ -358,16 +473,16 @@ def term_matrix(scenario: Scenario, labels: str) -> np.ndarray:
     return factor.astype(np.float64) / float(1 << scenario.n)
 
 
-def apply_term(op: GlobalOperator, labels: str, v: np.ndarray) -> np.ndarray:
-    """Matvec of a single unit-coefficient product term."""
+def apply_term(op: FullSpaceOperator, labels: str, v: np.ndarray) -> np.ndarray:
+    """Matvec of a single unit-coefficient product term on the full space."""
     validate_labels(labels)
     if len(labels) != op.scenario.n:
         raise DimensionMismatch("term labels or vector do not match the scenario")
-    w = op._vector(v)
-    d = op.scenario.local_dimension
+    w = op.vector(v)
+    d = op.scenario.spin.dimension
     for j, ch in enumerate(labels):
         w = w.reshape(d ** j, d, -1)
-        w = op._anti_vals * w[:, ::-1] if ch == LABEL_B else op._diag_vals * w
+        w = op.anti * w[:, ::-1] if ch == LABEL_B else op.diag * w
     return w.reshape(-1)
 
 
@@ -406,10 +521,26 @@ def commutation_report(scenario: Scenario, tol: float = 1e-12) -> CommutationRep
 
 
 def correlation(dist: JointDistribution) -> float:
-    """Exact correlation sum_m m_1 ... m_n P(m_1, ..., m_n)."""
-    d = dist.scenario.local_dimension
+    """Exact correlation sum_m m_1 ... m_n P(m_1, ..., m_n) of a full-space
+    distribution (``full_space_distribution``)."""
+    d = dist.scenario.spin.dimension
     vals = np.array(dist.scenario.spin.twice_outcomes(), dtype=np.float64) / 2.0
     acc = dist.probs.reshape((d,) * dist.scenario.n)
     for _ in range(dist.scenario.n):
         acc = np.tensordot(vals, acc, axes=(0, 0))
     return float(acc)
+
+
+def predicted_correlation(n: int, s: float, labels: str) -> float:
+    """The top state's correlation s**n cos(b pi/2 - pi (n-1)/4) for a product
+    term with b letters B.
+
+    On the extreme levels A = s sigma_z and B = s sigma_x, and for
+    v = (1, i) sigma_z v = v-bar and sigma_x v = i v-bar.  So a term O with
+    b letters B maps u = (x)_j v / sqrt(2) to O u = s**n i**b u-bar.  The top
+    state is x = (w + w-bar) / sqrt(2) with w = e^(i theta/2) u and
+    theta = -pi (n-1)/4 (``mkbell.quantum`` docstring), and u^T u = 0 kills
+    the cross terms: x^T O x = Re(e^(i theta) s**n i**b) (w-bar^T w = 1).
+    """
+    b = labels.count(LABEL_B)
+    return s ** n * np.cos(b * np.pi / 2 - np.pi * (n - 1) / 4)

@@ -11,7 +11,12 @@ conftest.py).  Tolerances are pinned in-line:
     there, use 1e-7 relative;
   * ratio and scaling-law checks use 1e-8;
   * Born-rule consistency uses 1e-10 absolute;
-  * statistical checks use 5 standard errors at 10**6 total shots.
+  * the extreme block of the dense operator is (2s)**n times the spin-1/2
+    operator exactly, and the sum of the predicted term correlations is the
+    closed-form maximum at 1e-12 relative;
+  * statistical checks use 5 standard errors at 10**6 total shots, and 6
+    for each of the many sampled terms (1e-6 absolute where a term has no
+    spread).
 """
 
 import functools
@@ -21,8 +26,8 @@ import numpy as np
 
 from mkbell.classical import classical_bound, classical_max
 from mkbell.expansion import expand_terms, expected_term_count
-from mkbell.measurement import estimate_bell_value, joint_distribution, violation_sigmas
-from mkbell.operators import assemble_dense, dense_scaled_product, global_operator
+from mkbell.measurement import estimate_bell_value, violation_sigmas
+from mkbell.operators import assemble_dense, dense_scaled_product
 from mkbell.quantum import (
     dense_spectrum,
     largest_eigenpair,
@@ -40,9 +45,14 @@ from oracles import (
     commutation_report,
     correlation,
     dense_scaled_terms,
+    embed,
+    extreme_indices,
+    full_space_distribution,
+    full_space_operator,
     lanczos_top,
     lhv_sample,
     pair_recursion,
+    predicted_correlation,
     strategy_value,
 )
 
@@ -100,8 +110,8 @@ def test_top_eigenvalue_matches_closed_form():
         assert report.degeneracy_of_top == 1, (n, twice)
         # With a simple top, a small residual at the top value pins the vector;
         # the matvec equals the dense product (test_construction_paths_agree).
-        x = top_state(scenario)
-        residual = global_operator(scenario).apply(x) - report.top_value * x
+        x = embed(scenario, top_state(scenario))
+        residual = full_space_operator(scenario).apply(x) - report.top_value * x
         assert np.linalg.norm(residual) <= 1e-12 * report.top_value, (n, twice)
     for n, twice in MATRIX_FREE_CASES:
         scenario = Scenario(n, Spin(twice))
@@ -126,6 +136,21 @@ def test_block_spectrum_matches_dense_oracle():
         assert np.max(np.abs(blocks - dense.eigenvalues)) <= 1e-12 * scale, (n, twice)
         dense_gap = dense.eigenvalues[-1] - dense.eigenvalues[-2]
         assert abs(spectral_gap(scenario) - dense_gap) <= 1e-12 * scale, (n, twice)
+
+
+def test_extreme_block_is_scaled_spin_half():
+    """The premise of the block path: on the extreme levels +-s the dense
+    operator equals (2s)**n times the spin-1/2 operator, and it has no entry
+    between them and the other levels, exactly, on the dense grid."""
+    for n, twice in DENSE_GRID:
+        scenario = Scenario(n, Spin(twice))
+        dense = assemble_dense(scenario)
+        block = extreme_indices(scenario)
+        rest = np.setdiff1d(np.arange(scenario.global_dimension()), block)
+        half = assemble_dense(Scenario(n, Spin(1)))
+        assert np.array_equal(dense[np.ix_(block, block)], twice ** n * half), (n, twice)
+        assert not dense[np.ix_(block, rest)].any(), (n, twice)
+        assert not dense[np.ix_(rest, block)].any(), (n, twice)
 
 
 def test_spin_half_spectrum_has_rank_two():
@@ -201,7 +226,7 @@ def test_construction_paths_agree():
         assert np.array_equal(
             dense_scaled_product(scenario), dense_scaled_terms(scenario)
         ), (n, twice)
-        op = global_operator(scenario)
+        op = full_space_operator(scenario)
         dense = assemble_dense(scenario)
         rng = np.random.default_rng(1000 * n + twice)
         for _ in range(100):
@@ -219,13 +244,13 @@ def test_born_rule_consistent_with_operator_expectations():
     cases = [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)]
     for n, twice in cases:
         scenario = Scenario(n, Spin(twice))
-        op = global_operator(scenario)
+        op = full_space_operator(scenario)
         rng = np.random.default_rng(77 * n + twice)
         for _ in range(3):
             state = rng.standard_normal(scenario.global_dimension())
             state /= np.linalg.norm(state)
             for settings in map("".join, itertools.product("AB", repeat=n)):
-                born = correlation(joint_distribution(scenario, state, settings))
+                born = correlation(full_space_distribution(scenario, state, settings))
                 operator_value = float(state @ apply_term(op, settings, state))
                 assert abs(born - operator_value) <= 1e-10, (n, twice, settings)
 
@@ -248,3 +273,26 @@ def test_simulated_experiment_shows_statistical_violation():
         control = lhv_sample(scenario, total_shots, seed)
         margin = control.mean - float(classical_bound(scenario))
         assert margin / control.stderr < 5, (n, twice)
+
+
+def test_every_sampled_term_matches_its_prediction():
+    """Each sampled term's correlation lies within 6 standard errors of
+    s**n cos(b pi/2 - pi (n-1)/4), b the letters B (1e-6 absolute where its
+    standard error is 0, at odd n), for n = 2..5 and 2s in {1, 3, 5}, so
+    per-term errors cannot cancel in the sum; and the coefficients weight
+    the predictions to the closed-form maximum at 1e-12 relative."""
+    total_shots = 10 ** 6
+    for n in range(2, 6):
+        for twice in (1, 3, 5):
+            scenario = Scenario(n, Spin(twice))
+            s = twice / 2
+            estimate = estimate_bell_value(scenario, top_state(scenario),
+                                           total_shots // expected_term_count(n), seed=42)
+            terms = expand_terms(n).terms
+            for (_, labels), (sampled, mean, stderr) in zip(terms, estimate.per_term):
+                assert sampled == labels
+                miss = abs(mean - predicted_correlation(n, s, labels))
+                assert miss <= (6 * stderr if stderr > 0 else 1e-6), (n, twice, labels)
+            total = sum(c * predicted_correlation(n, s, labels) for c, labels in terms)
+            predicted = predicted_quantum_max(scenario)
+            assert abs(total - predicted) <= 1e-12 * predicted, (n, twice)

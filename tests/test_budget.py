@@ -15,14 +15,18 @@ from oracles import (
     classical_max_enumerated,
     commutation_report,
     dense_scaled_terms,
+    embed,
+    full_space_operator,
     term_matrix,
 )
 
 #: (path, call on a scenario and its top state, entries as a function of n,
 #: D and T = 4**(n//2)).
 PATHS = [
-    ("global_operator", lambda sc, x: global_operator(sc), lambda n, D, T: D),
-    ("top_state", lambda sc, x: top_state(sc), lambda n, D, T: D),
+    ("global_operator", lambda sc, x: global_operator(sc), lambda n, D, T: 2 ** n),
+    ("top_state", lambda sc, x: top_state(sc), lambda n, D, T: 2 ** n),
+    ("full_space_operator", lambda sc, x: full_space_operator(sc), lambda n, D, T: D),
+    ("embed", lambda sc, x: embed(sc, x), lambda n, D, T: D),
     ("assemble_dense", lambda sc, x: assemble_dense(sc), lambda n, D, T: D * D),
     ("dense_scaled_product", lambda sc, x: dense_scaled_product(sc), lambda n, D, T: D * D),
     ("dense_scaled_terms", lambda sc, x: dense_scaled_terms(sc), lambda n, D, T: D * D),
@@ -35,7 +39,7 @@ PATHS = [
      lambda sc, x: classical_max_enumerated(sc, extremal_only=False),
      lambda n, D, T: 2 * n * D * D),
     ("estimate_bell_value", lambda sc, x: estimate_bell_value(sc, x, 10, 0),
-     lambda n, D, T: T * D),
+     lambda n, D, T: T * 2 ** n),
 ]
 
 #: NumPy constructors the budgeted paths allocate with.

@@ -59,7 +59,7 @@ class TestStrategyValue:
     @pytest.mark.parametrize("n,twice", [(2, 1), (2, 3), (3, 2), (4, 1), (5, 1)])
     def test_recursion_matches_term_oracle(self, n, twice):
         scenario = Scenario(n, Spin(twice))
-        outcomes = scenario.spin.outcome_values()
+        outcomes = [Fraction(t, 2) for t in scenario.spin.twice_outcomes()]
         rng = np.random.default_rng(n * 100 + twice)
         for _ in range(25):
             a = tuple(outcomes[i] for i in rng.integers(0, len(outcomes), n))

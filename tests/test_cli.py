@@ -14,6 +14,8 @@ import mkbell
 import mkbell.cli
 from mkbell import classical, measurement, operators, quantum
 from mkbell.cli import main
+from mkbell.quantum import largest_eigenpair
+from mkbell.spincore import Scenario, Spin
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PERFBENCH = SRC.parent / "perfbench"
@@ -345,9 +347,79 @@ class TestQuantumMax:
 
     def test_dim_cap_exit_code(self, capsys):
         code, _, err = run(capsys, "quantum-max", "--n", "3", "--spin", "1",
-                           "--dim-cap", "8")
+                           "--dim-cap", "7")
         assert code == 3
         assert "error" in err
+
+    def test_high_spin_costs_what_spin_half_costs(self, capsys):
+        # D = 201**10 entries would be far past the cap; the block has 2**10.
+        top = 2 ** 13.5 * 100.0 ** 10
+        assert largest_eigenpair(Scenario(10, Spin(200))).value == pytest.approx(top, rel=1e-12)
+        code, out, _ = run(capsys, "quantum-max", "--n", "10", "--spin", "100")
+        assert code == 0
+        assert json.loads(out)["top_eigenvalue"] == float(f"{top:.12g}")
+
+
+class TestBlockPath:
+    @pytest.mark.parametrize("argv", [
+        ("quantum-max", "--n", "4", "--spin", "11/2"),
+        ("ratio", "--n", "3", "--spin", "3/2"),
+        ("sample", "--n", "3", "--spin", "1", "--shots", "4000"),
+        ("report", "--grid", "n=1..3", "s=1..5/2", "--sample", "--shots", "4000"),
+    ])
+    def test_no_full_space_dimension(self, capsys, monkeypatch, argv):
+        # Every array the commands build has 2**n entries per state, at any spin.
+        def no_dimension(*args, **kwargs):
+            raise AssertionError("formed the full-space dimension")
+
+        monkeypatch.setattr(Scenario, "global_dimension", no_dimension)
+        monkeypatch.setattr(Spin, "dimension", property(no_dimension))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out
+
+    def test_sample_budget_is_the_block(self, capsys):
+        # 4**2 contexts of 2**5 outcomes at spin 15/2: 512 entries, not 16 * 16**5.
+        argv = ("sample", "--n", "5", "--spin", "15/2", "--shots", "4000", "--dim-cap")
+        code, out, err = run(capsys, *argv, "511")
+        assert (code, out) == (3, "")
+        assert "exceeds cap 511" in err
+        code, out, _ = run(capsys, *argv, "512")
+        assert code == 0
+        assert len(json.loads(out)["per_term"]) == 16
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("n,spin", [("2", "1e200"), ("24", "1e13")])
+    @pytest.mark.parametrize("command", ["quantum-max", "ratio", "sample", "report"])
+    def test_top_past_the_float_range_exits_3(self, capsys, monkeypatch, command, n, spin):
+        # 2**(3(n-1)/2) s**n overflows a float: exit 3 before any array is built.
+        def no_state(*args, **kwargs):
+            raise AssertionError("built a state past the float range")
+
+        monkeypatch.setattr(quantum, "top_state", no_state)
+        code, out, err = run(capsys, command, "--n", n, "--spin", spin)
+        assert (code, out) == (3, "")
+        assert "past the float range" in err
+
+    def test_grid_checks_every_row_before_the_first(self, capsys, monkeypatch):
+        # The n = 1 row, s = 1e200, is finite; the n = 2 row is not.
+        def no_row(*args, **kwargs):
+            raise AssertionError("computed a row of a grid past the float range")
+
+        monkeypatch.setattr(classical, "verify_bound", no_row)
+        code, out, err = run(capsys, "report", "--grid", "n=1..2", "s=1e200..1e200")
+        assert (code, out) == (3, "")
+        assert "the top eigenvalue of n=2" in err
+
+    def test_huge_spin_samples_with_a_finite_error(self, capsys):
+        # Each term's stderr is about 1e199; its square would overflow.
+        code, out, _ = run(capsys, "sample", "--n", "2", "--spin", "1e100", "--shots", "1000")
+        assert code == 0
+        payload = json.loads(out)
+        assert 0 < payload["bell_stderr"] < float("inf")
+        assert payload["bell_estimate"] == pytest.approx(
+            payload["quantum_prediction"], abs=6 * payload["bell_stderr"])
 
 
 class TestRatio:
@@ -431,6 +503,21 @@ class TestReport:
     def test_missing_scenario_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["report"])
+
+    def test_repeated_grid_range_exit_code(self, capsys):
+        code, out, err = run(capsys, "report", "--grid", "n=2..2", "s=1/2..1/2", "n=3..3")
+        assert (code, out) == (2, "")
+        assert "grid gives the n range twice" in err
+
+    @pytest.mark.parametrize("scenario", [("--n", "2", "--spin", "1/2"), ("--n", "2"),
+                                          ("--spin", "1/2")])
+    def test_grid_with_a_scenario_is_usage_error(self, capsys, scenario):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", *scenario, "--grid", "n=3..3", "s=1..1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "either --grid or --n and --spin" in captured.err
 
     @pytest.mark.parametrize("grid,fmt", [
         (("n=4..2", "s=1/2..1/2"), "csv"),

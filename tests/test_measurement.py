@@ -11,10 +11,16 @@ from mkbell.measurement import (
     sample_outcomes,
     violation_sigmas,
 )
-from mkbell.operators import global_operator
 from mkbell.quantum import largest_eigenpair, top_state
 from mkbell.spincore import Scenario, Spin
-from oracles import apply_term, correlation
+from oracles import (
+    apply_term,
+    correlation,
+    embed,
+    extreme_indices,
+    full_space_distribution,
+    full_space_operator,
+)
 
 
 def random_state(rng, dim):
@@ -25,12 +31,29 @@ def random_state(rng, dim):
 class TestJointDistribution:
     @pytest.mark.parametrize("n,twice", [(1, 1), (2, 1), (2, 3), (3, 2)])
     def test_probabilities_normalize(self, n, twice):
+        # The block Born rule on 2**n amplitudes and the full-space oracle on D.
         scenario = Scenario(n, Spin(twice))
         rng = np.random.default_rng(17)
+        for born, dim in ((joint_distribution, 1 << n),
+                          (full_space_distribution, scenario.global_dimension())):
+            for settings in map("".join, itertools.product("AB", repeat=n)):
+                dist = born(scenario, random_state(rng, dim), settings)
+                assert np.all(dist.probs >= 0)
+                assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n,twice", [(1, 2), (2, 3), (3, 2), (3, 5), (4, 4)])
+    def test_block_is_the_full_space_rule_on_the_extreme_levels(self, n, twice):
+        # A block state embedded in the full space puts all its mass on the
+        # extreme strings, with the block's probabilities there.
+        scenario = Scenario(n, Spin(twice))
+        rng = np.random.default_rng(23)
+        extreme = extreme_indices(scenario)
         for settings in map("".join, itertools.product("AB", repeat=n)):
-            dist = joint_distribution(scenario, random_state(rng, scenario.global_dimension()), settings)
-            assert np.all(dist.probs >= 0)
-            assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
+            x = random_state(rng, 1 << n)
+            block = joint_distribution(scenario, x, settings).probs
+            full = full_space_distribution(scenario, embed(scenario, x), settings).probs
+            assert np.max(np.abs(full[extreme] - block)) <= 1e-15
+            assert np.delete(full, extreme).sum() <= 1e-15
 
     def test_diagonal_settings_on_basis_state(self):
         scenario = Scenario(2, Spin(1))
@@ -62,11 +85,11 @@ class TestCorrelationAgainstOperator:
         rng = np.random.default_rng(n * 10 + twice)
         for _ in range(3):
             state = random_state(rng, scenario.global_dimension())
-            op = global_operator(scenario)
+            op = full_space_operator(scenario)
             per_term = {labels: float(state @ apply_term(op, labels, state))
                         for _, labels in expand_terms(n).terms}
             for settings in map("".join, itertools.product("AB", repeat=n)):
-                born = correlation(joint_distribution(scenario, state, settings))
+                born = correlation(full_space_distribution(scenario, state, settings))
                 if settings in per_term:
                     assert born == pytest.approx(per_term[settings], abs=1e-10)
 
@@ -94,8 +117,9 @@ class TestSampling:
     def test_mean_converges_to_born_correlation(self):
         scenario = Scenario(3, Spin(2))
         rng = np.random.default_rng(5)
-        dist = joint_distribution(scenario, random_state(rng, 27), "ABB")
-        exact = correlation(dist)
+        state = random_state(rng, 8)
+        dist = joint_distribution(scenario, state, "ABB")
+        exact = correlation(full_space_distribution(scenario, embed(scenario, state), "ABB"))
         report = sample_outcomes(dist, 200_000, seed=99)
         assert abs(report.correlation_mean - exact) <= 6 * max(report.correlation_stderr, 1e-6)
 
@@ -134,9 +158,7 @@ class TestBellEstimate:
         scenario = Scenario(2, Spin(1))
         state = largest_eigenpair(scenario).vector
         est = estimate_bell_value(scenario, state, 1000, seed=0)
-        frozen = type(est)(value=1.0, stderr=0.0, per_term=est.per_term,
-                           shots_per_setting=est.shots_per_setting, seed=0)
+        frozen = type(est)(value=1.0, stderr=0.0, per_term=est.per_term)
         assert violation_sigmas(scenario, frozen) == float("inf")
-        frozen = type(est)(value=0.0, stderr=0.0, per_term=est.per_term,
-                           shots_per_setting=est.shots_per_setting, seed=0)
+        frozen = type(est)(value=0.0, stderr=0.0, per_term=est.per_term)
         assert violation_sigmas(scenario, frozen) == float("-inf")

@@ -5,7 +5,6 @@ from mkbell import measurement, operators
 from mkbell.errors import CapExceeded, DimensionMismatch
 from mkbell.operators import (
     assemble_dense,
-    b_rotation,
     dense_scaled_product,
     global_operator,
     make_A,
@@ -13,7 +12,18 @@ from mkbell.operators import (
 )
 from mkbell.quantum import top_state
 from mkbell.spincore import Scenario, Spin
-from oracles import apply_term, commutation_report, dense_scaled_terms
+from oracles import (
+    apply_term,
+    b_rotation,
+    commutation_report,
+    dense_scaled_terms,
+    full_space_operator,
+)
+
+
+def outcomes(spin):
+    """The descending outcome list s, s-1, ..., -s, as floats."""
+    return [t / 2 for t in spin.twice_outcomes()]
 
 
 class TestLocalOperators:
@@ -43,9 +53,8 @@ class TestLocalOperators:
     @pytest.mark.parametrize("twice", range(1, 8))
     def test_spectra_are_the_outcome_set(self, twice):
         spin = Spin(twice)
-        outcomes = sorted(float(v) for v in spin.outcome_values())
         for mat in (make_A(spin) / 2, make_B(spin) / 2):
-            assert np.allclose(np.linalg.eigvalsh(mat), outcomes, atol=1e-12)
+            assert np.allclose(np.linalg.eigvalsh(mat), sorted(outcomes(spin)), atol=1e-12)
             assert np.array_equal(mat, mat.T)
 
 
@@ -57,8 +66,8 @@ class TestBEigenbasis:
         rot = b_rotation(spin)
         assert rot.shape == (spin.dimension, spin.dimension)
         # Row i is the eigenvector for outcome s - i, in descending order.
-        for value, vec in zip(spin.outcome_values(), rot):
-            assert np.allclose(B @ vec, float(value) * vec, atol=1e-12)
+        for value, vec in zip(outcomes(spin), rot):
+            assert np.allclose(B @ vec, value * vec, atol=1e-12)
 
     @pytest.mark.parametrize("twice", range(1, 8))
     def test_orthonormal(self, twice):
@@ -128,7 +137,7 @@ class TestApply:
     @pytest.mark.parametrize("n,twice", SMALL_SCENARIOS)
     def test_apply_matches_dense_columns(self, n, twice):
         scenario = Scenario(n, Spin(twice))
-        op = global_operator(scenario)
+        op = full_space_operator(scenario)
         dense = assemble_dense(scenario)
         D = scenario.global_dimension()
         rebuilt = np.column_stack(
@@ -138,7 +147,7 @@ class TestApply:
 
     def test_apply_random_vectors(self):
         scenario = Scenario(4, Spin(2))
-        op = global_operator(scenario)
+        op = full_space_operator(scenario)
         dense = assemble_dense(scenario)
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -165,16 +174,17 @@ class TestApply:
                             lambda n: calls.append(n) or real(n))
         scenario = Scenario(3, Spin(2))
         op = global_operator(scenario)
-        op.apply(np.ones(27))
+        op.apply(np.ones(8))
         assert calls == []
         estimate = measurement.estimate_bell_value(scenario, top_state(scenario), 10, seed=0)
         assert len(estimate.per_term) == 4
         assert calls == [3]
 
     def test_dimension_mismatch(self):
-        op = global_operator(Scenario(2, Spin(1)))
+        scenario = Scenario(2, Spin(1))
         with pytest.raises(DimensionMismatch):
-            op.apply(np.ones(5))
+            global_operator(scenario).apply(np.ones(5))
+        op = full_space_operator(scenario)
         with pytest.raises(DimensionMismatch):
             apply_term(op, "AB", np.ones(5))
         with pytest.raises(DimensionMismatch):

@@ -5,6 +5,7 @@ from mkbell.errors import CapExceeded, NotConverged
 from mkbell.expansion import expand_terms
 from mkbell.operators import assemble_dense, global_operator
 from mkbell.quantum import (
+    block_scale,
     dense_spectrum,
     largest_eigenpair,
     predicted_quantum_max,
@@ -14,7 +15,7 @@ from mkbell.quantum import (
     violation_ratio,
 )
 from mkbell.spincore import Scenario, Spin
-from oracles import apply_term, lanczos_top
+from oracles import apply_term, embed, full_space_operator, lanczos_top
 
 SQRT2 = np.sqrt(2.0)
 
@@ -76,7 +77,8 @@ class TestPowerIteration:
         assert result.value == pytest.approx(top, rel=1e-8)
         vec = result.vector
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
-        residual = np.linalg.norm(assemble_dense(scenario) @ vec - result.value * vec)
+        full = embed(scenario, vec)
+        residual = np.linalg.norm(assemble_dense(scenario) @ full - result.value * full)
         assert residual <= 1e-9 * max(1.0, abs(result.value))
 
     def test_survives_all_ones_fixed_point(self):
@@ -87,11 +89,12 @@ class TestPowerIteration:
         assert lanczos_top(Scenario(3, Spin(2))).value == pytest.approx(8.0, rel=1e-8)
 
     def test_not_converged_carries_best_state(self):
-        # A matvec that is off by 1e-6 of a shifted vector fails the check.
+        # A matvec that is off by 1e-6 of a shifted vector, at spin s, fails
+        # the check; the operator applies the spin-1/2 one, (2s)**n smaller.
         scenario = Scenario(3, Spin(5))
         op = global_operator(scenario)
-        exact, calls = op.apply, []
-        op.apply = lambda v: calls.append(1) or exact(v) + 1e-6 * np.roll(v, 1)
+        exact, calls, off = op.apply, [], 1e-6 / block_scale(scenario)
+        op.apply = lambda v: calls.append(1) or exact(v) + off * np.roll(v, 1)
         with pytest.raises(NotConverged) as info:
             largest_eigenpair(scenario, operator=op)
         err = info.value
@@ -138,7 +141,8 @@ class TestLanczos:
         oracle = lanczos_top(scenario)
         assert oracle.iterations <= 60
         assert oracle.value == pytest.approx(result.value, rel=1e-12)
-        assert abs(oracle.vector @ result.vector) == pytest.approx(1.0, abs=1e-9)
+        assert abs(oracle.vector @ embed(scenario, result.vector)) == pytest.approx(
+            1.0, abs=1e-9)
 
     @pytest.mark.parametrize("n,twice", [(3, 3), (3, 5)])
     def test_stable_under_matvec_rounding_noise(self, n, twice):
@@ -146,8 +150,9 @@ class TestLanczos:
         # differs only in its last bits; the eigenvalue must not move.
         scenario = Scenario(n, Spin(twice))
         clean = largest_eigenpair(scenario)
-        for solve, most in ((largest_eigenpair, 1), (lanczos_top, 60)):
-            op = global_operator(scenario)
+        for solve, build, most in ((largest_eigenpair, global_operator, 1),
+                                   (lanczos_top, full_space_operator, 60)):
+            op = build(scenario)
             exact, rng = op.apply, np.random.default_rng(7)
             op.apply = lambda v: exact(v) * (1 + 1e-16 * rng.standard_normal(v.size))
             noisy = solve(scenario, operator=op)
@@ -158,7 +163,7 @@ class TestLanczos:
         # (3, 5/2) needs 21 Lanczos matvecs at tol 1e-9, so each budget runs out.
         scenario = Scenario(3, Spin(5))
         for max_iter in (1, 2, 7):
-            op = global_operator(scenario)
+            op = full_space_operator(scenario)
             exact, calls = op.apply, []
             op.apply = lambda v: calls.append(1) or exact(v)
             with pytest.raises(NotConverged) as info:
@@ -171,7 +176,7 @@ class TestLanczos:
 
 def _term_correlations(state, scenario):
     """Each product term's correlation <state|term|state>, by label string."""
-    op = global_operator(scenario)
+    op = full_space_operator(scenario)
     return {labels: float(state @ apply_term(op, labels, state))
             for _, labels in expand_terms(scenario.n).terms}
 
@@ -236,7 +241,7 @@ class TestTopState:
     @pytest.mark.parametrize("n,twice", [(1, 1), (1, 4), (2, 1), (3, 2), (4, 3), (5, 1)])
     def test_supported_on_extreme_levels(self, n, twice):
         scenario = Scenario(n, Spin(twice))
-        state = top_state(scenario).reshape((twice + 1,) * n)
+        state = embed(scenario, top_state(scenario)).reshape((twice + 1,) * n)
         assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-15)
         extreme = state[(slice(None, None, twice),) * n]
         assert np.linalg.norm(extreme) == pytest.approx(1.0, abs=1e-15)
@@ -251,5 +256,6 @@ class TestTopState:
             assert amp == pytest.approx(want, abs=1e-15)
 
     def test_cap_checked_before_allocation(self):
+        scenario = Scenario(9, Spin(2), dim_cap=3 ** 8)
         with pytest.raises(CapExceeded):
-            top_state(Scenario(9, Spin(2), dim_cap=3 ** 8))
+            embed(scenario, top_state(scenario))

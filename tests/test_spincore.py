@@ -28,15 +28,15 @@ class TestSpin:
         ],
     )
     def test_outcome_values(self, twice, expected):
-        values = Spin(twice).outcome_values()
+        values = [Fraction(t, 2) for t in Spin(twice).twice_outcomes()]
         assert [str(v) for v in values] == expected
 
     @pytest.mark.parametrize("twice", range(1, 12))
     def test_outcomes_sum_to_zero_and_match_dimension(self, twice):
         spin = Spin(twice)
-        values = spin.outcome_values()
+        values = spin.twice_outcomes()
         assert len(values) == spin.dimension == twice + 1
-        assert all(type(v) is Fraction for v in values)
+        assert all(type(v) is int for v in values)
         assert sum(values) == 0
 
     def test_contains(self):
