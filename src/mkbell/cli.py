@@ -1,9 +1,12 @@
 """Command-line interface tying the toolkit into reproducible reports.
 
-Exit codes: 0 success, 2 validation error or unwritable ``--output``, 3 cap
-exceeded (the array budget ``--dim-cap``, digits of a printed exact integer,
-or a top eigenvalue past the float range), 4 numerical non-convergence (the
-closed-form top eigenpair fails its one-matvec residual check).
+Each command returns its payload; ``main`` writes it, or the error, once.
+Exit codes: 0 success, 2 validation error (among them a ``--spin`` too long to
+print and a ``--shots`` that puts more than 2**63 - 1 shots on one setting) or
+unwritable ``--output``, 3 cap exceeded (the array budget ``--dim-cap``,
+digits of a printed exact integer, or a top eigenvalue past the float range),
+4 numerical non-convergence (the closed-form top eigenpair fails its
+one-matvec residual check).
 
 Only the commands that build arrays (``quantum-max``, ``ratio``, ``sample``
 and ``report``) import ``operators``, ``quantum`` and ``measurement``, and
@@ -99,22 +102,16 @@ def _emit(args, payload):
 
 
 def _to_csv(payload):
-    # Report payloads carry tabular rows; everything else flattens to key,value.
-    if isinstance(payload, dict) and "rows" in payload:
-        rows = payload["rows"]
-        header = list(rows[0].keys())
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join("" if row[k] is None else str(row[k]) for k in header))
-        return "\n".join(lines) + "\n"
-    if isinstance(payload, list):
-        lines = ["coefficient,labels"]
-        for item in payload:
-            lines.append(f"{item['coefficient']},{item['labels']}")
-        return "\n".join(lines) + "\n"
-    lines = ["key,value"]
-    for key, value in payload.items():
-        lines.append(f"{key},{json.dumps(value) if isinstance(value, (dict, list)) else value}")
+    # ``expand``'s terms and ``report``'s rows are tables (a report's config is
+    # left out); every other payload flattens to key,value.
+    rows = payload if isinstance(payload, list) else payload.get("rows")
+    if rows:
+        lines = [",".join(rows[0])]
+        lines += (",".join(str(value) for value in row.values()) for row in rows)
+    else:
+        lines = ["key,value"]
+        lines += (f"{key},{json.dumps(value) if isinstance(value, (dict, list)) else value}"
+                  for key, value in payload.items())
     return "\n".join(lines) + "\n"
 
 
@@ -124,9 +121,7 @@ def _cmd_expand(args):
     n = args.n  # n letters in each of 2**n label strings, whatever the spin
     Scenario(n, Spin(1), _dim_cap(args)).check_entries(
         f"the label strings for n={n}", lambda: n << n)
-    expansion = expand_terms(n)
-    payload = [{"coefficient": c, "labels": labels} for c, labels in expansion.terms]
-    _emit(args, payload)
+    return [{"coefficient": c, "labels": labels} for c, labels in expand_terms(n).terms]
 
 
 def _check_printable(scenario, extremal_only):
@@ -147,7 +142,7 @@ def _cmd_classical_max(args):
     scenario = Scenario(n=args.n, spin=args.spin)
     _check_printable(scenario, not args.full_grid)
     cert = classical.verify_bound(scenario, extremal_only=not args.full_grid)
-    payload = {
+    return {
         "config": _config_dict(args, full_grid=args.full_grid),
         "bound": str(cert.bound),
         "achieved": cert.achieved,
@@ -155,30 +150,22 @@ def _cmd_classical_max(args):
         "argmax_b": [str(v) for v in cert.argmax.b],
         "strategies_checked": cert.strategies_checked,
     }
-    _emit(args, payload)
-
-
-def _quantum_top(scenario, tol):
-    from . import quantum
-
-    return quantum.largest_eigenpair(scenario, tol=tol), quantum.spectral_gap(scenario)
 
 
 def _cmd_quantum_max(args):
     from . import quantum
 
     scenario = _scenario(args)
-    result, gap = _quantum_top(scenario, args.tol)
+    result = quantum.largest_eigenpair(scenario, tol=args.tol)
     predicted = quantum.predicted_quantum_max(scenario)
-    payload = {
+    return {
         "config": _config_dict(args, tol=args.tol),
         "top_eigenvalue": _fmt(result.value),
         "predicted": _fmt(predicted),
         "relative_error": _fmt(abs(result.value - predicted) / abs(predicted)),
-        "gap": _fmt(gap),
+        "gap": _fmt(quantum.spectral_gap(scenario)),
         "iterations": result.iterations,
     }
-    _emit(args, payload)
 
 
 def _cmd_ratio(args):
@@ -187,19 +174,28 @@ def _cmd_ratio(args):
     scenario = _scenario(args)
     ratio = quantum.violation_ratio(scenario, tol=args.tol)
     predicted = quantum.predicted_ratio(args.n)
-    payload = {
+    return {
         "config": _config_dict(args, tol=args.tol),
         "ratio": _fmt(ratio),
         "predicted": _fmt(predicted),
         "relative_error": _fmt(abs(ratio - predicted) / predicted),
     }
-    _emit(args, payload)
+
+
+def _shots_per_setting(scenario, shots):
+    """``--shots`` split evenly across the setting contexts; one multinomial
+    draw takes at most 2**63 - 1 shots."""
+    share = max(1, shots // expected_term_count(scenario.n))
+    if share >= 1 << 63:
+        raise ValueError(f"--shots {shots} puts {share} shots on each setting of "
+                         f"{scenario}, more than the 2**63 - 1 one multinomial draw takes")
+    return share
 
 
 def _sample_block(scenario, state, shots, seed):
     from . import measurement
 
-    shots_per_setting = max(1, shots // expected_term_count(scenario.n))
+    shots_per_setting = _shots_per_setting(scenario, shots)
     estimate = measurement.estimate_bell_value(scenario, state, shots_per_setting, seed)
     sigmas = measurement.violation_sigmas(scenario, estimate)
     return estimate, shots_per_setting, sigmas
@@ -213,7 +209,7 @@ def _cmd_sample(args):
     estimate, shots_per_setting, sigmas = _sample_block(
         scenario, state, args.shots, args.seed
     )
-    payload = {
+    return {
         "config": _config_dict(args, shots=args.shots, seed=args.seed),
         "shots_per_setting": shots_per_setting,
         "per_term": [
@@ -226,7 +222,6 @@ def _cmd_sample(args):
         "quantum_prediction": _fmt(quantum.predicted_quantum_max(scenario)),
         "sigmas_above_classical": _fmt(sigmas) if sigmas not in (float("inf"), float("-inf")) else str(sigmas),
     }
-    _emit(args, payload)
 
 
 _GRID_PART = re.compile(r"^(n|s)=(.+?)\.\.(.+)$")
@@ -242,11 +237,9 @@ def _parse_grid(tokens):
         if key in ranges:
             raise ValueError(f"grid gives the {key} range twice, in {token!r}")
         if key == "n":
-            values = list(range(int(lo), int(hi) + 1))
+            values = range(int(lo), int(hi) + 1)
         else:
-            lo_t = Spin.from_string(lo).twice_spin
-            hi_t = Spin.from_string(hi).twice_spin
-            values = [Spin(t) for t in range(lo_t, hi_t + 1)]
+            values = range(Spin.from_string(lo).twice_spin, Spin.from_string(hi).twice_spin + 1)
         if not values:
             raise ValueError(f"empty grid range {token!r}: LO is above HI")
         ranges[key] = values
@@ -256,34 +249,38 @@ def _parse_grid(tokens):
 
 
 def _cmd_report(args):
-    from .measurement import check_distribution_budget
-    from .quantum import block_scale
+    from . import measurement, quantum
 
     if args.grid:
-        n_values, s_values = _parse_grid(args.grid)
+        n_values, twice_spins = _parse_grid(args.grid)
     else:
-        n_values, s_values = [args.n], [args.spin]
+        n_values, twice_spins = [args.n], [args.spin.twice_spin]
     dim_cap = _dim_cap(args)
-    scenarios = [Scenario(n=n, spin=spin, dim_cap=dim_cap)
-                 for n in n_values for spin in s_values]
-    # Every row's budget and float range, before any row runs: its state
-    # counts 2**n entries and its sampled estimate T 2**n.
-    for scenario in scenarios:
+
+    def scenarios():
+        # Built row by row, so a huge grid stops at its first row past the budget.
+        return (Scenario(n=n, spin=Spin(t), dim_cap=dim_cap)
+                for n in n_values for t in twice_spins)
+
+    # Every row's budget, float range and shots, before any row runs: its
+    # state counts 2**n entries and its sampled estimate T 2**n.
+    for scenario in scenarios():
         scenario.check_entries(f"a state vector of {scenario}")
-        block_scale(scenario)
+        quantum.block_scale(scenario)
         if args.sample:
-            check_distribution_budget(scenario)
+            measurement.check_distribution_budget(scenario)
+            _shots_per_setting(scenario, args.shots)
     rows = []
-    for scenario in scenarios:
+    for scenario in scenarios():
         cert = classical.verify_bound(scenario)
-        result, gap = _quantum_top(scenario, args.tol)
+        result = quantum.largest_eigenpair(scenario, tol=args.tol)
         row = {
             "n": scenario.n,
             "s": str(scenario.spin),
             "classical": str(cert.bound),
             "quantum": _fmt(result.value),
             "ratio": _fmt(result.value / float(cert.bound)),
-            "gap": _fmt(gap),
+            "gap": _fmt(quantum.spectral_gap(scenario)),
         }
         if args.sample:
             estimate, shots_per_setting, _ = _sample_block(
@@ -301,10 +298,7 @@ def _cmd_report(args):
         "shots": args.shots,
         "seed": args.seed,
     }
-    if args.format == "csv":
-        _emit(args, {"rows": rows})
-    else:
-        _emit(args, {"config": config, "rows": rows})
+    return {"config": config, "rows": rows}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,16 +379,10 @@ def main(argv=None) -> int:
         if not args.grid and (args.n is None or args.spin is None):
             parser.error("report needs either --grid or both --n and --spin")
     try:
-        args.func(args)
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NotConverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        _emit(args, args.func(args))
     except (MkBellError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, CapExceeded) else 4 if isinstance(exc, NotConverged) else 2
     return 0
 
 

@@ -9,6 +9,7 @@ denominator dividing 2**n.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,13 +62,18 @@ class Spin:
 
     @classmethod
     def from_string(cls, text: str) -> "Spin":
-        """Parse "1/2", "1", "3/2", ... (also accepts decimals like "0.5")."""
+        """Parse "1/2", "1", "3/2", ... (also accepts decimals like "0.5"); reject
+        a spin with more digits than Python converts back to text."""
         try:
             frac = Fraction(text.strip())
         except ZeroDivisionError:
             raise ValueError(f"spin has a zero denominator: {text!r}") from None
         if frac.denominator not in (1, 2):
             raise ValueError(f"spin must be a half-integer, got {text!r}")
+        limit = sys.get_int_max_str_digits()
+        if limit and abs(frac.numerator) >= 10 ** limit:
+            raise ValueError(f"spin {text!r} has more than {limit} digits, the limit of "
+                             "sys.get_int_max_str_digits(), so it cannot be printed")
         return cls(int(2 * frac))
 
     def __str__(self) -> str:

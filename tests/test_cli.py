@@ -27,6 +27,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_or_exit(capsys, *argv):
+    # As ``run``, but an argparse error's SystemExit gives the exit code.
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 class TestExpand:
     def test_two_party_json(self, capsys):
         code, out, _ = run(capsys, "expand", "--n", "2")
@@ -260,6 +270,20 @@ class TestDimensionCap:
         assert "the outcome distributions of n=13, s=1/2" in err
         assert "exceeds cap 16777216" in err
 
+    def test_huge_grid_stops_at_its_first_row_past_the_budget(self, capsys, monkeypatch):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(Scenario(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(mkbell.cli, "Scenario", counted)
+        code, out, err = run(capsys, "report", "--grid", "n=1..1000000", "s=1/2..1/2")
+        assert (code, out) == (3, "")
+        assert err == ("error: a state vector of n=25, s=1/2 would hold at least 2**25 "
+                       "entries, which exceeds cap 16777216\n")
+        assert len(built) == 25
+
     def test_huge_n_fails_fast(self, capsys):
         # Forming 3**(10**7) alone takes seconds.
         start = time.perf_counter()
@@ -291,6 +315,21 @@ class TestQuantumMax:
         assert payload["predicted"] == pytest.approx(np.sqrt(2) / 2, rel=1e-12)
         assert payload["relative_error"] < 1e-8
         assert payload["gap"] == pytest.approx(np.sqrt(2) / 2, rel=1e-6)
+
+    def test_csv_bytes(self, capsys):
+        # key,value rows; the nested config is one JSON cell.
+        code, out, err = run(capsys, "quantum-max", "--n", "2", "--spin", "1/2",
+                             "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out == (
+            "key,value\n"
+            'config,{"command": "quantum-max", "n": 2, "s": "1/2", "tol": 1e-09}\n'
+            "top_eigenvalue,0.707106781187\n"
+            "predicted,0.707106781187\n"
+            "relative_error,0.0\n"
+            "gap,0.707106781187\n"
+            "iterations,1\n"
+        )
 
     def test_gap_beyond_dense_spectrum_cap(self, capsys):
         # D = 12**4 is past any dense solve; the gap is top / s in closed form.
@@ -456,6 +495,18 @@ class TestSample:
         assert exc.value.code == 2
         assert "shots must be an integer >= 1" in capsys.readouterr().err
 
+    def test_shots_past_one_draw_are_usage_errors(self, capsys):
+        # One multinomial draw takes at most 2**63 - 1 shots; n = 1 has one
+        # setting, n = 2 four.
+        for n, shots, expected in [("1", 2 ** 63 - 1, 0), ("1", 2 ** 63, 2),
+                                   ("2", 2 ** 63, 0), ("2", 10 ** 23, 2)]:
+            code, out, err = run(capsys, "sample", "--n", n, "--spin", "1/2",
+                                 "--shots", str(shots))
+            assert code == expected, (n, shots, err)
+            if expected:
+                assert out == ""
+                assert err.startswith(f"error: --shots {shots} puts ")
+
     def test_budget_counts_distributions(self, capsys, monkeypatch):
         # 4**2 setting contexts, each a distribution over 2**4 outcomes: 256
         # entries.  At cap 255, exit 3 before the first distribution.
@@ -494,6 +545,29 @@ class TestReport:
         lines = target.read_text().strip().splitlines()
         assert lines[0].startswith("n,s,classical,quantum,ratio")
         assert lines[1].startswith("2,1/2,1/2,")
+
+    def test_grid_csv_bytes(self, capsys):
+        # One header, then one line per row in grid order; no config.
+        code, out, err = run(capsys, "report", "--grid", "n=2..3", "s=1/2..1",
+                             "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out == (
+            "n,s,classical,quantum,ratio,gap\n"
+            "2,1/2,1/2,0.707106781187,1.41421356237,0.707106781187\n"
+            "2,1,2,2.82842712475,1.41421356237,2.82842712475\n"
+            "3,1/2,1/2,1.0,2.0,1.0\n"
+            "3,1,4,8.0,2.0,8.0\n"
+        )
+
+    def test_shots_past_one_draw_exit_before_any_row(self, capsys, monkeypatch):
+        def no_row(*args, **kwargs):
+            raise AssertionError("computed a row with too many shots per setting")
+
+        monkeypatch.setattr(classical, "verify_bound", no_row)
+        code, out, err = run(capsys, "report", "--grid", "n=2..2", "s=1/2..1/2", "--sample",
+                             "--shots", str(10 ** 23))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --shots {10 ** 23} puts {10 ** 23 // 4} shots")
 
     def test_bad_grid_exit_code(self, capsys):
         code, _, err = run(capsys, "report", "--grid", "n=2..3", "s=oops")
@@ -630,13 +704,6 @@ class TestExactLayerWithoutNumpy:
             env=env, check=True, timeout=60,
         )
 
-    def test_every_exported_name_resolves(self):
-        for name in mkbell.__all__:
-            assert getattr(mkbell, name) is not None
-        assert mkbell.sample_outcomes is measurement.sample_outcomes
-        assert mkbell.global_operator is operators.global_operator
-        assert set(mkbell.__all__) <= set(dir(mkbell))
-
     def test_unknown_names_raise(self):
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
             mkbell.no_such_name
@@ -648,24 +715,6 @@ class TestExactLayerWithoutNumpy:
     def test_cli_global_operator_is_the_operators_one(self):
         # The benchmark's self-check reads this alias.
         assert mkbell.cli.global_operator is operators.global_operator
-
-    def test_exports_are_what_the_commands_run(self):
-        assert sorted(mkbell.__all__) == sorted([
-            "__version__", "classical", "errors", "expansion", "measurement",
-            "operators", "quantum", "spincore",
-            "BoundCertificate", "ClassicalResult", "Strategy", "classical_bound",
-            "classical_max", "verify_bound",
-            "CapExceeded", "DimensionMismatch", "MkBellError", "NotConverged",
-            "NotNormalized",
-            "TermExpansion", "expand_terms",
-            "BellEstimate", "JointDistribution", "SampleReport", "estimate_bell_value",
-            "joint_distribution", "sample_outcomes",
-            "GlobalOperator", "assemble_dense", "global_operator", "make_A", "make_B",
-            "EigenResult", "SpectrumReport", "dense_spectrum", "largest_eigenpair",
-            "predicted_quantum_max", "predicted_ratio", "spectral_gap", "top_state",
-            "violation_ratio",
-            "Scenario", "Spin",
-        ])
 
 
 class TestBenchmarkHooks:
@@ -685,6 +734,20 @@ class TestArgs:
     def test_bad_spin_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["classical-max", "--n", "2", "--spin", "1/3"])
+
+    def test_spin_too_long_to_print_is_usage_error(self, capsys):
+        # Python prints at most 4300 digits by default; 10**4000 still prints.
+        code, out, _ = run(capsys, "classical-max", "--n", "1", "--spin", "1e4000")
+        assert code == 0
+        assert json.loads(out)["config"]["s"] == "1" + "0" * 4000
+        for argv in [("quantum-max", "--n", "2", "--spin", "1e5000"),
+                     ("sample", "--n", "2", "--spin", "1e5000"),
+                     ("classical-max", "--n", "1", "--spin", "1e5000"),
+                     ("report", "--grid", "n=2..2", "s=1e5000..1e5000")]:
+            code, out, err = run_or_exit(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "spin '1e5000' has more than 4300 digits" in err
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ("quantum-max", "--n", "2", "--spin", "1/2"),

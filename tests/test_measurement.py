@@ -114,6 +114,23 @@ class TestSampling:
         assert report.correlation_mean == 0.25
         assert report.correlation_stderr == 0.0
 
+    @pytest.mark.parametrize("n,twice", [(1, 1), (2, 3), (3, 1), (5, 2), (8, 1)])
+    def test_moments_are_the_outcome_product_sums(self, n, twice):
+        # Reference: the count-weighted sums of the product of the spin-1/2
+        # outcomes +-1/2, one table entry per joint outcome.
+        scenario = Scenario(n, Spin(twice))
+        dist = joint_distribution(scenario, random_state(np.random.default_rng(n), 1 << n),
+                                  "AB" * (n // 2) + "A" * (n % 2))
+        products = np.ones(1)
+        for _ in range(n):
+            products = np.multiply.outer(products, [0.5, -0.5]).reshape(-1)
+        report = sample_outcomes(dist, 30_000, seed=n)
+        mean = float(report.outcome_counts @ products) / 30_000
+        second = float(report.outcome_counts @ products ** 2) / 30_000
+        stderr = float(np.sqrt(max(second - mean * mean, 0.0) / 30_000))
+        assert report.correlation_mean == twice ** n * mean
+        assert report.correlation_stderr == twice ** n * stderr
+
     def test_mean_converges_to_born_correlation(self):
         scenario = Scenario(3, Spin(2))
         rng = np.random.default_rng(5)

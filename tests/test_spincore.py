@@ -1,3 +1,4 @@
+import sys
 import time
 from fractions import Fraction
 
@@ -62,6 +63,14 @@ class TestSpin:
             Spin(0)
         with pytest.raises(ValueError):
             Spin.from_string("1/3")
+
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit")
+    def test_rejects_a_spin_too_long_to_print(self):
+        limit = sys.get_int_max_str_digits()
+        assert len(str(Spin.from_string(f"1e{limit - 1}"))) == limit
+        for text in (f"1e{limit}", f"-1e{limit}"):
+            with pytest.raises(ValueError, match=f"more than {limit} digits"):
+                Spin.from_string(text)
 
     @pytest.mark.parametrize("text", ["1/0", "0/0", " 3/0 "])
     def test_zero_denominator_is_a_value_error(self, text):
