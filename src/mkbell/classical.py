@@ -65,16 +65,6 @@ class ClassicalResult:
     strategies_checked: int
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
-    """Outcome of certifying the classical bound 2**(n-1) s**n."""
-
-    bound: Fraction
-    achieved: bool
-    argmax: Strategy
-    strategies_checked: int
-
-
 def classical_bound(scenario: Scenario) -> Fraction:
     """2**(n-1) * s**n = (2s)**n / 2, exactly."""
     return Fraction(scenario.spin.twice_spin ** scenario.n, 2)
@@ -132,8 +122,8 @@ def classical_max(scenario: Scenario, extremal_only: bool = True) -> ClassicalRe
     )
 
 
-def verify_bound(scenario: Scenario, extremal_only: bool = True) -> BoundCertificate:
-    """Certify that no strategy exceeds 2**(n-1) s**n and some strategy attains it."""
+def verify_bound(scenario: Scenario, extremal_only: bool = True) -> ClassicalResult:
+    """Return ``classical_max``'s result; raise if it exceeds 2**(n-1) s**n."""
     result = classical_max(scenario, extremal_only=extremal_only)
     bound = classical_bound(scenario)
     if result.max_value > bound:
@@ -141,9 +131,4 @@ def verify_bound(scenario: Scenario, extremal_only: bool = True) -> BoundCertifi
             f"the certificate found {result.max_value} above the bound {bound} "
             f"for {scenario}"
         )
-    return BoundCertificate(
-        bound=bound,
-        achieved=result.max_value == bound,
-        argmax=result.argmax,
-        strategies_checked=result.strategies_checked,
-    )
+    return result

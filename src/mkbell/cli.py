@@ -2,11 +2,12 @@
 
 Each command returns its payload; ``main`` writes it, or the error, once.
 Exit codes: 0 success, 2 validation error (among them a ``--spin`` too long to
-print and a ``--shots`` that puts more than 2**63 - 1 shots on one setting) or
-unwritable ``--output``, 3 cap exceeded (the array budget ``--dim-cap``,
-digits of a printed exact integer, or a top eigenvalue past the float range),
-4 numerical non-convergence (the closed-form top eigenpair fails its
-one-matvec residual check).
+print, a negative ``--seed`` and a ``--shots`` that puts more than 2**63 - 1
+shots on one setting) or unwritable ``--output``, 3 cap exceeded (the array
+budget ``--dim-cap``, digits of a printed exact integer, or a top eigenvalue
+past the float range), 4 numerical non-convergence (the closed-form top
+eigenpair fails its one-matvec residual check).  ``sample`` and every row of
+``report`` pass the same checks (``_check_fits``) before any array is built.
 
 Only the commands that build arrays (``quantum-max``, ``ratio``, ``sample``
 and ``report``) import ``operators``, ``quantum`` and ``measurement``, and
@@ -62,14 +63,17 @@ def _tol_arg(text: str) -> float:
     return tol
 
 
-def _shots_arg(text: str) -> int:
-    try:
-        shots = int(text)
-    except ValueError:
-        shots = 0
-    if shots < 1:
-        raise argparse.ArgumentTypeError(f"shots must be an integer >= 1, got {text!r}")
-    return shots
+def _int_arg(name: str, least: int):
+    """An argparse type for integers >= ``least``; NumPy takes no negative seed."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{name} must be an integer >= {least}, got {text!r}")
+        return value
+    return parse
 
 
 def _dim_cap(args) -> int:
@@ -121,7 +125,7 @@ def _cmd_expand(args):
     n = args.n  # n letters in each of 2**n label strings, whatever the spin
     Scenario(n, Spin(1), _dim_cap(args)).check_entries(
         f"the label strings for n={n}", lambda: n << n)
-    return [{"coefficient": c, "labels": labels} for c, labels in expand_terms(n).terms]
+    return [{"coefficient": c, "labels": labels} for c, labels in expand_terms(n)]
 
 
 def _check_printable(scenario, extremal_only):
@@ -141,14 +145,15 @@ def _check_printable(scenario, extremal_only):
 def _cmd_classical_max(args):
     scenario = Scenario(n=args.n, spin=args.spin)
     _check_printable(scenario, not args.full_grid)
-    cert = classical.verify_bound(scenario, extremal_only=not args.full_grid)
+    result = classical.verify_bound(scenario, extremal_only=not args.full_grid)
+    bound = classical.classical_bound(scenario)
     return {
         "config": _config_dict(args, full_grid=args.full_grid),
-        "bound": str(cert.bound),
-        "achieved": cert.achieved,
-        "argmax_a": [str(v) for v in cert.argmax.a],
-        "argmax_b": [str(v) for v in cert.argmax.b],
-        "strategies_checked": cert.strategies_checked,
+        "bound": str(bound),
+        "achieved": result.max_value == bound,
+        "argmax_a": [str(v) for v in result.argmax.a],
+        "argmax_b": [str(v) for v in result.argmax.b],
+        "strategies_checked": result.strategies_checked,
     }
 
 
@@ -192,6 +197,19 @@ def _shots_per_setting(scenario, shots):
     return share
 
 
+def _check_fits(scenario, shots=None):
+    """Raise before any array is built unless ``scenario``'s state (2**n
+    entries) fits the budget and its top eigenvalue the float range; with
+    ``shots``, also its sampled estimate (T 2**n entries) and the shots split."""
+    from . import measurement, quantum
+
+    scenario.check_entries(f"a state vector of {scenario}")
+    quantum.block_scale(scenario)
+    if shots is not None:
+        measurement.check_distribution_budget(scenario)
+        _shots_per_setting(scenario, shots)
+
+
 def _sample_block(scenario, state, shots, seed):
     from . import measurement
 
@@ -205,6 +223,7 @@ def _cmd_sample(args):
     from . import quantum
 
     scenario = _scenario(args)
+    _check_fits(scenario, args.shots)
     state = quantum.largest_eigenpair(scenario).vector
     estimate, shots_per_setting, sigmas = _sample_block(
         scenario, state, args.shots, args.seed
@@ -237,7 +256,10 @@ def _parse_grid(tokens):
         if key in ranges:
             raise ValueError(f"grid gives the {key} range twice, in {token!r}")
         if key == "n":
-            values = range(int(lo), int(hi) + 1)
+            try:
+                values = range(int(lo), int(hi) + 1)
+            except ValueError as exc:  # not an integer, or past Python's digit limit
+                raise ValueError(f"bad grid token {token!r}: {exc}") from None
         else:
             values = range(Spin.from_string(lo).twice_spin, Spin.from_string(hi).twice_spin + 1)
         if not values:
@@ -249,7 +271,7 @@ def _parse_grid(tokens):
 
 
 def _cmd_report(args):
-    from . import measurement, quantum
+    from . import quantum
 
     if args.grid:
         n_values, twice_spins = _parse_grid(args.grid)
@@ -262,24 +284,19 @@ def _cmd_report(args):
         return (Scenario(n=n, spin=Spin(t), dim_cap=dim_cap)
                 for n in n_values for t in twice_spins)
 
-    # Every row's budget, float range and shots, before any row runs: its
-    # state counts 2**n entries and its sampled estimate T 2**n.
-    for scenario in scenarios():
-        scenario.check_entries(f"a state vector of {scenario}")
-        quantum.block_scale(scenario)
-        if args.sample:
-            measurement.check_distribution_budget(scenario)
-            _shots_per_setting(scenario, args.shots)
+    for scenario in scenarios():  # every row fits before the first runs
+        _check_fits(scenario, args.shots if args.sample else None)
     rows = []
     for scenario in scenarios():
-        cert = classical.verify_bound(scenario)
+        classical.verify_bound(scenario)
+        bound = classical.classical_bound(scenario)
         result = quantum.largest_eigenpair(scenario, tol=args.tol)
         row = {
             "n": scenario.n,
             "s": str(scenario.spin),
-            "classical": str(cert.bound),
+            "classical": str(bound),
             "quantum": _fmt(result.value),
-            "ratio": _fmt(result.value / float(cert.bound)),
+            "ratio": _fmt(result.value / float(bound)),
             "gap": _fmt(quantum.spectral_gap(scenario)),
         }
         if args.sample:
@@ -348,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="simulated-measurement Bell estimate")
     add_common(p)
-    p.add_argument("--shots", type=_shots_arg, default=DEFAULT_SHOTS,
+    p.add_argument("--shots", type=_int_arg("shots", 1), default=DEFAULT_SHOTS,
                    help="total shots, split evenly across setting contexts")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_int_arg("seed", 0), default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("report", help="full pipeline for one scenario or a grid")
@@ -363,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.add_argument("--tol", type=_tol_arg, default=1e-9)
     p.add_argument("--sample", action="store_true", help="add sampled Bell estimates")
-    p.add_argument("--shots", type=_shots_arg, default=DEFAULT_SHOTS)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--shots", type=_int_arg("shots", 1), default=DEFAULT_SHOTS)
+    p.add_argument("--seed", type=_int_arg("seed", 0), default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_report)
 
     return parser

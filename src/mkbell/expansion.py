@@ -23,7 +23,6 @@ imaginary, so half of the coefficients vanish and 2^(n-1) terms survive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .spincore import LABEL_B, LABELS
@@ -48,20 +47,8 @@ def expected_term_count(n: int) -> int:
     return 1 << (2 * (n // 2))
 
 
-@dataclass(frozen=True)
-class TermExpansion:
-    """The Bell expression M_n as sorted (coefficient, label-string) terms."""
-
-    n: int
-    terms: tuple[tuple[int, str], ...]
-
-    @property
-    def term_count(self) -> int:
-        return len(self.terms)
-
-
-def expand_terms(n: int) -> TermExpansion:
-    """Expand the n-party Bell expression, combining like terms.
+def expand_terms(n: int) -> tuple[tuple[int, str], ...]:
+    """Expand the n-party Bell expression into (coefficient, labels) terms.
 
     The label string with b letters B has coefficient Re[(1 - i)^(n-1) i^b];
     the strings come in sorted order.
@@ -75,6 +62,5 @@ def expand_terms(n: int) -> TermExpansion:
         coeff = by_b[labels.count(LABEL_B) % 4]
         if coeff:
             terms.append((coeff, labels))
-    result = TermExpansion(n=n, terms=tuple(terms))
-    assert result.term_count == expected_term_count(n)
-    return result
+    assert len(terms) == expected_term_count(n)
+    return tuple(terms)

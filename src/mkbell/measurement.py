@@ -4,8 +4,8 @@ The top state lives on the 2**n strings of the extreme levels +-s
 (``quantum.py`` docstring), where A and B are s sigma_z and s sigma_x.  So
 each setting context follows the spin-1/2 Born rule: rotate each party
 measuring B into B's eigenbasis, then square amplitudes.  An outcome
-product is (2s)**n times the spin-1/2 one, +-2**-n, so correlations and
-their errors are sampled at spin 1/2 and scaled by ``quantum.block_scale``.
+product is (2s)**n times the spin-1/2 one, +-2**-n: contexts are sampled at
+spin 1/2, and ``estimate_bell_value`` scales by ``quantum.block_scale`` once.
 Sampling uses NumPy's PCG64 generator; per-term streams are derived from
 the base seed and the term index through ``numpy.random.SeedSequence``, so
 every report is reproducible.
@@ -28,25 +28,12 @@ from .spincore import Scenario, validate_labels
 _B_ROTATION = np.array([[1.0, 1.0], [1.0, -1.0]]) / sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class JointDistribution:
-    """Probability table over joint outcomes for one setting choice.
-
-    ``probs`` has length 2**n: index bit j (party 1 most significant) is 0
-    for party j's outcome +s and 1 for -s.
-    """
-
-    scenario: Scenario
-    probs: np.ndarray
-
-
-def joint_distribution(scenario: Scenario, state: np.ndarray, settings: str) -> JointDistribution:
-    """Born-rule outcome distribution for measuring ``settings`` on ``state``,
-    a unit vector on the 2**n extreme levels (the index of ``top_state``)."""
+def joint_distribution(state: np.ndarray, settings: str) -> np.ndarray:
+    """Born-rule probabilities for measuring ``settings`` on ``state``, a unit
+    vector on the 2**n extreme levels, n = len(settings); index bit j (party 1
+    most significant) is 0 for party j's outcome +s and 1 for -s."""
     validate_labels(settings)
-    n = scenario.n
-    if len(settings) != n:
-        raise DimensionMismatch(f"settings must have length {n}")
+    n = len(settings)
     state = np.asarray(state, dtype=np.float64)
     if state.shape != (1 << n,):
         raise DimensionMismatch(f"state must have length {1 << n}, got {state.shape}")
@@ -57,15 +44,15 @@ def joint_distribution(scenario: Scenario, state: np.ndarray, settings: str) -> 
     for j, label in enumerate(settings):
         if label == "B":
             amps = np.moveaxis(np.tensordot(_B_ROTATION, amps, axes=(1, j)), 0, j)
-    return JointDistribution(scenario=scenario, probs=(amps ** 2).reshape(-1))
+    return (amps ** 2).reshape(-1)
 
 
 @dataclass(frozen=True)
 class SampleReport:
-    """Finite-sample estimate of one correlation.
+    """Finite-sample estimate of one spin-1/2 correlation.
 
     ``outcome_counts`` is the multinomial count per joint outcome index
-    (the index convention of ``JointDistribution.probs``).
+    (the index convention of ``joint_distribution``).
     """
 
     outcome_counts: np.ndarray
@@ -73,32 +60,29 @@ class SampleReport:
     correlation_stderr: float
 
 
-def sample_outcomes(dist: JointDistribution, shots: int, seed) -> SampleReport:
-    """Draw i.i.d. outcome tuples and estimate the correlation.
+def sample_outcomes(probs: np.ndarray, shots: int, seed) -> SampleReport:
+    """Draw i.i.d. outcome tuples and estimate the spin-1/2 correlation.
 
     The multinomial count vector is drawn in one call (identical in law to
     sequential draws) from ``default_rng(seed)``, with the probabilities
     normalised over their 2**n entries.  The standard error uses the plug-in
-    sample variance of the spin-1/2 outcome product; mean and error are then
-    scaled by (2s)**n.
+    sample variance of the spin-1/2 outcome product.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     rng = np.random.default_rng(seed)
-    probs = dist.probs / dist.probs.sum()  # guard against 1e-16 drift
-    counts = rng.multinomial(shots, probs)
+    counts = rng.multinomial(shots, probs / probs.sum())  # guard against 1e-16 drift
     # Each outcome product is +-2**-n, signed by the index's bit parity: n
     # halvings sum the counts so signed, and the second moment is 4**-n.
-    n = dist.scenario.n
+    n = probs.size.bit_length() - 1
     signed = counts
     for _ in range(n):
         signed = signed[0::2] - signed[1::2]
     mean = int(signed[0]) * 0.5 ** n / shots
     second = 0.25 ** n
     stderr = float(np.sqrt(max(second - mean * mean, 0.0) / shots))
-    scale = block_scale(dist.scenario)
-    return SampleReport(outcome_counts=counts, correlation_mean=scale * mean,
-                        correlation_stderr=scale * stderr)
+    return SampleReport(outcome_counts=counts, correlation_mean=mean,
+                        correlation_stderr=stderr)
 
 
 @dataclass(frozen=True)
@@ -122,23 +106,24 @@ def estimate_bell_value(scenario: Scenario, state: np.ndarray, shots_per_setting
                         seed: int) -> BellEstimate:
     """Sample every term's setting context and combine with its coefficient.
 
-    Term t uses the stream seeded by SeedSequence([seed, t]); the combined
-    standard error is the root sum of squares of coefficient-weighted
-    per-term errors, summed at spin 1/2 and scaled once by (2s)**n, so that
-    no square leaves the float range.  The budget is checked before the
-    first distribution is built (``check_distribution_budget``).
+    Term t uses the stream seeded by SeedSequence([seed, t]) and is sampled
+    at spin 1/2; its mean and error are scaled by (2s)**n.  The combined
+    standard error, the root sum of squares of coefficient-weighted spin-1/2
+    errors, is scaled once, so that no square leaves the float range.  The
+    budget is checked before the first distribution is built.
     """
     check_distribution_budget(scenario)
     scale = block_scale(scenario)
     per_term = []
     value = 0.0
     var = 0.0
-    for t, (coeff, labels) in enumerate(expand_terms(scenario.n).terms):
-        dist = joint_distribution(scenario, state, labels)
-        report = sample_outcomes(dist, shots_per_setting, np.random.SeedSequence([seed, t]))
-        per_term.append((labels, report.correlation_mean, report.correlation_stderr))
-        value += coeff * report.correlation_mean
-        var += (coeff * report.correlation_stderr / scale) ** 2
+    for t, (coeff, labels) in enumerate(expand_terms(scenario.n)):
+        report = sample_outcomes(joint_distribution(state, labels), shots_per_setting,
+                                 np.random.SeedSequence([seed, t]))
+        mean = scale * report.correlation_mean
+        per_term.append((labels, mean, scale * report.correlation_stderr))
+        value += coeff * mean
+        var += (coeff * report.correlation_stderr) ** 2
     return BellEstimate(value=value, stderr=scale * float(np.sqrt(var)),
                         per_term=tuple(per_term))
 

@@ -64,16 +64,21 @@ class Spin:
     def from_string(cls, text: str) -> "Spin":
         """Parse "1/2", "1", "3/2", ... (also accepts decimals like "0.5"); reject
         a spin with more digits than Python converts back to text."""
+        limit = sys.get_int_max_str_digits()
+        too_long = ValueError(f"spin {text!r} has more than {limit} digits, the limit of "
+                              "sys.get_int_max_str_digits(), so it cannot be printed")
         try:
             frac = Fraction(text.strip())
         except ZeroDivisionError:
             raise ValueError(f"spin has a zero denominator: {text!r}") from None
+        except ValueError:  # a literal past the limit fails to convert at all
+            if limit and sum(map(str.isdigit, text)) > limit:
+                raise too_long from None
+            raise
         if frac.denominator not in (1, 2):
             raise ValueError(f"spin must be a half-integer, got {text!r}")
-        limit = sys.get_int_max_str_digits()
         if limit and abs(frac.numerator) >= 10 ** limit:
-            raise ValueError(f"spin {text!r} has more than {limit} digits, the limit of "
-                             "sys.get_int_max_str_digits(), so it cannot be printed")
+            raise too_long
         return cls(int(2 * frac))
 
     def __str__(self) -> str:

@@ -59,7 +59,6 @@ import numpy as np
 from mkbell.classical import ClassicalResult, Strategy, strategy_count
 from mkbell.errors import DimensionMismatch, MkBellError, NotConverged
 from mkbell.expansion import expand_terms, expected_term_count, pair_step, prefactor
-from mkbell.measurement import JointDistribution
 from mkbell.operators import _twice_diagonals, assemble_dense, make_A, make_B
 from mkbell.quantum import EigenResult
 from mkbell.spincore import LABEL_A, LABEL_B, Scenario, Spin, validate_labels
@@ -158,9 +157,9 @@ def b_rotation(spin: Spin) -> np.ndarray:
 
 
 def full_space_distribution(scenario: Scenario, state: np.ndarray,
-                            settings: str) -> JointDistribution:
-    """The Born rule on the full space: ``probs`` over the D joint outcomes,
-    mixed-radix with local index i for outcome s - i."""
+                            settings: str) -> np.ndarray:
+    """The Born rule on the full space: probabilities over the D joint
+    outcomes, mixed-radix with local index i for outcome s - i."""
     validate_labels(settings)
     if len(settings) != scenario.n:
         raise DimensionMismatch(f"settings must have length {scenario.n}")
@@ -174,7 +173,7 @@ def full_space_distribution(scenario: Scenario, state: np.ndarray,
     for j, label in enumerate(settings):
         if label == "B":
             amps = np.moveaxis(np.tensordot(rot, amps, axes=(1, j)), 0, j)
-    return JointDistribution(scenario=scenario, probs=(amps ** 2).reshape(-1))
+    return (amps ** 2).reshape(-1)
 
 
 def lanczos_top(scenario: Scenario, tol: float = 1e-9, max_iter: int = 100_000,
@@ -322,9 +321,8 @@ def classical_max_enumerated(scenario: Scenario,
 
 def value_from_terms(scenario: Scenario, strategy: Strategy) -> Fraction:
     """Independent oracle: inner product of term coefficients with outcome products."""
-    expansion = expand_terms(scenario.n)
     total = Fraction(0)
-    for coeff, labels in expansion.terms:
+    for coeff, labels in expand_terms(scenario.n):
         prod = Fraction(coeff)
         for j, ch in enumerate(labels):
             prod = prod * (strategy.a[j] if ch == "A" else strategy.b[j])
@@ -438,7 +436,6 @@ def dense_scaled_terms(scenario: Scenario) -> np.ndarray:
     """
     scenario.check_entries(f"a dense matrix of {scenario}",
                            lambda: scenario.global_dimension() ** 2)
-    expansion = expand_terms(scenario.n)
     d = scenario.spin.dimension
     local = {}
     for label, twice in ((LABEL_A, make_A(scenario.spin)), (LABEL_B, make_B(scenario.spin))):
@@ -448,7 +445,7 @@ def dense_scaled_terms(scenario: Scenario) -> np.ndarray:
     D = scenario.global_dimension()
     rows = np.arange(D)
     total = np.zeros((D, D), dtype=np.int64)
-    for coeff, labels in expansion.terms:
+    for coeff, labels in expand_terms(scenario.n):
         cols = np.zeros(1, dtype=np.int64)
         vals = np.ones(1, dtype=np.int64)
         for ch in labels:
@@ -503,8 +500,8 @@ def commutation_report(scenario: Scenario, tol: float = 1e-12) -> CommutationRep
     scenario.check_entries(
         f"the term matrices of {scenario}",
         lambda: expected_term_count(scenario.n) * scenario.global_dimension() ** 2)
-    expansion = expand_terms(scenario.n)
-    mats = [term_matrix(scenario, labels) for _, labels in expansion.terms]
+    terms = expand_terms(scenario.n)
+    mats = [term_matrix(scenario, labels) for _, labels in terms]
     T = len(mats)
     commuting = np.ones((T, T), dtype=bool)
     for i in range(T):
@@ -514,19 +511,19 @@ def commutation_report(scenario: Scenario, tol: float = 1e-12) -> CommutationRep
             commuting[i, j] = commuting[j, i] = ok
     return CommutationReport(
         scenario=scenario,
-        labels=tuple(labels for _, labels in expansion.terms),
+        labels=tuple(labels for _, labels in terms),
         commuting=commuting,
         all_commute=bool(commuting.all()),
     )
 
 
-def correlation(dist: JointDistribution) -> float:
+def correlation(scenario: Scenario, probs: np.ndarray) -> float:
     """Exact correlation sum_m m_1 ... m_n P(m_1, ..., m_n) of a full-space
-    distribution (``full_space_distribution``)."""
-    d = dist.scenario.spin.dimension
-    vals = np.array(dist.scenario.spin.twice_outcomes(), dtype=np.float64) / 2.0
-    acc = dist.probs.reshape((d,) * dist.scenario.n)
-    for _ in range(dist.scenario.n):
+    distribution of ``scenario`` (``full_space_distribution``)."""
+    d = scenario.spin.dimension
+    vals = np.array(scenario.spin.twice_outcomes(), dtype=np.float64) / 2.0
+    acc = probs.reshape((d,) * scenario.n)
+    for _ in range(scenario.n):
         acc = np.tensordot(vals, acc, axes=(0, 0))
     return float(acc)
 

@@ -192,18 +192,18 @@ def test_term_expansion_structure():
     swap = str.maketrans("AB", "BA")
     for n in range(1, 11):
         e = expand_terms(n)
-        assert e.term_count == expected_term_count(n) == 4 ** (n // 2), n
+        assert len(e) == expected_term_count(n) == 4 ** (n // 2), n
         if n % 2 == 1:
-            assert e.term_count == 2 ** (n - 1)
+            assert len(e) == 2 ** (n - 1)
             magnitude = 2 ** ((n - 1) // 2)
-            assert all(abs(c) == magnitude for c, _ in e.terms), n
+            assert all(abs(c) == magnitude for c, _ in e), n
         companion = pair_recursion(n)[1]
-        assert {labels.translate(swap): c for c, labels in e.terms} == companion, n
+        assert {labels.translate(swap): c for c, labels in e} == companion, n
     two = expand_terms(2)
-    assert two.terms == ((1, "AA"), (1, "AB"), (1, "BA"), (-1, "BB"))
+    assert two == ((1, "AA"), (1, "AB"), (1, "BA"), (-1, "BB"))
     three = expand_terms(3)
     assert pair_recursion(3)[1] == {"AAA": -2, "ABB": 2, "BAB": 2, "BBA": 2}
-    assert three.terms == ((2, "AAB"), (2, "ABA"), (2, "BAA"), (-2, "BBB"))
+    assert three == ((2, "AAB"), (2, "ABA"), (2, "BAA"), (-2, "BBB"))
 
 
 def test_term_commutation_pattern():
@@ -250,7 +250,7 @@ def test_born_rule_consistent_with_operator_expectations():
             state = rng.standard_normal(scenario.global_dimension())
             state /= np.linalg.norm(state)
             for settings in map("".join, itertools.product("AB", repeat=n)):
-                born = correlation(full_space_distribution(scenario, state, settings))
+                born = correlation(scenario, full_space_distribution(scenario, state, settings))
                 operator_value = float(state @ apply_term(op, settings, state))
                 assert abs(born - operator_value) <= 1e-10, (n, twice, settings)
 
@@ -288,7 +288,7 @@ def test_every_sampled_term_matches_its_prediction():
             s = twice / 2
             estimate = estimate_bell_value(scenario, top_state(scenario),
                                            total_shots // expected_term_count(n), seed=42)
-            terms = expand_terms(n).terms
+            terms = expand_terms(n)
             for (_, labels), (sampled, mean, stderr) in zip(terms, estimate.per_term):
                 assert sampled == labels
                 miss = abs(mean - predicted_correlation(n, s, labels))

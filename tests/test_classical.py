@@ -108,8 +108,10 @@ class TestClassicalMax:
 
     @pytest.mark.parametrize("n,twice", [(2, 1), (3, 2), (4, 1)])
     def test_verify_bound(self, n, twice):
-        cert = verify_bound(Scenario(n, Spin(twice)))
-        assert cert.achieved
+        scenario = Scenario(n, Spin(twice))
+        result = verify_bound(scenario)
+        assert result == classical_max(scenario)
+        assert result.max_value == classical_bound(scenario)
 
 
 class TestLhvSample:

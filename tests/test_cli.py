@@ -524,7 +524,84 @@ class TestSample:
         assert len(json.loads(out)["per_term"]) == 16
 
 
+    def test_budget_before_shots_and_before_the_state(self, capsys, monkeypatch):
+        # n = 13 fails both the budget (4**6 * 2**13 entries) and the shots
+        # split; like report, sample names the budget, before any eigenpair.
+        def no_state(*args, **kwargs):
+            raise AssertionError("built the top state before the pre-checks")
+
+        monkeypatch.setattr(quantum, "largest_eigenpair", no_state)
+        shots = str(10 ** 30)
+        sample = run(capsys, "sample", "--n", "13", "--spin", "1/2", "--shots", shots)
+        report = run(capsys, "report", "--n", "13", "--spin", "1/2", "--sample",
+                     "--shots", shots)
+        assert sample == report == (3, "", (
+            "error: the outcome distributions of n=13, s=1/2 would hold 33554432 "
+            "entries, which exceeds cap 16777216\n"))
+
+    @pytest.mark.parametrize("command", [("sample", "--n", "2", "--spin", "1/2"),
+                                         ("report", "--n", "2", "--spin", "1/2", "--sample")],
+                             ids=["sample", "report"])
+    def test_seed_must_be_non_negative(self, capsys, monkeypatch, command):
+        # NumPy takes only seeds >= 0: rejected at parse time, not after a row.
+        def no_state(*args, **kwargs):
+            raise AssertionError("built the top state with a bad seed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(quantum, "largest_eigenpair", no_state)
+            for seed in ("-1", "x"):
+                code, out, err = run_or_exit(capsys, *command, "--seed", seed)
+                assert (code, out) == (2, "")
+                assert f"argument --seed: seed must be an integer >= 0, got '{seed}'" in err
+        code, out, _ = run(capsys, *command, "--shots", "400", "--seed", "0")
+        assert code == 0
+        assert json.loads(out)["config"]["seed"] == 0
+
+    def test_odd_twice_spin_csv_bytes(self, capsys):
+        # (2s)**n = 27 is not a power of two; odd n has exact correlations.
+        code, out, err = run(capsys, "sample", "--n", "3", "--spin", "3/2", "--shots", "1000",
+                             "--seed", "7", "--format", "csv")
+        assert (code, err) == (0, "")
+        per_term = [{"labels": labels, "correlation": 3.375 * sign, "stderr": 0.0}
+                    for labels, sign in (("AAB", 1), ("ABA", 1), ("BAA", 1), ("BBB", -1))]
+        assert out == (
+            "key,value\n"
+            'config,{"command": "sample", "n": 3, "s": "3/2", "shots": 1000, "seed": 7}\n'
+            "shots_per_setting,250\n"
+            f"per_term,{json.dumps(per_term)}\n"
+            "bell_estimate,27.0\n"
+            "bell_stderr,0.0\n"
+            "classical_bound,27/2\n"
+            "quantum_prediction,27.0\n"
+            "sigmas_above_classical,inf\n"
+        )
+
+
 class TestReport:
+    def test_sampled_grid_bytes(self, capsys):
+        # At n = 2 one seed draws the same counts at every spin: the estimate
+        # and its error are (2s)**2 times the spin-1/2 ones, 9 times at s = 3/2.
+        code, out, err = run(capsys, "report", "--grid", "n=2..3", "s=1/2..3/2", "--sample",
+                             "--shots", "10000", "--seed", "7")
+        assert (code, err) == (0, "")
+        keys = ("n", "s", "classical", "quantum", "ratio", "gap", "bell_estimate",
+                "bell_stderr", "shots_per_setting")
+        rows = [
+            (2, "1/2", "1/2", 0.707106781187, 1.41421356237, 0.707106781187, 0.7052,
+             0.00708883290817, 2500),
+            (2, "1", "2", 2.82842712475, 1.41421356237, 2.82842712475, 2.8208,
+             0.0283553316327, 2500),
+            (2, "3/2", "9/2", 6.36396103068, 1.41421356237, 4.24264068712, 6.3468,
+             0.0637994961736, 2500),
+            (3, "1/2", "1/2", 1.0, 2.0, 1.0, 1.0, 0.0, 2500),
+            (3, "1", "4", 8.0, 2.0, 8.0, 8.0, 0.0, 2500),
+            (3, "3/2", "27/2", 27.0, 2.0, 18.0, 27.0, 0.0, 2500),
+        ]
+        config = {"command": "report", "grid": ["n=2..3", "s=1/2..3/2"], "tol": 1e-09,
+                  "sample": True, "shots": 10000, "seed": 7}
+        payload = {"config": config, "rows": [dict(zip(keys, row)) for row in rows]}
+        assert out == json.dumps(payload, indent=2) + "\n"
+
     def test_grid_json(self, capsys):
         code, out, _ = run(capsys, "report", "--grid", "n=2..3", "s=1/2..1")
         assert code == 0
@@ -729,6 +806,27 @@ class TestBenchmarkHooks:
         assert trace.absent == []
         assert operators.GlobalOperator.apply is apply
 
+    def test_every_hooked_layer_reads_its_attributes(self, capsys, monkeypatch):
+        # The span attributes read the hooked functions' arguments and results
+        # (``shots`` is sample_outcomes' second positional argument); one tiny
+        # command per layer runs under the trace, as traced benchmark runs do.
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        tracing = importlib.import_module("tracing")
+        with tracing.Trace() as trace:
+            assert run(capsys, "sample", "--n", "2", "--spin", "1/2", "--shots", "400")[0] == 0
+            assert run(capsys, "quantum-max", "--n", "3", "--spin", "1")[0] == 0
+            assert run(capsys, "classical-max", "--n", "3", "--spin", "1/2")[0] == 0
+            assert run(capsys, "expand", "--n", "3")[0] == 0
+        assert trace.absent == []
+        assert [span.attrs for span in trace.named("measurement.sample")] == [{"shots": 100}] * 4
+        assert len(trace.named("measurement.distribution")) == 4
+        assert {span.attrs["amps"] for span in trace.named("kernels.matvec")} == {4, 8}
+        assert [span.attrs for span in trace.named("quantum.eigensolve")] == [
+            {"scenario": (2, "1/2"), "iterations": 1}, {"scenario": (3, "1"), "iterations": 1}]
+        assert [span.attrs for span in trace.named("classical.certify")] == [
+            {"strategies": 4 ** 3, "bytes": 4 ** 3 * 2 * 3 * 8}]
+        assert len(trace.named("expansion")) == 2  # the sampled estimate and expand
+
 
 class TestArgs:
     def test_bad_spin_is_usage_error(self, capsys):
@@ -737,17 +835,28 @@ class TestArgs:
 
     def test_spin_too_long_to_print_is_usage_error(self, capsys):
         # Python prints at most 4300 digits by default; 10**4000 still prints.
+        # A literal of more than 4300 digits does not even convert, and gets
+        # the same message.
         code, out, _ = run(capsys, "classical-max", "--n", "1", "--spin", "1e4000")
         assert code == 0
         assert json.loads(out)["config"]["s"] == "1" + "0" * 4000
-        for argv in [("quantum-max", "--n", "2", "--spin", "1e5000"),
-                     ("sample", "--n", "2", "--spin", "1e5000"),
-                     ("classical-max", "--n", "1", "--spin", "1e5000"),
-                     ("report", "--grid", "n=2..2", "s=1e5000..1e5000")]:
-            code, out, err = run_or_exit(capsys, *argv)
-            assert (code, out) == (2, ""), argv
-            assert "spin '1e5000' has more than 4300 digits" in err
-            assert "Traceback" not in err
+        for spin in ("1e5000", "1" * 5000):
+            for argv in [("quantum-max", "--n", "2", "--spin", spin),
+                         ("sample", "--n", "2", "--spin", spin),
+                         ("classical-max", "--n", "1", "--spin", spin),
+                         ("report", "--grid", "n=2..2", f"s={spin}..{spin}"),
+                         ("report", "--grid", "n=2..2", f"s={spin}..1")]:
+                code, out, err = run_or_exit(capsys, *argv)
+                assert (code, out) == (2, ""), argv
+                assert f"spin '{spin}' has more than 4300 digits" in err
+                assert "Traceback" not in err
+
+    @pytest.mark.parametrize("token", ["n=x..2", f"n=2..{'1' * 5000}", f"n={'1' * 5000}..2"],
+                             ids=["not-an-integer", "hi-past-4300-digits", "lo-past-4300-digits"])
+    def test_bad_n_bound_names_the_token(self, capsys, token):
+        code, out, err = run(capsys, "report", "--grid", token, "s=1/2..1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad grid token {token!r}: ")
 
     @pytest.mark.parametrize("argv", [
         ("quantum-max", "--n", "2", "--spin", "1/2"),

@@ -14,52 +14,52 @@ _SWAP = str.maketrans("AB", "BA")
 
 
 def test_single_party_base_case():
-    assert expand_terms(1).terms == ((1, "A"),)
+    assert expand_terms(1) == ((1, "A"),)
 
 
 def test_two_party_terms():
-    assert expand_terms(2).terms == TWO_PARTY_TERMS
+    assert expand_terms(2) == TWO_PARTY_TERMS
 
 
 def test_three_party_terms():
-    assert expand_terms(3).terms == THREE_PARTY_MAIN
+    assert expand_terms(3) == THREE_PARTY_MAIN
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_term_count(n):
     e = expand_terms(n)
-    assert e.term_count == expected_term_count(n) == 1 << (2 * (n // 2))
+    assert len(e) == expected_term_count(n) == 1 << (2 * (n // 2))
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_odd_n_coefficients(n):
     e = expand_terms(n)
-    assert e.term_count == 1 << (n - 1)
+    assert len(e) == 1 << (n - 1)
     magnitude = 1 << ((n - 1) // 2)
-    assert all(abs(c) == magnitude for c, _ in e.terms)
+    assert all(abs(c) == magnitude for c, _ in e)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_companion_is_label_swap(n):
     # The recursion's other half K_n is M_n with A and B swapped.
     _, k = pair_recursion(n)
-    assert {labels.translate(_SWAP): c for c, labels in expand_terms(n).terms} == k
+    assert {labels.translate(_SWAP): c for c, labels in expand_terms(n)} == k
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_terms_sorted_and_unique(n):
     e = expand_terms(n)
-    labels = [lab for _, lab in e.terms]
+    labels = [lab for _, lab in e]
     assert labels == sorted(labels)
     assert len(set(labels)) == len(labels)
     assert all(len(lab) == n for lab in labels)
-    assert all(c != 0 for c, _ in e.terms)
+    assert all(c != 0 for c, _ in e)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_product_form_matches_pair_recursion(n):
     m, _ = pair_recursion(n)
-    assert {labels: c for c, labels in expand_terms(n).terms} == m
+    assert {labels: c for c, labels in expand_terms(n)} == m
 
 
 @pytest.mark.parametrize("n", range(1, 40))

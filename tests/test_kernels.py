@@ -49,7 +49,7 @@ def test_apply_matches_term_sum_oracle():
     rng = np.random.default_rng(13)
     v = rng.standard_normal(1 << scenario.n)
     term_sum = np.zeros_like(v)
-    for coeff, labels in expand_terms(scenario.n).terms:
+    for coeff, labels in expand_terms(scenario.n):
         term_sum += coeff * apply_term(full_space_operator(scenario), labels, v)
     assert _relative_error(op.apply(v), term_sum) <= 1e-12
 

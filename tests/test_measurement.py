@@ -11,7 +11,7 @@ from mkbell.measurement import (
     sample_outcomes,
     violation_sigmas,
 )
-from mkbell.quantum import largest_eigenpair, top_state
+from mkbell.quantum import block_scale, largest_eigenpair, top_state
 from mkbell.spincore import Scenario, Spin
 from oracles import (
     apply_term,
@@ -34,12 +34,13 @@ class TestJointDistribution:
         # The block Born rule on 2**n amplitudes and the full-space oracle on D.
         scenario = Scenario(n, Spin(twice))
         rng = np.random.default_rng(17)
-        for born, dim in ((joint_distribution, 1 << n),
-                          (full_space_distribution, scenario.global_dimension())):
-            for settings in map("".join, itertools.product("AB", repeat=n)):
-                dist = born(scenario, random_state(rng, dim), settings)
-                assert np.all(dist.probs >= 0)
-                assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        for settings in map("".join, itertools.product("AB", repeat=n)):
+            for probs in (joint_distribution(random_state(rng, 1 << n), settings),
+                          full_space_distribution(
+                              scenario, random_state(rng, scenario.global_dimension()),
+                              settings)):
+                assert np.all(probs >= 0)
+                assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n,twice", [(1, 2), (2, 3), (3, 2), (3, 5), (4, 4)])
     def test_block_is_the_full_space_rule_on_the_extreme_levels(self, n, twice):
@@ -50,8 +51,8 @@ class TestJointDistribution:
         extreme = extreme_indices(scenario)
         for settings in map("".join, itertools.product("AB", repeat=n)):
             x = random_state(rng, 1 << n)
-            block = joint_distribution(scenario, x, settings).probs
-            full = full_space_distribution(scenario, embed(scenario, x), settings).probs
+            block = joint_distribution(x, settings)
+            full = full_space_distribution(scenario, embed(scenario, x), settings)
             assert np.max(np.abs(full[extreme] - block)) <= 1e-15
             assert np.delete(full, extreme).sum() <= 1e-15
 
@@ -59,23 +60,23 @@ class TestJointDistribution:
         scenario = Scenario(2, Spin(1))
         state = np.zeros(4)
         state[2] = 1.0  # party 1 outcome -1/2, party 2 outcome +1/2
-        dist = joint_distribution(scenario, state, "AA")
+        probs = joint_distribution(state, "AA")
         expected = np.zeros(4)
         expected[2] = 1.0
-        assert np.allclose(dist.probs, expected, atol=1e-15)
-        assert correlation(dist) == pytest.approx(-0.25, abs=1e-12)
+        assert np.allclose(probs, expected, atol=1e-15)
+        assert correlation(scenario, probs) == pytest.approx(-0.25, abs=1e-12)
 
     def test_rejects_bad_inputs(self):
-        scenario = Scenario(2, Spin(1))
+        # n is the number of settings; a state of another length is rejected.
         good = np.array([1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(DimensionMismatch, match="state must have length 8"):
+            joint_distribution(good, "AAA")
         with pytest.raises(DimensionMismatch):
-            joint_distribution(scenario, good, "AAA")
-        with pytest.raises(DimensionMismatch):
-            joint_distribution(scenario, np.ones(3), "AA")
+            joint_distribution(np.ones(3), "AA")
         with pytest.raises(NotNormalized):
-            joint_distribution(scenario, 2 * good, "AA")
+            joint_distribution(2 * good, "AA")
         with pytest.raises(ValueError):
-            joint_distribution(scenario, good, "AC")
+            joint_distribution(good, "AC")
 
 
 class TestCorrelationAgainstOperator:
@@ -87,28 +88,26 @@ class TestCorrelationAgainstOperator:
             state = random_state(rng, scenario.global_dimension())
             op = full_space_operator(scenario)
             per_term = {labels: float(state @ apply_term(op, labels, state))
-                        for _, labels in expand_terms(n).terms}
+                        for _, labels in expand_terms(n)}
             for settings in map("".join, itertools.product("AB", repeat=n)):
-                born = correlation(full_space_distribution(scenario, state, settings))
+                born = correlation(scenario, full_space_distribution(scenario, state, settings))
                 if settings in per_term:
                     assert born == pytest.approx(per_term[settings], abs=1e-10)
 
 
 class TestSampling:
     def test_counts_sum_to_shots_and_reproduce(self):
-        scenario = Scenario(2, Spin(1))
         rng = np.random.default_rng(2)
-        dist = joint_distribution(scenario, random_state(rng, 4), "AB")
-        one = sample_outcomes(dist, 5000, seed=7)
-        two = sample_outcomes(dist, 5000, seed=7)
+        probs = joint_distribution(random_state(rng, 4), "AB")
+        one = sample_outcomes(probs, 5000, seed=7)
+        two = sample_outcomes(probs, 5000, seed=7)
         assert one.outcome_counts.sum() == 5000
         assert np.array_equal(one.outcome_counts, two.outcome_counts)
         assert one.correlation_mean == two.correlation_mean
 
     def test_counts_keyed_by_outcome_values(self):
-        scenario = Scenario(2, Spin(1))
         state = np.array([1.0, 0.0, 0.0, 0.0])
-        report = sample_outcomes(joint_distribution(scenario, state, "AA"), 10, seed=0)
+        report = sample_outcomes(joint_distribution(state, "AA"), 10, seed=0)
         # Index 0 is the outcome (+1/2, +1/2), whose product is 1/4.
         assert report.outcome_counts.tolist() == [10, 0, 0, 0]
         assert report.correlation_mean == 0.25
@@ -117,34 +116,37 @@ class TestSampling:
     @pytest.mark.parametrize("n,twice", [(1, 1), (2, 3), (3, 1), (5, 2), (8, 1)])
     def test_moments_are_the_outcome_product_sums(self, n, twice):
         # Reference: the count-weighted sums of the product of the spin-1/2
-        # outcomes +-1/2, one table entry per joint outcome.
-        scenario = Scenario(n, Spin(twice))
-        dist = joint_distribution(scenario, random_state(np.random.default_rng(n), 1 << n),
-                                  "AB" * (n // 2) + "A" * (n % 2))
+        # outcomes +-1/2, one table entry per joint outcome.  The report is
+        # the spin-1/2 one; block_scale turns it into the spin-s one.
+        probs = joint_distribution(random_state(np.random.default_rng(n), 1 << n),
+                                   "AB" * (n // 2) + "A" * (n % 2))
         products = np.ones(1)
         for _ in range(n):
             products = np.multiply.outer(products, [0.5, -0.5]).reshape(-1)
-        report = sample_outcomes(dist, 30_000, seed=n)
+        report = sample_outcomes(probs, 30_000, seed=n)
         mean = float(report.outcome_counts @ products) / 30_000
         second = float(report.outcome_counts @ products ** 2) / 30_000
         stderr = float(np.sqrt(max(second - mean * mean, 0.0) / 30_000))
-        assert report.correlation_mean == twice ** n * mean
-        assert report.correlation_stderr == twice ** n * stderr
+        assert (report.correlation_mean, report.correlation_stderr) == (mean, stderr)
+        scale = block_scale(Scenario(n, Spin(twice)))
+        assert scale * report.correlation_mean == twice ** n * mean
+        assert scale * report.correlation_stderr == twice ** n * stderr
 
     def test_mean_converges_to_born_correlation(self):
         scenario = Scenario(3, Spin(2))
         rng = np.random.default_rng(5)
         state = random_state(rng, 8)
-        dist = joint_distribution(scenario, state, "ABB")
-        exact = correlation(full_space_distribution(scenario, embed(scenario, state), "ABB"))
-        report = sample_outcomes(dist, 200_000, seed=99)
-        assert abs(report.correlation_mean - exact) <= 6 * max(report.correlation_stderr, 1e-6)
+        exact = correlation(scenario,
+                            full_space_distribution(scenario, embed(scenario, state), "ABB"))
+        report = sample_outcomes(joint_distribution(state, "ABB"), 200_000, seed=99)
+        scale = block_scale(scenario)  # (2s)**3 = 8
+        mean, stderr = scale * report.correlation_mean, scale * report.correlation_stderr
+        assert abs(mean - exact) <= 6 * max(stderr, 1e-6)
 
     def test_rejects_zero_shots(self):
-        scenario = Scenario(2, Spin(1))
-        dist = joint_distribution(scenario, np.array([1.0, 0, 0, 0]), "AA")
+        probs = joint_distribution(np.array([1.0, 0, 0, 0]), "AA")
         with pytest.raises(ValueError):
-            sample_outcomes(dist, 0, seed=1)
+            sample_outcomes(probs, 0, seed=1)
 
 
 class TestBellEstimate:

@@ -178,7 +178,7 @@ def _term_correlations(state, scenario):
     """Each product term's correlation <state|term|state>, by label string."""
     op = full_space_operator(scenario)
     return {labels: float(state @ apply_term(op, labels, state))
-            for _, labels in expand_terms(scenario.n).terms}
+            for _, labels in expand_terms(scenario.n)}
 
 
 class TestExpectation:
@@ -186,7 +186,7 @@ class TestExpectation:
         scenario = Scenario(3, Spin(1))
         result = largest_eigenpair(scenario)
         corr = _term_correlations(result.vector, scenario)
-        value = sum(c * corr[labels] for c, labels in expand_terms(3).terms)
+        value = sum(c * corr[labels] for c, labels in expand_terms(3))
         assert value == pytest.approx(result.value, rel=1e-8)
 
     def test_two_party_half_per_term(self):
@@ -198,7 +198,7 @@ class TestExpectation:
         assert terms["AB"] == pytest.approx(unit, abs=1e-9)
         assert terms["BA"] == pytest.approx(unit, abs=1e-9)
         assert terms["BB"] == pytest.approx(-unit, abs=1e-9)
-        value = sum(c * terms[labels] for c, labels in expand_terms(2).terms)
+        value = sum(c * terms[labels] for c, labels in expand_terms(2))
         assert value == pytest.approx(SQRT2 / 2, rel=1e-9)
 
 

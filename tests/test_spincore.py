@@ -66,10 +66,15 @@ class TestSpin:
 
     @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit")
     def test_rejects_a_spin_too_long_to_print(self):
+        # A literal of more than ``limit`` digits does not convert at all; it
+        # gets the spin's own message, not Python's bare conversion error.
         limit = sys.get_int_max_str_digits()
         assert len(str(Spin.from_string(f"1e{limit - 1}"))) == limit
-        for text in (f"1e{limit}", f"-1e{limit}"):
-            with pytest.raises(ValueError, match=f"more than {limit} digits"):
+        assert len(str(Spin.from_string("1" * limit))) == limit
+        for text in (f"1e{limit}", f"-1e{limit}", "1" * (limit + 1), "-" + "1" * (limit + 1),
+                     "1/" + "2" * (limit + 1)):
+            with pytest.raises(ValueError, match=f"^spin '{text[:6]}.* has more than {limit} "
+                                                 "digits"):
                 Spin.from_string(text)
 
     @pytest.mark.parametrize("text", ["1/0", "0/0", " 3/0 "])
