@@ -9,14 +9,10 @@ module is exact (twice-value integers internally, ``Fraction`` values at the
 API), and the module is pure Python: it never imports NumPy.
 
 **Certificate.**  ``classical_max`` is an exact dynamic program over the
-recursion's state.  Going party by party, it keeps a dict from every
-reachable (m, k) to the smallest strategy-index prefix that reaches it; the
-next party maps each entry through the four sign pairs (a, b) in {+-s}^2,
-with prefix ``4 * index + crumb``.  The future of a prefix depends only on
-its state, and of two prefixes of one length, the smaller one gives the
-smaller index under every completion; so the smallest index reaching each
-final state is kept.  The DP is exhaustive by construction and reproduces
-enumeration's maximum and its tie-break.
+recursion's state.  Going party by party, it keeps the set of reachable
+(m, k); the next party maps each state through the four sign pairs (a, b) in
+{+-s}^2.  The DP is exhaustive by construction: its largest |m| is the
+extremal maximum.
 
 **Four states.**  With t = 2s, the factor (1 - i)(a + i b) of a sign pair
 is t, -t i, t i or -t for (+s, +s), (+s, -s), (-s, +s), (-s, -s): the state
@@ -27,11 +23,11 @@ cost rests on this; the result does not.
 
 **Full grid.**  M_n is affine in each outcome separately (multilinear), so
 |M_n| on the box [-s, s]^(2n) is maximised at a vertex: the full-grid
-maximum is the extremal one.  Index 0 (every outcome +s) is the smallest
-index on both grids and attains M_n = s (2s)^(n-1) = 2^(n-1) s^n, the
-bound itself; so it is the smallest full-grid maximiser.  The code checks
-that the extremal DP's argmax is index 0 before reporting it, and
-``verify_bound`` raises if a maximum ever exceeds the bound.
+maximum is the extremal one.  Every outcome +s (strategy index 0, the
+smallest on both grids) attains M_n = s (2s)^(n-1) = 2^(n-1) s^n, the bound
+itself, so it is the reported argmax.  ``classical_max`` raises unless its
+state is among the DP's and its value, the DP's maximum and the bound are
+equal.
 
 Strategy indices are mixed-radix with party 1 most significant and, within a
 party, a before b; digit 0 is +s.  ``strategies_checked`` is the size of the
@@ -75,28 +71,13 @@ def strategy_count(scenario: Scenario, extremal_only: bool = True) -> int:
     return 4 ** scenario.n if extremal_only else scenario.spin.dimension ** (2 * scenario.n)
 
 
-def _extremal_states(n: int, t: int) -> dict:
-    """Each reachable final twice-value state (m, k) of the extremal
-    strategies, mapped to the smallest strategy index that reaches it."""
-    pairs = ((t, t), (t, -t), (-t, t), (-t, -t))  # crumbs 0..3
-    states = {pair: crumb for crumb, pair in enumerate(pairs)}
+def _extremal_states(n: int, t: int) -> set:
+    """The reachable final twice-value states (m, k) of the extremal strategies."""
+    pairs = ((t, t), (t, -t), (-t, t), (-t, -t))
+    states = set(pairs)
     for _ in range(1, n):
-        reached = {}
-        for (m, k), index in states.items():
-            for crumb, (a, b) in enumerate(pairs):
-                state = pair_step(m, k, a, b)
-                prefix = 4 * index + crumb
-                if prefix < reached.get(state, prefix + 1):
-                    reached[state] = prefix
-        states = reached
+        states = {pair_step(m, k, a, b) for m, k in states for a, b in pairs}
     return states
-
-
-def _extremal_strategy(n: int, t: int, index: int) -> Strategy:
-    crumbs = [(index >> (2 * (n - 1 - j))) & 3 for j in range(n)]
-    a = tuple(Fraction(-t if crumb & 2 else t, 2) for crumb in crumbs)
-    b = tuple(Fraction(-t if crumb & 1 else t, 2) for crumb in crumbs)
-    return Strategy(a=a, b=b)
 
 
 def classical_max(scenario: Scenario, extremal_only: bool = True) -> ClassicalResult:
@@ -105,30 +86,22 @@ def classical_max(scenario: Scenario, extremal_only: bool = True) -> ClassicalRe
     With ``extremal_only`` the certified set is the 4**n sign patterns
     a_j, b_j = +-s; otherwise the full (2s+1)**(2n) outcome grid, whose
     maximum is the extremal one by multilinearity (module docstring).  The
-    argmax is reported for the positive side, ties broken by the smallest
-    strategy index.
+    argmax is every outcome +s; raise unless it attains both the DP's
+    maximum and the bound 2**(n-1) s**n.
     """
     n, t = scenario.n, scenario.spin.twice_spin
     states = _extremal_states(n, t)
-    best = max(abs(m) for m, _ in states)
-    index = min([i for (m, _), i in states.items() if m == best]
-                or [i for (m, _), i in states.items() if m == -best])
-    if not extremal_only and index != 0:
-        raise AssertionError(f"all +s does not attain the extremal maximum for {scenario}")
+    best = Fraction(max(abs(m) for m, _ in states), 1 << n)
+    m, k = t, t
+    for _ in range(1, n):
+        m, k = pair_step(m, k, t, t)
+    attained, bound = Fraction(m, 1 << n), classical_bound(scenario)
+    if (m, k) not in states or not attained == best == bound:
+        raise AssertionError(f"all +s attains {attained}, the DP's maximum is {best} "
+                             f"and the bound {bound} for {scenario}")
+    plus = (scenario.spin.value,) * n
     return ClassicalResult(
-        max_value=Fraction(best, 1 << n),
-        argmax=_extremal_strategy(n, t, index),
+        max_value=best,
+        argmax=Strategy(a=plus, b=plus),
         strategies_checked=strategy_count(scenario, extremal_only),
     )
-
-
-def verify_bound(scenario: Scenario, extremal_only: bool = True) -> ClassicalResult:
-    """Return ``classical_max``'s result; raise if it exceeds 2**(n-1) s**n."""
-    result = classical_max(scenario, extremal_only=extremal_only)
-    bound = classical_bound(scenario)
-    if result.max_value > bound:
-        raise AssertionError(
-            f"the certificate found {result.max_value} above the bound {bound} "
-            f"for {scenario}"
-        )
-    return result

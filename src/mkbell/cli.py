@@ -63,24 +63,38 @@ def _tol_arg(text: str) -> float:
     return tol
 
 
+def _integer(name: str, text: str, least: int | None = None) -> int:
+    """``text`` as an integer, at least ``least`` if given; the ValueError names
+    ``name``, and Python's digit limit for a literal too long to convert."""
+    try:
+        value = int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if limit and sum(map(str.isdigit, text)) > limit:
+            raise ValueError(f"{name} {text!r} has more than {limit} digits, the limit of "
+                             "sys.get_int_max_str_digits()") from None
+        value = None
+    if value is None or least is not None and value < least:
+        floor = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{floor}, got {text!r}")
+    return value
+
+
 def _int_arg(name: str, least: int):
     """An argparse type for integers >= ``least``; NumPy takes no negative seed."""
     def parse(text: str) -> int:
         try:
-            value = int(text)
-        except ValueError:
-            value = least - 1
-        if value < least:
-            raise argparse.ArgumentTypeError(f"{name} must be an integer >= {least}, got {text!r}")
-        return value
+            return _integer(name, text, least)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
     return parse
 
 
 def _dim_cap(args) -> int:
     if args.dim_cap is not None:
         return args.dim_cap
-    env = os.environ.get("MKBELL_DIM_CAP")
-    return int(env) if env else DEFAULT_DIM_CAP
+    env = os.environ.get("MKBELL_DIM_CAP")  # a cap below 1 fails in Scenario
+    return _integer("MKBELL_DIM_CAP", env) if env else DEFAULT_DIM_CAP
 
 
 def _scenario(args) -> Scenario:
@@ -128,14 +142,23 @@ def _cmd_expand(args):
     return [{"coefficient": c, "labels": labels} for c, labels in expand_terms(n)]
 
 
+def _power_reaches(base: int, exp: int, floor: int) -> bool:
+    """base**exp >= floor; the power is formed only when bit lengths do not
+    decide, and then has fewer than twice floor's bits."""
+    bits, top = base.bit_length(), floor.bit_length()
+    if exp * (bits - 1) >= top:
+        return True
+    return exp * bits >= top and base ** exp >= floor
+
+
 def _check_printable(scenario, extremal_only):
-    """Raise CapExceeded before the DP if the bound's numerator or the strategy
-    count (at least 4**n, too long once n >= 2 * limit) has more digits than
-    Python converts to text."""
+    """Raise CapExceeded before the DP if the bound's numerator (2s)**n, halved
+    for integer s, or the strategy count 4**n or (2s+1)**(2n) has more digits
+    than Python converts to text."""
     limit = sys.get_int_max_str_digits()
-    if limit and (scenario.n >= 2 * limit or 10 ** limit <= max(
-            classical.classical_bound(scenario).numerator,
-            classical.strategy_count(scenario, extremal_only))):
+    t, n, floor = scenario.spin.twice_spin, scenario.n, 10 ** limit
+    if limit and (_power_reaches(t, n, floor << (1 - t % 2))
+                  or _power_reaches(2 if extremal_only else t + 1, 2 * n, floor)):
         raise CapExceeded(
             f"the certificate for {scenario} prints an integer of more than {limit} "
             "digits, the limit of sys.get_int_max_str_digits()"
@@ -145,7 +168,7 @@ def _check_printable(scenario, extremal_only):
 def _cmd_classical_max(args):
     scenario = Scenario(n=args.n, spin=args.spin)
     _check_printable(scenario, not args.full_grid)
-    result = classical.verify_bound(scenario, extremal_only=not args.full_grid)
+    result = classical.classical_max(scenario, extremal_only=not args.full_grid)
     bound = classical.classical_bound(scenario)
     return {
         "config": _config_dict(args, full_grid=args.full_grid),
@@ -288,7 +311,7 @@ def _cmd_report(args):
         _check_fits(scenario, args.shots if args.sample else None)
     rows = []
     for scenario in scenarios():
-        classical.verify_bound(scenario)
+        classical.classical_max(scenario)
         bound = classical.classical_bound(scenario)
         result = quantum.largest_eigenpair(scenario, tol=args.tol)
         row = {

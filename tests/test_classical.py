@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mkbell.classical import Strategy, classical_bound, classical_max, verify_bound
+from mkbell import classical
+from mkbell.classical import Strategy, classical_bound, classical_max
 from mkbell.errors import CapExceeded
 from mkbell.spincore import DEFAULT_DIM_CAP, Scenario, Spin
 from oracles import (
@@ -107,11 +108,25 @@ class TestClassicalMax:
                     == classical_max_enumerated(scenario, extremal_only=False))
 
     @pytest.mark.parametrize("n,twice", [(2, 1), (3, 2), (4, 1)])
-    def test_verify_bound(self, n, twice):
-        scenario = Scenario(n, Spin(twice))
-        result = verify_bound(scenario)
-        assert result == classical_max(scenario)
-        assert result.max_value == classical_bound(scenario)
+    @pytest.mark.parametrize("extremal_only", [True, False])
+    def test_certificate_raises_on_a_wrong_state_set(self, monkeypatch, n, twice,
+                                                     extremal_only):
+        # The all-+s state, the DP's maximum and the bound must agree: a set
+        # above the bound, or one that lacks the all-+s state, is refused.
+        states = classical._extremal_states(n, twice)
+        top = (twice * (2 * twice) ** (n - 1),) * 2  # all +s: (t, t), times 2t per party
+        assert top in states and (-top[0], -top[1]) in states
+        above = states | {(top[0] + 1, top[1])}
+        for wrong in (above, states - {top}):
+            monkeypatch.setattr(classical, "_extremal_states", lambda n, t, wrong=wrong: wrong)
+            with pytest.raises(AssertionError, match="all \\+s attains"):
+                classical_max(Scenario(n, Spin(twice)), extremal_only=extremal_only)
+
+    @pytest.mark.parametrize("twice", range(1, 10))
+    def test_four_states_per_party(self, twice):
+        # The DP's cost rests on this: every party leaves four live states.
+        for n in range(1, 61):
+            assert len(classical._extremal_states(n, twice)) == 4, n
 
 
 class TestLhvSample:

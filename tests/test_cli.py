@@ -216,6 +216,29 @@ class TestClassicalMax:
         finally:
             sys.set_int_max_str_digits(default)
 
+    @pytest.mark.parametrize("argv", [("--n", "1000"), ("--n", "1000", "--full-grid"),
+                                      ("--n", "8000", "--full-grid")])
+    def test_huge_spin_fails_fast(self, capsys, argv):
+        # (2 * 10**4000)**n / 2 has millions of digits: the pre-check decides
+        # from bit lengths without forming it, or (2s+1)**(2n).
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classical-max", "--spin", "1e4000", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "digits" in err
+
+    def test_full_grid_bytes(self, capsys):
+        code, out, _ = run(capsys, "classical-max", "--n", "4", "--spin", "5/2", "--full-grid")
+        assert code == 0
+        plus = "\n".join(['    "5/2",'] * 3 + ['    "5/2"'])
+        assert out == (
+            '{\n  "config": {\n    "command": "classical-max",\n    "n": 4,\n'
+            '    "s": "5/2",\n    "full_grid": true\n  },\n'
+            '  "bound": "625/2",\n  "achieved": true,\n'
+            f'  "argmax_a": [\n{plus}\n  ],\n  "argmax_b": [\n{plus}\n  ],\n'
+            '  "strategies_checked": 1679616\n}\n'
+        )
+
     def test_dim_cap_is_not_an_option(self, capsys):
         # The certificate allocates nothing of the global dimension.
         with pytest.raises(SystemExit):
@@ -261,7 +284,7 @@ class TestDimensionCap:
         def no_row(*args, **kwargs):
             raise AssertionError("computed a row of a grid past the budget")
 
-        monkeypatch.setattr(classical, "verify_bound", no_row)
+        monkeypatch.setattr(classical, "classical_max", no_row)
         start = time.perf_counter()
         code, out, err = run(capsys, "report", "--grid", "n=10..13", "s=1/2..1/2",
                              "--sample")
@@ -304,6 +327,15 @@ class TestDimensionCap:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert "dim_cap must be an integer >= 1" in err
+
+
+    @pytest.mark.parametrize("env", ["abc", "7" * 5000], ids=["not-an-integer", "past-4300-digits"])
+    def test_bad_env_cap_names_the_variable(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("MKBELL_DIM_CAP", env)
+        code, out, err = run(capsys, "quantum-max", "--n", "2", "--spin", "1/2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: MKBELL_DIM_CAP ")
+        assert "integer" in err if env == "abc" else "more than 4300 digits" in err
 
 
 class TestQuantumMax:
@@ -446,7 +478,7 @@ class TestFloatRange:
         def no_row(*args, **kwargs):
             raise AssertionError("computed a row of a grid past the float range")
 
-        monkeypatch.setattr(classical, "verify_bound", no_row)
+        monkeypatch.setattr(classical, "classical_max", no_row)
         code, out, err = run(capsys, "report", "--grid", "n=1..2", "s=1e200..1e200")
         assert (code, out) == (3, "")
         assert "the top eigenvalue of n=2" in err
@@ -640,7 +672,7 @@ class TestReport:
         def no_row(*args, **kwargs):
             raise AssertionError("computed a row with too many shots per setting")
 
-        monkeypatch.setattr(classical, "verify_bound", no_row)
+        monkeypatch.setattr(classical, "classical_max", no_row)
         code, out, err = run(capsys, "report", "--grid", "n=2..2", "s=1/2..1/2", "--sample",
                              "--shots", str(10 ** 23))
         assert (code, out) == (2, "")
@@ -816,6 +848,7 @@ class TestBenchmarkHooks:
             assert run(capsys, "sample", "--n", "2", "--spin", "1/2", "--shots", "400")[0] == 0
             assert run(capsys, "quantum-max", "--n", "3", "--spin", "1")[0] == 0
             assert run(capsys, "classical-max", "--n", "3", "--spin", "1/2")[0] == 0
+            assert run(capsys, "classical-max", "--n", "2", "--spin", "1", "--full-grid")[0] == 0
             assert run(capsys, "expand", "--n", "3")[0] == 0
         assert trace.absent == []
         assert [span.attrs for span in trace.named("measurement.sample")] == [{"shots": 100}] * 4
@@ -824,7 +857,8 @@ class TestBenchmarkHooks:
         assert [span.attrs for span in trace.named("quantum.eigensolve")] == [
             {"scenario": (2, "1/2"), "iterations": 1}, {"scenario": (3, "1"), "iterations": 1}]
         assert [span.attrs for span in trace.named("classical.certify")] == [
-            {"strategies": 4 ** 3, "bytes": 4 ** 3 * 2 * 3 * 8}]
+            {"strategies": 4 ** 3, "bytes": 4 ** 3 * 2 * 3 * 8},
+            {"strategies": 3 ** 4, "bytes": 3 ** 4 * 2 * 2 * 8}]
         assert len(trace.named("expansion")) == 2  # the sampled estimate and expand
 
 
@@ -850,6 +884,17 @@ class TestArgs:
                 assert (code, out) == (2, ""), argv
                 assert f"spin '{spin}' has more than 4300 digits" in err
                 assert "Traceback" not in err
+
+    @pytest.mark.parametrize("option", ["--shots", "--seed"])
+    @pytest.mark.parametrize("command", ["sample", "report"])
+    def test_integer_past_the_digit_limit_names_it(self, capsys, command, option):
+        # A valid integer too long for int(); the message names the limit, not a range.
+        digits = "1" * 5000
+        code, out, err = run_or_exit(capsys, command, "--n", "2", "--spin", "1/2",
+                                     option, digits)
+        assert (code, out) == (2, "")
+        assert f"{option[2:]} '{digits}' has more than 4300 digits" in err
+        assert "must be an integer" not in err
 
     @pytest.mark.parametrize("token", ["n=x..2", f"n=2..{'1' * 5000}", f"n={'1' * 5000}..2"],
                              ids=["not-an-integer", "hi-past-4300-digits", "lo-past-4300-digits"])
