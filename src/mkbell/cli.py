@@ -7,7 +7,10 @@ shots on one setting) or unwritable ``--output``, 3 cap exceeded (the array
 budget ``--dim-cap``, digits of a printed exact integer, or a top eigenvalue
 past the float range), 4 numerical non-convergence (the closed-form top
 eigenpair fails its one-matvec residual check).  ``sample`` and every row of
-``report`` pass the same checks (``_check_fits``) before any array is built.
+``report`` pass the same checks (``_check_fits``) before any array is built,
+and it returns the shots split their estimate draws.  Each typed option parses
+through ``_parsed``; every integer input, ``MKBELL_DIM_CAP`` and the grid's n
+bounds too, through ``_integer``, whose message names it.
 
 Only the commands that build arrays (``quantum-max``, ``ratio``, ``sample``
 and ``report``) import ``operators``, ``quantum`` and ``measurement``, and
@@ -22,6 +25,7 @@ import json
 import os
 import re
 import sys
+from functools import partial
 
 from . import classical
 from .errors import CapExceeded, MkBellError, NotConverged
@@ -46,20 +50,23 @@ def _fmt(x):
     return float(f"{x:.12g}")
 
 
-def _spin_arg(text: str) -> Spin:
-    try:
-        return Spin.from_string(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _parsed(parse):
+    """``parse`` as an argparse type: its ValueError becomes the usage message."""
+    def parsed(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return parsed
 
 
-def _tol_arg(text: str) -> float:
+def _tolerance(text: str) -> float:
     try:
         tol = float(text)
     except ValueError:
         tol = 0.0
     if not 0 < tol < float("inf"):
-        raise argparse.ArgumentTypeError(f"tol must be a finite number > 0, got {text!r}")
+        raise ValueError(f"tol must be a finite number > 0, got {text!r}")
     return tol
 
 
@@ -78,16 +85,6 @@ def _integer(name: str, text: str, least: int | None = None) -> int:
         floor = "" if least is None else f" >= {least}"
         raise ValueError(f"{name} must be an integer{floor}, got {text!r}")
     return value
-
-
-def _int_arg(name: str, least: int):
-    """An argparse type for integers >= ``least``; NumPy takes no negative seed."""
-    def parse(text: str) -> int:
-        try:
-            return _integer(name, text, least)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc))
-    return parse
 
 
 def _dim_cap(args) -> int:
@@ -210,9 +207,19 @@ def _cmd_ratio(args):
     }
 
 
-def _shots_per_setting(scenario, shots):
-    """``--shots`` split evenly across the setting contexts; one multinomial
-    draw takes at most 2**63 - 1 shots."""
+def _check_fits(scenario, shots=None):
+    """Raise before any array is built unless ``scenario``'s state (2**n
+    entries) fits the budget and its top eigenvalue the float range; with
+    ``shots``, also its sampled estimate (T 2**n entries) and the shots split.
+    Return the shots per setting: ``shots`` split evenly across the T setting
+    contexts, of which one multinomial draw takes at most 2**63 - 1."""
+    from . import measurement, quantum
+
+    scenario.check_entries(f"a state vector of {scenario}")
+    quantum.block_scale(scenario)
+    if shots is None:
+        return None
+    measurement.check_distribution_budget(scenario)
     share = max(1, shots // expected_term_count(scenario.n))
     if share >= 1 << 63:
         raise ValueError(f"--shots {shots} puts {share} shots on each setting of "
@@ -220,37 +227,14 @@ def _shots_per_setting(scenario, shots):
     return share
 
 
-def _check_fits(scenario, shots=None):
-    """Raise before any array is built unless ``scenario``'s state (2**n
-    entries) fits the budget and its top eigenvalue the float range; with
-    ``shots``, also its sampled estimate (T 2**n entries) and the shots split."""
+def _cmd_sample(args):
     from . import measurement, quantum
 
-    scenario.check_entries(f"a state vector of {scenario}")
-    quantum.block_scale(scenario)
-    if shots is not None:
-        measurement.check_distribution_budget(scenario)
-        _shots_per_setting(scenario, shots)
-
-
-def _sample_block(scenario, state, shots, seed):
-    from . import measurement
-
-    shots_per_setting = _shots_per_setting(scenario, shots)
-    estimate = measurement.estimate_bell_value(scenario, state, shots_per_setting, seed)
-    sigmas = measurement.violation_sigmas(scenario, estimate)
-    return estimate, shots_per_setting, sigmas
-
-
-def _cmd_sample(args):
-    from . import quantum
-
     scenario = _scenario(args)
-    _check_fits(scenario, args.shots)
+    shots_per_setting = _check_fits(scenario, args.shots)
     state = quantum.largest_eigenpair(scenario).vector
-    estimate, shots_per_setting, sigmas = _sample_block(
-        scenario, state, args.shots, args.seed
-    )
+    estimate = measurement.estimate_bell_value(scenario, state, shots_per_setting, args.seed)
+    sigmas = measurement.violation_sigmas(scenario, estimate)
     return {
         "config": _config_dict(args, shots=args.shots, seed=args.seed),
         "shots_per_setting": shots_per_setting,
@@ -280,8 +264,8 @@ def _parse_grid(tokens):
             raise ValueError(f"grid gives the {key} range twice, in {token!r}")
         if key == "n":
             try:
-                values = range(int(lo), int(hi) + 1)
-            except ValueError as exc:  # not an integer, or past Python's digit limit
+                values = range(_integer("n", lo), _integer("n", hi) + 1)
+            except ValueError as exc:
                 raise ValueError(f"bad grid token {token!r}: {exc}") from None
         else:
             values = range(Spin.from_string(lo).twice_spin, Spin.from_string(hi).twice_spin + 1)
@@ -294,23 +278,20 @@ def _parse_grid(tokens):
 
 
 def _cmd_report(args):
-    from . import quantum
+    from . import measurement, quantum
 
     if args.grid:
         n_values, twice_spins = _parse_grid(args.grid)
     else:
         n_values, twice_spins = [args.n], [args.spin.twice_spin]
     dim_cap = _dim_cap(args)
-
-    def scenarios():
-        # Built row by row, so a huge grid stops at its first row past the budget.
-        return (Scenario(n=n, spin=Spin(t), dim_cap=dim_cap)
-                for n in n_values for t in twice_spins)
-
-    for scenario in scenarios():  # every row fits before the first runs
-        _check_fits(scenario, args.shots if args.sample else None)
+    shots = args.shots if args.sample else None
+    # Every row fits before the first runs; built row by row, so a huge grid
+    # stops at its first row past the budget.
+    checked = [(scenario, _check_fits(scenario, shots)) for scenario in (
+        Scenario(n=n, spin=Spin(t), dim_cap=dim_cap) for n in n_values for t in twice_spins)]
     rows = []
-    for scenario in scenarios():
+    for scenario, shots_per_setting in checked:
         classical.classical_max(scenario)
         bound = classical.classical_bound(scenario)
         result = quantum.largest_eigenpair(scenario, tol=args.tol)
@@ -323,9 +304,8 @@ def _cmd_report(args):
             "gap": _fmt(quantum.spectral_gap(scenario)),
         }
         if args.sample:
-            estimate, shots_per_setting, _ = _sample_block(
-                scenario, result.vector, args.shots, args.seed
-            )
+            estimate = measurement.estimate_bell_value(scenario, result.vector,
+                                                       shots_per_setting, args.seed)
             row["bell_estimate"] = _fmt(estimate.value)
             row["bell_stderr"] = _fmt(estimate.stderr)
             row["shots_per_setting"] = shots_per_setting
@@ -347,66 +327,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bell operators for n spin-s particles: bounds, maxima, sampling.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_dim_cap(p):
-        p.add_argument("--dim-cap", type=int, default=None, help=(
+    options = {
+        "--n": dict(type=_parsed(partial(_integer, "n")), help="number of parties"),
+        "--spin": dict(type=_parsed(Spin.from_string),
+                       help='spin, e.g. "1/2", "1", "3/2" (or "0.5")'),
+        "--grid": dict(nargs="+", metavar="RANGE", help="e.g. --grid n=2..4 s=1/2..3/2"),
+        "--dim-cap": dict(type=_parsed(partial(_integer, "dim_cap")), help=(
             "array budget: the most array entries the command may build "
             f"(default {DEFAULT_DIM_CAP}, env MKBELL_DIM_CAP); at every spin a "
-            "state vector counts 2**n, sampling 4**(n//2) 2**n, expand n 2**n"))
-
-    def add_common(p, dim_cap=True):
-        p.add_argument("--n", type=int, required=True, help="number of parties")
-        p.add_argument("--spin", type=_spin_arg, required=True,
-                       help='spin, e.g. "1/2", "1", "3/2" (or "0.5")')
-        if dim_cap:
-            add_dim_cap(p)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--output", default=None, help="write the report to this file")
-
-    p = sub.add_parser("expand", help="term expansion of the Bell expression")
-    p.add_argument("--n", type=int, required=True)
-    add_dim_cap(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_expand)
-
-    p = sub.add_parser("classical-max", help="exact classical maximum, certified by an O(n) DP")
-    add_common(p, dim_cap=False)
-    p.add_argument("--full-grid", action="store_true",
-                   help="certify the full outcome grid instead of sign patterns")
-    p.set_defaults(func=_cmd_classical_max)
-
-    p = sub.add_parser("quantum-max", help="largest eigenvalue of the Bell operator")
-    add_common(p)
-    p.add_argument("--tol", type=_tol_arg, default=1e-9)
-    p.set_defaults(func=_cmd_quantum_max)
-
-    p = sub.add_parser("ratio", help="quantum-to-classical violation ratio")
-    add_common(p)
-    p.add_argument("--tol", type=_tol_arg, default=1e-9)
-    p.set_defaults(func=_cmd_ratio)
-
-    p = sub.add_parser("sample", help="simulated-measurement Bell estimate")
-    add_common(p)
-    p.add_argument("--shots", type=_int_arg("shots", 1), default=DEFAULT_SHOTS,
-                   help="total shots, split evenly across setting contexts")
-    p.add_argument("--seed", type=_int_arg("seed", 0), default=DEFAULT_SEED)
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("report", help="full pipeline for one scenario or a grid")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--spin", type=_spin_arg, default=None)
-    p.add_argument("--grid", nargs="+", default=None,
-                   metavar="RANGE", help='e.g. --grid n=2..4 s=1/2..3/2')
-    add_dim_cap(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--output", default=None)
-    p.add_argument("--tol", type=_tol_arg, default=1e-9)
-    p.add_argument("--sample", action="store_true", help="add sampled Bell estimates")
-    p.add_argument("--shots", type=_int_arg("shots", 1), default=DEFAULT_SHOTS)
-    p.add_argument("--seed", type=_int_arg("seed", 0), default=DEFAULT_SEED)
-    p.set_defaults(func=_cmd_report)
-
+            "state vector counts 2**n, sampling 4**(n//2) 2**n, expand n 2**n")),
+        "--format": dict(choices=("json", "csv"), default="json"),
+        "--output": dict(help="write the report to this file"),
+        "--full-grid": dict(action="store_true",
+                            help="certify the full outcome grid instead of sign patterns"),
+        "--tol": dict(type=_parsed(_tolerance), default=1e-9),
+        "--sample": dict(action="store_true", help="add sampled Bell estimates"),
+        "--shots": dict(type=_parsed(partial(_integer, "shots", least=1)), default=DEFAULT_SHOTS,
+                        help="total shots, split evenly across setting contexts"),
+        # NumPy takes no negative seed.
+        "--seed": dict(type=_parsed(partial(_integer, "seed", least=0)), default=DEFAULT_SEED),
+    }
+    for command, func, text, required, optional in [
+        ("expand", _cmd_expand, "term expansion of the Bell expression",
+         "--n", "--dim-cap --format --output"),
+        ("classical-max", _cmd_classical_max, "exact classical maximum, certified by an O(n) DP",
+         "--n --spin", "--format --output --full-grid"),
+        ("quantum-max", _cmd_quantum_max, "largest eigenvalue of the Bell operator",
+         "--n --spin", "--dim-cap --format --output --tol"),
+        ("ratio", _cmd_ratio, "quantum-to-classical violation ratio",
+         "--n --spin", "--dim-cap --format --output --tol"),
+        ("sample", _cmd_sample, "simulated-measurement Bell estimate",
+         "--n --spin", "--dim-cap --format --output --shots --seed"),
+        ("report", _cmd_report, "full pipeline for one scenario or a grid",
+         "", "--n --spin --grid --dim-cap --format --output --tol --sample --shots --seed"),
+    ]:
+        p = sub.add_parser(command, help=text)
+        for option in required.split():
+            p.add_argument(option, required=True, **options[option])
+        for option in optional.split():
+            p.add_argument(option, **options[option])
+        p.set_defaults(func=func)
     return parser
 
 

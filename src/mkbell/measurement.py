@@ -129,8 +129,9 @@ def estimate_bell_value(scenario: Scenario, state: np.ndarray, shots_per_setting
 
 
 def violation_sigmas(scenario: Scenario, estimate: BellEstimate) -> float:
-    """How many combined standard errors the estimate sits above the classical bound."""
+    """How many combined standard errors the estimate sits above the classical
+    bound; with no spread, +-inf off the bound and 0.0 on it (n = 1)."""
     margin = estimate.value - float(classical_bound(scenario))
     if estimate.stderr == 0.0:
-        return float("inf") if margin > 0 else float("-inf")
+        return float("inf") if margin > 0 else float("-inf") if margin < 0 else 0.0
     return margin / estimate.stderr

@@ -63,7 +63,7 @@ class Spin:
     @classmethod
     def from_string(cls, text: str) -> "Spin":
         """Parse "1/2", "1", "3/2", ... (also accepts decimals like "0.5"); reject
-        a spin with more digits than Python converts back to text."""
+        a spin with more digits than Python converts back to text, and a spin <= 0."""
         limit = sys.get_int_max_str_digits()
         too_long = ValueError(f"spin {text!r} has more than {limit} digits, the limit of "
                               "sys.get_int_max_str_digits(), so it cannot be printed")
@@ -79,6 +79,8 @@ class Spin:
             raise ValueError(f"spin must be a half-integer, got {text!r}")
         if limit and abs(frac.numerator) >= 10 ** limit:
             raise too_long
+        if frac <= 0:
+            raise ValueError(f"spin must be a positive half-integer, got {text!r}")
         return cls(int(2 * frac))
 
     def __str__(self) -> str:

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import itertools
 import json
@@ -13,7 +14,7 @@ import pytest
 import mkbell
 import mkbell.cli
 from mkbell import classical, measurement, operators, quantum
-from mkbell.cli import main
+from mkbell.cli import build_parser, main
 from mkbell.quantum import largest_eigenpair
 from mkbell.spincore import Scenario, Spin
 
@@ -539,6 +540,16 @@ class TestSample:
                 assert out == ""
                 assert err.startswith(f"error: --shots {shots} puts ")
 
+    def test_estimate_on_the_bound_is_zero_sigmas(self, capsys):
+        # At n = 1 the quantum and classical maxima are both s and the one
+        # term has no spread: the estimate sits on the bound.
+        code, out, err = run(capsys, "sample", "--n", "1", "--spin", "3/2")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["bell_estimate"], payload["bell_stderr"]) == (1.5, 0.0)
+        assert payload["classical_bound"] == "3/2"
+        assert '"sigmas_above_classical": 0.0\n' in out
+
     def test_budget_counts_distributions(self, capsys, monkeypatch):
         # 4**2 setting contexts, each a distribution over 2**4 outcomes: 256
         # entries.  At cap 255, exit 3 before the first distribution.
@@ -677,6 +688,19 @@ class TestReport:
                              "--shots", str(10 ** 23))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: --shots {10 ** 23} puts {10 ** 23 // 4} shots")
+
+    def test_shots_per_setting_matches_sample(self, capsys):
+        # The pre-flight's split is the one the row reports, and sample's too.
+        code, out, err = run(capsys, "report", "--grid", "n=2..4", "s=1/2..1", "--sample",
+                             "--shots", "1000")
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 6
+        for row in rows:
+            code, out, err = run(capsys, "sample", "--n", str(row["n"]), "--spin", row["s"],
+                                 "--shots", "1000")
+            assert (code, err) == (0, "")
+            assert row["shots_per_setting"] == json.loads(out)["shots_per_setting"]
 
     def test_bad_grid_exit_code(self, capsys):
         code, _, err = run(capsys, "report", "--grid", "n=2..3", "s=oops")
@@ -895,6 +919,45 @@ class TestArgs:
         assert (code, out) == (2, "")
         assert f"{option[2:]} '{digits}' has more than 4300 digits" in err
         assert "must be an integer" not in err
+
+    def test_every_integer_option_names_the_digit_limit(self, capsys):
+        # Walks the parser, so an option declared later with type=int fails here.
+        digits = "1" * 5000
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        checked = set()
+        for command, parser in subparsers.choices.items():
+            base = ["--n", "2"] if command == "expand" else ["--n", "2", "--spin", "1/2"]
+            for action in parser._actions:
+                if action.type is None or type(action.type("12")) is not int:
+                    continue
+                option = action.option_strings[-1]
+                code, out, err = run_or_exit(capsys, command, *base, option, digits)
+                assert (code, out) == (2, ""), (command, option)
+                assert "has more than 4300 digits" in err, (command, option)
+                assert "invalid int value" not in err, (command, option)
+                checked.add((command, option))
+        arrays = {"expand", "quantum-max", "ratio", "sample", "report"}
+        assert checked == ({(command, "--n") for command in subparsers.choices}
+                           | {(command, "--dim-cap") for command in arrays}
+                           | {(command, option) for command in ("sample", "report")
+                              for option in ("--shots", "--seed")})
+
+    def test_non_integer_n_names_it(self, capsys):
+        code, out, err = run_or_exit(capsys, "quantum-max", "--n", "x", "--spin", "1/2")
+        assert (code, out) == (2, "")
+        assert "argument --n: n must be an integer, got 'x'" in err
+
+    @pytest.mark.parametrize("argv,text", [
+        (("quantum-max", "--n", "2", "--spin", "0"), "0"),
+        (("quantum-max", "--n", "2", "--spin=-1/2"), "-1/2"),
+        (("report", "--grid", "n=1..2", "s=0..1"), "0"),
+    ], ids=["zero", "negative", "grid-bound"])
+    def test_nonpositive_spin_names_the_spin(self, capsys, argv, text):
+        code, out, err = run_or_exit(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"spin must be a positive half-integer, got {text!r}\n" in err
+        assert "twice_spin" not in err
 
     @pytest.mark.parametrize("token", ["n=x..2", f"n=2..{'1' * 5000}", f"n={'1' * 5000}..2"],
                              ids=["not-an-integer", "hi-past-4300-digits", "lo-past-4300-digits"])

@@ -181,3 +181,6 @@ class TestBellEstimate:
         assert violation_sigmas(scenario, frozen) == float("inf")
         frozen = type(est)(value=0.0, stderr=0.0, per_term=est.per_term)
         assert violation_sigmas(scenario, frozen) == float("-inf")
+        # On the bound with no spread (every n = 1 estimate): zero sigmas, not -inf.
+        frozen = type(est)(value=0.5, stderr=0.0, per_term=est.per_term)
+        assert violation_sigmas(scenario, frozen) == 0.0
