@@ -2,13 +2,13 @@
 
 Constructs the recursive Bell expression, certifies the exact classical
 bound by an O(n) dynamic program over the pair recursion, gives the quantum
-maximum and its eigenvector in closed form, checked by one matvec, and
-checks the violation ratio 2**((n-1)/2) by formula and by simulated
-measurement.
+maximum and its eigenvector in closed form, checked by one matvec on the
+state's n + 1 symmetric amplitudes, and checks the violation ratio
+2**((n-1)/2) by formula and by simulated measurement.
 
-Import the modules: the exact layer ``spincore``, ``errors``, ``expansion``
-and ``classical`` does not import NumPy; the array layer ``operators``,
-``quantum`` and ``measurement`` does.
+Import the modules: ``spincore``, ``errors``, ``expansion``, ``classical``
+and ``quantum`` do not import NumPy; the array layer ``operators`` and
+``measurement`` does.
 """
 
 __version__ = "0.1.0"

@@ -5,17 +5,19 @@ Exit codes: 0 success, 2 validation error (among them a ``--spin`` too long to
 print, a negative ``--seed`` and a ``--shots`` that puts more than 2**63 - 1
 shots on one setting) or unwritable ``--output``, 3 cap exceeded (the array
 budget ``--dim-cap``, digits of a printed exact integer, or a top eigenvalue
-past the float range), 4 numerical non-convergence (the closed-form top
-eigenpair fails its one-matvec residual check).  ``sample`` and every row of
+or ratio past the float range), 4 numerical non-convergence (the closed-form top
+eigenpair fails its residual check).  ``sample`` and every row of
 ``report`` pass the same checks (``_check_fits``) before any array is built,
 and it returns the shots split their estimate draws.  Each typed option parses
 through ``_parsed``; every integer input, ``MKBELL_DIM_CAP`` and the grid's n
 bounds too, through ``_integer``, whose message names it.
 
-Only the commands that build arrays (``quantum-max``, ``ratio``, ``sample``
-and ``report``) import ``operators``, ``quantum`` and ``measurement``, and
-with them NumPy; ``classical-max`` and ``expand`` run on the pure-Python
-exact layer.
+The eigenpair commands ``quantum-max``, ``ratio`` and ``report`` import
+``quantum``, which certifies the top eigenpair on its n + 1 symmetric
+amplitudes in pure Python, and count those n + 1 entries against the budget.
+Only the commands that sample, ``sample`` and ``report --sample``, import
+``measurement``, and with it NumPy, to build the 2**n state; ``classical-max``
+and ``expand`` run on the pure-Python exact layer.
 """
 
 from __future__ import annotations
@@ -70,28 +72,30 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def _integer(name: str, text: str, least: int | None = None) -> int:
+def _integer(name: str, text: str, least: int | None = None, quote: bool = True) -> int:
     """``text`` as an integer, at least ``least`` if given; the ValueError names
-    ``name``, and Python's digit limit for a literal too long to convert."""
+    ``name``, and Python's digit limit for a literal too long to convert, and
+    repeats ``text`` unless ``quote`` is false."""
+    shown = f" {text!r}" if quote else ""
     try:
         value = int(text)
     except ValueError:
         limit = sys.get_int_max_str_digits()
         if limit and sum(map(str.isdigit, text)) > limit:
-            raise ValueError(f"{name} {text!r} has more than {limit} digits, the limit of "
+            raise ValueError(f"{name}{shown} has more than {limit} digits, the limit of "
                              "sys.get_int_max_str_digits()") from None
         value = None
     if value is None or least is not None and value < least:
         floor = "" if least is None else f" >= {least}"
-        raise ValueError(f"{name} must be an integer{floor}, got {text!r}")
+        raise ValueError(f"{name} must be an integer{floor}" + (f", got{shown}" if shown else ""))
     return value
 
 
 def _dim_cap(args) -> int:
     if args.dim_cap is not None:
-        return args.dim_cap
-    env = os.environ.get("MKBELL_DIM_CAP")  # a cap below 1 fails in Scenario
-    return _integer("MKBELL_DIM_CAP", env) if env else DEFAULT_DIM_CAP
+        return args.dim_cap  # a cap below 1 fails in Scenario
+    env = os.environ.get("MKBELL_DIM_CAP")
+    return _integer("MKBELL_DIM_CAP", env, least=1) if env else DEFAULT_DIM_CAP
 
 
 def _scenario(args) -> Scenario:
@@ -208,17 +212,19 @@ def _cmd_ratio(args):
 
 
 def _check_fits(scenario, shots=None):
-    """Raise before any array is built unless ``scenario``'s state (2**n
+    """Raise before any array is built unless ``scenario``'s certificate (n + 1
     entries) fits the budget and its top eigenvalue the float range; with
-    ``shots``, also its sampled estimate (T 2**n entries) and the shots split.
-    Return the shots per setting: ``shots`` split evenly across the T setting
-    contexts, of which one multinomial draw takes at most 2**63 - 1."""
-    from . import measurement, quantum
+    ``shots``, also its sampled estimate (T 2**n entries, the state's 2**n
+    among them) and the shots split.  Return the shots per setting: ``shots``
+    split evenly across the T setting contexts, of which one multinomial draw
+    takes at most 2**63 - 1."""
+    from . import quantum
 
-    scenario.check_entries(f"a state vector of {scenario}")
-    quantum.block_scale(scenario)
+    quantum.certificate_scale(scenario)
     if shots is None:
         return None
+    from . import measurement
+
     measurement.check_distribution_budget(scenario)
     share = max(1, shots // expected_term_count(scenario.n))
     if share >= 1 << 63:
@@ -232,8 +238,9 @@ def _cmd_sample(args):
 
     scenario = _scenario(args)
     shots_per_setting = _check_fits(scenario, args.shots)
-    state = quantum.largest_eigenpair(scenario).vector
-    estimate = measurement.estimate_bell_value(scenario, state, shots_per_setting, args.seed)
+    quantum.largest_eigenpair(scenario)  # certifies the state it samples
+    estimate = measurement.estimate_bell_value(scenario, measurement.top_state(scenario),
+                                               shots_per_setting, args.seed)
     sigmas = measurement.violation_sigmas(scenario, estimate)
     return {
         "config": _config_dict(args, shots=args.shots, seed=args.seed),
@@ -263,8 +270,9 @@ def _parse_grid(tokens):
         if key in ranges:
             raise ValueError(f"grid gives the {key} range twice, in {token!r}")
         if key == "n":
+            bound = partial(_integer, "n", quote=False)  # the token shows the literal
             try:
-                values = range(_integer("n", lo), _integer("n", hi) + 1)
+                values = range(bound(lo), bound(hi) + 1)
             except ValueError as exc:
                 raise ValueError(f"bad grid token {token!r}: {exc}") from None
         else:
@@ -278,7 +286,9 @@ def _parse_grid(tokens):
 
 
 def _cmd_report(args):
-    from . import measurement, quantum
+    from . import quantum
+    if args.sample:
+        from . import measurement
 
     if args.grid:
         n_values, twice_spins = _parse_grid(args.grid)
@@ -304,7 +314,7 @@ def _cmd_report(args):
             "gap": _fmt(quantum.spectral_gap(scenario)),
         }
         if args.sample:
-            estimate = measurement.estimate_bell_value(scenario, result.vector,
+            estimate = measurement.estimate_bell_value(scenario, measurement.top_state(scenario),
                                                        shots_per_setting, args.seed)
             row["bell_estimate"] = _fmt(estimate.value)
             row["bell_stderr"] = _fmt(estimate.stderr)
@@ -334,8 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid": dict(nargs="+", metavar="RANGE", help="e.g. --grid n=2..4 s=1/2..3/2"),
         "--dim-cap": dict(type=_parsed(partial(_integer, "dim_cap")), help=(
             "array budget: the most array entries the command may build "
-            f"(default {DEFAULT_DIM_CAP}, env MKBELL_DIM_CAP); at every spin a "
-            "state vector counts 2**n, sampling 4**(n//2) 2**n, expand n 2**n")),
+            f"(default {DEFAULT_DIM_CAP}, env MKBELL_DIM_CAP); at every spin the "
+            "eigenpair certificate counts n + 1, sampling (which alone imports "
+            "NumPy) 4**(n//2) 2**n, expand n 2**n")),
         "--format": dict(choices=("json", "csv"), default="json"),
         "--output": dict(help="write the report to this file"),
         "--full-grid": dict(action="store_true",

@@ -6,6 +6,7 @@ each setting context follows the spin-1/2 Born rule: rotate each party
 measuring B into B's eigenbasis, then square amplitudes.  An outcome
 product is (2s)**n times the spin-1/2 one, +-2**-n: contexts are sampled at
 spin 1/2, and ``estimate_bell_value`` scales by ``quantum.block_scale`` once.
+Only sampling needs the state's 2**n entries, which ``top_state`` builds.
 Sampling uses NumPy's PCG64 generator; per-term streams are derived from
 the base seed and the term index through ``numpy.random.SeedSequence``, so
 every report is reproducible.
@@ -23,6 +24,20 @@ from .errors import DimensionMismatch, NotNormalized
 from .expansion import expand_terms, expected_term_count
 from .quantum import block_scale
 from .spincore import Scenario, validate_labels
+
+
+def top_state(scenario: Scenario) -> np.ndarray:
+    """The unit top eigenvector on the extreme block, the multilevel GHZ state
+    of the ``quantum.py`` docstring, on its 2**n entries: index bit j is party
+    j's level, 0 for +s and 1 for -s."""
+    scenario.check_entries(f"a state vector of {scenario}")
+    n = scenario.n
+    b = np.zeros((), dtype=np.uint8)
+    for _ in range(n):  # b mod 4, b = parties at -s
+        b = np.add.outer(b, np.array([0, 1], dtype=np.uint8)) % 4
+    amps = 2.0 ** ((1 - n) / 2) * np.cos(np.pi * (4 * np.arange(4) - n + 1) / 8)
+    return amps[b].reshape(-1)
+
 
 #: Row 0 is B's eigenvector for outcome +s on the levels (+s, -s), row 1 for -s.
 _B_ROTATION = np.array([[1.0, 1.0], [1.0, -1.0]]) / sqrt(2.0)

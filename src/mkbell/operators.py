@@ -12,12 +12,15 @@ mixed-radix global index.  This is fixed here and used everywhere.
 
 On the extreme levels +-s, where the top eigenvector lies, the spin-s
 operator is (2s)**n times the spin-1/2 one (``quantum.py`` docstring), so
-the commands build only the spin-1/2 operator, on 2**n entries at any spin.
+``GlobalOperator`` is the spin-1/2 operator, on 2**n entries at any spin.
 Its matvec applies the product form
 M_n = Re[(1 - i)^(n-1) (A + iB) x ... x (A + iB)] of ``expansion.py`` to
 one party of a complex state at a time, in O(n 2**n) rather than over the
-T = 4**(n // 2) product terms.  The dense path multiplies out the spin-s
-Kronecker product in Gaussian integers.
+T = 4**(n // 2) product terms.  No command runs it:
+``quantum.largest_eigenpair`` applies the same product form to the n + 1
+symmetric amplitudes of the top state, and the tests check it against this
+matvec.  The dense path multiplies out the spin-s Kronecker product in
+Gaussian integers.
 """
 
 from __future__ import annotations

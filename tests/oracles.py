@@ -16,6 +16,14 @@ tol * max(1, |lam|).  The first start is a Gaussian vector from a fixed
 seed: it almost surely overlaps every eigenvector, so it finds the top
 eigenvalue without being told where it lies.
 
+``matvec_certificate`` is the top-eigenpair certificate on all 2**n
+strings of extreme levels that ``mkbell.quantum.largest_eigenpair`` replaces
+by its n + 1 symmetric amplitudes: ``top_state`` and one ``GlobalOperator``
+matvec, lam = (2s)**n x.Mx and the true residual scaled alike.
+
+``predicted_quantum_max_by_powers`` is the closed-form top eigenvalue as
+it was formed before the float range was decided from exponents.
+
 ``block_spectrum`` is the spectrum as scaled copies of the spin-1/2
 spectrum, one per level-pair block, plus the zero blocks (the block
 argument of the ``quantum.py`` docstring), from one dense solve of
@@ -59,8 +67,16 @@ import numpy as np
 from mkbell.classical import ClassicalResult, Strategy, strategy_count
 from mkbell.errors import DimensionMismatch, MkBellError, NotConverged
 from mkbell.expansion import expand_terms, expected_term_count, pair_step, prefactor
-from mkbell.operators import _twice_diagonals, assemble_dense, make_A, make_B
-from mkbell.quantum import EigenResult
+from mkbell.measurement import top_state
+from mkbell.operators import (
+    GlobalOperator,
+    _twice_diagonals,
+    assemble_dense,
+    global_operator,
+    make_A,
+    make_B,
+)
+from mkbell.quantum import block_scale
 from mkbell.spincore import LABEL_A, LABEL_B, Scenario, Spin, validate_labels
 
 #: Largest Krylov basis, in rows of the global dimension, per Lanczos cycle.
@@ -71,6 +87,17 @@ START_SEED = 0x5EED
 
 #: A new Lanczos vector shorter than this fraction of its matvec ends the cycle.
 BREAKDOWN = 1e-12
+
+
+@dataclass(frozen=True)
+class Eigenpair:
+    """A checked eigenpair: ``iterations`` matvecs gave ``value`` and the true
+    residual ||Mx - value x|| of the unit ``vector``."""
+
+    value: float
+    vector: np.ndarray
+    iterations: int
+    residual: float
 
 
 @dataclass
@@ -176,8 +203,29 @@ def full_space_distribution(scenario: Scenario, state: np.ndarray,
     return (amps ** 2).reshape(-1)
 
 
+def matvec_certificate(scenario: Scenario, tol: float = 1e-9,
+                       operator: GlobalOperator | None = None) -> Eigenpair:
+    """The closed-form top state on its 2**n entries, certified by one
+    spin-1/2 matvec: lam = (2s)**n x.Mx once the true residual
+    (2s)**n ||Mx - x.Mx x|| is at most tol * max(1, |lam|); raises
+    NotConverged, carrying both, otherwise."""
+    op = operator if operator is not None else global_operator(scenario)
+    scale = block_scale(scenario)
+    x = top_state(scenario)
+    w = op.apply(x)
+    half = float(x @ w)
+    value = scale * half
+    residual = scale * float(np.linalg.norm(w - half * x))
+    if residual > tol * max(1.0, abs(value)):
+        raise NotConverged(
+            f"the 2**n top state of {scenario} has residual {residual:.3e}, above {tol} relative",
+            best_value=value, best_residual=residual, iterations=1,
+        )
+    return Eigenpair(value=value, vector=x, iterations=1, residual=residual)
+
+
 def lanczos_top(scenario: Scenario, tol: float = 1e-9, max_iter: int = 100_000,
-                operator: FullSpaceOperator | None = None) -> EigenResult:
+                operator: FullSpaceOperator | None = None) -> Eigenpair:
     """Largest eigenvalue and unit eigenvector by restarted Lanczos on the
     full space.
 
@@ -215,8 +263,8 @@ def lanczos_top(scenario: Scenario, tol: float = 1e-9, max_iter: int = 100_000,
                 if residual < best_residual:
                     best_residual, best_value = residual, alpha
                 if residual <= tol * max(1.0, abs(alpha)):
-                    return EigenResult(value=alpha, vector=x, iterations=used,
-                                       residual=residual)
+                    return Eigenpair(value=alpha, vector=x, iterations=used,
+                                     residual=residual)
             alphas.append(alpha)
             if k == rows - 1:
                 break
@@ -232,6 +280,14 @@ def lanczos_top(scenario: Scenario, tol: float = 1e-9, max_iter: int = 100_000,
         _, ritz = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
         x = ritz[:, -1] @ basis[:len(alphas)]
         x /= np.linalg.norm(x)
+
+
+def predicted_quantum_max_by_powers(scenario: Scenario) -> float:
+    """2**(3(n-1)/2) s**n with the power of two formed first, as the library
+    once did: at s = 1/2 that power overflows from n = 684, while the value
+    stays finite up to n = 2050."""
+    s = scenario.spin.twice_spin / 2.0
+    return 2.0 ** (1.5 * (scenario.n - 1)) * s ** scenario.n
 
 
 def block_spectrum(scenario: Scenario) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 
 from mkbell.classical import classical_bound, classical_max
 from mkbell.expansion import expand_terms, expected_term_count
-from mkbell.measurement import estimate_bell_value, violation_sigmas
+from mkbell.measurement import estimate_bell_value, top_state, violation_sigmas
 from mkbell.operators import assemble_dense, dense_scaled_product
 from mkbell.quantum import (
     dense_spectrum,
@@ -34,7 +34,6 @@ from mkbell.quantum import (
     predicted_quantum_max,
     predicted_ratio,
     spectral_gap,
-    top_state,
     violation_ratio,
 )
 from mkbell.spincore import Scenario, Spin
@@ -264,7 +263,7 @@ def test_simulated_experiment_shows_statistical_violation():
     seed = 42
     for n, twice in [(2, 1), (2, 2), (3, 1)]:
         scenario = Scenario(n, Spin(twice))
-        state = largest_eigenpair(scenario).vector
+        state = top_state(scenario)
         shots_per_setting = total_shots // expected_term_count(n)
         estimate = estimate_bell_value(scenario, state, shots_per_setting, seed)
         assert violation_sigmas(scenario, estimate) >= 5, (n, twice)

@@ -257,15 +257,22 @@ class TestClassicalMax:
 class TestDimensionCap:
     @pytest.mark.parametrize("command", ["quantum-max", "ratio", "sample", "report"])
     def test_first_n_past_default_cap(self, capsys, monkeypatch, command):
-        # 2**25 > 2**24: exit 3 before the top state is built.
+        # 2**25 > 2**24: sample exits 3 before the top state is built; the
+        # eigenpair commands count 26 amplitudes and build no state at all.
         def no_state(*args, **kwargs):
             raise AssertionError("built a state beyond the cap")
 
-        monkeypatch.setattr(quantum, "top_state", no_state)
+        monkeypatch.setattr(measurement, "top_state", no_state)
         code, out, err = run(capsys, command, "--n", "25", "--spin", "1/2")
-        assert code == 3
-        assert out == ""
-        assert "exceeds cap 16777216" in err
+        if command == "sample":
+            assert (code, out) == (3, "")
+            assert "exceeds cap 16777216" in err
+            return
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        top = {"quantum-max": payload.get("top_eigenvalue"), "ratio": payload.get("ratio"),
+               "report": payload.get("rows", [{}])[0].get("quantum")}[command]
+        assert top == (4096.0 if command == "ratio" else 2048.0)
 
     @pytest.mark.parametrize("argv", [
         ("expand", "--n", "20"),
@@ -302,19 +309,24 @@ class TestDimensionCap:
             return built[-1]
 
         monkeypatch.setattr(mkbell.cli, "Scenario", counted)
+        start = time.perf_counter()
         code, out, err = run(capsys, "report", "--grid", "n=1..1000000", "s=1/2..1/2")
+        assert time.perf_counter() - start < 1.0
         assert (code, out) == (3, "")
-        assert err == ("error: a state vector of n=25, s=1/2 would hold at least 2**25 "
-                       "entries, which exceeds cap 16777216\n")
-        assert len(built) == 25
+        # The ratio 2**((n-1)/2) leaves the floats at n = 2049.
+        assert err == ("error: the top eigenvalue of n=2049, s=1/2, or its ratio to the "
+                       "classical bound, is past the float range\n")
+        assert len(built) == 2049
 
     def test_huge_n_fails_fast(self, capsys):
-        # Forming 3**(10**7) alone takes seconds.
+        # 10**7 + 1 amplitudes fit the budget; the top eigenvalue, decided from
+        # its exponent, is past the float range.
         start = time.perf_counter()
         code, _, err = run(capsys, "quantum-max", "--n", str(10 ** 7), "--spin", "1")
         assert time.perf_counter() - start < 1.0
         assert code == 3
-        assert "exceeds cap" in err
+        assert err.startswith("error: the top eigenvalue of n=10000000, s=1, ")
+        assert err.endswith(" is past the float range\n")
 
     @pytest.mark.parametrize("argv,env", [
         (("quantum-max", "--n", "2", "--spin", "1/2", "--dim-cap", "-3"), None),
@@ -327,7 +339,10 @@ class TestDimensionCap:
             monkeypatch.setenv("MKBELL_DIM_CAP", env)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert "dim_cap must be an integer >= 1" in err
+        if env is None:
+            assert "dim_cap must be an integer >= 1" in err
+        else:  # names the variable, not the field it sets
+            assert err == f"error: MKBELL_DIM_CAP must be an integer >= 1, got '{env}'\n"
 
 
     @pytest.mark.parametrize("env", ["abc", "7" * 5000], ids=["not-an-integer", "past-4300-digits"])
@@ -359,7 +374,7 @@ class TestQuantumMax:
             'config,{"command": "quantum-max", "n": 2, "s": "1/2", "tol": 1e-09}\n'
             "top_eigenvalue,0.707106781187\n"
             "predicted,0.707106781187\n"
-            "relative_error,0.0\n"
+            "relative_error,1.57009245868e-16\n"
             "gap,0.707106781187\n"
             "iterations,1\n"
         )
@@ -378,13 +393,27 @@ class TestQuantumMax:
         assert code == 0
         assert json.loads(out)["gap"] == 32.0
 
-    def test_corrupted_matvec_exits_4(self, capsys, monkeypatch):
-        exact = operators.GlobalOperator.apply
-        monkeypatch.setattr(operators.GlobalOperator, "apply",
-                            lambda self, v: exact(self, v) + 1e-6 * np.roll(v, 1))
+    @pytest.mark.parametrize("corrupt", ["factor", "amplitudes"])
+    def test_corrupted_certificate_exits_4(self, capsys, monkeypatch, corrupt):
+        # A wrong rank-one factor v, or amplitudes off by 1e-6, fail the check.
+        if corrupt == "factor":
+            monkeypatch.setattr(quantum, "RANK_ONE", (1, 1j * (1 + 1e-6)))
+        else:
+            exact = quantum.ghz_amplitudes
+            monkeypatch.setattr(quantum, "ghz_amplitudes",
+                                lambda n: [y + 1e-6 * (b == 1) for b, y in enumerate(exact(n))])
         code, out, err = run(capsys, "quantum-max", "--n", "3", "--spin", "1")
         assert (code, out) == (4, "")
         assert "residual" in err
+
+    def test_runs_past_the_state_budget(self, capsys):
+        # 501 amplitudes, not 2**500 entries: the closed form to 12 digits.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "quantum-max", "--n", "500", "--spin", "1/2")
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["top_eigenvalue"] == payload["predicted"] == float(f"{2 ** 248.5:.12g}")
 
     @pytest.mark.parametrize("argv", [
         ("quantum-max", "--n", "3", "--spin", "1"),
@@ -403,25 +432,23 @@ class TestQuantumMax:
         assert out
 
     def test_gap_never_assembles_the_full_space(self, capsys, monkeypatch):
-        real = operators.assemble_dense
+        def no_assembly(scenario, *args, **kwargs):
+            raise AssertionError(f"dense assembly of {scenario}")
 
-        def qubit_only(scenario, *args, **kwargs):
-            if scenario.global_dimension() > 1 << scenario.n:
-                raise AssertionError(f"dense assembly of {scenario}")
-            return real(scenario, *args, **kwargs)
-
-        monkeypatch.setattr(operators, "assemble_dense", qubit_only)
-        monkeypatch.setattr(quantum, "assemble_dense", qubit_only)
+        monkeypatch.setattr(operators, "assemble_dense", no_assembly)
         code, out, _ = run(capsys, "quantum-max", "--n", "6", "--spin", "3/2")
         assert code == 0
         # The gap the dense oracle prints from its 4096 x 4096 spectrum.
         assert json.loads(out)["gap"] == 1374.61558263
 
     def test_dim_cap_exit_code(self, capsys):
-        code, _, err = run(capsys, "quantum-max", "--n", "3", "--spin", "1",
-                           "--dim-cap", "7")
+        # The certificate counts its n + 1 amplitudes.
+        argv = ("quantum-max", "--n", "3", "--spin", "1", "--dim-cap")
+        code, _, err = run(capsys, *argv, "3")
         assert code == 3
-        assert "error" in err
+        assert err == ("error: the symmetric amplitudes of n=3, s=1 would hold 4 entries, "
+                       "which exceeds cap 3\n")
+        assert run(capsys, *argv, "4")[0] == 0
 
     def test_high_spin_costs_what_spin_half_costs(self, capsys):
         # D = 201**10 entries would be far past the cap; the block has 2**10.
@@ -469,8 +496,20 @@ class TestFloatRange:
         def no_state(*args, **kwargs):
             raise AssertionError("built a state past the float range")
 
-        monkeypatch.setattr(quantum, "top_state", no_state)
+        monkeypatch.setattr(measurement, "top_state", no_state)
         code, out, err = run(capsys, command, "--n", n, "--spin", spin)
+        assert (code, out) == (3, "")
+        assert "past the float range" in err
+
+    @pytest.mark.parametrize("command", ["quantum-max", "ratio", "report"])
+    def test_spin_half_runs_to_the_float_range(self, capsys, command):
+        # The ratio 2**((n-1)/2) is finite up to n = 2048, and the top
+        # eigenvalue 2**((n-3)/2) with it; forming 2**(3(n-1)/2) first
+        # overflowed from n = 684.
+        code, out, err = run(capsys, command, "--n", "2048", "--spin", "1/2")
+        assert (code, err) == (0, "")
+        assert ("e+307" if command == "quantum-max" else "e+308") in out
+        code, out, err = run(capsys, command, "--n", "2049", "--spin", "1/2")
         assert (code, out) == (3, "")
         assert "past the float range" in err
 
@@ -823,8 +862,34 @@ class TestExactLayerWithoutNumpy:
         assert normal.returncode == 0
         assert blocked.stdout == normal.stdout
 
+    @pytest.mark.parametrize("argv", [
+        ("quantum-max", "--n", "24", "--spin", "3/2"),
+        ("ratio", "--n", "30", "--spin", "1/2"),
+        ("report", "--grid", "n=1..40", "s=1/2..5/2", "--format", "csv"),
+    ])
+    def test_eigenpair_commands_run_without_numpy(self, argv):
+        blocked = _cli_process(*argv, block_numpy=True)
+        normal = _cli_process(*argv)
+        assert (blocked.returncode, blocked.stderr) == (0, "")
+        assert normal.returncode == 0
+        assert blocked.stdout == normal.stdout
+
+    def test_eigenpair_commands_leave_numpy_out(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "from mkbell.cli import main\n"
+             "for argv in (['quantum-max', '--n', '3', '--spin', '1'],\n"
+             "             ['ratio', '--n', '3', '--spin', '1'],\n"
+             "             ['report', '--n', '3', '--spin', '1']):\n"
+             "    assert main(argv) == 0\n"
+             "assert 'numpy' not in sys.modules\n"],
+            env=env, check=True, timeout=60, capture_output=True,
+        )
+
     def test_array_command_needs_numpy(self):
-        blocked = _cli_process("quantum-max", "--n", "2", "--spin", "1/2",
+        blocked = _cli_process("sample", "--n", "2", "--spin", "1/2",
                                block_numpy=True)
         assert blocked.returncode != 0
         assert "numpy" in blocked.stderr
@@ -874,10 +939,14 @@ class TestBenchmarkHooks:
             assert run(capsys, "classical-max", "--n", "3", "--spin", "1/2")[0] == 0
             assert run(capsys, "classical-max", "--n", "2", "--spin", "1", "--full-grid")[0] == 0
             assert run(capsys, "expand", "--n", "3")[0] == 0
+            # No command runs the 2**n matvec; the benchmark still hooks it.
+            for n in (2, 3):
+                operators.global_operator(Scenario(n, Spin(1))).apply(np.ones(1 << n))
         assert trace.absent == []
         assert [span.attrs for span in trace.named("measurement.sample")] == [{"shots": 100}] * 4
         assert len(trace.named("measurement.distribution")) == 4
         assert {span.attrs["amps"] for span in trace.named("kernels.matvec")} == {4, 8}
+        assert len(trace.named("operators.build")) == 2
         assert [span.attrs for span in trace.named("quantum.eigensolve")] == [
             {"scenario": (2, "1/2"), "iterations": 1}, {"scenario": (3, "1"), "iterations": 1}]
         assert [span.attrs for span in trace.named("classical.certify")] == [
@@ -965,6 +1034,7 @@ class TestArgs:
         code, out, err = run(capsys, "report", "--grid", token, "s=1/2..1")
         assert (code, out) == (2, "")
         assert err.startswith(f"error: bad grid token {token!r}: ")
+        assert len(err) < len(token) + 100  # the literal once, in the token
 
     @pytest.mark.parametrize("argv", [
         ("quantum-max", "--n", "2", "--spin", "1/2"),

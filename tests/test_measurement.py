@@ -9,9 +9,10 @@ from mkbell.measurement import (
     estimate_bell_value,
     joint_distribution,
     sample_outcomes,
+    top_state,
     violation_sigmas,
 )
-from mkbell.quantum import block_scale, largest_eigenpair, top_state
+from mkbell.quantum import block_scale
 from mkbell.spincore import Scenario, Spin
 from oracles import (
     apply_term,
@@ -152,7 +153,7 @@ class TestSampling:
 class TestBellEstimate:
     def test_reproducible_and_violating(self):
         scenario = Scenario(2, Spin(1))
-        state = largest_eigenpair(scenario).vector
+        state = top_state(scenario)
         one = estimate_bell_value(scenario, state, 100_000, seed=42)
         two = estimate_bell_value(scenario, state, 100_000, seed=42)
         assert one == two
@@ -175,7 +176,7 @@ class TestBellEstimate:
 
     def test_sigma_edge_cases(self):
         scenario = Scenario(2, Spin(1))
-        state = largest_eigenpair(scenario).vector
+        state = top_state(scenario)
         est = estimate_bell_value(scenario, state, 1000, seed=0)
         frozen = type(est)(value=1.0, stderr=0.0, per_term=est.per_term)
         assert violation_sigmas(scenario, frozen) == float("inf")

@@ -3,6 +3,7 @@ import pytest
 
 from mkbell import measurement, operators
 from mkbell.errors import CapExceeded, DimensionMismatch
+from mkbell.measurement import top_state
 from mkbell.operators import (
     assemble_dense,
     dense_scaled_product,
@@ -10,7 +11,6 @@ from mkbell.operators import (
     make_A,
     make_B,
 )
-from mkbell.quantum import top_state
 from mkbell.spincore import Scenario, Spin
 from oracles import (
     apply_term,

@@ -1,21 +1,30 @@
 import numpy as np
 import pytest
 
+from mkbell import quantum
 from mkbell.errors import CapExceeded, NotConverged
 from mkbell.expansion import expand_terms
-from mkbell.operators import assemble_dense, global_operator
+from mkbell.measurement import top_state
+from mkbell.operators import assemble_dense, global_operator, make_A, make_B
 from mkbell.quantum import (
     block_scale,
     dense_spectrum,
+    ghz_amplitudes,
     largest_eigenpair,
     predicted_quantum_max,
     predicted_ratio,
     spectral_gap,
-    top_state,
     violation_ratio,
 )
 from mkbell.spincore import Scenario, Spin
-from oracles import apply_term, embed, full_space_operator, lanczos_top
+from oracles import (
+    apply_term,
+    embed,
+    full_space_operator,
+    lanczos_top,
+    matvec_certificate,
+    predicted_quantum_max_by_powers,
+)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -36,6 +45,43 @@ class TestPredictions:
         assert predicted_quantum_max(Scenario(n, Spin(twice))) == pytest.approx(
             expected, rel=1e-14
         )
+
+    def test_bit_identical_to_the_power_of_two_first_formula(self):
+        # Wherever the oracle's 2.0**(1.5(n-1)) * s**n is finite, the value is
+        # the same float; where the oracle overflows, so does the value.
+        for twice in range(1, 16):
+            for n in range(1, 684):
+                scenario = Scenario(n, Spin(twice))
+                try:
+                    old = predicted_quantum_max_by_powers(scenario)
+                except OverflowError:
+                    old = float("inf")
+                if old < float("inf"):
+                    assert predicted_quantum_max(scenario) == old, (n, twice)
+                else:
+                    with pytest.raises(OverflowError):
+                        predicted_quantum_max(scenario)
+
+    @pytest.mark.parametrize("n", [684, 1000, 1075, 2048, 2050])
+    def test_spin_half_is_finite_up_to_the_float_range(self, n):
+        # 2**((n-3)/2): the power of two first overflowed from n = 684.
+        scenario = Scenario(n, Spin(1))
+        with pytest.raises(OverflowError):
+            predicted_quantum_max_by_powers(scenario)
+        assert predicted_quantum_max(scenario) == pytest.approx(2.0 ** ((n - 3) / 2), rel=1e-15)
+
+    def test_past_the_float_range_raises(self):
+        for n, twice in [(2051, 1), (10 ** 7, 2), (10 ** 4000, 1), (2, 10 ** 200)]:
+            with pytest.raises(OverflowError):
+                predicted_quantum_max(Scenario(n, Spin(twice)))
+
+    def test_block_scale_needs_the_top_and_the_ratio_in_range(self):
+        # At s = 1/2 the ratio 2**((n-1)/2) overflows from n = 2049, before
+        # the top eigenvalue does.
+        assert block_scale(Scenario(2048, Spin(1))) == 1.0
+        for n, twice in [(2049, 1), (2051, 1), (10 ** 7, 2), (10 ** 4000, 1), (2, 10 ** 200)]:
+            with pytest.raises(CapExceeded, match="past the float range"):
+                block_scale(Scenario(n, Spin(twice)))
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_ratio_formula(self, n):
@@ -75,7 +121,7 @@ class TestPowerIteration:
         result = largest_eigenpair(scenario)
         top = dense_spectrum(scenario).top_value
         assert result.value == pytest.approx(top, rel=1e-8)
-        vec = result.vector
+        vec = top_state(scenario)
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
         full = embed(scenario, vec)
         residual = np.linalg.norm(assemble_dense(scenario) @ full - result.value * full)
@@ -88,15 +134,21 @@ class TestPowerIteration:
         assert result.value == pytest.approx(8.0, rel=1e-8)
         assert lanczos_top(Scenario(3, Spin(2))).value == pytest.approx(8.0, rel=1e-8)
 
-    def test_not_converged_carries_best_state(self):
-        # A matvec that is off by 1e-6 of a shifted vector, at spin s, fails
-        # the check; the operator applies the spin-1/2 one, (2s)**n smaller.
+    def test_not_converged_carries_best_state(self, monkeypatch):
+        # Amplitudes off by 1e-8 fail the check with the value still right to
+        # second order; the amplitudes are built once, for the one matvec.
         scenario = Scenario(3, Spin(5))
-        op = global_operator(scenario)
-        exact, calls, off = op.apply, [], 1e-6 / block_scale(scenario)
-        op.apply = lambda v: calls.append(1) or exact(v) + off * np.roll(v, 1)
+        exact, calls = ghz_amplitudes, []
+
+        def shifted(n):
+            calls.append(n)
+            y = exact(n)
+            y[0] += 1e-8
+            return y
+
+        monkeypatch.setattr(quantum, "ghz_amplitudes", shifted)
         with pytest.raises(NotConverged) as info:
-            largest_eigenpair(scenario, operator=op)
+            largest_eigenpair(scenario)
         err = info.value
         assert err.iterations == len(calls) == 1
         assert 1e-9 * err.best_value < err.best_residual < 1e-5
@@ -120,17 +172,61 @@ class TestPowerIteration:
             largest_eigenpair(Scenario(2, Spin(1)), tol=tol)
 
 
+class TestSymmetricCertificate:
+    """The certificate on n + 1 amplitudes against the 2**n matvec oracle."""
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_agrees_with_the_matvec_oracle(self, n):
+        # The oracle at spin s is (2s)**n times its spin-1/2 value and residual
+        # (one state and one matvec on 2**n entries), so one matvec serves
+        # every spin.
+        half = matvec_certificate(Scenario(n, Spin(1)))
+        for twice in range(1, 16):
+            scenario = Scenario(n, Spin(twice))
+            scale = block_scale(scenario)
+            oracle = (scale * half.value, scale * half.residual)
+            result = largest_eigenpair(scenario)
+            assert result.value == pytest.approx(oracle[0], rel=1e-12, abs=0), twice
+            for value, residual in ((result.value, result.residual), oracle):
+                assert residual <= 1e-9 * max(1.0, abs(value)), twice
+
+    def test_rank_one_factor_is_a_plus_i_b(self):
+        # v v^T / 2 = A + iB at spin 1/2, with make_A, make_B in twice-entries.
+        v = np.array(quantum.RANK_ONE)
+        assert np.array_equal(np.outer(v, v), make_A(Spin(1)) + 1j * make_B(Spin(1)))
+
+    @pytest.mark.parametrize("factor", [(1, 1j * (1 + 1e-6)), (1, -1j), (1 + 1e-6, 1j)])
+    def test_corrupted_factor_fails_the_check(self, monkeypatch, factor):
+        monkeypatch.setattr(quantum, "RANK_ONE", factor)
+        with pytest.raises(NotConverged, match="residual"):
+            largest_eigenpair(Scenario(4, Spin(3)))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_amplitudes_are_the_top_state(self, n):
+        # top_state's entry with b bits set is 2**((1-n)/2) y_b.
+        y = np.array(ghz_amplitudes(n))
+        bits = np.array([bin(index).count("1") for index in range(1 << n)])
+        state = top_state(Scenario(n, Spin(1)))
+        assert np.max(np.abs(state - 2.0 ** ((1 - n) / 2) * y[bits])) <= 1e-15
+
+    def test_counts_n_plus_one_entries(self):
+        # Past any 2**n state: the budget sees the n + 1 amplitudes.
+        result = largest_eigenpair(Scenario(500, Spin(1), dim_cap=501))
+        assert result.value == pytest.approx(2.0 ** 248.5, rel=1e-13)
+        with pytest.raises(CapExceeded, match="the symmetric amplitudes of n=500, s=1/2 "
+                                              "would hold 501 entries, which exceeds cap 500"):
+            largest_eigenpair(Scenario(500, Spin(1), dim_cap=500))
+
+
 class TestLanczos:
     """The restarted Lanczos oracle against the closed-form eigenpair."""
 
     def test_repeat_call_is_bit_identical(self):
         scenario = Scenario(3, Spin(3))
-        for solve in (largest_eigenpair, lanczos_top):
-            first = solve(scenario)
-            second = solve(scenario)
-            assert np.array_equal(first.vector, second.vector)
-            assert first.value == second.value
-            assert first.iterations == second.iterations
+        assert largest_eigenpair(scenario) == largest_eigenpair(scenario)
+        first, second = lanczos_top(scenario), lanczos_top(scenario)
+        assert np.array_equal(first.vector, second.vector)
+        assert (first.value, first.iterations) == (second.value, second.iterations)
 
     @pytest.mark.parametrize("n,twice", [(3, 3), (3, 5), (4, 11)])
     def test_few_matvecs_and_closed_form(self, n, twice):
@@ -141,7 +237,7 @@ class TestLanczos:
         oracle = lanczos_top(scenario)
         assert oracle.iterations <= 60
         assert oracle.value == pytest.approx(result.value, rel=1e-12)
-        assert abs(oracle.vector @ embed(scenario, result.vector)) == pytest.approx(
+        assert abs(oracle.vector @ embed(scenario, top_state(scenario))) == pytest.approx(
             1.0, abs=1e-9)
 
     @pytest.mark.parametrize("n,twice", [(3, 3), (3, 5)])
@@ -150,7 +246,7 @@ class TestLanczos:
         # differs only in its last bits; the eigenvalue must not move.
         scenario = Scenario(n, Spin(twice))
         clean = largest_eigenpair(scenario)
-        for solve, build, most in ((largest_eigenpair, global_operator, 1),
+        for solve, build, most in ((matvec_certificate, global_operator, 1),
                                    (lanczos_top, full_space_operator, 60)):
             op = build(scenario)
             exact, rng = op.apply, np.random.default_rng(7)
@@ -185,14 +281,13 @@ class TestExpectation:
     def test_top_state_reproduces_eigenvalue(self):
         scenario = Scenario(3, Spin(1))
         result = largest_eigenpair(scenario)
-        corr = _term_correlations(result.vector, scenario)
+        corr = _term_correlations(top_state(scenario), scenario)
         value = sum(c * corr[labels] for c, labels in expand_terms(3))
         assert value == pytest.approx(result.value, rel=1e-8)
 
     def test_two_party_half_per_term(self):
         scenario = Scenario(2, Spin(1))
-        state = largest_eigenpair(scenario).vector
-        terms = _term_correlations(state, scenario)
+        terms = _term_correlations(top_state(scenario), scenario)
         unit = 1.0 / (4 * SQRT2)
         assert terms["AA"] == pytest.approx(unit, abs=1e-9)
         assert terms["AB"] == pytest.approx(unit, abs=1e-9)
