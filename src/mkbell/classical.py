@@ -5,29 +5,29 @@ observable.  The expression value is the product form of ``expansion.py``
 on numbers instead of operators: starting from z = m + i k = a_1 + i b_1,
 each further party multiplies z by (1 - i)(a_j + i b_j) (``pair_step``, on
 Fractions and Python ints), and M_n is the final m.  All arithmetic in this
-module is exact (twice-value integers internally, ``Fraction`` values at the
-API), and the module is pure Python: it never imports NumPy.
+module is exact (small integers internally, ``Fraction`` values at the API),
+and the module is pure Python: it never imports NumPy.
 
 **Certificate.**  ``classical_max`` is an exact dynamic program over the
 recursion's state.  Going party by party, it keeps the set of reachable
-(m, k); the next party maps each state through the four sign pairs (a, b) in
-{+-s}^2.  The DP is exhaustive by construction: its largest |m| is the
-extremal maximum.
-
-**Four states.**  With t = 2s, the factor (1 - i)(a + i b) of a sign pair
-is t, -t i, t i or -t for (+s, +s), (+s, -s), (-s, +s), (-s, -s): the state
-is scaled by t and turned by a multiple of 90 degrees.  The first party
-gives the four rotations of (s, s), so after every party exactly four
-states are live and the DP costs 16 steps per party, O(n) in all.  Only the
-cost rests on this; the result does not.
+(m, k); the next party maps each state through the four sign patterns
+(a, b) in {+-s}^2.  The DP is exhaustive by construction: its largest |m|
+is the extremal maximum.  It runs on the sign pairs in {+-1}^2, the
+patterns over s, where a + b and a - b are 0 or +-2: each step halves the
+new (m, k) exactly, and ``classical_max`` applies the factor divided out,
+s^n 2^(n-1) = (2s)^n / 2, once.  The halved factor (1 - i)(a + i b) / 2 is
+1, -i, i or -1, so after every party the states are the four rotations of
+(1, 1).  The DP stops at the first step that returns the set it started
+from, as every later step would too: it stays exhaustive and exact at any
+n, in at most 16 small-integer steps.
 
 **Full grid.**  M_n is affine in each outcome separately (multilinear), so
 |M_n| on the box [-s, s]^(2n) is maximised at a vertex: the full-grid
 maximum is the extremal one.  Every outcome +s (strategy index 0, the
 smallest on both grids) attains M_n = s (2s)^(n-1) = 2^(n-1) s^n, the bound
-itself, so it is the reported argmax.  ``classical_max`` raises unless its
-state is among the DP's and its value, the DP's maximum and the bound are
-equal.
+itself, so it is the reported argmax.  On signs it stays at (1, 1):
+``classical_max`` raises unless (1, 1) is among the DP's states and its
+value, the DP's maximum and the bound are equal.
 
 Strategy indices are mixed-radix with party 1 most significant and, within a
 party, a before b; digit 0 is +s.  ``strategies_checked`` is the size of the
@@ -71,17 +71,21 @@ def strategy_count(scenario: Scenario, extremal_only: bool = True) -> int:
     return 4 ** scenario.n if extremal_only else scenario.spin.dimension ** (2 * scenario.n)
 
 
-def _extremal_states(n: int, t: int) -> set:
-    """The reachable final twice-value states (m, k) of the extremal strategies."""
-    pairs = ((t, t), (t, -t), (-t, t), (-t, -t))
-    states = set(pairs)
+def _extremal_states(n: int) -> set:
+    """The reachable final (m, k) of the DP on sign pairs, each step halved, up
+    to its fixed point (module docstring): M_n over s**n 2**(n-1)."""
+    states = signs = {(1, 1), (1, -1), (-1, 1), (-1, -1)}
     for _ in range(1, n):
-        states = {pair_step(m, k, a, b) for m, k in states for a, b in pairs}
+        step = {(m // 2, k // 2) for m, k in (
+            pair_step(m, k, a, b) for m, k in states for a, b in signs)}
+        if step == states:
+            break
+        states = step
     return states
 
 
 def classical_max(scenario: Scenario, extremal_only: bool = True) -> ClassicalResult:
-    """Exact maximum of |M_n| over deterministic strategies, by the O(n) DP.
+    """Exact maximum of |M_n| over deterministic strategies, by the DP on signs.
 
     With ``extremal_only`` the certified set is the 4**n sign patterns
     a_j, b_j = +-s; otherwise the full (2s+1)**(2n) outcome grid, whose
@@ -90,13 +94,11 @@ def classical_max(scenario: Scenario, extremal_only: bool = True) -> ClassicalRe
     maximum and the bound 2**(n-1) s**n.
     """
     n, t = scenario.n, scenario.spin.twice_spin
-    states = _extremal_states(n, t)
-    best = Fraction(max(abs(m) for m, _ in states), 1 << n)
-    m, k = t, t
-    for _ in range(1, n):
-        m, k = pair_step(m, k, t, t)
-    attained, bound = Fraction(m, 1 << n), classical_bound(scenario)
-    if (m, k) not in states or not attained == best == bound:
+    states = _extremal_states(n)
+    unit = Fraction(t ** n, 2)  # s**n 2**(n-1): M_n per unit of the DP's m
+    best = unit * max(abs(m) for m, _ in states)
+    attained, bound = unit, classical_bound(scenario)  # all +s stays at (1, 1)
+    if (1, 1) not in states or not attained == best == bound:
         raise AssertionError(f"all +s attains {attained}, the DP's maximum is {best} "
                              f"and the bound {bound} for {scenario}")
     plus = (scenario.spin.value,) * n

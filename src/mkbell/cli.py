@@ -239,8 +239,7 @@ def _cmd_sample(args):
     scenario = _scenario(args)
     shots_per_setting = _check_fits(scenario, args.shots)
     quantum.largest_eigenpair(scenario)  # certifies the state it samples
-    estimate = measurement.estimate_bell_value(scenario, measurement.top_state(scenario),
-                                               shots_per_setting, args.seed)
+    estimate = measurement.estimate_bell_value(scenario, shots_per_setting, args.seed)
     sigmas = measurement.violation_sigmas(scenario, estimate)
     return {
         "config": _config_dict(args, shots=args.shots, seed=args.seed),
@@ -302,8 +301,7 @@ def _cmd_report(args):
         Scenario(n=n, spin=Spin(t), dim_cap=dim_cap) for n in n_values for t in twice_spins)]
     rows = []
     for scenario, shots_per_setting in checked:
-        classical.classical_max(scenario)
-        bound = classical.classical_bound(scenario)
+        bound = classical.classical_max(scenario).max_value
         result = quantum.largest_eigenpair(scenario, tol=args.tol)
         row = {
             "n": scenario.n,
@@ -314,8 +312,7 @@ def _cmd_report(args):
             "gap": _fmt(quantum.spectral_gap(scenario)),
         }
         if args.sample:
-            estimate = measurement.estimate_bell_value(scenario, measurement.top_state(scenario),
-                                                       shots_per_setting, args.seed)
+            estimate = measurement.estimate_bell_value(scenario, shots_per_setting, args.seed)
             row["bell_estimate"] = _fmt(estimate.value)
             row["bell_stderr"] = _fmt(estimate.stderr)
             row["shots_per_setting"] = shots_per_setting
@@ -361,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, func, text, required, optional in [
         ("expand", _cmd_expand, "term expansion of the Bell expression",
          "--n", "--dim-cap --format --output"),
-        ("classical-max", _cmd_classical_max, "exact classical maximum, certified by an O(n) DP",
+        ("classical-max", _cmd_classical_max, "exact classical maximum, certified by a DP on signs",
          "--n --spin", "--format --output --full-grid"),
         ("quantum-max", _cmd_quantum_max, "largest eigenvalue of the Bell operator",
          "--n --spin", "--dim-cap --format --output --tol"),

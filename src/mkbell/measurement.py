@@ -6,7 +6,7 @@ each setting context follows the spin-1/2 Born rule: rotate each party
 measuring B into B's eigenbasis, then square amplitudes.  An outcome
 product is (2s)**n times the spin-1/2 one, +-2**-n: contexts are sampled at
 spin 1/2, and ``estimate_bell_value`` scales by ``quantum.block_scale`` once.
-Only sampling needs the state's 2**n entries, which ``top_state`` builds.
+Only sampling builds the state's 2**n entries, from the certified amplitudes.
 Sampling uses NumPy's PCG64 generator; per-term streams are derived from
 the base seed and the term index through ``numpy.random.SeedSequence``, so
 every report is reproducible.
@@ -22,21 +22,21 @@ import numpy as np
 from .classical import classical_bound
 from .errors import DimensionMismatch, NotNormalized
 from .expansion import expand_terms, expected_term_count
-from .quantum import block_scale
+from .quantum import block_scale, ghz_amplitudes
 from .spincore import Scenario, validate_labels
 
 
 def top_state(scenario: Scenario) -> np.ndarray:
     """The unit top eigenvector on the extreme block, the multilevel GHZ state
-    of the ``quantum.py`` docstring, on its 2**n entries: index bit j is party
-    j's level, 0 for +s and 1 for -s."""
+    that ``quantum.largest_eigenpair`` certifies, on its 2**n entries: index bit
+    j is party j's level, 0 for +s and 1 for -s, and the entry with b bits set
+    is 2**((1-n)/2) ``ghz_amplitudes(n)[b]``."""
     scenario.check_entries(f"a state vector of {scenario}")
     n = scenario.n
-    b = np.zeros((), dtype=np.uint8)
-    for _ in range(n):  # b mod 4, b = parties at -s
-        b = np.add.outer(b, np.array([0, 1], dtype=np.uint8)) % 4
-    amps = 2.0 ** ((1 - n) / 2) * np.cos(np.pi * (4 * np.arange(4) - n + 1) / 8)
-    return amps[b].reshape(-1)
+    b = np.zeros((), dtype=np.min_scalar_type(n))
+    for _ in range(n):  # b = parties at -s
+        b = np.add.outer(b, np.array([0, 1], dtype=b.dtype))
+    return 2.0 ** ((1 - n) / 2) * np.array(ghz_amplitudes(n))[b].reshape(-1)
 
 
 #: Row 0 is B's eigenvector for outcome +s on the levels (+s, -s), row 1 for -s.
@@ -117,18 +117,18 @@ def check_distribution_budget(scenario: Scenario) -> None:
         lambda: expected_term_count(scenario.n) << scenario.n)
 
 
-def estimate_bell_value(scenario: Scenario, state: np.ndarray, shots_per_setting: int,
-                        seed: int) -> BellEstimate:
-    """Sample every term's setting context and combine with its coefficient.
+def estimate_bell_value(scenario: Scenario, shots_per_setting: int, seed: int) -> BellEstimate:
+    """Sample every term's context in ``top_state``; combine with its coefficient.
 
     Term t uses the stream seeded by SeedSequence([seed, t]) and is sampled
     at spin 1/2; its mean and error are scaled by (2s)**n.  The combined
     standard error, the root sum of squares of coefficient-weighted spin-1/2
     errors, is scaled once, so that no square leaves the float range.  The
-    budget is checked before the first distribution is built.
+    budget is checked before the state or any distribution is built.
     """
     check_distribution_budget(scenario)
     scale = block_scale(scenario)
+    state = top_state(scenario)
     per_term = []
     value = 0.0
     var = 0.0

@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any
 
 from .classical import classical_max
 from .errors import CapExceeded, NotConverged
@@ -133,9 +134,9 @@ def predicted_ratio(n: int) -> float:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Full dense spectrum, sorted ascending."""
+    """Full dense spectrum, sorted ascending, as a float64 NumPy array."""
 
-    eigenvalues: np.ndarray
+    eigenvalues: Any
     top_value: float
     degeneracy_of_top: int
 

@@ -31,10 +31,12 @@ dimension 2**n.
 
 ``classical_max_enumerated`` is the oracle for the classical certificate
 ``mkbell.classical.classical_max``: it evaluates every strategy of the
-table on NumPy arrays, within the array budget.  ``strategy_value``
-evaluates one strategy by the pair recursion, ``value_from_terms`` on the
-expanded terms instead, and ``lhv_sample``, the classical control of the
-simulated experiment, averages sampled strategies.
+table on NumPy arrays, within the array budget.  ``twice_value_states`` is
+the certificate's DP on twice-values (+-2s) instead of halved sign pairs,
+every party's step kept, with no early stop.  ``strategy_value`` evaluates
+one strategy by the pair recursion, ``value_from_terms`` on the expanded
+terms instead, and ``lhv_sample``, the classical control of the simulated
+experiment, averages sampled strategies.
 
 The full-space oracle is the spin-s operator on all D = (2s+1)**n levels,
 which the commands replace by (2s)**n times the spin-1/2 operator on the
@@ -351,6 +353,16 @@ def _strategy_at(scenario: Scenario, a_cols, b_cols, index: int) -> Strategy:
     a = tuple(Fraction(int(col[index]), 2) for col in a_cols)
     b = tuple(Fraction(int(col[index]), 2) for col in b_cols)
     return Strategy(a=a, b=b)
+
+
+def twice_value_states(n: int, t: int) -> set:
+    """The reachable final twice-value states (m, k) of the extremal strategies,
+    t = 2s: the n-party DP with the factor 2t of each step kept."""
+    pairs = ((t, t), (t, -t), (-t, t), (-t, -t))
+    states = set(pairs)
+    for _ in range(1, n):
+        states = {pair_step(m, k, a, b) for m, k in states for a, b in pairs}
+    return states
 
 
 def classical_max_enumerated(scenario: Scenario,

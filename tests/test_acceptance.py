@@ -263,9 +263,8 @@ def test_simulated_experiment_shows_statistical_violation():
     seed = 42
     for n, twice in [(2, 1), (2, 2), (3, 1)]:
         scenario = Scenario(n, Spin(twice))
-        state = top_state(scenario)
         shots_per_setting = total_shots // expected_term_count(n)
-        estimate = estimate_bell_value(scenario, state, shots_per_setting, seed)
+        estimate = estimate_bell_value(scenario, shots_per_setting, seed)
         assert violation_sigmas(scenario, estimate) >= 5, (n, twice)
         quantum = predicted_quantum_max(scenario)
         assert abs(estimate.value - quantum) <= 5 * estimate.stderr, (n, twice)
@@ -285,8 +284,8 @@ def test_every_sampled_term_matches_its_prediction():
         for twice in (1, 3, 5):
             scenario = Scenario(n, Spin(twice))
             s = twice / 2
-            estimate = estimate_bell_value(scenario, top_state(scenario),
-                                           total_shots // expected_term_count(n), seed=42)
+            estimate = estimate_bell_value(scenario, total_shots // expected_term_count(n),
+                                           seed=42)
             terms = expand_terms(n)
             for (_, labels), (sampled, mean, stderr) in zip(terms, estimate.per_term):
                 assert sampled == labels

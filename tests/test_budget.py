@@ -39,7 +39,7 @@ PATHS = [
     ("classical_max_enumerated_full_grid",
      lambda sc, x: classical_max_enumerated(sc, extremal_only=False),
      lambda n, D, T: 2 * n * D * D),
-    ("estimate_bell_value", lambda sc, x: estimate_bell_value(sc, x, 10, 0),
+    ("estimate_bell_value", lambda sc, x: estimate_bell_value(sc, 10, 0),
      lambda n, D, T: T * 2 ** n),
 ]
 

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -6,14 +7,20 @@ import pytest
 from mkbell import classical
 from mkbell.classical import Strategy, classical_bound, classical_max
 from mkbell.errors import CapExceeded
+from mkbell.expansion import pair_step
 from mkbell.spincore import DEFAULT_DIM_CAP, Scenario, Spin
 from oracles import (
     ValueOutOfSpectrum,
     classical_max_enumerated,
     lhv_sample,
     strategy_value,
+    twice_value_states,
     value_from_terms,
 )
+
+
+#: (a, b) in {+-1}**2, the sign pairs the classical DP runs on.
+SIGN_PAIRS = {(1, 1), (1, -1), (-1, 1), (-1, -1)}
 
 
 def ev(text):
@@ -111,22 +118,42 @@ class TestClassicalMax:
     @pytest.mark.parametrize("extremal_only", [True, False])
     def test_certificate_raises_on_a_wrong_state_set(self, monkeypatch, n, twice,
                                                      extremal_only):
-        # The all-+s state, the DP's maximum and the bound must agree: a set
-        # above the bound, or one that lacks the all-+s state, is refused.
-        states = classical._extremal_states(n, twice)
-        top = (twice * (2 * twice) ** (n - 1),) * 2  # all +s: (t, t), times 2t per party
-        assert top in states and (-top[0], -top[1]) in states
-        above = states | {(top[0] + 1, top[1])}
-        for wrong in (above, states - {top}):
-            monkeypatch.setattr(classical, "_extremal_states", lambda n, t, wrong=wrong: wrong)
+        # The all-+s state (1, 1), the DP's maximum and the bound must agree:
+        # a set above the bound, one that lacks (1, 1), or one whose last step
+        # skipped the halving, is refused.
+        states = classical._extremal_states(n)
+        assert (1, 1) in states and (-1, -1) in states
+        unhalved = {pair_step(m, k, a, b) for m, k in states for a, b in SIGN_PAIRS}
+        for wrong in (states | {(2, 1)}, states - {(1, 1)}, unhalved):
+            monkeypatch.setattr(classical, "_extremal_states", lambda n, wrong=wrong: wrong)
             with pytest.raises(AssertionError, match="all \\+s attains"):
                 classical_max(Scenario(n, Spin(twice)), extremal_only=extremal_only)
 
     @pytest.mark.parametrize("twice", range(1, 10))
     def test_four_states_per_party(self, twice):
-        # The DP's cost rests on this: every party leaves four live states.
+        # Every party leaves the four rotations of (1, 1), the sign pairs; scaled
+        # by t (2t)**(n-1), they are the twice-value DP's states.
         for n in range(1, 61):
-            assert len(classical._extremal_states(n, twice)) == 4, n
+            states = classical._extremal_states(n)
+            assert states == SIGN_PAIRS, n
+            scale = twice * (2 * twice) ** (n - 1)
+            assert {(scale * m, scale * k) for m, k in states} == twice_value_states(n, twice)
+
+    @pytest.mark.parametrize("n", [2, 3, 60, 10 ** 6])
+    def test_dp_stops_at_its_fixed_point(self, monkeypatch, n):
+        # Party 2's step returns party 1's set, so the loop ends there: one
+        # step, 4 states times 4 sign pairs, at any n.
+        calls = []
+        monkeypatch.setattr(classical, "pair_step",
+                            lambda *args: calls.append(args) or pair_step(*args))
+        classical._extremal_states(n)
+        assert len(calls) == 16
+
+    def test_huge_n_is_fast(self):
+        start = time.perf_counter()
+        result = classical_max(Scenario(10 ** 5, Spin(15)))
+        assert time.perf_counter() - start < 1.0
+        assert result.max_value == Fraction(15 ** 10 ** 5, 2)
 
 
 class TestLhvSample:

@@ -9,7 +9,6 @@ from mkbell.measurement import (
     estimate_bell_value,
     joint_distribution,
     sample_outcomes,
-    top_state,
     violation_sigmas,
 )
 from mkbell.quantum import block_scale
@@ -153,9 +152,8 @@ class TestSampling:
 class TestBellEstimate:
     def test_reproducible_and_violating(self):
         scenario = Scenario(2, Spin(1))
-        state = top_state(scenario)
-        one = estimate_bell_value(scenario, state, 100_000, seed=42)
-        two = estimate_bell_value(scenario, state, 100_000, seed=42)
+        one = estimate_bell_value(scenario, 100_000, seed=42)
+        two = estimate_bell_value(scenario, 100_000, seed=42)
         assert one == two
         assert one.value == pytest.approx(np.sqrt(2) / 2, abs=6 * one.stderr)
         assert violation_sigmas(scenario, one) > 5
@@ -166,18 +164,16 @@ class TestBellEstimate:
         # amplitudes, so one seed draws the same counts: the paper's
         # spin-independent ratio, seen in simulation.
         shots = 10 ** 6 // 4 ** (n // 2)
-        half = estimate_bell_value(Scenario(n, Spin(1)), top_state(Scenario(n, Spin(1))),
-                                   shots, seed=7)
+        half = estimate_bell_value(Scenario(n, Spin(1)), shots, seed=7)
         for twice in range(2, 6):
             scenario = Scenario(n, Spin(twice))
-            est = estimate_bell_value(scenario, top_state(scenario), shots, seed=7)
+            est = estimate_bell_value(scenario, shots, seed=7)
             assert est.value == pytest.approx(twice ** n * half.value, rel=1e-12, abs=0)
             assert est.stderr == pytest.approx(twice ** n * half.stderr, rel=1e-12, abs=0)
 
     def test_sigma_edge_cases(self):
         scenario = Scenario(2, Spin(1))
-        state = top_state(scenario)
-        est = estimate_bell_value(scenario, state, 1000, seed=0)
+        est = estimate_bell_value(scenario, 1000, seed=0)
         frozen = type(est)(value=1.0, stderr=0.0, per_term=est.per_term)
         assert violation_sigmas(scenario, frozen) == float("inf")
         frozen = type(est)(value=0.0, stderr=0.0, per_term=est.per_term)

@@ -3,7 +3,6 @@ import pytest
 
 from mkbell import measurement, operators
 from mkbell.errors import CapExceeded, DimensionMismatch
-from mkbell.measurement import top_state
 from mkbell.operators import (
     assemble_dense,
     dense_scaled_product,
@@ -176,7 +175,7 @@ class TestApply:
         op = global_operator(scenario)
         op.apply(np.ones(8))
         assert calls == []
-        estimate = measurement.estimate_bell_value(scenario, top_state(scenario), 10, seed=0)
+        estimate = measurement.estimate_bell_value(scenario, 10, seed=0)
         assert len(estimate.per_term) == 4
         assert calls == [3]
 

@@ -203,11 +203,12 @@ class TestSymmetricCertificate:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_amplitudes_are_the_top_state(self, n):
-        # top_state's entry with b bits set is 2**((1-n)/2) y_b.
+        # top_state's entry with b bits set is 2**((1-n)/2) y_b, bit for bit:
+        # sampling draws from the amplitudes the certificate checks.
         y = np.array(ghz_amplitudes(n))
         bits = np.array([bin(index).count("1") for index in range(1 << n)])
         state = top_state(Scenario(n, Spin(1)))
-        assert np.max(np.abs(state - 2.0 ** ((1 - n) / 2) * y[bits])) <= 1e-15
+        assert np.array_equal(state, 2.0 ** ((1 - n) / 2) * y[bits])
 
     def test_counts_n_plus_one_entries(self):
         # Past any 2**n state: the budget sees the n + 1 amplitudes.

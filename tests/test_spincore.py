@@ -1,9 +1,14 @@
+import importlib
+import pkgutil
 import sys
 import time
+from dataclasses import is_dataclass
 from fractions import Fraction
+from typing import get_type_hints
 
 import pytest
 
+import mkbell
 from mkbell.classical import classical_bound
 from mkbell.errors import CapExceeded
 from mkbell.operators import global_operator
@@ -112,3 +117,16 @@ class TestScenario:
         scenario = Scenario(1, Spin(1), dim_cap=1)
         with pytest.raises(CapExceeded, match="exceeds cap 1$"):
             scenario.check_entries("a state vector")
+
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(mkbell.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_dataclass_resolves_its_type_hints(name):
+    # Annotations are strings (``from __future__ import annotations``); each
+    # must name something the module binds, even where NumPy loads lazily.
+    module = importlib.import_module(f"mkbell.{name}")
+    for obj in vars(module).values():
+        if isinstance(obj, type) and is_dataclass(obj) and obj.__module__ == module.__name__:
+            get_type_hints(obj)
