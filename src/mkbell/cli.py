@@ -2,22 +2,26 @@
 
 Each command returns its payload; ``main`` writes it, or the error, once.
 Exit codes: 0 success, 2 validation error (among them a ``--spin`` too long to
-print, a negative ``--seed`` and a ``--shots`` that puts more than 2**63 - 1
-shots on one setting) or unwritable ``--output``, 3 cap exceeded (the array
-budget ``--dim-cap``, digits of a printed exact integer, or a top eigenvalue
-or ratio past the float range), 4 numerical non-convergence (the closed-form top
-eigenpair fails its residual check).  ``sample`` and every row of
-``report`` pass the same checks (``_check_fits``) before any array is built,
-and it returns the shots split their estimate draws.  Each typed option parses
-through ``_parsed``; every integer input, ``MKBELL_DIM_CAP`` and the grid's n
-bounds too, through ``_integer``, whose message names it.
+print, a negative ``--seed``, a ``--shots`` that puts more than 2**63 - 1
+shots on one setting and an option the command does not take) or unwritable
+``--output``, 3 cap exceeded (the array budget ``--dim-cap``, digits of a
+printed exact integer, or a top eigenvalue or ratio past the float range), 4
+numerical non-convergence (the closed-form top eigenpair's residual is above
+``quantum.TOLERANCE``).  ``report`` counts its table's cells against the
+budget before its first row; ``sample`` and every row of ``report`` pass the
+same checks (``_check_fits``) before any array is built, and it returns the
+shots split their estimate draws.  Each typed option parses through
+``_parsed``; every integer input, ``MKBELL_DIM_CAP`` and the grid's n bounds
+too, through ``_integer``, whose message names it.
 
 The eigenpair commands ``quantum-max``, ``ratio`` and ``report`` import
 ``quantum``, which certifies the top eigenpair on its n + 1 symmetric
-amplitudes in pure Python, and count those n + 1 entries against the budget.
-Only the commands that sample, ``sample`` and ``report --sample``, import
-``measurement``, and with it NumPy, to build the 2**n state; ``classical-max``
-and ``expand`` run on the pure-Python exact layer.
+amplitudes in pure Python; ``quantum-max`` and ``ratio`` build no array, so,
+like ``classical-max``, they take no ``--dim-cap`` and ignore
+``MKBELL_DIM_CAP``.  Only the commands that sample, ``sample`` and
+``report --sample``, import ``measurement``, and with it NumPy, to build the
+2**n state; ``classical-max`` and ``expand`` run on the pure-Python exact
+layer.
 """
 
 from __future__ import annotations
@@ -62,16 +66,6 @@ def _parsed(parse):
     return parsed
 
 
-def _tolerance(text: str) -> float:
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = 0.0
-    if not 0 < tol < float("inf"):
-        raise ValueError(f"tol must be a finite number > 0, got {text!r}")
-    return tol
-
-
 def _integer(name: str, text: str, least: int | None = None, quote: bool = True) -> int:
     """``text`` as an integer, at least ``least`` if given; the ValueError names
     ``name``, and Python's digit limit for a literal too long to convert, and
@@ -93,13 +87,9 @@ def _integer(name: str, text: str, least: int | None = None, quote: bool = True)
 
 def _dim_cap(args) -> int:
     if args.dim_cap is not None:
-        return args.dim_cap  # a cap below 1 fails in Scenario
+        return args.dim_cap
     env = os.environ.get("MKBELL_DIM_CAP")
     return _integer("MKBELL_DIM_CAP", env, least=1) if env else DEFAULT_DIM_CAP
-
-
-def _scenario(args) -> Scenario:
-    return Scenario(n=args.n, spin=args.spin, dim_cap=_dim_cap(args))
 
 
 def _config_dict(args, **extra):
@@ -122,16 +112,21 @@ def _emit(args, payload):
 
 def _to_csv(payload):
     # ``expand``'s terms and ``report``'s rows are tables (a report's config is
-    # left out); every other payload flattens to key,value.
+    # left out); every other payload flattens to key,value, a nested value to
+    # one quoted JSON cell.
+    import csv
+    import io
+
     rows = payload if isinstance(payload, list) else payload.get("rows")
     if rows:
-        lines = [",".join(rows[0])]
-        lines += (",".join(str(value) for value in row.values()) for row in rows)
+        lines = [list(rows[0]), *(map(str, row.values()) for row in rows)]
     else:
-        lines = ["key,value"]
-        lines += (f"{key},{json.dumps(value) if isinstance(value, (dict, list)) else value}"
-                  for key, value in payload.items())
-    return "\n".join(lines) + "\n"
+        lines = [["key", "value"], *(
+            [key, json.dumps(value) if isinstance(value, (dict, list)) else str(value)]
+            for key, value in payload.items())]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(lines)
+    return out.getvalue()
 
 
 def _cmd_expand(args):
@@ -184,11 +179,11 @@ def _cmd_classical_max(args):
 def _cmd_quantum_max(args):
     from . import quantum
 
-    scenario = _scenario(args)
-    result = quantum.largest_eigenpair(scenario, tol=args.tol)
+    scenario = Scenario(n=args.n, spin=args.spin)
+    result = quantum.largest_eigenpair(scenario)
     predicted = quantum.predicted_quantum_max(scenario)
     return {
-        "config": _config_dict(args, tol=args.tol),
+        "config": {**_config_dict(args), "tol": quantum.TOLERANCE},
         "top_eigenvalue": _fmt(result.value),
         "predicted": _fmt(predicted),
         "relative_error": _fmt(abs(result.value - predicted) / abs(predicted)),
@@ -200,11 +195,11 @@ def _cmd_quantum_max(args):
 def _cmd_ratio(args):
     from . import quantum
 
-    scenario = _scenario(args)
-    ratio = quantum.violation_ratio(scenario, tol=args.tol)
+    scenario = Scenario(n=args.n, spin=args.spin)
+    ratio = quantum.violation_ratio(scenario)
     predicted = quantum.predicted_ratio(args.n)
     return {
-        "config": _config_dict(args, tol=args.tol),
+        "config": {**_config_dict(args), "tol": quantum.TOLERANCE},
         "ratio": _fmt(ratio),
         "predicted": _fmt(predicted),
         "relative_error": _fmt(abs(ratio - predicted) / predicted),
@@ -212,15 +207,15 @@ def _cmd_ratio(args):
 
 
 def _check_fits(scenario, shots=None):
-    """Raise before any array is built unless ``scenario``'s certificate (n + 1
-    entries) fits the budget and its top eigenvalue the float range; with
-    ``shots``, also its sampled estimate (T 2**n entries, the state's 2**n
-    among them) and the shots split.  Return the shots per setting: ``shots``
-    split evenly across the T setting contexts, of which one multinomial draw
-    takes at most 2**63 - 1."""
+    """Raise before any array is built unless ``scenario``'s top eigenvalue and
+    its ratio to the classical bound are finite floats; with ``shots``, also
+    unless its sampled estimate (T 2**n entries, the state's 2**n among them)
+    fits the budget and one multinomial draw takes each setting's share.
+    Return that share: ``shots`` split evenly across the T setting contexts,
+    at most 2**63 - 1."""
     from . import quantum
 
-    quantum.certificate_scale(scenario)
+    quantum.block_scale(scenario)
     if shots is None:
         return None
     from . import measurement
@@ -236,7 +231,7 @@ def _check_fits(scenario, shots=None):
 def _cmd_sample(args):
     from . import measurement, quantum
 
-    scenario = _scenario(args)
+    scenario = Scenario(n=args.n, spin=args.spin, dim_cap=_dim_cap(args))
     shots_per_setting = _check_fits(scenario, args.shots)
     quantum.largest_eigenpair(scenario)  # certifies the state it samples
     estimate = measurement.estimate_bell_value(scenario, shots_per_setting, args.seed)
@@ -293,16 +288,26 @@ def _cmd_report(args):
         n_values, twice_spins = _parse_grid(args.grid)
     else:
         n_values, twice_spins = [args.n], [args.spin.twice_spin]
+    grid = args.grid or f"n={args.n} s={args.spin}"
     dim_cap = _dim_cap(args)
+    # The table's cells fit the budget before its first row.  The rows are
+    # counted from the range bounds: len() overflows past sys.maxsize.
+    cells = ((n_values[-1] - n_values[0] + 1) * (twice_spins[-1] - twice_spins[0] + 1)
+             * (9 if args.sample else 6))
+    if cells > dim_cap:
+        # 2**2000 has 603 digits, fewer than any limit Python prints to (640).
+        count = cells if cells.bit_length() <= 2000 else f"at least 2**{cells.bit_length() - 1}"
+        raise CapExceeded(f"the report table of grid {' '.join(args.grid or [grid])} would "
+                          f"hold {count} cells, which exceeds cap {dim_cap}")
     shots = args.shots if args.sample else None
     # Every row fits before the first runs; built row by row, so a huge grid
-    # stops at its first row past the budget.
+    # stops at its first row past the budget or the float range.
     checked = [(scenario, _check_fits(scenario, shots)) for scenario in (
         Scenario(n=n, spin=Spin(t), dim_cap=dim_cap) for n in n_values for t in twice_spins)]
     rows = []
     for scenario, shots_per_setting in checked:
         bound = classical.classical_max(scenario).max_value
-        result = quantum.largest_eigenpair(scenario, tol=args.tol)
+        result = quantum.largest_eigenpair(scenario)
         row = {
             "n": scenario.n,
             "s": str(scenario.spin),
@@ -319,8 +324,8 @@ def _cmd_report(args):
         rows.append(row)
     config = {
         "command": "report",
-        "grid": args.grid or f"n={args.n} s={args.spin}",
-        "tol": args.tol,
+        "grid": grid,
+        "tol": quantum.TOLERANCE,
         "sample": args.sample,
         "shots": args.shots,
         "seed": args.seed,
@@ -339,16 +344,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--spin": dict(type=_parsed(Spin.from_string),
                        help='spin, e.g. "1/2", "1", "3/2" (or "0.5")'),
         "--grid": dict(nargs="+", metavar="RANGE", help="e.g. --grid n=2..4 s=1/2..3/2"),
-        "--dim-cap": dict(type=_parsed(partial(_integer, "dim_cap")), help=(
+        "--dim-cap": dict(type=_parsed(partial(_integer, "dim_cap", least=1)), help=(
             "array budget: the most array entries the command may build "
-            f"(default {DEFAULT_DIM_CAP}, env MKBELL_DIM_CAP); at every spin the "
-            "eigenpair certificate counts n + 1, sampling (which alone imports "
-            "NumPy) 4**(n//2) 2**n, expand n 2**n")),
+            f"(default {DEFAULT_DIM_CAP}, env MKBELL_DIM_CAP); at every spin "
+            "sampling (which alone imports NumPy) counts 4**(n//2) 2**n, expand "
+            "n 2**n, and report its table's cells, rows times 6 or, sampled, 9")),
         "--format": dict(choices=("json", "csv"), default="json"),
         "--output": dict(help="write the report to this file"),
         "--full-grid": dict(action="store_true",
                             help="certify the full outcome grid instead of sign patterns"),
-        "--tol": dict(type=_parsed(_tolerance), default=1e-9),
         "--sample": dict(action="store_true", help="add sampled Bell estimates"),
         "--shots": dict(type=_parsed(partial(_integer, "shots", least=1)), default=DEFAULT_SHOTS,
                         help="total shots, split evenly across setting contexts"),
@@ -361,13 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("classical-max", _cmd_classical_max, "exact classical maximum, certified by a DP on signs",
          "--n --spin", "--format --output --full-grid"),
         ("quantum-max", _cmd_quantum_max, "largest eigenvalue of the Bell operator",
-         "--n --spin", "--dim-cap --format --output --tol"),
+         "--n --spin", "--format --output"),
         ("ratio", _cmd_ratio, "quantum-to-classical violation ratio",
-         "--n --spin", "--dim-cap --format --output --tol"),
+         "--n --spin", "--format --output"),
         ("sample", _cmd_sample, "simulated-measurement Bell estimate",
          "--n --spin", "--dim-cap --format --output --shots --seed"),
         ("report", _cmd_report, "full pipeline for one scenario or a grid",
-         "", "--n --spin --grid --dim-cap --format --output --tol --sample --shots --seed"),
+         "", "--n --spin --grid --dim-cap --format --output --sample --shots --seed"),
     ]:
         p = sub.add_parser(command, help=text)
         for option in required.split():

@@ -19,7 +19,7 @@ class NotNormalized(MkBellError):
 
 
 class NotConverged(MkBellError):
-    """An eigenpair failed its check against the requested residual."""
+    """An eigenpair failed its residual check."""
 
     def __init__(self, message, best_value=None, best_residual=None, iterations=0):
         super().__init__(message)

@@ -63,8 +63,11 @@ the residual ((1 - i)^(n-1) / 2**k is +-1, +-i or +-1 +-i, exactly).  So
 every intermediate stays near 1 while the top eigenvalue is a float.  This is
 the one-matvec check on the 2**n strings, reduced without approximation to
 the symmetric span: lam = (2s)**n x.M^(1/2)x, and the true residual, scaled
-alike, must be at most tol * max(1, |lam|), or NotConverged is raised.  A
-wrong amplitude or a wrong factor v fails it.  Only sampling needs x on its
+alike, must be at most TOLERANCE * max(1, |lam|), or NotConverged is raised.
+It is at rounding level for the exact amplitudes; a wrong amplitude or a wrong
+factor v fails it.  ``block_scale`` runs first, and its ratio check bounds n
+by 2048, so the certificate never holds more than 2049 floats and counts
+nothing against the array budget.  Only sampling needs x on its
 2**n entries; ``measurement.top_state`` builds it there.
 
 **Gap.**  For n >= 2 the next eigenvalue is the largest of
@@ -86,6 +89,9 @@ from .spincore import Scenario
 
 #: v = (1, i): at spin 1/2, A + iB = v v^T / 2 on the levels (+1/2, -1/2).
 RANK_ONE = (1, 1j)
+
+#: The certificate's bound on the residual, relative to max(1, |lam|).
+TOLERANCE = 1e-9
 
 
 def predicted_quantum_max(scenario: Scenario) -> float:
@@ -118,13 +124,6 @@ def block_scale(scenario: Scenario) -> float:
         raise CapExceeded(f"the top eigenvalue of {scenario}, or its ratio to the classical "
                           "bound, is past the float range") from None
     return scale
-
-
-def certificate_scale(scenario: Scenario) -> float:
-    """``block_scale``, once the certificate's n + 1 amplitudes are within the
-    array budget: the checks ``largest_eigenpair`` makes before it runs."""
-    scenario.check_entries(f"the symmetric amplitudes of {scenario}", scenario.n + 1)
-    return block_scale(scenario)
 
 
 def predicted_ratio(n: int) -> float:
@@ -170,20 +169,16 @@ def ghz_amplitudes(n: int) -> list[float]:
     return [by_class[b % 4] for b in range(n + 1)]
 
 
-def largest_eigenpair(scenario: Scenario, tol: float = 1e-9) -> EigenResult:
+def largest_eigenpair(scenario: Scenario) -> EigenResult:
     """The closed-form top eigenvalue, certified on the n + 1 symmetric
     amplitudes of its state (module docstring).
 
     Returns lam = (2s)**n x.Mx, M the spin-1/2 operator and x the GHZ state,
     once the true residual (2s)**n ||Mx - x.Mx x|| is at most
-    tol * max(1, |lam|); raises NotConverged, carrying both, otherwise.
-    ``iterations`` is the one matvec.  A ``tol`` that is not finite and
-    positive raises ValueError: with NaN or infinity the check would pass
-    any state.  ``certificate_scale`` runs first.
+    TOLERANCE * max(1, |lam|); raises NotConverged, carrying both, otherwise.
+    ``iterations`` is the one matvec.  ``block_scale`` runs first.
     """
-    if not 0 < tol < float("inf"):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    scale = certificate_scale(scenario)
+    scale = block_scale(scenario)
     n = scenario.n
     # With k = (n-1) // 2 and e = (n-1) % 2: x_b = 2**(-k-e/2) y_b,
     # C(n, b) = 2**(2k+e) w_b, S = 2**(k+e/2) T and (1 - i)^(n-1) = 2**k c, so
@@ -209,10 +204,10 @@ def largest_eigenpair(scenario: Scenario, tol: float = 1e-9) -> EigenResult:
     rho = math.sqrt(math.fsum(wb * (gb - mu * yb) ** 2 for wb, yb, gb in zip(w, y, g)))
     value = scale * math.ldexp(mu, k - 1)
     residual = scale * math.ldexp(rho, k - 1)
-    if residual > tol * max(1.0, abs(value)):
+    if residual > TOLERANCE * max(1.0, abs(value)):
         raise NotConverged(
             f"the closed-form top state of {scenario} has residual {residual:.3e}, "
-            f"above {tol} relative",
+            f"above {TOLERANCE} relative",
             best_value=value, best_residual=residual, iterations=1,
         )
     return EigenResult(value=value, iterations=1, residual=residual)
@@ -225,8 +220,8 @@ def spectral_gap(scenario: Scenario) -> float:
     return predicted_quantum_max(scenario) * min(1.0, 2.0 / scenario.spin.twice_spin)
 
 
-def violation_ratio(scenario: Scenario, tol: float = 1e-9) -> float:
+def violation_ratio(scenario: Scenario) -> float:
     """Quantum maximum divided by the certified classical maximum."""
-    quantum = largest_eigenpair(scenario, tol=tol).value
+    quantum = largest_eigenpair(scenario).value
     classical = float(classical_max(scenario).max_value)
     return quantum / classical

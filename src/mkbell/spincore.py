@@ -17,9 +17,9 @@ from .errors import CapExceeded
 
 #: Default array budget: the total number of entries a path may build, as
 #: counted by that path and enforced by ``Scenario.check_entries``.  With
-#: T = 4**(n//2) terms and at any spin, the eigenpair certificate counts its
-#: n + 1 symmetric amplitudes, a state vector 2**n, a sampled estimate T 2**n
-#: and the expansion n 2**n letters; with D = (2s+1)**n, a
+#: T = 4**(n//2) terms and at any spin, a state vector counts 2**n, a sampled
+#: estimate T 2**n and the expansion n 2**n letters; the CLI's report table
+#: counts its cells, rows times 6 or, sampled, 9.  With D = (2s+1)**n, a
 #: dense matrix D**2 and, among the test oracles, a full-space state D, the
 #: commutation report T D**2 and the enumeration 2n per strategy.
 DEFAULT_DIM_CAP = 1 << 24
@@ -110,15 +110,13 @@ class Scenario:
         """Raise CapExceeded, before anything is allocated, when ``what``
         would hold more than ``dim_cap`` array entries in all.
 
-        ``entries`` is the count as an int, or a callable that forms it
-        (default: 2**n, one state vector).  A callable's count is at least
-        2**n, so once n reaches the cap's bit length this raises before any
-        count such as (2s+1)**n is formed.
+        ``entries`` is a callable that forms the count (default: 2**n, one
+        state vector).  The count is at least 2**n, so once n reaches the
+        cap's bit length this raises before any count such as (2s+1)**n is
+        formed.
         """
         cap = self.dim_cap
-        if isinstance(entries, int):
-            count = entries
-        elif self.n >= cap.bit_length():
+        if self.n >= cap.bit_length():
             count = f"at least 2**{self.n}"
         else:
             count = entries() if entries else 1 << self.n

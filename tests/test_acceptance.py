@@ -114,7 +114,7 @@ def test_top_eigenvalue_matches_closed_form():
         assert np.linalg.norm(residual) <= 1e-12 * report.top_value, (n, twice)
     for n, twice in MATRIX_FREE_CASES:
         scenario = Scenario(n, Spin(twice))
-        result = largest_eigenpair(scenario, tol=1e-7)
+        result = largest_eigenpair(scenario)
         predicted = predicted_quantum_max(scenario)
         assert abs(result.value - predicted) <= 1e-7 * predicted, (n, twice)
         oracle = lanczos_top(scenario, tol=1e-7)

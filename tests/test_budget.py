@@ -9,7 +9,7 @@ import oracles
 from mkbell.errors import CapExceeded
 from mkbell.measurement import estimate_bell_value, top_state
 from mkbell.operators import assemble_dense, dense_scaled_product, global_operator
-from mkbell.quantum import dense_spectrum, largest_eigenpair
+from mkbell.quantum import dense_spectrum
 from mkbell.spincore import Scenario, Spin
 from oracles import (
     classical_max_enumerated,
@@ -23,7 +23,6 @@ from oracles import (
 #: (path, call on a scenario and its top state, entries as a function of n,
 #: D and T = 4**(n//2)).
 PATHS = [
-    ("largest_eigenpair", lambda sc, x: largest_eigenpair(sc), lambda n, D, T: n + 1),
     ("global_operator", lambda sc, x: global_operator(sc), lambda n, D, T: 2 ** n),
     ("top_state", lambda sc, x: top_state(sc), lambda n, D, T: 2 ** n),
     ("full_space_operator", lambda sc, x: full_space_operator(sc), lambda n, D, T: D),

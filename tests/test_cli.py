@@ -1,5 +1,7 @@
 import argparse
+import csv
 import importlib
+import io
 import itertools
 import json
 import os
@@ -26,6 +28,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _no_row(*args, **kwargs):
+    raise AssertionError("computed a row of a report past the budget")
 
 
 def run_or_exit(capsys, *argv):
@@ -112,17 +118,19 @@ class TestClassicalMax:
         assert payload["strategies_checked"] == 81
 
     def test_csv_bytes(self, capsys):
-        # Exact fractions in the key,value layout: (2s)**n / 2 = 27/2.
+        # Exact fractions in the key,value layout: (2s)**n / 2 = 27/2.  A
+        # nested value is one quoted JSON cell.
         code, out, _ = run(capsys, "classical-max", "--n", "3", "--spin", "3/2",
                            "--format", "csv")
         assert code == 0
         assert out == (
             "key,value\n"
-            'config,{"command": "classical-max", "n": 3, "s": "3/2", "full_grid": false}\n'
+            'config,"{""command"": ""classical-max"", ""n"": 3, ""s"": ""3/2"", '
+            '""full_grid"": false}"\n'
             "bound,27/2\n"
             "achieved,True\n"
-            'argmax_a,["3/2", "3/2", "3/2"]\n'
-            'argmax_b,["3/2", "3/2", "3/2"]\n'
+            'argmax_a,"[""3/2"", ""3/2"", ""3/2""]"\n'
+            'argmax_b,"[""3/2"", ""3/2"", ""3/2""]"\n'
             "strategies_checked,64\n"
         )
 
@@ -258,7 +266,7 @@ class TestDimensionCap:
     @pytest.mark.parametrize("command", ["quantum-max", "ratio", "sample", "report"])
     def test_first_n_past_default_cap(self, capsys, monkeypatch, command):
         # 2**25 > 2**24: sample exits 3 before the top state is built; the
-        # eigenpair commands count 26 amplitudes and build no state at all.
+        # eigenpair commands build no state at all.
         def no_state(*args, **kwargs):
             raise AssertionError("built a state beyond the cap")
 
@@ -319,8 +327,8 @@ class TestDimensionCap:
         assert len(built) == 2049
 
     def test_huge_n_fails_fast(self, capsys):
-        # 10**7 + 1 amplitudes fit the budget; the top eigenvalue, decided from
-        # its exponent, is past the float range.
+        # The top eigenvalue, decided from its exponent, is past the float
+        # range; no amplitude is formed.
         start = time.perf_counter()
         code, _, err = run(capsys, "quantum-max", "--n", str(10 ** 7), "--spin", "1")
         assert time.perf_counter() - start < 1.0
@@ -328,16 +336,50 @@ class TestDimensionCap:
         assert err.startswith("error: the top eigenvalue of n=10000000, s=1, ")
         assert err.endswith(" is past the float range\n")
 
+    @pytest.mark.parametrize("sample,cells", [((), 24), (("--sample", "--shots", "400"), 36)],
+                             ids=["plain", "sampled"])
+    def test_report_table_counts_its_cells(self, capsys, monkeypatch, sample, cells):
+        # Four rows of 6 cells, or 9 sampled; over the cap, exit 3 before the
+        # first row.  The sampled rows' own budget, 4 * 2**3 entries, fits.
+        argv = ("report", "--grid", "n=2..3", "s=1/2..1", *sample, "--dim-cap")
+        with monkeypatch.context() as patch:
+            patch.setattr(classical, "classical_max", _no_row)
+            code, out, err = run(capsys, *argv, str(cells - 1))
+        assert (code, out) == (3, "")
+        assert err == (f"error: the report table of grid n=2..3 s=1/2..1 would hold {cells} "
+                       f"cells, which exceeds cap {cells - 1}\n")
+        code, out, err = run(capsys, *argv, str(cells))
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["rows"]) == 4
+
+    @pytest.mark.parametrize("grid,count", [
+        (("n=1..1", "s=1/2..1e300"), "12" + "0" * 300),
+        (("n=1..1", "s=1/2..1000000000"), "12000000000"),
+        ((f"n=1..{'9' * 4300}", "s=1/2..1/2"), f"at least 2**{(6 * 10 ** 4300).bit_length() - 1}"),
+    ], ids=["spin-1e300", "spin-1e9", "n-4300-digits"])
+    def test_huge_grid_range_fails_before_its_first_row(self, capsys, monkeypatch, grid,
+                                                        count):
+        # Row by row, the spin range at n = 1 stays in the float range up to
+        # s of about 1e308, and the rows would fill the memory first.
+        monkeypatch.setattr(mkbell.cli, "_check_fits", _no_row)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "report", "--grid", *grid)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == (f"error: the report table of grid {' '.join(grid)} would hold {count} "
+                       "cells, which exceeds cap 16777216\n")
+
     @pytest.mark.parametrize("argv,env", [
-        (("quantum-max", "--n", "2", "--spin", "1/2", "--dim-cap", "-3"), None),
+        (("report", "--n", "2", "--spin", "1/2", "--dim-cap", "-3"), None),
         (("sample", "--n", "2", "--spin", "1/2", "--dim-cap", "0"), None),
         (("expand", "--n", "2"), "0"),
         (("report", "--grid", "n=2..2", "s=1/2..1/2"), "-1"),
     ])
     def test_cap_below_one_is_a_validation_error(self, capsys, monkeypatch, argv, env):
+        # --dim-cap is rejected at parse time, before report counts its table.
         if env is not None:
             monkeypatch.setenv("MKBELL_DIM_CAP", env)
-        code, out, err = run(capsys, *argv)
+        code, out, err = run_or_exit(capsys, *argv)
         assert (code, out) == (2, "")
         if env is None:
             assert "dim_cap must be an integer >= 1" in err
@@ -348,7 +390,7 @@ class TestDimensionCap:
     @pytest.mark.parametrize("env", ["abc", "7" * 5000], ids=["not-an-integer", "past-4300-digits"])
     def test_bad_env_cap_names_the_variable(self, capsys, monkeypatch, env):
         monkeypatch.setenv("MKBELL_DIM_CAP", env)
-        code, out, err = run(capsys, "quantum-max", "--n", "2", "--spin", "1/2")
+        code, out, err = run(capsys, "report", "--n", "2", "--spin", "1/2")
         assert (code, out) == (2, "")
         assert err.startswith("error: MKBELL_DIM_CAP ")
         assert "integer" in err if env == "abc" else "more than 4300 digits" in err
@@ -371,7 +413,7 @@ class TestQuantumMax:
         assert (code, err) == (0, "")
         assert out == (
             "key,value\n"
-            'config,{"command": "quantum-max", "n": 2, "s": "1/2", "tol": 1e-09}\n'
+            'config,"{""command"": ""quantum-max"", ""n"": 2, ""s"": ""1/2"", ""tol"": 1e-09}"\n'
             "top_eigenvalue,0.707106781187\n"
             "predicted,0.707106781187\n"
             "relative_error,1.57009245868e-16\n"
@@ -405,6 +447,15 @@ class TestQuantumMax:
         code, out, err = run(capsys, "quantum-max", "--n", "3", "--spin", "1")
         assert (code, out) == (4, "")
         assert "residual" in err
+
+    @pytest.mark.parametrize("command", ["quantum-max", "ratio", "report"])
+    def test_tolerance_below_rounding_exits_4(self, capsys, monkeypatch, command):
+        # The residual at (4, 3) is at rounding level, about 1e-16 of the top.
+        monkeypatch.setattr(quantum, "TOLERANCE", 1e-20)
+        code, out, err = run(capsys, command, "--n", "4", "--spin", "3")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: the closed-form top state of n=4, s=3 has residual ")
+        assert err.endswith(" above 1e-20 relative\n")
 
     def test_runs_past_the_state_budget(self, capsys):
         # 501 amplitudes, not 2**500 entries: the closed form to 12 digits.
@@ -440,15 +491,6 @@ class TestQuantumMax:
         assert code == 0
         # The gap the dense oracle prints from its 4096 x 4096 spectrum.
         assert json.loads(out)["gap"] == 1374.61558263
-
-    def test_dim_cap_exit_code(self, capsys):
-        # The certificate counts its n + 1 amplitudes.
-        argv = ("quantum-max", "--n", "3", "--spin", "1", "--dim-cap")
-        code, _, err = run(capsys, *argv, "3")
-        assert code == 3
-        assert err == ("error: the symmetric amplitudes of n=3, s=1 would hold 4 entries, "
-                       "which exceeds cap 3\n")
-        assert run(capsys, *argv, "4")[0] == 0
 
     def test_high_spin_costs_what_spin_half_costs(self, capsys):
         # D = 201**10 entries would be far past the cap; the block has 2**10.
@@ -646,11 +688,13 @@ class TestSample:
         assert (code, err) == (0, "")
         per_term = [{"labels": labels, "correlation": 3.375 * sign, "stderr": 0.0}
                     for labels, sign in (("AAB", 1), ("ABA", 1), ("BAA", 1), ("BBB", -1))]
+        quoted = json.dumps(per_term).replace('"', '""')
         assert out == (
             "key,value\n"
-            'config,{"command": "sample", "n": 3, "s": "3/2", "shots": 1000, "seed": 7}\n'
+            'config,"{""command"": ""sample"", ""n"": 3, ""s"": ""3/2"", ""shots"": 1000, '
+            '""seed"": 7}"\n'
             "shots_per_setting,250\n"
-            f"per_term,{json.dumps(per_term)}\n"
+            f'per_term,"{quoted}"\n'
             "bell_estimate,27.0\n"
             "bell_stderr,0.0\n"
             "classical_bound,27/2\n"
@@ -825,6 +869,39 @@ class TestPayloadKeys:
         assert list(json.loads(out)["rows"][0]) == [
             "n", "s", "classical", "quantum", "ratio", "gap",
             "bell_estimate", "bell_stderr", "shots_per_setting"]
+
+
+class TestCsv:
+    @pytest.mark.parametrize("argv", [
+        ("expand", "--n", "3"),
+        ("classical-max", "--n", "3", "--spin", "3/2"),
+        ("classical-max", "--n", "2", "--spin", "1", "--full-grid"),
+        ("quantum-max", "--n", "2", "--spin", "1/2"),
+        ("ratio", "--n", "3", "--spin", "1"),
+        ("sample", "--n", "3", "--spin", "3/2", "--shots", "1000"),
+        ("report", "--n", "2", "--spin", "1/2"),
+        ("report", "--grid", "n=2..3", "s=1/2..1", "--sample", "--shots", "1000"),
+    ], ids=["expand", "classical-max", "classical-max-full-grid", "quantum-max", "ratio",
+            "sample", "report", "report-sampled-grid"])
+    def test_every_command_round_trips_through_csv_reader(self, capsys, argv):
+        # Rows of equal width; a nested value is one cell holding its JSON.
+        code, text, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        cells = list(csv.reader(io.StringIO(text)))
+        assert len({len(row) for row in cells}) == 1
+        code, out, _ = run(capsys, *argv)
+        payload = json.loads(out)
+        rows = payload if isinstance(payload, list) else payload.get("rows")
+        if rows:
+            assert cells == [list(rows[0]), *([str(v) for v in row.values()] for row in rows)]
+            return
+        assert cells[0] == ["key", "value"]
+        assert [key for key, _ in cells[1:]] == list(payload)
+        for key, cell in cells[1:]:
+            if isinstance(payload[key], (dict, list)):
+                assert json.loads(cell) == payload[key]
+            else:
+                assert cell == str(payload[key])
 
 
 class TestImports:
@@ -1006,7 +1083,7 @@ class TestArgs:
                 assert "has more than 4300 digits" in err, (command, option)
                 assert "invalid int value" not in err, (command, option)
                 checked.add((command, option))
-        arrays = {"expand", "quantum-max", "ratio", "sample", "report"}
+        arrays = {"expand", "sample", "report"}
         assert checked == ({(command, "--n") for command in subparsers.choices}
                            | {(command, "--dim-cap") for command in arrays}
                            | {(command, option) for command in ("sample", "report")
@@ -1036,17 +1113,23 @@ class TestArgs:
         assert err.startswith(f"error: bad grid token {token!r}: ")
         assert len(err) < len(token) + 100  # the literal once, in the token
 
-    @pytest.mark.parametrize("argv", [
-        ("quantum-max", "--n", "2", "--spin", "1/2"),
-        ("ratio", "--n", "2", "--spin", "1/2"),
-        ("report", "--n", "2", "--spin", "1/2"),
-    ], ids=["quantum-max", "ratio", "report"])
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
-    def test_tol_must_be_finite_and_positive(self, capsys, argv, tol):
-        # NaN and infinity would certify any state; exit 2 at parse time.
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, f"--tol={tol}"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "tol must be a finite number > 0" in captured.err
+    @pytest.mark.parametrize("command,option", [
+        ("quantum-max", "--tol=1e-9"), ("ratio", "--tol=1e-9"), ("report", "--tol=1e-9"),
+        ("quantum-max", "--dim-cap=8"), ("ratio", "--dim-cap=8"),
+    ])
+    def test_certificate_takes_no_tolerance_or_budget(self, capsys, command, option):
+        # The residual check runs at quantum.TOLERANCE, and quantum-max and
+        # ratio build no array: --tol, and --dim-cap on those two, are
+        # unknown options.
+        code, out, err = run_or_exit(capsys, command, "--n", "2", "--spin", "1/2", option)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {option}\n" in err
+
+    @pytest.mark.parametrize("command", ["quantum-max", "ratio"])
+    def test_certificate_ignores_the_env_budget(self, capsys, monkeypatch, command):
+        # 501 amplitudes under a budget of 1, and a budget that is no integer.
+        for env in ("1", "abc"):
+            monkeypatch.setenv("MKBELL_DIM_CAP", env)
+            code, out, err = run(capsys, command, "--n", "500", "--spin", "1/2")
+            assert (code, err) == (0, ""), env
+            assert json.loads(out)["config"]["tol"] == quantum.TOLERANCE == 1e-9

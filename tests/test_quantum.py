@@ -154,22 +154,13 @@ class TestPowerIteration:
         assert 1e-9 * err.best_value < err.best_residual < 1e-5
         assert err.best_value == pytest.approx(predicted_quantum_max(scenario), rel=1e-6)
 
-    def test_tolerance_below_rounding_fails_the_check(self):
+    def test_tolerance_below_rounding_fails_the_check(self, monkeypatch):
         scenario = Scenario(4, Spin(3))
         residual = largest_eigenpair(scenario).residual
         assert 0 < residual <= 1e-14 * predicted_quantum_max(scenario)
+        monkeypatch.setattr(quantum, "TOLERANCE", residual / predicted_quantum_max(scenario) / 2)
         with pytest.raises(NotConverged):
-            largest_eigenpair(scenario, tol=residual / predicted_quantum_max(scenario) / 2)
-
-    def test_rejects_nonpositive_tol(self):
-        with pytest.raises(ValueError):
-            largest_eigenpair(Scenario(2, Spin(1)), tol=0.0)
-
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
-    def test_rejects_non_finite_tol(self, tol):
-        # NaN and infinity would pass any state through the residual check.
-        with pytest.raises(ValueError, match="finite and positive"):
-            largest_eigenpair(Scenario(2, Spin(1)), tol=tol)
+            largest_eigenpair(scenario)
 
 
 class TestSymmetricCertificate:
@@ -210,13 +201,20 @@ class TestSymmetricCertificate:
         state = top_state(Scenario(n, Spin(1)))
         assert np.array_equal(state, 2.0 ** ((1 - n) / 2) * y[bits])
 
-    def test_counts_n_plus_one_entries(self):
-        # Past any 2**n state: the budget sees the n + 1 amplitudes.
-        result = largest_eigenpair(Scenario(500, Spin(1), dim_cap=501))
-        assert result.value == pytest.approx(2.0 ** 248.5, rel=1e-13)
-        with pytest.raises(CapExceeded, match="the symmetric amplitudes of n=500, s=1/2 "
-                                              "would hold 501 entries, which exceeds cap 500"):
-            largest_eigenpair(Scenario(500, Spin(1), dim_cap=500))
+    def test_float_range_bounds_the_amplitudes(self, monkeypatch):
+        # The ratio 2**((n-1)/2) leaves the floats at n = 2049 at every spin,
+        # before any amplitude is formed, so the certificate holds at most
+        # 2049 floats and counts none against the array budget.
+        def no_amplitudes(n):
+            raise AssertionError(f"formed the amplitudes at n = {n}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(quantum, "ghz_amplitudes", no_amplitudes)
+            for twice in (1, 2, 15):
+                with pytest.raises(CapExceeded, match="past the float range"):
+                    largest_eigenpair(Scenario(2049, Spin(twice)))
+        result = largest_eigenpair(Scenario(2048, Spin(1), dim_cap=1))
+        assert result.value == pytest.approx(2.0 ** 1022.5, rel=1e-13)
 
 
 class TestLanczos:
