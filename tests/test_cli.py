@@ -4,6 +4,7 @@ import importlib
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -1112,6 +1113,24 @@ class TestArgs:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: bad grid token {token!r}: ")
         assert len(err) < len(token) + 100  # the literal once, in the token
+
+    @pytest.mark.parametrize("argv", [
+        ("quantum-max", "--n", "2", "--spin", "1/2"),
+        ("ratio", "--n", "2", "--spin", "1/2"),
+        ("report", "--n", "2", "--spin", "1/2"),
+    ], ids=["quantum-max", "ratio", "report"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+    def test_tol_must_be_finite_and_positive(self, capsys, argv, tol):
+        # NaN and infinity would certify any state.  The check runs at the
+        # constant quantum.TOLERANCE, and --tol of any value, these included,
+        # exits 2 at parse time.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--tol={tol}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: --tol={tol}\n" in captured.err
+        assert math.isfinite(quantum.TOLERANCE) and quantum.TOLERANCE > 0
 
     @pytest.mark.parametrize("command,option", [
         ("quantum-max", "--tol=1e-9"), ("ratio", "--tol=1e-9"), ("report", "--tol=1e-9"),
