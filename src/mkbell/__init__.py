@@ -1,7 +1,8 @@
 """Mermin-Klyshko Bell operators for n spin-s particles.
 
 Constructs the recursive Bell expression, certifies the exact classical
-bound by an O(n) dynamic program over the pair recursion, gives the quantum
+bound by a dynamic program over the pair recursion that stops at its fixed
+point (at most 16 small-integer steps, at any n), gives the quantum
 maximum and its eigenvector in closed form, checked by one matvec on the
 state's n + 1 symmetric amplitudes, and checks the violation ratio
 2**((n-1)/2) by formula and by simulated measurement.

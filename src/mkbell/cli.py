@@ -10,25 +10,25 @@ numerical non-convergence (the closed-form top eigenpair's residual is above
 ``quantum.TOLERANCE``).  ``report`` counts its table's cells against the
 budget before its first row; ``sample`` and every row of ``report`` pass the
 same checks (``_check_fits``) before any array is built, and it returns the
-shots split their estimate draws.  Each typed option parses through
-``_parsed``; every integer input, ``MKBELL_DIM_CAP`` and the grid's n bounds
-too, through ``_integer``, whose message names it.
+shots split their estimate draws.  Each input has one spelling: ``report``
+reads its scenarios only from ``--grid`` (one scenario is ``n=N..N s=S..S``),
+and the array budget is only ``--dim-cap``.  Each typed option parses through
+``_parsed``; every integer input, the grid's n bounds too, through
+``_integer``, whose message names it.
 
 The eigenpair commands ``quantum-max``, ``ratio`` and ``report`` import
 ``quantum``, which certifies the top eigenpair on its n + 1 symmetric
 amplitudes in pure Python; ``quantum-max`` and ``ratio`` build no array, so,
-like ``classical-max``, they take no ``--dim-cap`` and ignore
-``MKBELL_DIM_CAP``.  Only the commands that sample, ``sample`` and
-``report --sample``, import ``measurement``, and with it NumPy, to build the
-2**n state; ``classical-max`` and ``expand`` run on the pure-Python exact
-layer.
+like ``classical-max``, they take no ``--dim-cap``.  Only the commands that
+sample, ``sample`` and ``report --sample``, import ``measurement``, and with
+it NumPy, to build the 2**n state; ``classical-max`` and ``expand`` run on
+the pure-Python exact layer.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from functools import partial
@@ -85,13 +85,6 @@ def _integer(name: str, text: str, least: int | None = None, quote: bool = True)
     return value
 
 
-def _dim_cap(args) -> int:
-    if args.dim_cap is not None:
-        return args.dim_cap
-    env = os.environ.get("MKBELL_DIM_CAP")
-    return _integer("MKBELL_DIM_CAP", env, least=1) if env else DEFAULT_DIM_CAP
-
-
 def _config_dict(args, **extra):
     cfg = {"command": args.command, "n": args.n, "s": str(args.spin)}
     cfg.update(extra)
@@ -133,7 +126,7 @@ def _cmd_expand(args):
     from .expansion import expand_terms
 
     n = args.n  # n letters in each of 2**n label strings, whatever the spin
-    Scenario(n, Spin(1), _dim_cap(args)).check_entries(
+    Scenario(n, Spin(1), args.dim_cap).check_entries(
         f"the label strings for n={n}", lambda: n << n)
     return [{"coefficient": c, "labels": labels} for c, labels in expand_terms(n)]
 
@@ -231,7 +224,7 @@ def _check_fits(scenario, shots=None):
 def _cmd_sample(args):
     from . import measurement, quantum
 
-    scenario = Scenario(n=args.n, spin=args.spin, dim_cap=_dim_cap(args))
+    scenario = Scenario(n=args.n, spin=args.spin, dim_cap=args.dim_cap)
     shots_per_setting = _check_fits(scenario, args.shots)
     quantum.largest_eigenpair(scenario)  # certifies the state it samples
     estimate = measurement.estimate_bell_value(scenario, shots_per_setting, args.seed)
@@ -284,26 +277,22 @@ def _cmd_report(args):
     if args.sample:
         from . import measurement
 
-    if args.grid:
-        n_values, twice_spins = _parse_grid(args.grid)
-    else:
-        n_values, twice_spins = [args.n], [args.spin.twice_spin]
-    grid = args.grid or f"n={args.n} s={args.spin}"
-    dim_cap = _dim_cap(args)
+    n_values, twice_spins = _parse_grid(args.grid)
     # The table's cells fit the budget before its first row.  The rows are
     # counted from the range bounds: len() overflows past sys.maxsize.
     cells = ((n_values[-1] - n_values[0] + 1) * (twice_spins[-1] - twice_spins[0] + 1)
              * (9 if args.sample else 6))
-    if cells > dim_cap:
+    if cells > args.dim_cap:
         # 2**2000 has 603 digits, fewer than any limit Python prints to (640).
         count = cells if cells.bit_length() <= 2000 else f"at least 2**{cells.bit_length() - 1}"
-        raise CapExceeded(f"the report table of grid {' '.join(args.grid or [grid])} would "
-                          f"hold {count} cells, which exceeds cap {dim_cap}")
+        raise CapExceeded(f"the report table of grid {' '.join(args.grid)} would "
+                          f"hold {count} cells, which exceeds cap {args.dim_cap}")
     shots = args.shots if args.sample else None
     # Every row fits before the first runs; built row by row, so a huge grid
     # stops at its first row past the budget or the float range.
     checked = [(scenario, _check_fits(scenario, shots)) for scenario in (
-        Scenario(n=n, spin=Spin(t), dim_cap=dim_cap) for n in n_values for t in twice_spins)]
+        Scenario(n=n, spin=Spin(t), dim_cap=args.dim_cap)
+        for n in n_values for t in twice_spins)]
     rows = []
     for scenario, shots_per_setting in checked:
         bound = classical.classical_max(scenario).max_value
@@ -324,7 +313,7 @@ def _cmd_report(args):
         rows.append(row)
     config = {
         "command": "report",
-        "grid": grid,
+        "grid": args.grid,
         "tol": quantum.TOLERANCE,
         "sample": args.sample,
         "shots": args.shots,
@@ -343,10 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--n": dict(type=_parsed(partial(_integer, "n")), help="number of parties"),
         "--spin": dict(type=_parsed(Spin.from_string),
                        help='spin, e.g. "1/2", "1", "3/2" (or "0.5")'),
-        "--grid": dict(nargs="+", metavar="RANGE", help="e.g. --grid n=2..4 s=1/2..3/2"),
-        "--dim-cap": dict(type=_parsed(partial(_integer, "dim_cap", least=1)), help=(
+        "--grid": dict(nargs="+", metavar="RANGE",
+                       help="e.g. --grid n=2..4 s=1/2..3/2; one scenario is n=3..3 s=1..1"),
+        "--dim-cap": dict(type=_parsed(partial(_integer, "dim_cap", least=1)),
+                          default=DEFAULT_DIM_CAP, help=(
             "array budget: the most array entries the command may build "
-            f"(default {DEFAULT_DIM_CAP}, env MKBELL_DIM_CAP); at every spin "
+            f"(default {DEFAULT_DIM_CAP}); at every spin "
             "sampling (which alone imports NumPy) counts 4**(n//2) 2**n, expand "
             "n 2**n, and report its table's cells, rows times 6 or, sampled, 9")),
         "--format": dict(choices=("json", "csv"), default="json"),
@@ -370,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
          "--n --spin", "--format --output"),
         ("sample", _cmd_sample, "simulated-measurement Bell estimate",
          "--n --spin", "--dim-cap --format --output --shots --seed"),
-        ("report", _cmd_report, "full pipeline for one scenario or a grid",
-         "", "--n --spin --grid --dim-cap --format --output --sample --shots --seed"),
+        ("report", _cmd_report, "full pipeline over a grid of scenarios",
+         "--grid", "--dim-cap --format --output --sample --shots --seed"),
     ]:
         p = sub.add_parser(command, help=text)
         for option in required.split():
@@ -383,13 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "report":
-        if args.grid and (args.n is not None or args.spin is not None):
-            parser.error("report takes either --grid or --n and --spin, not both")
-        if not args.grid and (args.n is None or args.spin is None):
-            parser.error("report needs either --grid or both --n and --spin")
+    args = build_parser().parse_args(argv)
     try:
         _emit(args, args.func(args))
     except (MkBellError, ValueError, OSError) as exc:

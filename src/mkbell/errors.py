@@ -6,8 +6,10 @@ class MkBellError(Exception):
 
 
 class CapExceeded(MkBellError):
-    """A requested instance exceeds the array budget ``Scenario.dim_cap`` or,
-    in the CLI, the digits Python prints of an integer."""
+    """A requested instance exceeds a cap: the array budget ``Scenario.dim_cap``
+    (in the CLI also counting ``report``'s table cells), the float range of a
+    top eigenvalue or ratio (``quantum.block_scale``) or, in the CLI, the
+    digits Python prints of an integer."""
 
 
 class DimensionMismatch(MkBellError):

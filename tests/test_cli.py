@@ -35,6 +35,14 @@ def _no_row(*args, **kwargs):
     raise AssertionError("computed a row of a report past the budget")
 
 
+def one_scenario(command, n, spin):
+    """``command``'s argv for the scenario (n, spin): ``report`` reads it as a
+    one-row ``--grid``, every other command from ``--n`` and ``--spin``."""
+    if command == "report":
+        return command, "--grid", f"n={n}..{n}", f"s={spin}..{spin}"
+    return command, "--n", str(n), "--spin", spin
+
+
 def run_or_exit(capsys, *argv):
     # As ``run``, but an argparse error's SystemExit gives the exit code.
     try:
@@ -164,7 +172,7 @@ class TestClassicalMax:
     @pytest.mark.parametrize("command", ["classical-max", "ratio", "report"])
     def test_extremal_beyond_enumeration(self, capsys, command):
         # 4**14 sign patterns: a 60 GB enumeration table, certified without one.
-        code, out, _ = run(capsys, command, "--n", "14", "--spin", "1/2")
+        code, out, _ = run(capsys, *one_scenario(command, 14, "1/2"))
         assert code == 0
         payload = json.loads(out)
         if command == "classical-max":
@@ -272,7 +280,7 @@ class TestDimensionCap:
             raise AssertionError("built a state beyond the cap")
 
         monkeypatch.setattr(measurement, "top_state", no_state)
-        code, out, err = run(capsys, command, "--n", "25", "--spin", "1/2")
+        code, out, err = run(capsys, *one_scenario(command, 25, "1/2"))
         if command == "sample":
             assert (code, out) == (3, "")
             assert "exceeds cap 16777216" in err
@@ -370,31 +378,15 @@ class TestDimensionCap:
         assert err == (f"error: the report table of grid {' '.join(grid)} would hold {count} "
                        "cells, which exceeds cap 16777216\n")
 
-    @pytest.mark.parametrize("argv,env", [
-        (("report", "--n", "2", "--spin", "1/2", "--dim-cap", "-3"), None),
-        (("sample", "--n", "2", "--spin", "1/2", "--dim-cap", "0"), None),
-        (("expand", "--n", "2"), "0"),
-        (("report", "--grid", "n=2..2", "s=1/2..1/2"), "-1"),
+    @pytest.mark.parametrize("argv", [
+        (*one_scenario("report", 2, "1/2"), "--dim-cap", "-3"),
+        ("sample", "--n", "2", "--spin", "1/2", "--dim-cap", "0"),
     ])
-    def test_cap_below_one_is_a_validation_error(self, capsys, monkeypatch, argv, env):
+    def test_cap_below_one_is_a_validation_error(self, capsys, argv):
         # --dim-cap is rejected at parse time, before report counts its table.
-        if env is not None:
-            monkeypatch.setenv("MKBELL_DIM_CAP", env)
         code, out, err = run_or_exit(capsys, *argv)
         assert (code, out) == (2, "")
-        if env is None:
-            assert "dim_cap must be an integer >= 1" in err
-        else:  # names the variable, not the field it sets
-            assert err == f"error: MKBELL_DIM_CAP must be an integer >= 1, got '{env}'\n"
-
-
-    @pytest.mark.parametrize("env", ["abc", "7" * 5000], ids=["not-an-integer", "past-4300-digits"])
-    def test_bad_env_cap_names_the_variable(self, capsys, monkeypatch, env):
-        monkeypatch.setenv("MKBELL_DIM_CAP", env)
-        code, out, err = run(capsys, "report", "--n", "2", "--spin", "1/2")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: MKBELL_DIM_CAP ")
-        assert "integer" in err if env == "abc" else "more than 4300 digits" in err
+        assert "dim_cap must be an integer >= 1" in err
 
 
 class TestQuantumMax:
@@ -453,7 +445,7 @@ class TestQuantumMax:
     def test_tolerance_below_rounding_exits_4(self, capsys, monkeypatch, command):
         # The residual at (4, 3) is at rounding level, about 1e-16 of the top.
         monkeypatch.setattr(quantum, "TOLERANCE", 1e-20)
-        code, out, err = run(capsys, command, "--n", "4", "--spin", "3")
+        code, out, err = run(capsys, *one_scenario(command, 4, "3"))
         assert (code, out) == (4, "")
         assert err.startswith("error: the closed-form top state of n=4, s=3 has residual ")
         assert err.endswith(" above 1e-20 relative\n")
@@ -540,7 +532,7 @@ class TestFloatRange:
             raise AssertionError("built a state past the float range")
 
         monkeypatch.setattr(measurement, "top_state", no_state)
-        code, out, err = run(capsys, command, "--n", n, "--spin", spin)
+        code, out, err = run(capsys, *one_scenario(command, n, spin))
         assert (code, out) == (3, "")
         assert "past the float range" in err
 
@@ -549,10 +541,10 @@ class TestFloatRange:
         # The ratio 2**((n-1)/2) is finite up to n = 2048, and the top
         # eigenvalue 2**((n-3)/2) with it; forming 2**(3(n-1)/2) first
         # overflowed from n = 684.
-        code, out, err = run(capsys, command, "--n", "2048", "--spin", "1/2")
+        code, out, err = run(capsys, *one_scenario(command, 2048, "1/2"))
         assert (code, err) == (0, "")
         assert ("e+307" if command == "quantum-max" else "e+308") in out
-        code, out, err = run(capsys, command, "--n", "2049", "--spin", "1/2")
+        code, out, err = run(capsys, *one_scenario(command, 2049, "1/2"))
         assert (code, out) == (3, "")
         assert "past the float range" in err
 
@@ -658,14 +650,13 @@ class TestSample:
         monkeypatch.setattr(quantum, "largest_eigenpair", no_state)
         shots = str(10 ** 30)
         sample = run(capsys, "sample", "--n", "13", "--spin", "1/2", "--shots", shots)
-        report = run(capsys, "report", "--n", "13", "--spin", "1/2", "--sample",
-                     "--shots", shots)
+        report = run(capsys, *one_scenario("report", 13, "1/2"), "--sample", "--shots", shots)
         assert sample == report == (3, "", (
             "error: the outcome distributions of n=13, s=1/2 would hold 33554432 "
             "entries, which exceeds cap 16777216\n"))
 
-    @pytest.mark.parametrize("command", [("sample", "--n", "2", "--spin", "1/2"),
-                                         ("report", "--n", "2", "--spin", "1/2", "--sample")],
+    @pytest.mark.parametrize("command", [one_scenario("sample", 2, "1/2"),
+                                         (*one_scenario("report", 2, "1/2"), "--sample")],
                              ids=["sample", "report"])
     def test_seed_must_be_non_negative(self, capsys, monkeypatch, command):
         # NumPy takes only seeds >= 0: rejected at parse time, not after a row.
@@ -742,7 +733,7 @@ class TestReport:
 
     def test_single_scenario_csv_to_file(self, capsys, tmp_path):
         target = tmp_path / "report.csv"
-        code, out, _ = run(capsys, "report", "--n", "2", "--spin", "1/2",
+        code, out, _ = run(capsys, *one_scenario("report", 2, "1/2"),
                            "--format", "csv", "--output", str(target))
         assert code == 0
         assert out == ""
@@ -792,8 +783,13 @@ class TestReport:
         assert "error" in err
 
     def test_missing_scenario_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit):
+        # --grid is report's one required option, and the error names it.
+        with pytest.raises(SystemExit) as exc:
             main(["report"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the following arguments are required: --grid" in captured.err
 
     def test_repeated_grid_range_exit_code(self, capsys):
         code, out, err = run(capsys, "report", "--grid", "n=2..2", "s=1/2..1/2", "n=3..3")
@@ -803,12 +799,14 @@ class TestReport:
     @pytest.mark.parametrize("scenario", [("--n", "2", "--spin", "1/2"), ("--n", "2"),
                                           ("--spin", "1/2")])
     def test_grid_with_a_scenario_is_usage_error(self, capsys, scenario):
-        with pytest.raises(SystemExit) as exc:
-            main(["report", *scenario, "--grid", "n=3..3", "s=1..1"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "either --grid or --n and --spin" in captured.err
+        # report reads its scenarios only from --grid: --n and --spin are
+        # unrecognized beside it, and alone they leave --grid missing.
+        for grid, expected in [(("--grid", "n=3..3", "s=1..1"),
+                                f"unrecognized arguments: {' '.join(scenario)}"),
+                               ((), "the following arguments are required: --grid")]:
+            code, out, err = run_or_exit(capsys, "report", *scenario, *grid)
+            assert (code, out) == (2, "")
+            assert expected in err
 
     @pytest.mark.parametrize("grid,fmt", [
         (("n=4..2", "s=1/2..1/2"), "csv"),
@@ -822,7 +820,7 @@ class TestReport:
 
     def test_nonpositive_shots_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["report", "--n", "2", "--spin", "1/2", "--sample", "--shots", "0"])
+            main([*one_scenario("report", 2, "1/2"), "--sample", "--shots", "0"])
         assert exc.value.code == 2
         assert "shots must be an integer >= 1" in capsys.readouterr().err
 
@@ -848,7 +846,7 @@ class TestPayloadKeys:
          ["config", "shots_per_setting", "per_term", "bell_estimate", "bell_stderr",
           "classical_bound", "quantum_prediction", "sigmas_above_classical"],
          ["command", "n", "s", "shots", "seed"]),
-        (("report", "--n", "2", "--spin", "1/2", "--sample", "--shots", "400"),
+        ((*one_scenario("report", 2, "1/2"), "--sample", "--shots", "400"),
          ["config", "rows"],
          ["command", "grid", "tol", "sample", "shots", "seed"]),
     ])
@@ -864,7 +862,7 @@ class TestPayloadKeys:
         code, out, _ = run(capsys, "expand", "--n", "2")
         assert code == 0
         assert {tuple(term) for term in json.loads(out)} == {("coefficient", "labels")}
-        code, out, _ = run(capsys, "report", "--n", "2", "--spin", "1/2", "--sample",
+        code, out, _ = run(capsys, *one_scenario("report", 2, "1/2"), "--sample",
                            "--shots", "400")
         assert code == 0
         assert list(json.loads(out)["rows"][0]) == [
@@ -880,7 +878,7 @@ class TestCsv:
         ("quantum-max", "--n", "2", "--spin", "1/2"),
         ("ratio", "--n", "3", "--spin", "1"),
         ("sample", "--n", "3", "--spin", "3/2", "--shots", "1000"),
-        ("report", "--n", "2", "--spin", "1/2"),
+        one_scenario("report", 2, "1/2"),
         ("report", "--grid", "n=2..3", "s=1/2..1", "--sample", "--shots", "1000"),
     ], ids=["expand", "classical-max", "classical-max-full-grid", "quantum-max", "ratio",
             "sample", "report", "report-sampled-grid"])
@@ -960,7 +958,7 @@ class TestExactLayerWithoutNumpy:
              "from mkbell.cli import main\n"
              "for argv in (['quantum-max', '--n', '3', '--spin', '1'],\n"
              "             ['ratio', '--n', '3', '--spin', '1'],\n"
-             "             ['report', '--n', '3', '--spin', '1']):\n"
+             "             ['report', '--grid', 'n=3..3', 's=1..1']):\n"
              "    assert main(argv) == 0\n"
              "assert 'numpy' not in sys.modules\n"],
             env=env, check=True, timeout=60, capture_output=True,
@@ -1033,6 +1031,20 @@ class TestBenchmarkHooks:
         assert len(trace.named("expansion")) == 2  # the sampled estimate and expand
 
 
+#: Each command's options, mapped to whether the option is required.
+SURFACE = {
+    "expand": {"--n": True, "--dim-cap": False, "--format": False, "--output": False},
+    "classical-max": {"--n": True, "--spin": True, "--format": False, "--output": False,
+                      "--full-grid": False},
+    "quantum-max": {"--n": True, "--spin": True, "--format": False, "--output": False},
+    "ratio": {"--n": True, "--spin": True, "--format": False, "--output": False},
+    "sample": {"--n": True, "--spin": True, "--dim-cap": False, "--format": False,
+               "--output": False, "--shots": False, "--seed": False},
+    "report": {"--grid": True, "--dim-cap": False, "--format": False, "--output": False,
+               "--sample": False, "--shots": False, "--seed": False},
+}
+
+
 class TestArgs:
     def test_bad_spin_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):
@@ -1061,8 +1073,7 @@ class TestArgs:
     def test_integer_past_the_digit_limit_names_it(self, capsys, command, option):
         # A valid integer too long for int(); the message names the limit, not a range.
         digits = "1" * 5000
-        code, out, err = run_or_exit(capsys, command, "--n", "2", "--spin", "1/2",
-                                     option, digits)
+        code, out, err = run_or_exit(capsys, *one_scenario(command, 2, "1/2"), option, digits)
         assert (code, out) == (2, "")
         assert f"{option[2:]} '{digits}' has more than 4300 digits" in err
         assert "must be an integer" not in err
@@ -1074,18 +1085,20 @@ class TestArgs:
                           if isinstance(action, argparse._SubParsersAction))
         checked = set()
         for command, parser in subparsers.choices.items():
-            base = ["--n", "2"] if command == "expand" else ["--n", "2", "--spin", "1/2"]
+            base = (("expand", "--n", "2") if command == "expand"
+                    else one_scenario(command, 2, "1/2"))
             for action in parser._actions:
                 if action.type is None or type(action.type("12")) is not int:
                     continue
                 option = action.option_strings[-1]
-                code, out, err = run_or_exit(capsys, command, *base, option, digits)
+                code, out, err = run_or_exit(capsys, *base, option, digits)
                 assert (code, out) == (2, ""), (command, option)
                 assert "has more than 4300 digits" in err, (command, option)
                 assert "invalid int value" not in err, (command, option)
                 checked.add((command, option))
         arrays = {"expand", "sample", "report"}
-        assert checked == ({(command, "--n") for command in subparsers.choices}
+        assert checked == ({(command, "--n") for command in subparsers.choices
+                            if command != "report"}
                            | {(command, "--dim-cap") for command in arrays}
                            | {(command, option) for command in ("sample", "report")
                               for option in ("--shots", "--seed")})
@@ -1115,9 +1128,7 @@ class TestArgs:
         assert len(err) < len(token) + 100  # the literal once, in the token
 
     @pytest.mark.parametrize("argv", [
-        ("quantum-max", "--n", "2", "--spin", "1/2"),
-        ("ratio", "--n", "2", "--spin", "1/2"),
-        ("report", "--n", "2", "--spin", "1/2"),
+        one_scenario(command, 2, "1/2") for command in ("quantum-max", "ratio", "report")
     ], ids=["quantum-max", "ratio", "report"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
     def test_tol_must_be_finite_and_positive(self, capsys, argv, tol):
@@ -1140,15 +1151,37 @@ class TestArgs:
         # The residual check runs at quantum.TOLERANCE, and quantum-max and
         # ratio build no array: --tol, and --dim-cap on those two, are
         # unknown options.
-        code, out, err = run_or_exit(capsys, command, "--n", "2", "--spin", "1/2", option)
+        code, out, err = run_or_exit(capsys, *one_scenario(command, 2, "1/2"), option)
         assert (code, out) == (2, "")
         assert f"unrecognized arguments: {option}\n" in err
 
-    @pytest.mark.parametrize("command", ["quantum-max", "ratio"])
-    def test_certificate_ignores_the_env_budget(self, capsys, monkeypatch, command):
-        # 501 amplitudes under a budget of 1, and a budget that is no integer.
+    @pytest.mark.parametrize("argv", [
+        ("expand", "--n", "3"),
+        one_scenario("classical-max", 10, "3/2"),
+        one_scenario("quantum-max", 500, "1/2"),
+        one_scenario("ratio", 500, "1/2"),
+        (*one_scenario("sample", 2, "1/2"), "--shots", "400"),
+        one_scenario("report", 500, "1/2"),
+    ], ids=lambda argv: argv[0])
+    def test_certificate_ignores_the_env_budget(self, capsys, monkeypatch, argv):
+        # The budget is --dim-cap alone: an ambient MKBELL_DIM_CAP of 1, or one
+        # that is no integer, changes no command's output or exit code.  The
+        # eigenpair commands certify 501 amplitudes.
+        monkeypatch.delenv("MKBELL_DIM_CAP", raising=False)
+        expected = run(capsys, *argv)
+        assert (expected[0], expected[2]) == (0, "")
         for env in ("1", "abc"):
             monkeypatch.setenv("MKBELL_DIM_CAP", env)
-            code, out, err = run(capsys, command, "--n", "500", "--spin", "1/2")
-            assert (code, err) == (0, ""), env
-            assert json.loads(out)["config"]["tol"] == quantum.TOLERANCE == 1e-9
+            assert run(capsys, *argv) == expected, env
+
+    def test_options_are_declared_on_purpose(self):
+        # Each command's options, and which are required, as build_parser
+        # declares them: 31 settable values in all.  A new option edits SURFACE.
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        surface = {command: {action.option_strings[-1]: action.required
+                             for action in parser._actions
+                             if not isinstance(action, argparse._HelpAction)}
+                   for command, parser in subparsers.choices.items()}
+        assert surface == SURFACE
+        assert sum(map(len, SURFACE.values())) == 31
