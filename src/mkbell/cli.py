@@ -3,7 +3,8 @@
 Each command returns its payload; ``main`` writes it, or the error, once.
 Exit codes: 0 success, 2 validation error (among them a ``--spin`` too long to
 print, a negative ``--seed``, a ``--shots`` that puts more than 2**63 - 1
-shots on one setting and an option the command does not take) or unwritable
+shots on one setting, an option the command does not take and an option that
+takes a value given twice) or unwritable
 ``--output``, 3 cap exceeded (the array budget ``--dim-cap``, digits of a
 printed exact integer, or a top eigenvalue or ratio past the float range), 4
 numerical non-convergence (the closed-form top eigenpair's residual is above
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from functools import partial
@@ -202,8 +204,9 @@ def _cmd_ratio(args):
 def _check_fits(scenario, shots=None):
     """Raise before any array is built unless ``scenario``'s top eigenvalue and
     its ratio to the classical bound are finite floats; with ``shots``, also
-    unless its sampled estimate (T 2**n entries, the state's 2**n among them)
-    fits the budget and one multinomial draw takes each setting's share.
+    unless its sampled estimate fits the budget and one multinomial draw takes
+    each setting's share.  The estimate counts T 2**n entries, the work of
+    its T permuted distributions, made one at a time from the n + 1 it holds.
     Return that share: ``shots`` split evenly across the T setting contexts,
     at most 2**63 - 1."""
     from . import quantum
@@ -322,6 +325,18 @@ def _cmd_report(args):
     return {"config": config, "rows": rows}
 
 
+class _StoreOnce(argparse.Action):
+    """argparse's store, except that a second occurrence of the option is a
+    usage error: argparse alone keeps only the last value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mkbell",
@@ -366,14 +381,20 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(command, help=text)
         for option in required.split():
-            p.add_argument(option, required=True, **options[option])
+            p.add_argument(option, required=True, action=_StoreOnce, **options[option])
         for option in optional.split():
-            p.add_argument(option, **options[option])
+            p.add_argument(option, **{"action": _StoreOnce, **options[option]})
         p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
+    # NumPy, loaded only to sample, starts OpenBLAS's thread pool, whose thread
+    # busy-waits for about 0.1 s of CPU; no call here is large enough to use it.
+    # One thread alone cut the CPU time of `sample --n 9 --spin 1/2`, whole
+    # process on a 2-vCPU guest, from 0.43 to 0.31 s (BENCH_per_b_sampling.json).
+    # A value the caller set is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         _emit(args, args.func(args))

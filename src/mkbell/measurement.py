@@ -7,6 +7,12 @@ measuring B into B's eigenbasis, then square amplitudes.  An outcome
 product is (2s)**n times the spin-1/2 one, +-2**-n: contexts are sampled at
 spin 1/2, and ``estimate_bell_value`` scales by ``quantum.block_scale`` once.
 Only sampling builds the state's 2**n entries, from the certified amplitudes.
+The state is symmetric under every permutation of the parties, so two
+contexts with the same number b of B settings have distributions that are,
+bit for bit, axis permutations of one another: ``estimate_bell_value``
+builds one distribution per b (n + 1 at most, not the T = 4**(n//2)
+contexts) and gives each context its permuted copy, the array the termwise
+Born rule gives it (``symmetric_distributions``).
 Sampling uses NumPy's PCG64 generator; per-term streams are derived from
 the base seed and the term index through ``numpy.random.SeedSequence``, so
 every report is reproducible.
@@ -23,7 +29,7 @@ from .classical import classical_bound
 from .errors import DimensionMismatch, NotNormalized
 from .expansion import expand_terms, expected_term_count
 from .quantum import block_scale, ghz_amplitudes
-from .spincore import Scenario, validate_labels
+from .spincore import LABEL_A, LABEL_B, Scenario, validate_labels
 
 
 def top_state(scenario: Scenario) -> np.ndarray:
@@ -60,6 +66,23 @@ def joint_distribution(state: np.ndarray, settings: str) -> np.ndarray:
         if label == "B":
             amps = np.moveaxis(np.tensordot(_B_ROTATION, amps, axes=(1, j)), 0, j)
     return (amps ** 2).reshape(-1)
+
+
+def symmetric_distributions(state: np.ndarray, contexts):
+    """Yield ``joint_distribution(state, settings)`` for each of ``contexts``,
+    bit for bit, for a ``state`` symmetric under every permutation of the
+    parties.  One distribution is built per number b of B settings, for the
+    settings "A"*(n-b) + "B"*b, and held; a context with b B's gets it with
+    party j's axis taken from its place in the stable sort of the settings.
+    """
+    canonical = {}
+    for settings in contexts:
+        n, b = len(settings), settings.count(LABEL_B)
+        if b not in canonical:
+            canonical[b] = joint_distribution(state, LABEL_A * (n - b) + LABEL_B * b)
+        order = sorted(range(n), key=settings.__getitem__)  # A's, then B's
+        axes = sorted(range(n), key=order.__getitem__)  # the inverse of order
+        yield canonical[b].reshape((2,) * n).transpose(axes).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -110,8 +133,10 @@ class BellEstimate:
 
 
 def check_distribution_budget(scenario: Scenario) -> None:
-    """Raise CapExceeded unless the T outcome distributions of length 2**n
-    that ``estimate_bell_value`` builds, T 2**n entries, fit the array budget."""
+    """Raise CapExceeded unless T 2**n entries, the T outcome distributions of
+    length 2**n that ``estimate_bell_value`` samples, fit the array budget.
+    The count bounds work: the T permuted copies are made one at a time, from
+    the n + 1 distributions held, about (n + 2) 2**n entries with the state."""
     scenario.check_entries(
         f"the outcome distributions of {scenario}",
         lambda: expected_term_count(scenario.n) << scenario.n)
@@ -123,18 +148,20 @@ def estimate_bell_value(scenario: Scenario, shots_per_setting: int, seed: int) -
     Term t uses the stream seeded by SeedSequence([seed, t]) and is sampled
     at spin 1/2; its mean and error are scaled by (2s)**n.  The combined
     standard error, the root sum of squares of coefficient-weighted spin-1/2
-    errors, is scaled once, so that no square leaves the float range.  The
-    budget is checked before the state or any distribution is built.
+    errors, is scaled once, so that no square leaves the float range.  Each
+    context's distribution is a permuted copy of one of the n + 1 built per
+    count of B settings (``symmetric_distributions``).  The budget is checked
+    before the state or any distribution is built.
     """
     check_distribution_budget(scenario)
     scale = block_scale(scenario)
-    state = top_state(scenario)
+    terms = expand_terms(scenario.n)
+    distributions = symmetric_distributions(top_state(scenario), (labels for _, labels in terms))
     per_term = []
     value = 0.0
     var = 0.0
-    for t, (coeff, labels) in enumerate(expand_terms(scenario.n)):
-        report = sample_outcomes(joint_distribution(state, labels), shots_per_setting,
-                                 np.random.SeedSequence([seed, t]))
+    for t, ((coeff, labels), probs) in enumerate(zip(terms, distributions)):
+        report = sample_outcomes(probs, shots_per_setting, np.random.SeedSequence([seed, t]))
         mean = scale * report.correlation_mean
         per_term.append((labels, mean, scale * report.correlation_stderr))
         value += coeff * mean

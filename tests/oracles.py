@@ -47,6 +47,11 @@ B's eigenbasis at every level and ``full_space_distribution`` the Born rule
 over all D joint outcomes.  ``predicted_correlation`` is each product
 term's correlation in the top state, in closed form.
 
+``termwise_estimate`` is the sampled Bell estimate with the Born rule run
+once per term, the loop that ``mkbell.measurement.estimate_bell_value``
+replaces by one distribution per count of B settings and its permuted
+copies; on one seed the two agree exactly.
+
 The term-level oracles work one product term at a time: ``pair_recursion``
 expands the real pair recursion (M_n, K_n) on label strings,
 ``dense_scaled_terms`` sums the expansion's dense product terms,
@@ -69,7 +74,13 @@ import numpy as np
 from mkbell.classical import ClassicalResult, Strategy, strategy_count
 from mkbell.errors import DimensionMismatch, MkBellError, NotConverged
 from mkbell.expansion import expand_terms, expected_term_count, pair_step, prefactor
-from mkbell.measurement import top_state
+from mkbell.measurement import (
+    BellEstimate,
+    check_distribution_budget,
+    joint_distribution,
+    sample_outcomes,
+    top_state,
+)
 from mkbell.operators import (
     GlobalOperator,
     _twice_diagonals,
@@ -609,3 +620,23 @@ def predicted_correlation(n: int, s: float, labels: str) -> float:
     """
     b = labels.count(LABEL_B)
     return s ** n * np.cos(b * np.pi / 2 - np.pi * (n - 1) / 4)
+
+
+def termwise_estimate(scenario: Scenario, shots_per_setting: int, seed: int) -> BellEstimate:
+    """``estimate_bell_value`` with ``joint_distribution`` run on every term's
+    context: term t is sampled from the stream SeedSequence([seed, t])."""
+    check_distribution_budget(scenario)
+    scale = block_scale(scenario)
+    state = top_state(scenario)
+    per_term = []
+    value = 0.0
+    var = 0.0
+    for t, (coeff, labels) in enumerate(expand_terms(scenario.n)):
+        report = sample_outcomes(joint_distribution(state, labels), shots_per_setting,
+                                 np.random.SeedSequence([seed, t]))
+        mean = scale * report.correlation_mean
+        per_term.append((labels, mean, scale * report.correlation_stderr))
+        value += coeff * mean
+        var += (coeff * report.correlation_stderr) ** 2
+    return BellEstimate(value=value, stderr=scale * float(np.sqrt(var)),
+                        per_term=tuple(per_term))

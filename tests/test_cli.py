@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import importlib
 import io
 import itertools
@@ -694,6 +695,14 @@ class TestSample:
             "sigmas_above_classical,inf\n"
         )
 
+    def test_largest_default_n_bytes(self, capsys):
+        # n = 12 samples 4096 contexts from 13 distributions; the digest is
+        # that of the termwise Born rule's output, one distribution per context.
+        code, out, err = run(capsys, "sample", "--n", "12", "--spin", "1/2")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "45acc471b337e62f2d280991038f385ffa1cda5bc8c67cd400393d952e8d564d")
+
 
 class TestReport:
     def test_sampled_grid_bytes(self, capsys):
@@ -914,6 +923,34 @@ class TestImports:
         )
 
 
+class TestBlasThreads:
+    @pytest.mark.parametrize("given,expected", [(None, "1"), ("2", "2")])
+    def test_main_pins_one_blas_thread_unless_set(self, capsys, monkeypatch, given, expected):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "unset")  # restored after the test
+        if given is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", given)
+        assert run(capsys, "expand", "--n", "2")[0] == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == expected
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_sampling_process_runs_one_thread(self):
+        # OpenBLAS reads the variable when NumPy loads, inside the command.
+        code = ("import contextlib, io, re\n"
+                "from mkbell.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert main(['sample', '--n', '2', '--spin', '1/2', '--shots', '400']) == 0\n"
+                "print(re.search(r'^Threads:\\s+(\\d+)$', open('/proc/self/status').read(),\n"
+                "                re.M).group(1))\n")
+        env = {key: value for key, value in os.environ.items()
+               if key != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(SRC)
+        child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                               text=True, timeout=60)
+        assert (child.returncode, child.stderr, child.stdout) == (0, "", "1\n")
+
+
 def _cli_process(*argv, block_numpy=False):
     # With ``sys.modules["numpy"] = None`` every ``import numpy`` raises.
     code = ("import runpy, sys\n"
@@ -1020,7 +1057,8 @@ class TestBenchmarkHooks:
                 operators.global_operator(Scenario(n, Spin(1))).apply(np.ones(1 << n))
         assert trace.absent == []
         assert [span.attrs for span in trace.named("measurement.sample")] == [{"shots": 100}] * 4
-        assert len(trace.named("measurement.distribution")) == 4
+        # One distribution per count of B settings, b = 0, 1, 2, for 4 contexts.
+        assert len(trace.named("measurement.distribution")) == 3
         assert {span.attrs["amps"] for span in trace.named("kernels.matvec")} == {4, 8}
         assert len(trace.named("operators.build")) == 2
         assert [span.attrs for span in trace.named("quantum.eigensolve")] == [
@@ -1173,6 +1211,42 @@ class TestArgs:
         for env in ("1", "abc"):
             monkeypatch.setenv("MKBELL_DIM_CAP", env)
             assert run(capsys, *argv) == expected, env
+
+    @pytest.mark.parametrize("argv,option", [
+        (("report", "--grid", "n=1..1", "s=1/2..1/2", "--grid", "n=3..3", "s=1..1"), "--grid"),
+        (("quantum-max", "--n", "2", "--spin", "1/2", "--n", "3"), "--n"),
+    ], ids=["report", "quantum-max"])
+    def test_repeated_option_is_usage_error(self, capsys, argv, option):
+        # argparse alone keeps the last value: the n = 3 row alone, or n = 3.
+        code, out, err = run_or_exit(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"error: argument {option}: given more than once\n" in err
+
+    def test_every_option_with_a_value_is_given_once(self, capsys):
+        # Walks the parser: each option that takes a value, given twice with
+        # the same valid value, exits 2 naming it; a flag may repeat.
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        values = {"--n": "2", "--spin": "1/2", "--grid": "n=2..2", "--dim-cap": "100",
+                  "--format": "json", "--output": os.devnull, "--shots": "400", "--seed": "42"}
+        checked = set()
+        for command, parser in subparsers.choices.items():
+            base = (("expand", "--n", "2") if command == "expand"
+                    else one_scenario(command, 2, "1/2"))
+            for action in parser._actions:
+                option = action.option_strings[-1]
+                if isinstance(action, argparse._HelpAction):
+                    continue
+                if action.nargs == 0:
+                    assert run(capsys, *base, option, option)[0] == 0, (command, option)
+                    continue
+                code, out, err = run_or_exit(capsys, *base, *[option, values[option]] * 2)
+                assert (code, out) == (2, ""), (command, option)
+                assert f"argument {option}: given more than once" in err, (command, option)
+                checked.add((command, option))
+        assert checked == ({(command, option) for command, options in SURFACE.items()
+                            for option in options}
+                           - {("classical-max", "--full-grid"), ("report", "--sample")})
 
     def test_options_are_declared_on_purpose(self):
         # Each command's options, and which are required, as build_parser

@@ -3,12 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
+from mkbell import measurement
 from mkbell.errors import DimensionMismatch, NotNormalized
 from mkbell.expansion import expand_terms
 from mkbell.measurement import (
     estimate_bell_value,
     joint_distribution,
     sample_outcomes,
+    symmetric_distributions,
+    top_state,
     violation_sigmas,
 )
 from mkbell.quantum import block_scale
@@ -20,6 +23,7 @@ from oracles import (
     extreme_indices,
     full_space_distribution,
     full_space_operator,
+    termwise_estimate,
 )
 
 
@@ -77,6 +81,36 @@ class TestJointDistribution:
             joint_distribution(2 * good, "AA")
         with pytest.raises(ValueError):
             joint_distribution(good, "AC")
+
+
+class TestSymmetricDistributions:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_context_is_its_born_rule_bit_for_bit(self, n):
+        # Every string of settings, the terms' contexts among them: the
+        # permuted copy is the array the Born rule builds for it, to the bit.
+        state = top_state(Scenario(n, Spin(1)))
+        contexts = list(map("".join, itertools.product("AB", repeat=n)))
+        copies = list(symmetric_distributions(state, contexts))
+        assert len(copies) == len(contexts)
+        for settings, probs in zip(contexts, copies):
+            expected = joint_distribution(state, settings)
+            assert probs.shape == expected.shape == (1 << n,)
+            assert np.array_equal(probs.view(np.uint64), expected.view(np.uint64)), settings
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_builds_one_distribution_per_count_of_b(self, monkeypatch, n):
+        built = []
+
+        def counted(state, settings):
+            built.append(settings)
+            return joint_distribution(state, settings)
+
+        monkeypatch.setattr(measurement, "joint_distribution", counted)
+        terms = expand_terms(n)
+        list(symmetric_distributions(top_state(Scenario(n, Spin(1))),
+                                     [labels for _, labels in terms]))
+        counts = sorted({labels.count("B") for _, labels in terms})
+        assert built == ["A" * (n - b) + "B" * b for b in counts]
 
 
 class TestCorrelationAgainstOperator:
@@ -170,6 +204,26 @@ class TestBellEstimate:
             est = estimate_bell_value(scenario, shots, seed=7)
             assert est.value == pytest.approx(twice ** n * half.value, rel=1e-12, abs=0)
             assert est.stderr == pytest.approx(twice ** n * half.stderr, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_is_the_termwise_oracle_at_spin_half(self, n):
+        scenario = Scenario(n, Spin(1))
+        self.assert_same(estimate_bell_value(scenario, 2000, seed=42),
+                         termwise_estimate(scenario, 2000, 42))
+
+    @pytest.mark.parametrize("n,twice,seed", [(2, 2, 0), (3, 3, 7), (4, 15, 123456789),
+                                              (6, 5, 2 ** 40), (7, 2, 1)])
+    def test_is_the_termwise_oracle_at_other_spins_and_seeds(self, n, twice, seed):
+        scenario = Scenario(n, Spin(twice))
+        self.assert_same(estimate_bell_value(scenario, 5000, seed),
+                         termwise_estimate(scenario, 5000, seed))
+
+    @staticmethod
+    def assert_same(fast, slow):
+        assert (fast.value, fast.stderr) == (slow.value, slow.stderr)
+        assert len(fast.per_term) == len(slow.per_term)
+        for mine, oracle in zip(fast.per_term, slow.per_term):
+            assert mine == oracle
 
     def test_sigma_edge_cases(self):
         scenario = Scenario(2, Spin(1))
