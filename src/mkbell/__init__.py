@@ -3,9 +3,9 @@
 Constructs the recursive Bell expression, certifies the exact classical
 bound by a dynamic program over the pair recursion that stops at its fixed
 point (at most 16 small-integer steps, at any n), gives the quantum
-maximum and its eigenvector in closed form, checked by one matvec on the
-state's n + 1 symmetric amplitudes, and checks the violation ratio
-2**((n-1)/2) by formula and by simulated measurement.
+maximum and its eigenvector in closed form, checked by one matvec reduced to
+the four residue classes of b mod 4 (b parties at -s), and checks the
+violation ratio 2**((n-1)/2) by formula and by simulated measurement.
 
 Import the modules: ``spincore``, ``errors``, ``expansion``, ``classical``
 and ``quantum`` do not import NumPy; the array layer ``operators`` and

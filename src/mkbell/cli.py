@@ -18,12 +18,12 @@ and the array budget is only ``--dim-cap``.  Each typed option parses through
 ``_integer``, whose message names it.
 
 The eigenpair commands ``quantum-max``, ``ratio`` and ``report`` import
-``quantum``, which certifies the top eigenpair on its n + 1 symmetric
-amplitudes in pure Python; ``quantum-max`` and ``ratio`` build no array, so,
-like ``classical-max``, they take no ``--dim-cap``.  Only the commands that
-sample, ``sample`` and ``report --sample``, import ``measurement``, and with
-it NumPy, to build the 2**n state; ``classical-max`` and ``expand`` run on
-the pure-Python exact layer.
+``quantum``, which certifies the top eigenpair on four numbers, its state's
+residue classes of b mod 4, in pure Python; ``quantum-max`` and ``ratio``
+build no array, so, like ``classical-max``, they take no ``--dim-cap``.
+Only the commands that sample, ``sample`` and ``report --sample``, import
+``measurement``, and with it NumPy, to build the 2**n state;
+``classical-max`` and ``expand`` run on the pure-Python exact layer.
 """
 
 from __future__ import annotations

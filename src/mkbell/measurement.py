@@ -6,7 +6,8 @@ each setting context follows the spin-1/2 Born rule: rotate each party
 measuring B into B's eigenbasis, then square amplitudes.  An outcome
 product is (2s)**n times the spin-1/2 one, +-2**-n: contexts are sampled at
 spin 1/2, and ``estimate_bell_value`` scales by ``quantum.block_scale`` once.
-Only sampling builds the state's 2**n entries, from the certified amplitudes.
+Only sampling builds the state's 2**n entries, from the four certified
+class values.
 The state is symmetric under every permutation of the parties, so two
 contexts with the same number b of B settings have distributions that are,
 bit for bit, axis permutations of one another: ``estimate_bell_value``
@@ -36,13 +37,13 @@ def top_state(scenario: Scenario) -> np.ndarray:
     """The unit top eigenvector on the extreme block, the multilevel GHZ state
     that ``quantum.largest_eigenpair`` certifies, on its 2**n entries: index bit
     j is party j's level, 0 for +s and 1 for -s, and the entry with b bits set
-    is 2**((1-n)/2) ``ghz_amplitudes(n)[b]``."""
+    is 2**((1-n)/2) ``ghz_amplitudes(n)[b % 4]``."""
     scenario.check_entries(f"a state vector of {scenario}")
     n = scenario.n
-    b = np.zeros((), dtype=np.min_scalar_type(n))
-    for _ in range(n):  # b = parties at -s
-        b = np.add.outer(b, np.array([0, 1], dtype=b.dtype))
-    return 2.0 ** ((1 - n) / 2) * np.array(ghz_amplitudes(n))[b].reshape(-1)
+    b = np.zeros((), dtype=np.uint8)
+    for _ in range(n):  # b = parties at -s, mod 256 (uint8 wraps): b % 4 holds at any n
+        b = np.add.outer(b, np.array([0, 1], dtype=np.uint8))
+    return 2.0 ** ((1 - n) / 2) * np.array(ghz_amplitudes(n))[b % 4].reshape(-1)
 
 
 #: Row 0 is B's eigenvector for outcome +s on the levels (+s, -s), row 1 for -s.

@@ -17,9 +17,9 @@ Its matvec applies the product form
 M_n = Re[(1 - i)^(n-1) (A + iB) x ... x (A + iB)] of ``expansion.py`` to
 one party of a complex state at a time, in O(n 2**n) rather than over the
 T = 4**(n // 2) product terms.  No command runs it:
-``quantum.largest_eigenpair`` applies the same product form to the n + 1
-symmetric amplitudes of the top state, and the tests check it against this
-matvec.  The dense path multiplies out the spin-s Kronecker product in
+``quantum.largest_eigenpair`` applies the same product form to the four
+residue classes of b mod 4 of the top state, and the tests check it against
+this matvec.  The dense path multiplies out the spin-s Kronecker product in
 Gaussian integers.
 """
 

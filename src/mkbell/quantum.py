@@ -42,8 +42,8 @@ has amplitude
 and every other amplitude is zero.  So the commands never leave the
 extreme block, where x depends only on b.
 
-**Certificate on n + 1 amplitudes.**  M_n commutes with every permutation
-of the parties, so it maps the states symmetric under them, spanned by the
+**Certificate on four numbers.**  M_n commutes with every permutation of
+the parties, so it maps the states symmetric under them, spanned by the
 Dicke states with b parties at -s (R. H. Dicke, Phys. Rev. 93, 99 (1954);
 G. Toth and O. Guehne, PRL 102, 170503 (2009)), into themselves; on that
 span the 2**n norm is the C(n, b)-weighted norm of the n + 1 amplitudes.
@@ -55,20 +55,38 @@ v entries, i**b, and for a symmetric x
     lam = sum_b C(n, b) x_b (M x)_b,
     residual**2 = sum_b C(n, b) ((M x)_b - lam x_b)**2.
 
-``largest_eigenpair`` evaluates these in O(n) float operations, with no
-array: the weights C(n, b) / 2**(n-1) come from exact integer division, and
-the powers of two that x_b, S and (1 - i)^(n-1) carry combine into one,
+x_b and i**b, and so (M x)_b, depend on b only through its residue
+r = b mod 4.  Each sum is therefore sum_r W_r f(r) over r = 0, ..., 3, with
+the class weights
+
+    W_r = sum_{b = r mod 4} C(n, b) / 2**(n-1) = 1/2 + Re[(1 + i)^n i**-r] / 2**n.
+
+That is the roots-of-unity filter: summing C(n, b) w**(b-r) over b and over
+the fourth roots of unity w gives 4 times the class sum, and the sum over b
+is (1 + w)^n w**-r, which is 2**n at w = 1 and 0 at w = -1, and at w = +-i
+is (1 + i)^n i**-r and its conjugate.  As (1 + i)^n = i**n (1 - i)^n and
+(1 - i)^8 = 16, (1 + i)^n / 2**n is i**n (1 - i)^(n mod 8), an exact
+Gaussian integer from ``expansion.prefactor``, times 2**(4 floor(n/8) - n).
+So each W_r is one rounding of an exact sum, and exactly 0 for a class with
+no b in it (n < 3).  ``ghz_amplitudes`` gives the four class values of x,
+``class_weights`` the four weights and ``RANK_ONE`` the four phases, and
+``largest_eigenpair`` evaluates the sums in O(1) float operations.  The
+powers of two that x_b, S and (1 - i)^(n-1) carry combine into one,
 2**(k-1) with k = floor((n-1)/2), applied with ``math.ldexp`` to lam and
 the residual ((1 - i)^(n-1) / 2**k is +-1, +-i or +-1 +-i, exactly).  So
 every intermediate stays near 1 while the top eigenvalue is a float.  This is
 the one-matvec check on the 2**n strings, reduced without approximation to
-the symmetric span: lam = (2s)**n x.M^(1/2)x, and the true residual, scaled
+the four classes: lam = (2s)**n x.M^(1/2)x, and the true residual, scaled
 alike, must be at most TOLERANCE * max(1, |lam|), or NotConverged is raised.
 It is at rounding level for the exact amplitudes; a wrong amplitude or a wrong
-factor v fails it.  ``block_scale`` runs first, and its ratio check bounds n
-by 2048, so the certificate never holds more than 2049 floats and counts
-nothing against the array budget.  Only sampling needs x on its
-2**n entries; ``measurement.top_state`` builds it there.
+factor v fails it.  For the exact amplitudes the weights enter only through
+sum_r W_r = 2 and sum_r (-1)**r W_r = 0, so the residual does not check
+them; the tests compare them with the exact binomial class sums.
+``block_scale`` runs first, as the fail-fast float-range
+check; the certificate holds four floats at any n and counts nothing against
+the array budget.  Only sampling needs x on its 2**n entries;
+``measurement.top_state`` builds it there, indexing the four class values by
+b mod 4.
 
 **Gap.**  For n >= 2 the next eigenvalue is the largest of
 (2s)**(n-1) (2s - 2) q (the next largest block scale, s >= 3/2) and 0 (a
@@ -115,7 +133,8 @@ def block_scale(scenario: Scenario) -> float:
     the extreme block; raises CapExceeded when it, the top eigenvalue
     2**(3(n-1)/2) s**n or its ratio 2**((n-1)/2) to the classical bound is not
     a finite float (at s = 1/2 the ratio leaves the range first, from
-    n = 2049)."""
+    n = 2049).  It decides the range from exponents, in O(1), so it serves
+    as the certificate's fail-fast pre-check."""
     try:
         scale = float(scenario.spin.twice_spin) ** scenario.n
         predicted_quantum_max(scenario)
@@ -163,15 +182,24 @@ def dense_spectrum(scenario: Scenario) -> SpectrumReport:
 
 
 def ghz_amplitudes(n: int) -> list[float]:
-    """cos(pi (4b - n + 1) / 8) for b = 0, ..., n: the top state's amplitude
-    on a string with b parties at -s, times 2**((n-1)/2)."""
-    by_class = [math.cos(math.pi * ((4 * b - n + 1) % 16) / 8) for b in range(4)]
-    return [by_class[b % 4] for b in range(n + 1)]
+    """The top state's four class values y_r = cos(pi (4r - n + 1) / 8),
+    r = 0, ..., 3: its amplitude on a string with b parties at -s is
+    2**((1-n)/2) y_(b mod 4)."""
+    return [math.cos(math.pi * ((4 * r - n + 1) % 16) / 8) for r in range(4)]
+
+
+def class_weights(n: int) -> list[float]:
+    """W_r = sum over b = r (mod 4) of C(n, b) / 2**(n-1), r = 0, ..., 3, each
+    one rounding of the exact 1/2 + Re[(1 + i)^n i**-r] / 2**n (module
+    docstring)."""
+    re, im = prefactor(n % 8 + 1)  # (1 - i)^(n mod 8)
+    unit = math.ldexp(1.0, 4 * (n // 8) - n)  # (1 - i)^8 = 16
+    return [0.5 + (re, -im, -re, im)[(n - r) % 4] * unit for r in range(4)]
 
 
 def largest_eigenpair(scenario: Scenario) -> EigenResult:
-    """The closed-form top eigenvalue, certified on the n + 1 symmetric
-    amplitudes of its state (module docstring).
+    """The closed-form top eigenvalue, certified on the four residue classes
+    of b mod 4 of its state (module docstring).
 
     Returns lam = (2s)**n x.Mx, M the spin-1/2 operator and x the GHZ state,
     once the true residual (2s)**n ||Mx - x.Mx x|| is at most
@@ -180,28 +208,21 @@ def largest_eigenpair(scenario: Scenario) -> EigenResult:
     """
     scale = block_scale(scenario)
     n = scenario.n
-    # With k = (n-1) // 2 and e = (n-1) % 2: x_b = 2**(-k-e/2) y_b,
-    # C(n, b) = 2**(2k+e) w_b, S = 2**(k+e/2) T and (1 - i)^(n-1) = 2**k c, so
-    # (Mx)_b = 2**(-1-e/2) g_b with g_b = Re[c p_b T], lam = 2**(k-1) mu and
-    # the residual 2**(k-1) rho, mu and rho the w-weighted sums below.
-    y = ghz_amplitudes(n)
-    w, count, total = [], 1, 1 << (n - 1)
-    for b in range(n + 1):  # C(n, b) / 2**(n-1), each correctly rounded
-        w.append(count / total)
-        count = count * (n - b) // (b + 1)
+    # With k = (n-1) // 2, e = (n-1) % 2 and r = b mod 4: x_b = 2**(-k-e/2) y_r,
+    # class r's C(n, b) sum to 2**(2k+e) W_r, S = 2**(k+e/2) T and
+    # (1 - i)^(n-1) = 2**k c, so (Mx)_b = 2**(-1-e/2) g_r with g_r = Re[c p_r T],
+    # lam = 2**(k-1) mu and the residual 2**(k-1) rho, mu and rho the
+    # W-weighted sums below.
+    y, w = ghz_amplitudes(n), class_weights(n)
     v_plus, v_minus = RANK_ONE
-    plus, minus = [1], [1]  # powers of v's two entries
-    for _ in range(n):
-        plus.append(plus[-1] * v_plus)
-        minus.append(minus[-1] * v_minus)
-    p = [plus[n - b] * minus[b] for b in range(n + 1)]  # i**b for v = (1, i)
-    t = complex(math.fsum(wb * pb.real * yb for wb, pb, yb in zip(w, p, y)),
-                math.fsum(wb * pb.imag * yb for wb, pb, yb in zip(w, p, y)))
+    p = [v_plus ** (n - r) * v_minus ** r for r in range(4)]  # i**r for v = (1, i)
+    t = complex(math.fsum(wr * pr.real * yr for wr, pr, yr in zip(w, p, y)),
+                math.fsum(wr * pr.imag * yr for wr, pr, yr in zip(w, p, y)))
     k, j = (n - 1) // 2, (n - 1) % 8  # (1 - i)^8 = 16
     c = complex(*prefactor(j + 1)) / (1 << j // 2)  # exact: +-1, +-i or +-1 +-i
-    g = [(c * pb * t).real for pb in p]
-    mu = math.fsum(wb * yb * gb for wb, yb, gb in zip(w, y, g))
-    rho = math.sqrt(math.fsum(wb * (gb - mu * yb) ** 2 for wb, yb, gb in zip(w, y, g)))
+    g = [(c * pr * t).real for pr in p]
+    mu = math.fsum(wr * yr * gr for wr, yr, gr in zip(w, y, g))
+    rho = math.sqrt(math.fsum(wr * (gr - mu * yr) ** 2 for wr, yr, gr in zip(w, y, g)))
     value = scale * math.ldexp(mu, k - 1)
     residual = scale * math.ldexp(rho, k - 1)
     if residual > TOLERANCE * max(1.0, abs(value)):

@@ -18,8 +18,11 @@ eigenvalue without being told where it lies.
 
 ``matvec_certificate`` is the top-eigenpair certificate on all 2**n
 strings of extreme levels that ``mkbell.quantum.largest_eigenpair`` replaces
-by its n + 1 symmetric amplitudes: ``top_state`` and one ``GlobalOperator``
-matvec, lam = (2s)**n x.Mx and the true residual scaled alike.
+by sums over the four residue classes of b mod 4: ``top_state`` and one
+``GlobalOperator`` matvec, lam = (2s)**n x.Mx and the true residual scaled
+alike.  ``symmetric_certificate`` is the same check on the n + 1 symmetric
+amplitudes, one per b, with exact-integer weights C(n, b) / 2**(n-1): the
+Dicke-basis reduction before the four classes.
 
 ``predicted_quantum_max_by_powers`` is the closed-form top eigenvalue as
 it was formed before the float range was decided from exponents.
@@ -67,7 +70,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import cos, fsum, ldexp, pi, sqrt
 
 import numpy as np
 
@@ -89,7 +92,7 @@ from mkbell.operators import (
     make_A,
     make_B,
 )
-from mkbell.quantum import block_scale
+from mkbell.quantum import RANK_ONE, TOLERANCE, EigenResult, block_scale
 from mkbell.spincore import LABEL_A, LABEL_B, Scenario, Spin, validate_labels
 
 #: Largest Krylov basis, in rows of the global dimension, per Lanczos cycle.
@@ -235,6 +238,48 @@ def matvec_certificate(scenario: Scenario, tol: float = 1e-9,
             best_value=value, best_residual=residual, iterations=1,
         )
     return Eigenpair(value=value, vector=x, iterations=1, residual=residual)
+
+
+def symmetric_certificate(scenario: Scenario) -> EigenResult:
+    """The top-eigenpair certificate on the n + 1 symmetric amplitudes
+    x_b = 2**((1-n)/2) cos(pi (4b - n + 1) / 8), b = 0, ..., n, weighted by
+    C(n, b) (``quantum.py`` docstring): lam = (2s)**n x.Mx once the true
+    residual (2s)**n ||Mx - x.Mx x|| is at most TOLERANCE * max(1, |lam|);
+    raises NotConverged, carrying both, otherwise.  O(n) floats and n exact
+    binomials, against O(1) for ``largest_eigenpair``."""
+    scale = block_scale(scenario)
+    n = scenario.n
+    # With k = (n-1) // 2 and e = (n-1) % 2: x_b = 2**(-k-e/2) y_b,
+    # C(n, b) = 2**(2k+e) w_b, S = 2**(k+e/2) T and (1 - i)^(n-1) = 2**k c, so
+    # (Mx)_b = 2**(-1-e/2) g_b with g_b = Re[c p_b T], lam = 2**(k-1) mu and
+    # the residual 2**(k-1) rho, mu and rho the w-weighted sums below.
+    y = [cos(pi * ((4 * b - n + 1) % 16) / 8) for b in range(n + 1)]
+    w, count, total = [], 1, 1 << (n - 1)
+    for b in range(n + 1):  # C(n, b) / 2**(n-1), each correctly rounded
+        w.append(count / total)
+        count = count * (n - b) // (b + 1)
+    v_plus, v_minus = RANK_ONE
+    plus, minus = [1], [1]  # powers of v's two entries
+    for _ in range(n):
+        plus.append(plus[-1] * v_plus)
+        minus.append(minus[-1] * v_minus)
+    p = [plus[n - b] * minus[b] for b in range(n + 1)]  # i**b for v = (1, i)
+    t = complex(fsum(wb * pb.real * yb for wb, pb, yb in zip(w, p, y)),
+                fsum(wb * pb.imag * yb for wb, pb, yb in zip(w, p, y)))
+    k, j = (n - 1) // 2, (n - 1) % 8  # (1 - i)^8 = 16
+    c = complex(*prefactor(j + 1)) / (1 << j // 2)  # exact: +-1, +-i or +-1 +-i
+    g = [(c * pb * t).real for pb in p]
+    mu = fsum(wb * yb * gb for wb, yb, gb in zip(w, y, g))
+    rho = sqrt(fsum(wb * (gb - mu * yb) ** 2 for wb, yb, gb in zip(w, y, g)))
+    value = scale * ldexp(mu, k - 1)
+    residual = scale * ldexp(rho, k - 1)
+    if residual > TOLERANCE * max(1.0, abs(value)):
+        raise NotConverged(
+            f"the n + 1 symmetric amplitudes of {scenario} have residual {residual:.3e}, "
+            f"above {TOLERANCE} relative",
+            best_value=value, best_residual=residual, iterations=1,
+        )
+    return EigenResult(value=value, iterations=1, residual=residual)
 
 
 def lanczos_top(scenario: Scenario, tol: float = 1e-9, max_iter: int = 100_000,

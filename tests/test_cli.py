@@ -452,7 +452,7 @@ class TestQuantumMax:
         assert err.endswith(" above 1e-20 relative\n")
 
     def test_runs_past_the_state_budget(self, capsys):
-        # 501 amplitudes, not 2**500 entries: the closed form to 12 digits.
+        # Four class values, not 2**500 entries: the closed form to 12 digits.
         start = time.perf_counter()
         code, out, err = run(capsys, "quantum-max", "--n", "500", "--spin", "1/2")
         assert time.perf_counter() - start < 1.0
@@ -1204,7 +1204,7 @@ class TestArgs:
     def test_certificate_ignores_the_env_budget(self, capsys, monkeypatch, argv):
         # The budget is --dim-cap alone: an ambient MKBELL_DIM_CAP of 1, or one
         # that is no integer, changes no command's output or exit code.  The
-        # eigenpair commands certify 501 amplitudes.
+        # eigenpair commands certify four class values.
         monkeypatch.delenv("MKBELL_DIM_CAP", raising=False)
         expected = run(capsys, *argv)
         assert (expected[0], expected[2]) == (0, "")

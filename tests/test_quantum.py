@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,9 @@ from mkbell.expansion import expand_terms
 from mkbell.measurement import top_state
 from mkbell.operators import assemble_dense, global_operator, make_A, make_B
 from mkbell.quantum import (
+    TOLERANCE,
     block_scale,
+    class_weights,
     dense_spectrum,
     ghz_amplitudes,
     largest_eigenpair,
@@ -24,6 +29,7 @@ from oracles import (
     lanczos_top,
     matvec_certificate,
     predicted_quantum_max_by_powers,
+    symmetric_certificate,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -164,7 +170,8 @@ class TestPowerIteration:
 
 
 class TestSymmetricCertificate:
-    """The certificate on n + 1 amplitudes against the 2**n matvec oracle."""
+    """The certificate on the four residue classes of b mod 4 against the 2**n
+    matvec oracle and the n + 1 symmetric-amplitude oracle."""
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_agrees_with_the_matvec_oracle(self, n):
@@ -181,6 +188,35 @@ class TestSymmetricCertificate:
             for value, residual in ((result.value, result.residual), oracle):
                 assert residual <= 1e-9 * max(1.0, abs(value)), twice
 
+    @pytest.mark.parametrize("twice", [1, 2, 3, 15])
+    def test_agrees_with_the_symmetric_oracle(self, twice):
+        # Same value to 1e-12 and to the 12 printed digits, both residuals
+        # within TOLERANCE; past the float range both stop at block_scale.
+        for n in [*range(1, 257), 511, 1024, 2047, 2048]:
+            scenario = Scenario(n, Spin(twice))
+            try:
+                oracle = symmetric_certificate(scenario)
+            except CapExceeded:
+                with pytest.raises(CapExceeded):
+                    largest_eigenpair(scenario)
+                continue
+            result = largest_eigenpair(scenario)
+            assert result.value == pytest.approx(oracle.value, rel=1e-12, abs=0), n
+            assert f"{result.value:.12g}" == f"{oracle.value:.12g}", n
+            for value, residual in ((result.value, result.residual),
+                                    (oracle.value, oracle.residual)):
+                assert residual <= TOLERANCE * max(1.0, abs(value)), n
+
+    def test_class_weights_are_the_exact_binomial_sums(self):
+        # W_r = sum over b = r (mod 4) of C(n, b) / 2**(n-1), correctly
+        # rounded, and exactly 0 for a class with no b in it.
+        assert class_weights(1) == [1.0, 1.0, 0.0, 0.0]
+        assert class_weights(2) == [0.5, 1.0, 0.5, 0.0]
+        for n in range(1, 301):
+            row = [math.comb(n, b) for b in range(n + 1)]
+            exact = [float(Fraction(sum(row[r::4]), 2 ** (n - 1))) for r in range(4)]
+            assert class_weights(n) == exact, n
+
     def test_rank_one_factor_is_a_plus_i_b(self):
         # v v^T / 2 = A + iB at spin 1/2, with make_A, make_B in twice-entries.
         v = np.array(quantum.RANK_ONE)
@@ -194,17 +230,18 @@ class TestSymmetricCertificate:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_amplitudes_are_the_top_state(self, n):
-        # top_state's entry with b bits set is 2**((1-n)/2) y_b, bit for bit:
-        # sampling draws from the amplitudes the certificate checks.
-        y = np.array(ghz_amplitudes(n))
-        bits = np.array([bin(index).count("1") for index in range(1 << n)])
+        # top_state's entry with b bits set is 2**((1-n)/2) cos(pi (4b - n + 1) / 8)
+        # for its own b, bit for bit: sampling draws from the amplitudes the
+        # certificate checks, and a wrong b mod 4 lookup fails from b = 4.
+        y = [math.cos(math.pi * ((4 * bin(index).count("1") - n + 1) % 16) / 8)
+             for index in range(1 << n)]
         state = top_state(Scenario(n, Spin(1)))
-        assert np.array_equal(state, 2.0 ** ((1 - n) / 2) * y[bits])
+        assert np.array_equal(state, 2.0 ** ((1 - n) / 2) * np.array(y))
 
     def test_float_range_bounds_the_amplitudes(self, monkeypatch):
         # The ratio 2**((n-1)/2) leaves the floats at n = 2049 at every spin,
-        # before any amplitude is formed, so the certificate holds at most
-        # 2049 floats and counts none against the array budget.
+        # before any amplitude is formed; the certificate holds four floats at
+        # any n and counts none against the array budget.
         def no_amplitudes(n):
             raise AssertionError(f"formed the amplitudes at n = {n}")
 
