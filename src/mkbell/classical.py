@@ -39,26 +39,25 @@ them, the classical control of the simulated experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .expansion import pair_step
 from .spincore import Scenario
 
 
-@dataclass(frozen=True)
-class Strategy:
-    """Predefined outcomes (a_j, b_j) for every party's two observables."""
+class Strategy(namedtuple("Strategy", "a b")):
+    """Predefined outcomes (a_j, b_j) for every party's two observables, as
+    two tuples of Fractions."""
 
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClassicalResult:
-    max_value: Fraction
-    argmax: Strategy
-    strategies_checked: int
+class ClassicalResult(namedtuple("ClassicalResult", "max_value argmax strategies_checked")):
+    """The certified maximum (a Fraction), a ``Strategy`` attaining it and the
+    size of the certified set."""
+
+    __slots__ = ()
 
 
 def classical_bound(scenario: Scenario) -> Fraction:

@@ -21,7 +21,7 @@ every report is reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import sqrt
 
 import numpy as np
@@ -86,17 +86,15 @@ def symmetric_distributions(state: np.ndarray, contexts):
         yield canonical[b].reshape((2,) * n).transpose(axes).reshape(-1)
 
 
-@dataclass(frozen=True)
-class SampleReport:
+class SampleReport(namedtuple("SampleReport",
+                              "outcome_counts correlation_mean correlation_stderr")):
     """Finite-sample estimate of one spin-1/2 correlation.
 
     ``outcome_counts`` is the multinomial count per joint outcome index
     (the index convention of ``joint_distribution``).
     """
 
-    outcome_counts: np.ndarray
-    correlation_mean: float
-    correlation_stderr: float
+    __slots__ = ()
 
 
 def sample_outcomes(probs: np.ndarray, shots: int, seed) -> SampleReport:
@@ -124,13 +122,11 @@ def sample_outcomes(probs: np.ndarray, shots: int, seed) -> SampleReport:
                         correlation_stderr=stderr)
 
 
-@dataclass(frozen=True)
-class BellEstimate:
-    """Termwise-sampled Bell value with propagated error."""
+class BellEstimate(namedtuple("BellEstimate", "value stderr per_term")):
+    """Termwise-sampled Bell value with propagated error; ``per_term`` holds a
+    (labels, mean, stderr) triple per term."""
 
-    value: float
-    stderr: float
-    per_term: tuple[tuple[str, float, float], ...]  # (labels, mean, stderr)
+    __slots__ = ()
 
 
 def check_distribution_budget(scenario: Scenario) -> None:

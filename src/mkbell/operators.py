@@ -25,7 +25,7 @@ Gaussian integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -57,8 +57,7 @@ def make_B(spin: Spin) -> np.ndarray:
     return np.diag(_twice_diagonals(spin)[1])[:, ::-1].copy()
 
 
-@dataclass
-class GlobalOperator:
+class GlobalOperator(namedtuple("GlobalOperator", "scenario")):
     """The spin-1/2 Bell operator on the 2**n extreme levels, matrix-free.
 
     Index bit j (party 1 most significant) is party j's level: 0 for +s,
@@ -66,7 +65,7 @@ class GlobalOperator:
     without materializing the matrix.
     """
 
-    scenario: Scenario
+    __slots__ = ()
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Matrix-free matvec M @ v = Re[(1 - i)^(n-1) (A + iB) x ... x (A + iB) v]."""

@@ -97,8 +97,7 @@ For n = 1, M_1 = A, whose levels are 1 apart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any
+from collections import namedtuple
 
 from .classical import classical_max
 from .errors import CapExceeded, NotConverged
@@ -150,20 +149,18 @@ def predicted_ratio(n: int) -> float:
     return 2.0 ** ((n - 1) / 2.0)
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Full dense spectrum, sorted ascending, as a float64 NumPy array."""
+class SpectrumReport(namedtuple("SpectrumReport", "eigenvalues top_value degeneracy_of_top")):
+    """Full dense spectrum, sorted ascending, as a float64 NumPy array; its
+    greatest value and that value's multiplicity."""
 
-    eigenvalues: Any
-    top_value: float
-    degeneracy_of_top: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EigenResult:
-    value: float
-    iterations: int
-    residual: float
+class EigenResult(namedtuple("EigenResult", "value iterations residual")):
+    """The certified top eigenvalue, the matvecs that certified it and its
+    true residual."""
+
+    __slots__ = ()
 
 
 def dense_spectrum(scenario: Scenario) -> SpectrumReport:

@@ -4,13 +4,14 @@ Spins are stored as twice-spin integers (units of hbar, hbar = 1) so that
 half-integer outcomes never touch floating point.  Every classical value in
 the toolkit (an outcome, a strategy value, the bound) is an exact
 ``fractions.Fraction``; products of n half-integer outcomes have a
-denominator dividing 2**n.
+denominator dividing 2**n.  ``Spin`` and ``Scenario`` are immutable named
+tuples that check their fields when built.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CapExceeded
@@ -37,15 +38,15 @@ def validate_labels(labels):
     return labels
 
 
-@dataclass(frozen=True)
-class Spin:
+class Spin(namedtuple("Spin", "twice_spin")):
     """A spin quantum number s >= 1/2, stored as the integer 2s."""
 
-    twice_spin: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.twice_spin, int) or self.twice_spin < 1:
-            raise ValueError(f"twice_spin must be an integer >= 1, got {self.twice_spin!r}")
+    def __new__(cls, twice_spin: int) -> Spin:
+        if not isinstance(twice_spin, int) or twice_spin < 1:
+            raise ValueError(f"twice_spin must be an integer >= 1, got {twice_spin!r}")
+        return super().__new__(cls, twice_spin)
 
     @property
     def dimension(self) -> int:
@@ -88,19 +89,18 @@ class Spin:
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A problem instance: n parties, each holding one spin-s particle."""
+class Scenario(namedtuple("Scenario", "n spin dim_cap")):
+    """A problem instance: n parties, each holding one spin-s particle, and
+    ``dim_cap``, the array budget."""
 
-    n: int
-    spin: Spin
-    dim_cap: int = DEFAULT_DIM_CAP
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"party count must be an integer >= 1, got {self.n!r}")
-        if not isinstance(self.dim_cap, int) or self.dim_cap < 1:
-            raise ValueError(f"dim_cap must be an integer >= 1, got {self.dim_cap!r}")
+    def __new__(cls, n: int, spin: Spin, dim_cap: int = DEFAULT_DIM_CAP) -> Scenario:
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"party count must be an integer >= 1, got {n!r}")
+        if not isinstance(dim_cap, int) or dim_cap < 1:
+            raise ValueError(f"dim_cap must be an integer >= 1, got {dim_cap!r}")
+        return super().__new__(cls, n, spin, dim_cap)
 
     def global_dimension(self) -> int:
         """The full space's dimension (2s+1)**n, which only the dense path builds."""

@@ -951,10 +951,11 @@ class TestBlasThreads:
         assert (child.returncode, child.stderr, child.stdout) == (0, "", "1\n")
 
 
-def _cli_process(*argv, block_numpy=False):
+def _cli_process(*argv, block_numpy=False, block_dataclasses=False):
     # With ``sys.modules["numpy"] = None`` every ``import numpy`` raises.
     code = ("import runpy, sys\n"
             + ("sys.modules['numpy'] = None\n" if block_numpy else "")
+            + ("sys.modules['dataclasses'] = None\n" if block_dataclasses else "")
             + "sys.argv = ['mkbell', *sys.argv[1:]]\n"
             "runpy.run_module('mkbell.cli', run_name='__main__')\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -997,9 +998,29 @@ class TestExactLayerWithoutNumpy:
              "             ['ratio', '--n', '3', '--spin', '1'],\n"
              "             ['report', '--grid', 'n=3..3', 's=1..1']):\n"
              "    assert main(argv) == 0\n"
-             "assert 'numpy' not in sys.modules\n"],
+             "assert 'numpy' not in sys.modules\n"
+             "assert 'dataclasses' not in sys.modules\n"
+             "assert 'inspect' not in sys.modules\n"],
             env=env, check=True, timeout=60, capture_output=True,
         )
+
+    @pytest.mark.parametrize("argv", [
+        ("classical-max", "--n", "10", "--spin", "1/2"),
+        ("classical-max", "--n", "6", "--spin", "1", "--full-grid"),
+        ("expand", "--n", "5"),
+        ("quantum-max", "--n", "4", "--spin", "11/2"),
+        ("ratio", "--n", "30", "--spin", "1/2"),
+        ("report", "--grid", "n=1..40", "s=1/2..5/2", "--format", "csv"),
+        ("sample", "--n", "3", "--spin", "1", "--shots", "1000", "--seed", "5"),
+    ])
+    def test_commands_run_without_dataclasses(self, argv):
+        # The records are named tuples: no command imports ``dataclasses``,
+        # which would pull ``inspect`` into every start-up.
+        blocked = _cli_process(*argv, block_dataclasses=True)
+        normal = _cli_process(*argv)
+        assert (blocked.returncode, blocked.stderr) == (0, "")
+        assert normal.returncode == 0
+        assert blocked.stdout == normal.stdout
 
     def test_array_command_needs_numpy(self):
         blocked = _cli_process("sample", "--n", "2", "--spin", "1/2",

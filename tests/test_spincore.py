@@ -1,18 +1,21 @@
 import importlib
 import pkgutil
+import re
 import sys
 import time
-from dataclasses import is_dataclass
 from fractions import Fraction
+from types import FunctionType
 from typing import get_type_hints
 
 import pytest
 
 import mkbell
-from mkbell.classical import classical_bound
+from mkbell.classical import ClassicalResult, Strategy, classical_bound
 from mkbell.errors import CapExceeded
-from mkbell.operators import global_operator
-from mkbell.spincore import Scenario, Spin
+from mkbell.measurement import BellEstimate, SampleReport
+from mkbell.operators import GlobalOperator, global_operator
+from mkbell.quantum import EigenResult, SpectrumReport
+from mkbell.spincore import DEFAULT_DIM_CAP, Scenario, Spin
 from oracles import spectrum_contains
 
 class TestExactBound:
@@ -119,14 +122,99 @@ class TestScenario:
             scenario.check_entries("a state vector")
 
 
+class TestRecordContract:
+    """``Spin`` and ``Scenario`` are named tuples that check their fields in
+    ``__new__``: built by position or keyword, immutable, equal and hashed
+    by value, printed as before."""
+
+    def test_positional_and_keyword_construction_agree_with_the_default_cap(self):
+        assert Spin(3) == Spin(twice_spin=3)
+        built = [Scenario(2, Spin(1)), Scenario(n=2, spin=Spin(1)),
+                 Scenario(2, Spin(1), DEFAULT_DIM_CAP), Scenario(2, spin=Spin(1), dim_cap=1 << 24)]
+        assert all(scenario == built[0] for scenario in built)
+        assert built[0].dim_cap == DEFAULT_DIM_CAP == 1 << 24
+        assert Scenario(5, Spin(2), 7) == Scenario(n=5, spin=Spin(2), dim_cap=7)
+        assert Scenario(5, Spin(2), 7).dim_cap == 7
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: Spin(0), "twice_spin must be an integer >= 1, got 0"),
+        (lambda: Spin(1.5), "twice_spin must be an integer >= 1, got 1.5"),
+        (lambda: Scenario(0, Spin(1)), "party count must be an integer >= 1, got 0"),
+        (lambda: Scenario(2, Spin(1), dim_cap=0), "dim_cap must be an integer >= 1, got 0"),
+    ])
+    def test_validation_messages(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+    @pytest.mark.parametrize("record,field", [
+        (Spin(1), "twice_spin"), (Scenario(2, Spin(1)), "n"),
+        (Scenario(2, Spin(1)), "spin"), (Scenario(2, Spin(1)), "dim_cap"),
+        (Scenario(2, Spin(1)), "no_such_field"),
+    ])
+    def test_fields_cannot_be_assigned(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 3)
+
+    def test_equal_values_hash_equally(self):
+        assert hash(Spin(3)) == hash(Spin(twice_spin=3))
+        assert hash(Scenario(4, Spin(3))) == hash(Scenario(n=4, spin=Spin(3), dim_cap=1 << 24))
+        assert len({Scenario(4, Spin(3)), Scenario(n=4, spin=Spin(twice_spin=3)),
+                    Scenario(4, Spin(3), dim_cap=8)}) == 2
+
+    def test_repr_and_str(self):
+        scenario = Scenario(2, Spin(1))
+        assert repr(scenario) == "Scenario(n=2, spin=Spin(twice_spin=1), dim_cap=16777216)"
+        assert str(scenario) == "n=2, s=1/2"
+        assert (repr(Spin(3)), str(Spin(3))) == ("Spin(twice_spin=3)", "3/2")
+
+    @pytest.mark.parametrize("record,fields", [
+        (Spin, ("twice_spin",)),
+        (Scenario, ("n", "spin", "dim_cap")),
+        (Strategy, ("a", "b")),
+        (ClassicalResult, ("max_value", "argmax", "strategies_checked")),
+        (SpectrumReport, ("eigenvalues", "top_value", "degeneracy_of_top")),
+        (EigenResult, ("value", "iterations", "residual")),
+        (SampleReport, ("outcome_counts", "correlation_mean", "correlation_stderr")),
+        (BellEstimate, ("value", "stderr", "per_term")),
+        (GlobalOperator, ("scenario",)),
+    ])
+    def test_every_record_keeps_its_fields(self, record, fields):
+        assert record._fields == fields
+        assert record.__slots__ == ()
+
+
 MODULES = sorted(info.name for info in pkgutil.iter_modules(mkbell.__path__))
+
+
+def _functions(module):
+    """Every function ``module`` defines: its own, and its classes' methods,
+    ``__new__`` among them, with properties' getters."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        members = vars(obj).values() if isinstance(obj, type) else [obj]
+        for member in members:
+            member = getattr(member, "__func__", getattr(member, "fget", member))
+            if isinstance(member, FunctionType):
+                yield member
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_dataclass_resolves_its_type_hints(name):
     # Annotations are strings (``from __future__ import annotations``); each
     # must name something the module binds, even where NumPy loads lazily.
+    # The records are named tuples, whose fields carry no annotations, so
+    # the check runs on every function the module defines, ``__new__`` too.
     module = importlib.import_module(f"mkbell.{name}")
-    for obj in vars(module).values():
-        if isinstance(obj, type) and is_dataclass(obj) and obj.__module__ == module.__name__:
-            get_type_hints(obj)
+    functions = list(_functions(module))
+    assert functions
+    for function in functions:
+        get_type_hints(function)
+
+
+def test_type_hint_check_reaches_the_records():
+    names = {f.__qualname__ for f in _functions(importlib.import_module("mkbell.spincore"))}
+    assert {"Spin.__new__", "Scenario.__new__", "Spin.dimension", "Spin.from_string",
+            "validate_labels"} <= names
+    assert get_type_hints(Scenario.__new__) == {
+        "n": int, "spin": Spin, "dim_cap": int, "return": Scenario}
