@@ -1,17 +1,25 @@
 """Command-line interface tying the toolkit into reproducible reports.
 
 Each command returns its payload; ``main`` writes it, or the error, once.
-Exit codes: 0 success, 2 validation error (among them a ``--spin`` too long to
-print, a negative ``--seed``, a ``--shots`` that puts more than 2**63 - 1
-shots on one setting, an option the command does not take and an option that
-takes a value given twice) or unwritable
-``--output``, 3 cap exceeded (the array budget ``--dim-cap``, digits of a
-printed exact integer, or a top eigenvalue or ratio past the float range), 4
-numerical non-convergence (the closed-form top eigenpair's residual is above
-``quantum.TOLERANCE``).  ``report`` counts its table's cells against the
-budget before its first row; ``sample`` and every row of ``report`` pass the
-same checks (``_check_fits``) before any array is built, and it returns the
-shots split their estimate draws.  Each input has one spelling: ``report``
+Exit codes, each limit decided by one function:
+
+- 0: success.
+- 2: a validation error, among them a ``--spin`` or integer literal past the
+  digit limit (``spincore.check_digits``), a negative ``--seed``, a
+  ``--shots`` that puts more than 2**63 - 1 shots on one setting, an option
+  the command does not take and an option that takes a value given twice; or
+  an unwritable ``--output``.
+- 3: a cap exceeded: the array budget ``--dim-cap``, also counting
+  ``report``'s table cells (``spincore.check_budget``); the digits of a
+  printed exact integer (``spincore.check_digits``); or a top eigenvalue or
+  ratio past the float range (``quantum.block_scale``).
+- 4: numerical non-convergence: the closed-form top eigenpair's residual is
+  above ``quantum.TOLERANCE``.
+
+``report`` counts its table's cells against the budget before its first
+row; ``sample`` and every row of ``report`` pass the same checks
+(``_check_fits``) before any array is built, and it returns the shots split
+their estimate draws.  Each input has one spelling: ``report``
 reads its scenarios only from ``--grid`` (one scenario is ``n=N..N s=S..S``),
 and the array budget is only ``--dim-cap``.  Each typed option parses through
 ``_parsed``; every integer input, the grid's n bounds too, through
@@ -38,7 +46,7 @@ from functools import partial
 from . import classical
 from .errors import CapExceeded, MkBellError, NotConverged
 from .expansion import expected_term_count
-from .spincore import DEFAULT_DIM_CAP, Scenario, Spin
+from .spincore import DEFAULT_DIM_CAP, Scenario, Spin, check_budget, check_digits
 
 DEFAULT_SHOTS = 10 ** 6
 DEFAULT_SEED = 42
@@ -70,16 +78,13 @@ def _parsed(parse):
 
 def _integer(name: str, text: str, least: int | None = None, quote: bool = True) -> int:
     """``text`` as an integer, at least ``least`` if given; the ValueError names
-    ``name``, and Python's digit limit for a literal too long to convert, and
-    repeats ``text`` unless ``quote`` is false."""
+    ``name``, and the digit limit (``check_digits``) for a literal too long to
+    convert, and repeats ``text`` unless ``quote`` is false."""
     shown = f" {text!r}" if quote else ""
     try:
         value = int(text)
     except ValueError:
-        limit = sys.get_int_max_str_digits()
-        if limit and sum(map(str.isdigit, text)) > limit:
-            raise ValueError(f"{name}{shown} has more than {limit} digits, the limit of "
-                             "sys.get_int_max_str_digits()") from None
+        check_digits(name + shown, text)
         value = None
     if value is None or least is not None and value < least:
         floor = "" if least is None else f" >= {least}"
@@ -133,32 +138,14 @@ def _cmd_expand(args):
     return [{"coefficient": c, "labels": labels} for c, labels in expand_terms(n)]
 
 
-def _power_reaches(base: int, exp: int, floor: int) -> bool:
-    """base**exp >= floor; the power is formed only when bit lengths do not
-    decide, and then has fewer than twice floor's bits."""
-    bits, top = base.bit_length(), floor.bit_length()
-    if exp * (bits - 1) >= top:
-        return True
-    return exp * bits >= top and base ** exp >= floor
-
-
-def _check_printable(scenario, extremal_only):
-    """Raise CapExceeded before the DP if the bound's numerator (2s)**n, halved
-    for integer s, or the strategy count 4**n or (2s+1)**(2n) has more digits
-    than Python converts to text."""
-    limit = sys.get_int_max_str_digits()
-    t, n, floor = scenario.spin.twice_spin, scenario.n, 10 ** limit
-    if limit and (_power_reaches(t, n, floor << (1 - t % 2))
-                  or _power_reaches(2 if extremal_only else t + 1, 2 * n, floor)):
-        raise CapExceeded(
-            f"the certificate for {scenario} prints an integer of more than {limit} "
-            "digits, the limit of sys.get_int_max_str_digits()"
-        )
-
-
 def _cmd_classical_max(args):
     scenario = Scenario(n=args.n, spin=args.spin)
-    _check_printable(scenario, not args.full_grid)
+    # Before the DP: the bound's numerator (2s)**n, halved for integer s, and
+    # the strategy count 4**n or (2s+1)**(2n) are printed.
+    t, n = args.spin.twice_spin, args.n
+    printed = f"an integer in the certificate for {scenario}"
+    check_digits(printed, t, n, 1 - t % 2, CapExceeded)
+    check_digits(printed, t + 1 if args.full_grid else 2, 2 * n, error=CapExceeded)
     result = classical.classical_max(scenario, extremal_only=not args.full_grid)
     bound = classical.classical_bound(scenario)
     return {
@@ -283,13 +270,9 @@ def _cmd_report(args):
     n_values, twice_spins = _parse_grid(args.grid)
     # The table's cells fit the budget before its first row.  The rows are
     # counted from the range bounds: len() overflows past sys.maxsize.
-    cells = ((n_values[-1] - n_values[0] + 1) * (twice_spins[-1] - twice_spins[0] + 1)
-             * (9 if args.sample else 6))
-    if cells > args.dim_cap:
-        # 2**2000 has 603 digits, fewer than any limit Python prints to (640).
-        count = cells if cells.bit_length() <= 2000 else f"at least 2**{cells.bit_length() - 1}"
-        raise CapExceeded(f"the report table of grid {' '.join(args.grid)} would "
-                          f"hold {count} cells, which exceeds cap {args.dim_cap}")
+    check_budget(f"the report table of grid {' '.join(args.grid)}", args.dim_cap, lambda: (
+        (n_values[-1] - n_values[0] + 1) * (twice_spins[-1] - twice_spins[0] + 1)
+        * (9 if args.sample else 6)), "cells")
     shots = args.shots if args.sample else None
     # Every row fits before the first runs; built row by row, so a huge grid
     # stops at its first row past the budget or the float range.

@@ -6,10 +6,11 @@ class MkBellError(Exception):
 
 
 class CapExceeded(MkBellError):
-    """A requested instance exceeds a cap: the array budget ``Scenario.dim_cap``
-    (in the CLI also counting ``report``'s table cells), the float range of a
-    top eigenvalue or ratio (``quantum.block_scale``) or, in the CLI, the
-    digits Python prints of an integer."""
+    """A requested instance exceeds a cap, each decided by one function: the
+    array budget ``Scenario.dim_cap``, in the CLI also counting ``report``'s
+    table cells (``spincore.check_budget``); the float range of a top
+    eigenvalue or ratio (``quantum.block_scale``); and, for an integer the
+    CLI prints, the digits Python converts to text (``spincore.check_digits``)."""
 
 
 class DimensionMismatch(MkBellError):

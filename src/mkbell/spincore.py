@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import CapExceeded
 
 #: Default array budget: the total number of entries a path may build, as
-#: counted by that path and enforced by ``Scenario.check_entries``.  With
+#: counted by that path and decided by ``check_budget``.  With
 #: T = 4**(n//2) terms and at any spin, a state vector counts 2**n, a sampled
 #: estimate T 2**n and the expansion n 2**n letters; the CLI's report table
 #: counts its cells, rows times 6 or, sampled, 9.  With D = (2s+1)**n, a
@@ -36,6 +36,53 @@ def validate_labels(labels):
     if not labels or any(ch not in LABELS for ch in labels):
         raise ValueError(f"labels must be a nonempty string over 'A'/'B', got {labels!r}")
     return labels
+
+
+def check_budget(what: str, cap: int, count, unit: str = "entries", least: int = 0) -> None:
+    """Raise CapExceeded, before anything is allocated, when ``what`` would
+    hold more than ``cap`` ``unit``: the one place that decides the array budget.
+
+    ``count`` is a callable that forms the count.  It is not called once
+    2**``least``, a lower bound on the count, exceeds the cap, so that no count
+    such as (2s+1)**n is formed for a huge n.  A count of more than 2000 bits
+    is shown as ``at least 2**k``: 2**2000 has 603 digits, fewer than any
+    limit Python prints to (640).
+    """
+    if least >= cap.bit_length():
+        shown = f"at least 2**{least}"
+    else:
+        total = count()
+        if total <= cap:
+            return
+        bits = total.bit_length()
+        shown = total if bits <= 2000 else f"at least 2**{bits - 1}"
+    raise CapExceeded(f"{what} would hold {shown} {unit}, which exceeds cap {cap}")
+
+
+def check_digits(what: str, number: int | str, exp: int = 1, shift: int = 0,
+                 error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` when ``what`` has more digits than Python converts
+    between int and text: the one reader of ``sys.get_int_max_str_digits()``
+    (0 sets no limit).
+
+    ``number`` is a literal, whose digit characters are counted, or an int
+    that stands for ``number**exp >> shift``.  The power is compared with
+    10**limit from bit lengths, and formed only when they do not decide, with
+    fewer than twice 10**limit's bits.  An input keeps the default ValueError;
+    an integer the CLI prints passes ``CapExceeded``.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    if isinstance(number, str):
+        over = sum(map(str.isdigit, number)) > limit
+    else:
+        base, floor = abs(number), 10 ** limit << shift
+        bits, top = base.bit_length(), floor.bit_length()
+        over = exp * (bits - 1) >= top or exp * bits >= top and base ** exp >= floor
+    if over:
+        raise error(f"{what} has more than {limit} digits, the limit of "
+                    "sys.get_int_max_str_digits()")
 
 
 class Spin(namedtuple("Spin", "twice_spin")):
@@ -65,22 +112,19 @@ class Spin(namedtuple("Spin", "twice_spin")):
     @classmethod
     def from_string(cls, text: str) -> "Spin":
         """Parse "1/2", "1", "3/2", ... (also accepts decimals like "0.5"); reject
-        a spin with more digits than Python converts back to text, and a spin <= 0."""
-        limit = sys.get_int_max_str_digits()
-        too_long = ValueError(f"spin {text!r} has more than {limit} digits, the limit of "
-                              "sys.get_int_max_str_digits(), so it cannot be printed")
+        a spin with more digits than Python converts back to text
+        (``check_digits``), and a spin <= 0."""
+        what = f"spin {text!r}"
         try:
             frac = Fraction(text.strip())
         except ZeroDivisionError:
             raise ValueError(f"spin has a zero denominator: {text!r}") from None
         except ValueError:  # a literal past the limit fails to convert at all
-            if limit and sum(map(str.isdigit, text)) > limit:
-                raise too_long from None
+            check_digits(what, text)
             raise
         if frac.denominator not in (1, 2):
             raise ValueError(f"spin must be a half-integer, got {text!r}")
-        if limit and abs(frac.numerator) >= 10 ** limit:
-            raise too_long
+        check_digits(what, frac.numerator)
         if frac <= 0:
             raise ValueError(f"spin must be a positive half-integer, got {text!r}")
         return cls(int(2 * frac))
@@ -107,21 +151,11 @@ class Scenario(namedtuple("Scenario", "n spin dim_cap")):
         return self.spin.dimension ** self.n
 
     def check_entries(self, what: str, entries=None) -> None:
-        """Raise CapExceeded, before anything is allocated, when ``what``
-        would hold more than ``dim_cap`` array entries in all.
-
-        ``entries`` is a callable that forms the count (default: 2**n, one
-        state vector).  The count is at least 2**n, so once n reaches the
-        cap's bit length this raises before any count such as (2s+1)**n is
-        formed.
-        """
-        cap = self.dim_cap
-        if self.n >= cap.bit_length():
-            count = f"at least 2**{self.n}"
-        else:
-            count = entries() if entries else 1 << self.n
-        if isinstance(count, str) or count > cap:
-            raise CapExceeded(f"{what} would hold {count} entries, which exceeds cap {cap}")
+        """``check_budget`` for ``what``, counted in array entries against
+        ``dim_cap``.  ``entries`` is a callable that forms the count (default:
+        2**n, one state vector); every count is at least 2**n."""
+        n = self.n
+        check_budget(what, self.dim_cap, entries or (lambda: 1 << n), least=n)
 
     def __str__(self) -> str:
         return f"n={self.n}, s={self.spin}"

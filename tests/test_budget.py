@@ -1,6 +1,13 @@
 """The one array budget: every path that builds arrays, in the library and
 among the dense test oracles, counts their entries against
-``Scenario.dim_cap`` and raises before it allocates any."""
+``Scenario.dim_cap`` and raises before it allocates any.  Each limit is
+decided in one function: the budget in ``spincore.check_budget``, the digit
+limit in ``spincore.check_digits`` and the float range in
+``quantum.block_scale``."""
+
+import ast
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +17,7 @@ from mkbell.errors import CapExceeded
 from mkbell.measurement import estimate_bell_value, top_state
 from mkbell.operators import assemble_dense, dense_scaled_product, global_operator
 from mkbell.quantum import dense_spectrum
-from mkbell.spincore import Scenario, Spin
+from mkbell.spincore import Scenario, Spin, check_budget
 from oracles import (
     classical_max_enumerated,
     commutation_report,
@@ -75,3 +82,67 @@ def test_commutation_report_raises_before_its_first_term_matrix(monkeypatch):
     with pytest.raises(CapExceeded, match="exceeds cap 16777216"):
         commutation_report(Scenario(12, Spin(1)))
 
+
+
+def test_a_count_past_the_digit_limit_is_shown_as_a_power(monkeypatch):
+    # D**2 = (2 * 10**3000 + 1)**6 has 18001 digits, more than Python prints.
+    count = (2 * 10 ** 3000 + 1) ** 6
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("assemble_dense allocated past the cap")
+
+    for alloc in ALLOCATORS:
+        monkeypatch.setattr(np, alloc, no_alloc)
+    with pytest.raises(CapExceeded) as info:
+        assemble_dense(Scenario(3, Spin(2 * 10 ** 3000)))
+    assert str(info.value).endswith(f" would hold at least 2**{count.bit_length() - 1} "
+                                    "entries, which exceeds cap 16777216")
+
+
+@pytest.mark.parametrize("count,shown", [
+    ((1 << 2000) - 1, str((1 << 2000) - 1)), (1 << 2000, "at least 2**2000")],
+    ids=["2000-bits", "2001-bits"])
+def test_count_is_printed_up_to_2000_bits(count, shown):
+    # 2**2000 has 603 digits, within the smallest limit Python allows (640).
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(CapExceeded) as info:
+            check_budget("the table", 1, lambda: count, "cells")
+        message = str(info.value)
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert message == f"the table would hold {shown} cells, which exceeds cap 1"
+
+
+#: The function that decides each limit: (module, function).
+DECIDERS = {("spincore", "check_budget"), ("spincore", "check_digits"), ("quantum", "block_scale")}
+
+
+def _calls(name):
+    """(module, innermost enclosing function, line) of every call in
+    ``src/mkbell`` of a function or method called ``name``."""
+    sites = []
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)):
+            sites.append((module, function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "mkbell").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return sites
+
+
+def test_the_digit_limit_is_read_in_one_function():
+    sites = _calls("get_int_max_str_digits")
+    assert sites and {site[:2] for site in sites} == {("spincore", "check_digits")}, sites
+
+
+def test_every_cap_is_raised_by_the_function_that_decides_it():
+    sites = _calls("CapExceeded")
+    assert sites and {site[:2] for site in sites} <= DECIDERS, sites

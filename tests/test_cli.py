@@ -108,6 +108,15 @@ class TestExpand:
         assert (code, out) == (3, "")
         assert "exceeds cap 159" in err
 
+    def test_count_past_the_digit_limit_exits_3(self, capsys):
+        # n 2**n letters at n = 14280 have 4303 digits, more than Python prints:
+        # the count is shown as a power of two, under a cap of 4300 digits.
+        cap = "9" * 4300
+        code, out, err = run(capsys, "expand", "--n", "14280", "--dim-cap", cap)
+        assert (code, out) == (3, "")
+        assert err == ("error: the label strings for n=14280 would hold at least "
+                       f"2**{(14280 << 14280).bit_length() - 1} entries, which exceeds cap {cap}\n")
+
 
 class TestClassicalMax:
     def test_two_party_half(self, capsys):
@@ -227,7 +236,9 @@ class TestClassicalMax:
         try:
             code, out, err = run(capsys, "classical-max", "--n", str(hi), "--spin", spin, *grid)
             assert (code, out) == (3, "")
-            assert "digits" in err
+            assert err == (f"error: an integer in the certificate for n={hi}, s={spin} has more "
+                           f"than {digits or default} digits, the limit of "
+                           "sys.get_int_max_str_digits()\n")
             if digits:
                 code, out, _ = run(capsys, "classical-max", "--n", str(lo), "--spin", spin, *grid)
                 assert code == 0

@@ -15,7 +15,7 @@ from mkbell.errors import CapExceeded
 from mkbell.measurement import BellEstimate, SampleReport
 from mkbell.operators import GlobalOperator, global_operator
 from mkbell.quantum import EigenResult, SpectrumReport
-from mkbell.spincore import DEFAULT_DIM_CAP, Scenario, Spin
+from mkbell.spincore import DEFAULT_DIM_CAP, Scenario, Spin, check_digits
 from oracles import spectrum_contains
 
 class TestExactBound:
@@ -82,13 +82,51 @@ class TestSpin:
         for text in (f"1e{limit}", f"-1e{limit}", "1" * (limit + 1), "-" + "1" * (limit + 1),
                      "1/" + "2" * (limit + 1)):
             with pytest.raises(ValueError, match=f"^spin '{text[:6]}.* has more than {limit} "
-                                                 "digits"):
+                               r"digits, the limit of sys\.get_int_max_str_digits\(\)$"):
                 Spin.from_string(text)
 
     @pytest.mark.parametrize("text", ["1/0", "0/0", " 3/0 "])
     def test_zero_denominator_is_a_value_error(self, text):
         with pytest.raises(ValueError, match="zero denominator"):
             Spin.from_string(text)
+
+
+class TestDigitLimit:
+    """``check_digits``, the one reader of Python's digit limit, at each
+    boundary of its three cases: a literal, an int and a shifted power."""
+
+    @pytest.fixture(autouse=True)
+    def short_limit(self):
+        default = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        yield
+        sys.set_int_max_str_digits(default)
+
+    @pytest.mark.parametrize("number,exp,shift,over", [
+        ("1" * 640, 1, 0, False), ("-" + "1" * 641, 1, 0, True),
+        (10 ** 640 - 1, 1, 0, False), (-10 ** 640, 1, 0, True),
+        (10, 639, 0, False), (10, 640, 0, True),
+        (2, 2126, 0, False), (2, 2127, 0, True),  # 2**2126 < 10**640 < 2**2127
+        (20, 640, 641, False), (20, 640, 640, True),  # 20**640 >> 640 is 10**640
+        (3, 10 ** 12, 0, True),  # decided from bit lengths
+    ], ids=lambda value: str(value)[:8])
+    def test_boundary(self, number, exp, shift, over):
+        if not over:
+            check_digits("the value", number, exp, shift)
+            return
+        with pytest.raises(ValueError) as info:
+            check_digits("the value", number, exp, shift)
+        assert str(info.value) == ("the value has more than 640 digits, the limit of "
+                                   "sys.get_int_max_str_digits()")
+
+    def test_a_printed_result_raises_the_error_it_is_given(self):
+        with pytest.raises(CapExceeded, match="^the value has more than 640 digits"):
+            check_digits("the value", 10, 640, error=CapExceeded)
+
+    def test_no_limit(self):
+        sys.set_int_max_str_digits(0)
+        check_digits("the value", "1" * 5000)
+        check_digits("the value", 10, 5000)
 
 
 class TestScenario:
