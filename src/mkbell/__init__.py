@@ -1,8 +1,8 @@
 """Mermin-Klyshko Bell operators for n spin-s particles.
 
 Constructs the recursive Bell expression, certifies the exact classical
-bound by a dynamic program over the pair recursion that stops at its fixed
-point (at most 16 small-integer steps, at any n), gives the quantum
+bound by a dynamic program over the pair recursion on signs (one halved
+step closes the four sign pairs, at any n), gives the quantum
 maximum and its eigenvector in closed form, checked by one matvec reduced to
 the four residue classes of b mod 4 (b parties at -s), and checks the
 violation ratio 2**((n-1)/2) by formula and by simulated measurement.

@@ -15,19 +15,20 @@ recursion's state.  Going party by party, it keeps the set of reachable
 is the extremal maximum.  It runs on the sign pairs in {+-1}^2, the
 patterns over s, where a + b and a - b are 0 or +-2: each step halves the
 new (m, k) exactly, and ``classical_max`` applies the factor divided out,
-s^n 2^(n-1) = (2s)^n / 2, once.  The halved factor (1 - i)(a + i b) / 2 is
-1, -i, i or -1, so after every party the states are the four rotations of
-(1, 1).  The DP stops at the first step that returns the set it started
-from, as every later step would too: it stays exhaustive and exact at any
-n, in at most 16 small-integer steps.
+s^n 2^(n-1) = (2s)^n / 2, the bound itself, once.  The halved factor
+(1 - i)(a + i b) / 2 is 1, -i, i or -1, so one halved step closes the four
+sign pairs, the rotations of (1, 1): party 1 leaves them, and every later
+party gives them back.  The DP takes that one step (16 small-integer
+``pair_step`` calls) and checks that it closes the set, so it stays
+exhaustive and exact at any n.
 
 **Full grid.**  M_n is affine in each outcome separately (multilinear), so
 |M_n| on the box [-s, s]^(2n) is maximised at a vertex: the full-grid
 maximum is the extremal one.  Every outcome +s (strategy index 0, the
 smallest on both grids) attains M_n = s (2s)^(n-1) = 2^(n-1) s^n, the bound
-itself, so it is the reported argmax.  On signs it stays at (1, 1):
-``classical_max`` raises unless (1, 1) is among the DP's states and its
-value, the DP's maximum and the bound are equal.
+itself, so it is the reported argmax.  On signs it stays at (1, 1), one
+unit of m: ``classical_max`` raises unless (1, 1) is among the DP's states
+and their largest |m| is that one unit, so that the DP's maximum is the bound.
 
 Strategy indices are mixed-radix with party 1 most significant and, within a
 party, a before b; digit 0 is +s.  ``strategies_checked`` is the size of the
@@ -71,16 +72,15 @@ def strategy_count(scenario: Scenario, extremal_only: bool = True) -> int:
 
 
 def _extremal_states(n: int) -> set:
-    """The reachable final (m, k) of the DP on sign pairs, each step halved, up
-    to its fixed point (module docstring): M_n over s**n 2**(n-1)."""
-    states = signs = {(1, 1), (1, -1), (-1, 1), (-1, -1)}
-    for _ in range(1, n):
-        step = {(m // 2, k // 2) for m, k in (
-            pair_step(m, k, a, b) for m, k in states for a, b in signs)}
-        if step == states:
-            break
-        states = step
-    return states
+    """The final (m, k) of the DP on sign pairs, each step halved: M_n over
+    s**n 2**(n-1).  One halved step closes the four sign pairs (module
+    docstring), so every later party gives them back: for n > 1, take that
+    step once and raise unless it does."""
+    signs = {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+    if n > 1 and signs != {(m // 2, k // 2) for m, k in (
+            pair_step(m, k, a, b) for m, k in signs for a, b in signs)}:
+        raise AssertionError("one halved step does not close the four sign pairs")
+    return signs
 
 
 def classical_max(scenario: Scenario, extremal_only: bool = True) -> ClassicalResult:
@@ -89,20 +89,17 @@ def classical_max(scenario: Scenario, extremal_only: bool = True) -> ClassicalRe
     With ``extremal_only`` the certified set is the 4**n sign patterns
     a_j, b_j = +-s; otherwise the full (2s+1)**(2n) outcome grid, whose
     maximum is the extremal one by multilinearity (module docstring).  The
-    argmax is every outcome +s; raise unless it attains both the DP's
-    maximum and the bound 2**(n-1) s**n.
+    argmax is every outcome +s, which stays at the DP's state (1, 1) and so
+    attains the bound 2**(n-1) s**n, the value of one unit of the DP's m;
+    raise unless (1, 1) is among the states and their largest |m| is one unit.
     """
-    n, t = scenario.n, scenario.spin.twice_spin
-    states = _extremal_states(n)
-    unit = Fraction(t ** n, 2)  # s**n 2**(n-1): M_n per unit of the DP's m
-    best = unit * max(abs(m) for m, _ in states)
-    attained, bound = unit, classical_bound(scenario)  # all +s stays at (1, 1)
-    if (1, 1) not in states or not attained == best == bound:
-        raise AssertionError(f"all +s attains {attained}, the DP's maximum is {best} "
-                             f"and the bound {bound} for {scenario}")
-    plus = (scenario.spin.value,) * n
+    states = _extremal_states(scenario.n)  # M_n in units of the bound
+    if (1, 1) not in states or max(abs(m) for m, _ in states) != 1:
+        raise AssertionError(f"all +s attains the bound at the DP's state (1, 1), one unit "
+                             f"of m, but the states are {sorted(states)} for {scenario}")
+    plus = (scenario.spin.value,) * scenario.n
     return ClassicalResult(
-        max_value=best,
+        max_value=classical_bound(scenario),
         argmax=Strategy(a=plus, b=plus),
         strategies_checked=strategy_count(scenario, extremal_only),
     )

@@ -10,6 +10,7 @@ tuples that check their fields when built.
 
 from __future__ import annotations
 
+import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -24,6 +25,9 @@ from .errors import CapExceeded
 #: dense matrix D**2 and, among the test oracles, a full-space state D, the
 #: commutation report T D**2 and the enumeration 2n per strategy.
 DEFAULT_DIM_CAP = 1 << 24
+
+#: A decimal literal with an exponent; group 1 is the exponent, as ``int`` reads it.
+_DECIMAL_EXPONENT = re.compile(r"[-+]?(?=\.?\d)[\d_]*(?:\.[\d_]*)?[eE]([-+]?\d+(?:_\d+)*)")
 
 #: The two observable labels, in canonical order.
 LABEL_A = "A"
@@ -113,15 +117,20 @@ class Spin(namedtuple("Spin", "twice_spin")):
     def from_string(cls, text: str) -> "Spin":
         """Parse "1/2", "1", "3/2", ... (also accepts decimals like "0.5"); reject
         a spin with more digits than Python converts back to text
-        (``check_digits``), and a spin <= 0."""
+        (``check_digits``), and a spin <= 0.
+
+        The literal is decided before ``Fraction`` converts it: its digit
+        characters, and for a decimal exponent e the power 10**|e| that the
+        conversion forms, are held to the same limit."""
         what = f"spin {text!r}"
+        check_digits(what, text)
+        decimal = _DECIMAL_EXPONENT.fullmatch(text.strip())
+        if decimal:
+            check_digits(what, 10, abs(int(decimal[1])))
         try:
             frac = Fraction(text.strip())
         except ZeroDivisionError:
             raise ValueError(f"spin has a zero denominator: {text!r}") from None
-        except ValueError:  # a literal past the limit fails to convert at all
-            check_digits(what, text)
-            raise
         if frac.denominator not in (1, 2):
             raise ValueError(f"spin must be a half-integer, got {text!r}")
         check_digits(what, frac.numerator)
@@ -130,7 +139,10 @@ class Spin(namedtuple("Spin", "twice_spin")):
         return cls(int(2 * frac))
 
     def __str__(self) -> str:
-        return str(self.value)
+        try:
+            return str(self.value)
+        except ValueError:  # more digits than Python converts to text
+            return f"at least 2**{self.twice_spin.bit_length() - 2}"
 
 
 class Scenario(namedtuple("Scenario", "n spin dim_cap")):

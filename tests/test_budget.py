@@ -99,6 +99,16 @@ def test_a_count_past_the_digit_limit_is_shown_as_a_power(monkeypatch):
                                     "entries, which exceeds cap 16777216")
 
 
+def test_a_spin_past_the_digit_limit_still_names_its_scenario():
+    # str(Spin) cannot raise, so the budget message, which names the scenario,
+    # is a CapExceeded and not Python's integer-to-text conversion error.
+    spin = Spin(2 * 10 ** 5000)
+    with pytest.raises(CapExceeded, match=r"^a dense matrix of n=3, s=at least 2\*\*16609 "):
+        assemble_dense(Scenario(3, spin))
+    with pytest.raises(CapExceeded, match=r"^a state vector of n=3, s=at least 2\*\*16609 "):
+        top_state(Scenario(3, spin, dim_cap=4))
+
+
 @pytest.mark.parametrize("count,shown", [
     ((1 << 2000) - 1, str((1 << 2000) - 1)), (1 << 2000, "at least 2**2000")],
     ids=["2000-bits", "2001-bits"])

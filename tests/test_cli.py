@@ -844,6 +844,12 @@ class TestReport:
         assert exc.value.code == 2
         assert "shots must be an integer >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", [("n=1..2",), ("s=1..2",)])
+    def test_grid_needs_both_ranges(self, capsys, grid):
+        code, out, err = run(capsys, "report", "--grid", *grid)
+        assert (code, out) == (2, "")
+        assert err == "error: grid must give both an n range and an s range\n"
+
     @pytest.mark.parametrize("grid", [("n=2..3", "s=1/0..1"), ("n=2..3", "s=1/2..1/0")])
     def test_zero_denominator_in_grid_exit_code(self, capsys, grid):
         code, out, err = run(capsys, "report", "--grid", *grid)
@@ -1120,6 +1126,13 @@ class TestArgs:
         with pytest.raises(SystemExit):
             main(["classical-max", "--n", "2", "--spin", "1/3"])
 
+    @pytest.mark.parametrize("spin", ["abc", "1/2/3"])
+    def test_malformed_spin_is_usage_error(self, capsys, spin):
+        code, out, err = run_or_exit(capsys, "classical-max", "--n", "2", "--spin", spin)
+        assert (code, out) == (2, "")
+        assert err.endswith("mkbell classical-max: error: argument --spin: "
+                            f"Invalid literal for Fraction: {spin!r}\n")
+
     def test_spin_too_long_to_print_is_usage_error(self, capsys):
         # Python prints at most 4300 digits by default; 10**4000 still prints.
         # A literal of more than 4300 digits does not even convert, and gets
@@ -1137,6 +1150,17 @@ class TestArgs:
                 assert (code, out) == (2, ""), argv
                 assert f"spin '{spin}' has more than 4300 digits" in err
                 assert "Traceback" not in err
+
+    @pytest.mark.parametrize("spin", ["1e10000000", "1e-100000000"])
+    def test_spin_with_a_huge_exponent_fails_fast(self, capsys, spin):
+        # A dozen characters that name 10**(10**7) or 10**-(10**8): refused from
+        # the exponent, before the literal is converted.
+        start = time.perf_counter()
+        code, out, err = run_or_exit(capsys, "classical-max", "--n", "1", "--spin", spin)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.endswith(f"argument --spin: spin '{spin}' has more than 4300 digits, "
+                            "the limit of sys.get_int_max_str_digits()\n")
 
     @pytest.mark.parametrize("option", ["--shots", "--seed"])
     @pytest.mark.parametrize("command", ["sample", "report"])

@@ -10,6 +10,7 @@ from typing import get_type_hints
 import pytest
 
 import mkbell
+from mkbell import spincore
 from mkbell.classical import ClassicalResult, Strategy, classical_bound
 from mkbell.errors import CapExceeded
 from mkbell.measurement import BellEstimate, SampleReport
@@ -85,6 +86,13 @@ class TestSpin:
                                r"digits, the limit of sys\.get_int_max_str_digits\(\)$"):
                 Spin.from_string(text)
 
+    def test_str_never_raises(self):
+        # A spin past the digit limit is shown as the power of two below it,
+        # so a Scenario can always name itself (tests/test_budget.py).
+        for twice in (2 * 10 ** 5000, 2 * 10 ** 5000 + 1):
+            assert str(Spin(twice)) == "at least 2**16609"
+        assert str(Scenario(3, Spin(2 * 10 ** 5000))) == "n=3, s=at least 2**16609"
+
     @pytest.mark.parametrize("text", ["1/0", "0/0", " 3/0 "])
     def test_zero_denominator_is_a_value_error(self, text):
         with pytest.raises(ValueError, match="zero denominator"):
@@ -122,6 +130,27 @@ class TestDigitLimit:
     def test_a_printed_result_raises_the_error_it_is_given(self):
         with pytest.raises(CapExceeded, match="^the value has more than 640 digits"):
             check_digits("the value", 10, 640, error=CapExceeded)
+
+    @pytest.mark.parametrize("text,over", [
+        ("1e639", False), ("1e640", True), ("-1E640", True), (" 1e640 ", True),
+        ("0.5e639", False), ("5e-1", False), ("1e-640", True), ("0e640", True),
+        ("1e10000000", True), ("1e-100000000", True), ("1e1_000_000_000", True),
+    ])
+    def test_a_spin_exponent_is_decided_before_conversion(self, monkeypatch, text, over):
+        # Fraction forms 10**|e|, so a short literal may name a huge power;
+        # from |e| = 640 on, the literal is refused before Fraction sees it.
+        if not over:
+            assert Spin.from_string(text) == Spin(int(2 * Fraction(text)))
+            return
+
+        def no_conversion(*args):
+            raise AssertionError("Fraction converted a literal past the limit")
+
+        monkeypatch.setattr(spincore, "Fraction", no_conversion)
+        with pytest.raises(ValueError) as info:
+            Spin.from_string(text)
+        assert str(info.value) == (f"spin {text!r} has more than 640 digits, the limit "
+                                   "of sys.get_int_max_str_digits()")
 
     def test_no_limit(self):
         sys.set_int_max_str_digits(0)
