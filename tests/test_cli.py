@@ -1315,3 +1315,238 @@ class TestArgs:
                    for command, parser in subparsers.choices.items()}
         assert surface == SURFACE
         assert sum(map(len, SURFACE.values())) == 31
+
+
+#: The CLI's bytes over every command, both formats, ``--output`` and each
+#: exit 2 and 3 path: (argv, exit code, sha256 of the output, or "" when none
+#: is written, stderr).  ``{out}`` is the file ``--output`` writes, hashed in
+#: place of stdout; ``{tmp}`` a fresh directory.  An entry changes only on
+#: purpose, and CHANGES.md names each change.
+SWEEP = [
+    ("expand --n 3", 0,
+     "566577f174e3067ae919c4b63077ce51edf3734de95365ce8670e3258dea4b1b",
+     ""),
+    ("expand --n 4 --format csv", 0,
+     "1c68ab2d2e3fe6bf3b1289773e56d361efeb2cb38c00a5f0ec5298fe31d2ab7f",
+     ""),
+    ("expand --n 2 --output {out}", 0,
+     "33d62f7e5fe84711e78025561af15bee50e99ef9f7aa7534cceff4e528f58fbb",
+     ""),
+    ("classical-max --n 3 --spin 1", 0,
+     "69329471058bcbd5cd22aeb8c994539e892eaa7c5c5a73c7d456d38f5aa3ad55",
+     ""),
+    ("classical-max --n 2 --spin 3/2 --full-grid --format csv", 0,
+     "0fe10aa78d7b52d04f370bda3a0ab7efc917d030fe6fcf063f2ddadc17477b17",
+     ""),
+    ("classical-max --n 10 --spin 1/2 --output {out}", 0,
+     "89b9f486a2776310e96a69a9d6ad3356af648f6988c3cb806b7c970bbeaa1e1e",
+     ""),
+    ("classical-max --n 7142 --spin 1/2", 0,
+     "25f4e9edcbb6a30b432674848706cd1ab7e07353562e0a03449c0a19fd26dd1e",
+     ""),
+    ("classical-max --n 30 --spin 15/2 --full-grid", 0,
+     "748cf4eb2f33787bab4af2fc29929394ee19f7deb0976ab86db52fafca121351",
+     ""),
+    ("quantum-max --n 4 --spin 3", 0,
+     "dc79ee10076f2cf956902aa898447bf8c94184e8c7525295aff74e9457459d5c",
+     ""),
+    ("quantum-max --n 5 --spin 1/2 --format csv", 0,
+     "14329c9ada09de771f8e947b78e26475accc2394caf8e9736100d874a285e368",
+     ""),
+    ("quantum-max --n 2 --spin 1 --output {out}", 0,
+     "ef82e00697b813a5d48398a9ef89623bdf598719e1632b261608830053bd284b",
+     ""),
+    ("ratio --n 3 --spin 1", 0,
+     "786ebf10ce98b320d6e66a524fd172759fd1af3afe5486c2f4e5ac693b976bfc",
+     ""),
+    ("ratio --n 6 --spin 5/2 --format csv", 0,
+     "78917941274ca862bf151deebd0b5005cb531c71b6ea5ece09ee85f973259945",
+     ""),
+    ("ratio --n 2048 --spin 1/2 --output {out}", 0,
+     "f14f65e108ea5522f95b4fa9b32d0b33850d8a25a6d46cf090c399543cde6845",
+     ""),
+    ("sample --n 3 --spin 1 --shots 1000 --seed 7", 0,
+     "ebc52979a29bcd1468cba4136924a1634d9d548f725e394345e284d068093657",
+     ""),
+    ("sample --n 4 --spin 3/2 --shots 5000 --format csv", 0,
+     "d830446cade9421d6e5fbaac1212dd716aa296c12ac400ca26abb83ff0810ba2",
+     ""),
+    ("sample --n 2 --spin 1/2 --shots 100 --output {out}", 0,
+     "5256ccae1fa6b1f40ae8506b7e8162f2880de4b25656e5036704af12edb19590",
+     ""),
+    ("report --grid n=2..3 s=1/2..1", 0,
+     "02bae4872403dee1aa210f9037a1df0ae3b52756c0b72e296550a89b92e46be6",
+     ""),
+    ("report --grid n=2..3 s=1/2..1 --sample --shots 400 --format csv", 0,
+     "9d2283579520733be44fad2e5ac70301b695a70eae02672235f41545e8631438",
+     ""),
+    ("report --grid n=1..2 s=1/2..1/2 --sample --shots 100 --output {out}", 0,
+     "f6b4cf73b4f201e8c712cb086ef6bc092ec94e16107e9015b4e9640560479dc2",
+     ""),
+    ("classical-max --n 2 --spin 1/3", 2,
+     "",
+     "usage: mkbell classical-max [-h] --n N --spin SPIN [--format {json,csv}]\n"
+     "                            [--output OUTPUT] [--full-grid]\n"
+     "mkbell classical-max: error: argument --spin: spin must be a half-integer, got "
+     "'1/3'\n"),
+    ("classical-max --n 1 --spin 1e10000000", 2,
+     "",
+     "usage: mkbell classical-max [-h] --n N --spin SPIN [--format {json,csv}]\n"
+     "                            [--output OUTPUT] [--full-grid]\n"
+     "mkbell classical-max: error: argument --spin: spin '1e10000000' has more than "
+     "4300 digits, the limit of sys.get_int_max_str_digits()\n"),
+    ("quantum-max --n 0 --spin 1", 2,
+     "",
+     "error: party count must be an integer >= 1, got 0\n"),
+    ("quantum-max --n 2 --spin 1 --dim-cap 5", 2,
+     "",
+     "usage: mkbell [-h] {expand,classical-max,quantum-max,ratio,sample,report} ...\n"
+     "mkbell: error: unrecognized arguments: --dim-cap 5\n"),
+    ("ratio --n 2 --spin -1", 2,
+     "",
+     "usage: mkbell ratio [-h] --n N --spin SPIN [--format {json,csv}]\n"
+     "                    [--output OUTPUT]\n"
+     "mkbell ratio: error: argument --spin: spin must be a positive half-integer, got "
+     "'-1'\n"),
+    ("sample --n 2 --spin 1 --seed -1", 2,
+     "",
+     "usage: mkbell sample [-h] --n N --spin SPIN [--dim-cap DIM_CAP]\n"
+     "                     [--format {json,csv}] [--output OUTPUT] [--shots SHOTS]\n"
+     "                     [--seed SEED]\n"
+     "mkbell sample: error: argument --seed: seed must be an integer >= 0, got '-1'\n"),
+    ("sample --n 2 --n 3 --spin 1", 2,
+     "",
+     "usage: mkbell sample [-h] --n N --spin SPIN [--dim-cap DIM_CAP]\n"
+     "                     [--format {json,csv}] [--output OUTPUT] [--shots SHOTS]\n"
+     "                     [--seed SEED]\n"
+     "mkbell sample: error: argument --n: given more than once\n"),
+    ("sample --n 2 --spin 1/2 --shots 100000000000000000000", 2,
+     "",
+     "error: --shots 100000000000000000000 puts 25000000000000000000 shots on each "
+     "setting of n=2, s=1/2, more than the 2**63 - 1 one multinomial draw takes\n"),
+    ("report --grid n=3..2 s=1/2..1/2", 2,
+     "",
+     "error: empty grid range 'n=3..2': LO is above HI\n"),
+    ("report --grid n=2..3", 2,
+     "",
+     "error: grid must give both an n range and an s range\n"),
+    ("report --grid x=1..2 s=1..1", 2,
+     "",
+     "error: bad grid token 'x=1..2'; expected n=LO..HI or s=LO..HI\n"),
+    ("report --grid n=2..2 s=1/2..1/2 --shots 0", 2,
+     "",
+     "usage: mkbell report [-h] --grid RANGE [RANGE ...] [--dim-cap DIM_CAP]\n"
+     "                     [--format {json,csv}] [--output OUTPUT] [--sample]\n"
+     "                     [--shots SHOTS] [--seed SEED]\n"
+     "mkbell report: error: argument --shots: shots must be an integer >= 1, got '0'\n"),
+    ("expand --n 2 --output {tmp}/missing/out.json", 2,
+     "",
+     "error: [Errno 2] No such file or directory: '{tmp}/missing/out.json'\n"),
+    ("expand --n 25", 3,
+     "",
+     "error: the label strings for n=25 would hold at least 2**25 entries, which "
+     "exceeds cap 16777216\n"),
+    ("expand --n 5 --dim-cap 159", 3,
+     "",
+     "error: the label strings for n=5 would hold 160 entries, which exceeds cap 159\n"),
+    ("expand --n 1999", 3,
+     "",
+     "error: the label strings for n=1999 would hold at least 2**1999 entries, which "
+     "exceeds cap 16777216\n"),
+    ("sample --n 13 --spin 1/2", 3,
+     "",
+     "error: the outcome distributions of n=13, s=1/2 would hold 33554432 entries, "
+     "which exceeds cap 16777216\n"),
+    ("sample --n 30 --spin 1/2", 3,
+     "",
+     "error: the outcome distributions of n=30, s=1/2 would hold at least 2**30 "
+     "entries, which exceeds cap 16777216\n"),
+    ("sample --n 5 --spin 1 --dim-cap 4", 3,
+     "",
+     "error: the outcome distributions of n=5, s=1 would hold at least 2**5 entries, "
+     "which exceeds cap 4\n"),
+    ("report --grid n=2..3 s=1/2..1 --dim-cap 23", 3,
+     "",
+     "error: the report table of grid n=2..3 s=1/2..1 would hold 24 cells, which "
+     "exceeds cap 23\n"),
+    ("report --grid n=10..13 s=1/2..1/2 --sample", 3,
+     "",
+     "error: the outcome distributions of n=13, s=1/2 would hold 33554432 entries, "
+     "which exceeds cap 16777216\n"),
+    ("report --grid n=30..30 s=1/2..1/2 --sample", 3,
+     "",
+     "error: the outcome distributions of n=30, s=1/2 would hold at least 2**30 "
+     "entries, which exceeds cap 16777216\n"),
+    ("report --grid n=1..1000000 s=1/2..1/2", 3,
+     "",
+     "error: the top eigenvalue of n=2049, s=1/2, or its ratio to the classical bound,"
+     " is past the float range\n"),
+    ("quantum-max --n 2049 --spin 1/2", 3,
+     "",
+     "error: the top eigenvalue of n=2049, s=1/2, or its ratio to the classical bound,"
+     " is past the float range\n"),
+    ("classical-max --n 7143 --spin 1/2", 3,
+     "",
+     "error: an integer in the certificate for n=7143, s=1/2 has more than 4300 "
+     "digits, the limit of sys.get_int_max_str_digits()\n"),
+    ("classical-max --n 100000 --spin 3/2", 3,
+     "",
+     "error: an integer in the certificate for n=100000, s=3/2 has more than 4300 "
+     "digits, the limit of sys.get_int_max_str_digits()\n"),
+]
+
+#: As SWEEP, with quantum.TOLERANCE at 1e-20, below the certificate's
+#: rounding: each exit 4 path.
+SWEEP_BELOW_ROUNDING = [
+    ("quantum-max --n 4 --spin 3", 4,
+     "",
+     "error: the closed-form top state of n=4, s=3 has residual 3.738e-13, above 1e-20"
+     " relative\n"),
+    ("ratio --n 4 --spin 3", 4,
+     "",
+     "error: the closed-form top state of n=4, s=3 has residual 3.738e-13, above 1e-20"
+     " relative\n"),
+    ("sample --n 4 --spin 3 --shots 100", 4,
+     "",
+     "error: the closed-form top state of n=4, s=3 has residual 3.738e-13, above 1e-20"
+     " relative\n"),
+    ("report --grid n=4..4 s=3..3 --format csv", 4,
+     "",
+     "error: the closed-form top state of n=4, s=3 has residual 3.738e-13, above 1e-20"
+     " relative\n"),
+    ("report --grid n=4..2049 s=1/2..1/2", 3,
+     "",
+     "error: the top eigenvalue of n=2049, s=1/2, or its ratio to the classical bound,"
+     " is past the float range\n"),
+    ("report --grid n=4..13 s=1/2..1/2 --sample", 3,
+     "",
+     "error: the outcome distributions of n=13, s=1/2 would hold 33554432 entries, "
+     "which exceeds cap 16777216\n"),
+]
+
+
+def _sweep(capsys, tmp_path, argv):
+    """``argv``'s exit code, the sha256 of what it wrote ("" for nothing) and
+    its stderr, through ``main`` in this process."""
+    out_file = tmp_path / "out.txt"
+    code, out, err = run_or_exit(capsys, *argv.format(out=out_file, tmp=tmp_path).split())
+    if "{out}" in argv:
+        assert out == ""
+        out = out_file.read_text()
+    return code, out and hashlib.sha256(out.encode()).hexdigest(), err.replace(str(tmp_path), "{tmp}")
+
+
+class TestSweep:
+    @pytest.fixture(autouse=True)
+    def _usage_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal
+
+    @pytest.mark.parametrize("argv,code,digest,err", SWEEP, ids=[case[0] for case in SWEEP])
+    def test_bytes(self, capsys, tmp_path, argv, code, digest, err):
+        assert _sweep(capsys, tmp_path, argv) == (code, digest, err)
+
+    @pytest.mark.parametrize("argv,code,digest,err", SWEEP_BELOW_ROUNDING,
+                             ids=[case[0] for case in SWEEP_BELOW_ROUNDING])
+    def test_bytes_below_rounding(self, capsys, monkeypatch, tmp_path, argv, code, digest, err):
+        monkeypatch.setattr(quantum, "TOLERANCE", 1e-20)
+        assert _sweep(capsys, tmp_path, argv) == (code, digest, err)
