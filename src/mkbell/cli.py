@@ -17,13 +17,16 @@ Exit codes, each limit decided by one function:
   above ``quantum.TOLERANCE``.
 
 ``report`` counts its table's cells against the budget before its first
-row; ``sample`` and every row of ``report`` pass the same checks
-(``_check_fits``) before any array is built, and it returns the shots split
-their estimate draws.  Each input has one spelling: ``report``
-reads its scenarios only from ``--grid`` (one scenario is ``n=N..N s=S..S``),
-and the array budget is only ``--dim-cap``.  Each typed option parses through
-``_parsed``; every integer input, the grid's n bounds too, through
-``_integer``, whose message names it.
+row.  ``sample`` and every row of ``report`` are checked and certified once,
+in ``_check_fits``, before any array is built: the float range, then, when
+sampled, the budget and the shots split, then the certificate,
+``quantum.largest_eigenpair``.  It returns the certified top eigenvalue and
+the shots split their estimate draws.  ``classical-max`` prints the bound
+that ``classical.classical_max`` certifies.  Each input has one spelling:
+``report`` reads its scenarios only from ``--grid`` (one scenario is
+``n=N..N s=S..S``), and the array budget is only ``--dim-cap``.  Each typed
+option parses through ``_parsed``; every integer input, the grid's n bounds
+too, through ``_integer``, whose message names it.
 
 The eigenpair commands ``quantum-max``, ``ratio`` and ``report`` import
 ``quantum``, which certifies the top eigenpair on four numbers, its state's
@@ -147,11 +150,10 @@ def _cmd_classical_max(args):
     check_digits(printed, t, n, 1 - t % 2, CapExceeded)
     check_digits(printed, t + 1 if args.full_grid else 2, 2 * n, error=CapExceeded)
     result = classical.classical_max(scenario, extremal_only=not args.full_grid)
-    bound = classical.classical_bound(scenario)
     return {
         "config": _config_dict(args, full_grid=args.full_grid),
-        "bound": str(bound),
-        "achieved": result.max_value == bound,
+        "bound": str(result.max_value),
+        "achieved": True,  # classical_max raises unless its DP attains the bound
         "argmax_a": [str(v) for v in result.argmax.a],
         "argmax_b": [str(v) for v in result.argmax.b],
         "strategies_checked": result.strategies_checked,
@@ -165,7 +167,7 @@ def _cmd_quantum_max(args):
     result = quantum.largest_eigenpair(scenario)
     predicted = quantum.predicted_quantum_max(scenario)
     return {
-        "config": {**_config_dict(args), "tol": quantum.TOLERANCE},
+        "config": _config_dict(args, tol=quantum.TOLERANCE),
         "top_eigenvalue": _fmt(result.value),
         "predicted": _fmt(predicted),
         "relative_error": _fmt(abs(result.value - predicted) / abs(predicted)),
@@ -181,7 +183,7 @@ def _cmd_ratio(args):
     ratio = quantum.violation_ratio(scenario)
     predicted = quantum.predicted_ratio(args.n)
     return {
-        "config": {**_config_dict(args), "tol": quantum.TOLERANCE},
+        "config": _config_dict(args, tol=quantum.TOLERANCE),
         "ratio": _fmt(ratio),
         "predicted": _fmt(predicted),
         "relative_error": _fmt(abs(ratio - predicted) / predicted),
@@ -189,34 +191,36 @@ def _cmd_ratio(args):
 
 
 def _check_fits(scenario, shots=None):
-    """Raise before any array is built unless ``scenario``'s top eigenvalue and
-    its ratio to the classical bound are finite floats; with ``shots``, also
-    unless its sampled estimate fits the budget and one multinomial draw takes
-    each setting's share.  The estimate counts T 2**n entries, the work of
-    its T permuted distributions, made one at a time from the n + 1 it holds.
-    Return that share: ``shots`` split evenly across the T setting contexts,
-    at most 2**63 - 1."""
+    """Certify ``scenario`` before any array is built: raise unless its top
+    eigenvalue and that value's ratio to the classical bound are finite
+    floats; with ``shots``, also unless its sampled estimate fits the budget
+    and one multinomial draw takes each setting's share; last, unless
+    ``quantum.largest_eigenpair`` certifies the top eigenpair.  The estimate
+    counts T 2**n entries, the work of its T permuted distributions, made one
+    at a time from the n + 1 it holds.
+
+    Return the certified top eigenvalue and the share, ``shots`` split evenly
+    across the T setting contexts, at most 2**63 - 1 (None without ``shots``)."""
     from . import quantum
 
     quantum.block_scale(scenario)
-    if shots is None:
-        return None
-    from . import measurement
+    share = None
+    if shots is not None:
+        from . import measurement
 
-    measurement.check_distribution_budget(scenario)
-    share = max(1, shots // expected_term_count(scenario.n))
-    if share >= 1 << 63:
-        raise ValueError(f"--shots {shots} puts {share} shots on each setting of "
-                         f"{scenario}, more than the 2**63 - 1 one multinomial draw takes")
-    return share
+        measurement.check_distribution_budget(scenario)
+        share = max(1, shots // expected_term_count(scenario.n))
+        if share >= 1 << 63:
+            raise ValueError(f"--shots {shots} puts {share} shots on each setting of "
+                             f"{scenario}, more than the 2**63 - 1 one multinomial draw takes")
+    return quantum.largest_eigenpair(scenario).value, share
 
 
 def _cmd_sample(args):
     from . import measurement, quantum
 
     scenario = Scenario(n=args.n, spin=args.spin, dim_cap=args.dim_cap)
-    shots_per_setting = _check_fits(scenario, args.shots)
-    quantum.largest_eigenpair(scenario)  # certifies the state it samples
+    _, shots_per_setting = _check_fits(scenario, args.shots)  # certifies the state it samples
     estimate = measurement.estimate_bell_value(scenario, shots_per_setting, args.seed)
     sigmas = measurement.violation_sigmas(scenario, estimate)
     return {
@@ -274,21 +278,21 @@ def _cmd_report(args):
         (n_values[-1] - n_values[0] + 1) * (twice_spins[-1] - twice_spins[0] + 1)
         * (9 if args.sample else 6)), "cells")
     shots = args.shots if args.sample else None
-    # Every row fits before the first runs; built row by row, so a huge grid
-    # stops at its first row past the budget or the float range.
-    checked = [(scenario, _check_fits(scenario, shots)) for scenario in (
+    # Every row fits and is certified before the first runs; built row by
+    # row, so a huge grid stops at its first row past the budget or the float
+    # range.  Each row keeps its top eigenvalue, one float.
+    checked = [(scenario, *_check_fits(scenario, shots)) for scenario in (
         Scenario(n=n, spin=Spin(t), dim_cap=args.dim_cap)
         for n in n_values for t in twice_spins)]
     rows = []
-    for scenario, shots_per_setting in checked:
+    for scenario, top, shots_per_setting in checked:
         bound = classical.classical_max(scenario).max_value
-        result = quantum.largest_eigenpair(scenario)
         row = {
             "n": scenario.n,
             "s": str(scenario.spin),
             "classical": str(bound),
-            "quantum": _fmt(result.value),
-            "ratio": _fmt(result.value / float(bound)),
+            "quantum": _fmt(top),
+            "ratio": _fmt(top / float(bound)),
             "gap": _fmt(quantum.spectral_gap(scenario)),
         }
         if args.sample:

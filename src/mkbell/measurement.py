@@ -40,10 +40,8 @@ def top_state(scenario: Scenario) -> np.ndarray:
     is 2**((1-n)/2) ``ghz_amplitudes(n)[b % 4]``."""
     scenario.check_entries(f"a state vector of {scenario}")
     n = scenario.n
-    b = np.zeros((), dtype=np.uint8)
-    for _ in range(n):  # b = parties at -s, mod 256 (uint8 wraps): b % 4 holds at any n
-        b = np.add.outer(b, np.array([0, 1], dtype=np.uint8))
-    return 2.0 ** ((1 - n) / 2) * np.array(ghz_amplitudes(n))[b % 4].reshape(-1)
+    b = np.bitwise_count(np.arange(1 << n))  # the parties at -s
+    return 2.0 ** ((1 - n) / 2) * np.array(ghz_amplitudes(n))[b % 4]
 
 
 #: Row 0 is B's eigenvector for outcome +s on the levels (+s, -s), row 1 for -s.

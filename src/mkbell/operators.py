@@ -93,8 +93,10 @@ def global_operator(scenario: Scenario) -> GlobalOperator:
 def dense_scaled_product(scenario: Scenario) -> np.ndarray:
     """Integer matrix 2**n * M_n = Re[(1 - i)^(n-1) (2A + 2iB) x ... x (2A + 2iB)],
     the Kronecker product held as (real, imaginary) int64 parts."""
+    # D**2 is at least 2**(2n (bits(D) - 1)), with at most twice those bits.
     scenario.check_entries(f"a dense matrix of {scenario}",
-                           lambda: scenario.global_dimension() ** 2)
+                           lambda: scenario.global_dimension() ** 2,
+                           2 * scenario.n * (scenario.spin.dimension.bit_length() - 1))
     a, b = make_A(scenario.spin), make_B(scenario.spin)
     re, im = np.ones((1, 1), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)
     for _ in range(scenario.n):

@@ -46,13 +46,15 @@ def check_budget(what: str, cap: int, count, unit: str = "entries", least: int =
     """Raise CapExceeded, before anything is allocated, when ``what`` would
     hold more than ``cap`` ``unit``: the one place that decides the array budget.
 
-    ``count`` is a callable that forms the count.  It is not called once
-    2**``least``, a lower bound on the count, exceeds the cap, so that no count
-    such as (2s+1)**n is formed for a huge n.  A count of more than 2000 bits
-    is shown as ``at least 2**k``: 2**2000 has 603 digits, fewer than any
-    limit Python prints to (640).
+    ``count`` is a callable that forms the count, and 2**``least`` a lower
+    bound on it.  The count is shown exactly up to 2000 bits and as
+    ``at least 2**k`` past that: 2**2000 has 603 digits, fewer than any limit
+    Python prints to (640).  It is formed unless 2**least is past both the cap
+    and 2**2000, where neither the decision nor the message needs it.  So a
+    caller whose count can be huge passes a ``least`` of at least a third of
+    its bits, and no count such as (2s+1)**n is formed for a huge n.
     """
-    if least >= cap.bit_length():
+    if least >= max(cap.bit_length(), 2000):
         shown = f"at least 2**{least}"
     else:
         total = count()
@@ -162,12 +164,14 @@ class Scenario(namedtuple("Scenario", "n spin dim_cap")):
         """The full space's dimension (2s+1)**n, which only the dense path builds."""
         return self.spin.dimension ** self.n
 
-    def check_entries(self, what: str, entries=None) -> None:
+    def check_entries(self, what: str, entries=None, least: int = 0) -> None:
         """``check_budget`` for ``what``, counted in array entries against
         ``dim_cap``.  ``entries`` is a callable that forms the count (default:
-        2**n, one state vector); every count is at least 2**n."""
+        2**n, one state vector), and 2**``least`` a lower bound on it.  Every
+        count is at least 2**n, and n is at least a third of the bits of 2**n,
+        n 2**n, T 2**n and 2n 4**n; a count with more bits passes ``least``."""
         n = self.n
-        check_budget(what, self.dim_cap, entries or (lambda: 1 << n), least=n)
+        check_budget(what, self.dim_cap, entries or (lambda: 1 << n), least=max(n, least))
 
     def __str__(self) -> str:
         return f"n={self.n}, s={self.spin}"

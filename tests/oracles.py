@@ -149,10 +149,16 @@ class FullSpaceOperator:
         return (re * z.real - im * z.imag).reshape(-1)
 
 
+def _full_space_least(scenario: Scenario, power: int) -> int:
+    """2**this bounds D**power from below, with at most twice its bits: the
+    ``least`` that ``check_budget`` asks of a count that can be huge."""
+    return power * scenario.n * (scenario.spin.dimension.bit_length() - 1)
+
+
 def full_space_operator(scenario: Scenario) -> FullSpaceOperator:
     """The full-space matvec, once a state vector (D entries) is within the cap."""
     scenario.check_entries(f"a full-space state vector of {scenario}",
-                           scenario.global_dimension)
+                           scenario.global_dimension, _full_space_least(scenario, 1))
     twice_a, twice_b = _twice_diagonals(scenario.spin)
     d = scenario.spin.dimension
     return FullSpaceOperator(scenario, (twice_a / 2.0).reshape(d, 1),
@@ -173,7 +179,7 @@ def embed(scenario: Scenario, x: np.ndarray) -> np.ndarray:
     """The 2**n block vector ``x`` on the extreme levels of the full space
     of D entries, zero elsewhere."""
     scenario.check_entries(f"a full-space state vector of {scenario}",
-                           scenario.global_dimension)
+                           scenario.global_dimension, _full_space_least(scenario, 1))
     state = np.zeros(scenario.global_dimension())
     state[extreme_indices(scenario)] = x
     return state
@@ -370,7 +376,8 @@ def _twice_value_table(scenario: Scenario, extremal: bool):
     ts = scenario.spin.twice_spin
     d = scenario.spin.dimension
     scenario.check_entries(f"the strategy table of {scenario}",
-                           lambda: 2 * n * strategy_count(scenario, extremal))
+                           lambda: 2 * n * strategy_count(scenario, extremal),
+                           0 if extremal else _full_space_least(scenario, 2))
     count = strategy_count(scenario, extremal)
     idx = np.arange(count, dtype=np.int64)
     a_cols, b_cols = [], []
@@ -559,7 +566,8 @@ def dense_scaled_terms(scenario: Scenario) -> np.ndarray:
     cols[r], both built party by party.
     """
     scenario.check_entries(f"a dense matrix of {scenario}",
-                           lambda: scenario.global_dimension() ** 2)
+                           lambda: scenario.global_dimension() ** 2,
+                           _full_space_least(scenario, 2))
     d = scenario.spin.dimension
     local = {}
     for label, twice in ((LABEL_A, make_A(scenario.spin)), (LABEL_B, make_B(scenario.spin))):
@@ -586,7 +594,8 @@ def term_matrix(scenario: Scenario, labels: str) -> np.ndarray:
     if len(labels) != scenario.n:
         raise DimensionMismatch("term labels do not match the scenario")
     scenario.check_entries(f"a dense matrix of {scenario}",
-                           lambda: scenario.global_dimension() ** 2)
+                           lambda: scenario.global_dimension() ** 2,
+                           _full_space_least(scenario, 2))
     a, b = make_A(scenario.spin), make_B(scenario.spin)
     factor = np.array([[1]], dtype=np.int64)
     for ch in labels:
@@ -623,7 +632,8 @@ def commutation_report(scenario: Scenario, tol: float = 1e-12) -> CommutationRep
     Holds all T term matrices at once, so it counts T D**2 entries."""
     scenario.check_entries(
         f"the term matrices of {scenario}",
-        lambda: expected_term_count(scenario.n) * scenario.global_dimension() ** 2)
+        lambda: expected_term_count(scenario.n) * scenario.global_dimension() ** 2,
+        _full_space_least(scenario, 2))
     terms = expand_terms(scenario.n)
     mats = [term_matrix(scenario, labels) for _, labels in terms]
     T = len(mats)

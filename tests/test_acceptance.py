@@ -153,13 +153,37 @@ def test_extreme_block_is_scaled_spin_half():
 
 
 def test_spin_half_spectrum_has_rank_two():
-    """The spin-1/2 spectrum is exactly {+-2**((n-3)/2), 0 x (2**n - 2)} for
-    n = 1..12 (1e-12 relative), the rank-2 lemma behind the closed forms."""
+    """The spin-1/2 spectrum is exactly {+-q, 0 x (2**n - 2)}, q = 2**((n-3)/2),
+    for n = 1..12, the rank-2 lemma behind the closed forms.
+
+    Exact, on the integer matrix W = 2**n M: W is symmetric; a nonsingular
+    2 x 2 pivot P, with C its columns of W and R its rows, has
+    det(P) W = C adj(P) R, so W has rank at most two; and with trace 0 and a
+    sum of squared entries 2 (2**n q)**2, its two eigenvalues are +-2**n q.
+    The entries are at most 32 in magnitude, so the int64 products are
+    exact.  The dense eigensolver is a second witness to n = 10 (1e-12
+    relative)."""
     for n in range(1, 13):
-        eigenvalues = dense_spectrum(Scenario(n, Spin(1))).eigenvalues
-        q = 2.0 ** ((n - 3) / 2)
-        want = np.concatenate([[-q], np.zeros(2 ** n - 2), [q]])
-        assert np.max(np.abs(eigenvalues - want)) <= 1e-12 * max(1.0, q), n
+        w = dense_scaled_product(Scenario(n, Spin(1)))
+        # Rows and columns 0 and 1, with 0 and 1 parties at -s: W's entries
+        # are Re[(1 - i)^(n-1) i**(b + b')], so det(P) = -2**(n-1).
+        (a, b), (c, d) = w[:2, :2].tolist()
+        det = a * d - b * c
+        assert det != 0, n
+        adj_rows = np.array([[d, -b], [-c, a]]) @ w[:2]
+        squares = 0
+        for start in range(0, len(w), 256):  # 256 rows at a time: no D x D temporary
+            rows = w[start:start + 256]
+            assert np.array_equal(rows, w[:, start:start + 256].T), n
+            assert np.array_equal(det * rows, rows[:, :2] @ adj_rows), n
+            squares += int(np.vdot(rows, rows))
+        assert int(np.trace(w)) == 0, n
+        assert squares == 2 ** (3 * n - 2), n  # 2 (2**n q)**2
+        if n <= 10:
+            eigenvalues = dense_spectrum(Scenario(n, Spin(1))).eigenvalues
+            q = 2.0 ** ((n - 3) / 2)
+            want = np.concatenate([[-q], np.zeros(2 ** n - 2), [q]])
+            assert np.max(np.abs(eigenvalues - want)) <= 1e-12 * max(1.0, q), n
 
 
 def test_violation_ratio_matches_prediction_and_is_spin_independent():

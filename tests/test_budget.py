@@ -7,6 +7,7 @@ limit in ``spincore.check_digits`` and the float range in
 
 import ast
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -85,8 +86,9 @@ def test_commutation_report_raises_before_its_first_term_matrix(monkeypatch):
 
 
 def test_a_count_past_the_digit_limit_is_shown_as_a_power(monkeypatch):
-    # D**2 = (2 * 10**3000 + 1)**6 has 18001 digits, more than Python prints.
-    count = (2 * 10 ** 3000 + 1) ** 6
+    # D**2 = (2 * 10**3000 + 1)**6 has 18001 digits, more than Python prints;
+    # it is at least 2**(2n (bits(D) - 1)), and is not formed.
+    least = 6 * ((2 * 10 ** 3000 + 1).bit_length() - 1)
 
     def no_alloc(*args, **kwargs):
         raise AssertionError("assemble_dense allocated past the cap")
@@ -95,8 +97,56 @@ def test_a_count_past_the_digit_limit_is_shown_as_a_power(monkeypatch):
         monkeypatch.setattr(np, alloc, no_alloc)
     with pytest.raises(CapExceeded) as info:
         assemble_dense(Scenario(3, Spin(2 * 10 ** 3000)))
-    assert str(info.value).endswith(f" would hold at least 2**{count.bit_length() - 1} "
+    assert str(info.value).endswith(f" would hold at least 2**{least} "
                                     "entries, which exceeds cap 16777216")
+
+
+@pytest.mark.parametrize("n", [3, 1999, 2000])
+def test_a_huge_count_is_never_formed(n):
+    # D**2 = (2 * 10**4000 + 1)**(2n) has about 53 million bits at n = 2000;
+    # forming it takes seconds.  Its bound 2**(2n (bits(D) - 1)) decides.
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as info:
+        assemble_dense(Scenario(n, Spin(2 * 10 ** 4000)))
+    assert time.perf_counter() - start < 1.0
+    least = 2 * n * ((2 * 10 ** 4000 + 1).bit_length() - 1)
+    assert str(info.value).endswith(f" would hold at least 2**{least} entries, "
+                                    "which exceeds cap 16777216")
+
+
+@pytest.mark.parametrize("call,shown", [
+    (lambda: top_state(Scenario(3, Spin(1), dim_cap=4)),
+     "a state vector of n=3, s=1/2 would hold 8"),
+    (lambda: global_operator(Scenario(30, Spin(3), dim_cap=4)),
+     f"a state vector of n=30, s=3/2 would hold {2 ** 30}"),
+    (lambda: estimate_bell_value(Scenario(30, Spin(1)), 10, 0),
+     f"the outcome distributions of n=30, s=1/2 would hold {2 ** 60}"),
+    (lambda: dense_scaled_product(Scenario(30, Spin(2))),
+     f"a dense matrix of n=30, s=1 would hold {3 ** 60}"),
+], ids=["state-8", "state-2**30", "distributions-2**60", "dense-3**60"])
+def test_a_small_count_is_shown_exactly(call, shown):
+    # 2**least past the cap no longer stands for a count of at most 2000 bits.
+    with pytest.raises(CapExceeded) as info:
+        call()
+    assert str(info.value).startswith(f"{shown} entries, which exceeds cap ")
+
+
+@pytest.mark.parametrize("count,least,shown", [
+    ((1 << 2000) - 1, 1999, str((1 << 2000) - 1)),
+    (1 << 2000, 1999, "at least 2**2000"),
+    (1 << 2001, 2000, "at least 2**2000"),
+], ids=["2000-bits", "2001-bits-formed", "least-2000-not-formed"])
+def test_the_count_is_formed_below_2_to_the_2000(count, least, shown):
+    formed = []
+
+    def counted():
+        formed.append(count)
+        return count
+
+    with pytest.raises(CapExceeded) as info:
+        check_budget("the table", 1, counted, "cells", least)
+    assert str(info.value) == f"the table would hold {shown} cells, which exceeds cap 1"
+    assert formed == ([] if least >= 2000 else [count])
 
 
 def test_a_spin_past_the_digit_limit_still_names_its_scenario():

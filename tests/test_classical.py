@@ -149,6 +149,16 @@ class TestClassicalMax:
         classical._extremal_states(n)
         assert len(calls) == 16
 
+    @pytest.mark.parametrize("n", [2, 3, 60])
+    def test_closure_check_refuses_a_step_that_leaves_the_sign_pairs(self, monkeypatch, n):
+        # A step that forgets the factor (1 - i) maps (1, 1) by (1, 1) to
+        # (0, 2), which halves to (0, 1), off the four sign pairs.
+        monkeypatch.setattr(classical, "pair_step",
+                            lambda m, k, a, b: (m * a - k * b, m * b + k * a))
+        with pytest.raises(AssertionError,
+                           match="^one halved step does not close the four sign pairs$"):
+            classical_max(Scenario(n, Spin(1)))
+
     def test_huge_n_is_fast(self):
         start = time.perf_counter()
         result = classical_max(Scenario(10 ** 5, Spin(15)))

@@ -117,6 +117,16 @@ class TestExpand:
         assert err == ("error: the label strings for n=14280 would hold at least "
                        f"2**{(14280 << 14280).bit_length() - 1} entries, which exceeds cap {cap}\n")
 
+    def test_huge_n_fails_fast(self, capsys):
+        # 2**n decides n 2**n letters for an n of 4300 digits; n << n is not formed.
+        n = "9" * 4300
+        start = time.perf_counter()
+        code, out, err = run(capsys, "expand", "--n", n)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == (f"error: the label strings for n={n} would hold at least 2**{n} entries, "
+                       "which exceeds cap 16777216\n")
+
 
 class TestClassicalMax:
     def test_two_party_half(self, capsys):
@@ -135,6 +145,23 @@ class TestClassicalMax:
         payload = json.loads(out)
         assert payload["bound"] == "2"
         assert payload["strategies_checked"] == 81
+
+    @pytest.mark.parametrize("grid", [(), ("--full-grid",)], ids=["signs", "full-grid"])
+    def test_bound_is_formed_once(self, capsys, monkeypatch, grid):
+        # The printed bound is the certificate's: classical_bound runs once,
+        # inside classical_max, and never from the CLI.
+        callers = []
+        bound = classical.classical_bound
+
+        def counted(scenario):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return bound(scenario)
+
+        monkeypatch.setattr(classical, "classical_bound", counted)
+        code, out, err = run(capsys, "classical-max", "--n", "3", "--spin", "3/2", *grid)
+        assert (code, err) == (0, "")
+        assert callers == ["mkbell.classical"]
+        assert json.loads(out)["bound"] == "27/2"
 
     def test_csv_bytes(self, capsys):
         # Exact fractions in the key,value layout: (2s)**n / 2 = 27/2.  A
@@ -714,8 +741,37 @@ class TestSample:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "45acc471b337e62f2d280991038f385ffa1cda5bc8c67cd400393d952e8d564d")
 
+    def test_certifies_once(self, capsys, monkeypatch):
+        calls = []
+        certify = quantum.largest_eigenpair
+        monkeypatch.setattr(quantum, "largest_eigenpair",
+                            lambda scenario: calls.append(scenario) or certify(scenario))
+        code, _, err = run(capsys, "sample", "--n", "3", "--spin", "1", "--shots", "1000")
+        assert (code, err) == (0, "")
+        assert calls == [Scenario(3, Spin(2))]
+
 
 class TestReport:
+    def test_certifies_every_row_once_before_the_first(self, capsys, monkeypatch):
+        events = []
+        certify, certify_classical = quantum.largest_eigenpair, classical.classical_max
+
+        def certified(scenario):
+            events.append(("quantum", scenario.n, scenario.spin.twice_spin))
+            return certify(scenario)
+
+        def classical_row(scenario, **kwargs):
+            events.append(("classical", scenario.n, scenario.spin.twice_spin))
+            return certify_classical(scenario, **kwargs)
+
+        monkeypatch.setattr(quantum, "largest_eigenpair", certified)
+        monkeypatch.setattr(classical, "classical_max", classical_row)
+        code, _, err = run(capsys, "report", "--grid", "n=2..3", "s=1/2..1", "--sample",
+                           "--shots", "400")
+        assert (code, err) == (0, "")
+        rows = [(n, t) for n in (2, 3) for t in (1, 2)]
+        assert events == [("quantum", *row) for row in rows] + [("classical", *row) for row in rows]
+
     def test_sampled_grid_bytes(self, capsys):
         # At n = 2 one seed draws the same counts at every spin: the estimate
         # and its error are (2s)**2 times the spin-1/2 ones, 9 times at s = 3/2.
@@ -1444,14 +1500,14 @@ SWEEP = [
      "error: [Errno 2] No such file or directory: '{tmp}/missing/out.json'\n"),
     ("expand --n 25", 3,
      "",
-     "error: the label strings for n=25 would hold at least 2**25 entries, which "
-     "exceeds cap 16777216\n"),
+     "error: the label strings for n=25 would hold 838860800 entries, which exceeds "
+     "cap 16777216\n"),
     ("expand --n 5 --dim-cap 159", 3,
      "",
      "error: the label strings for n=5 would hold 160 entries, which exceeds cap 159\n"),
     ("expand --n 1999", 3,
      "",
-     "error: the label strings for n=1999 would hold at least 2**1999 entries, which "
+     "error: the label strings for n=1999 would hold at least 2**2009 entries, which "
      "exceeds cap 16777216\n"),
     ("sample --n 13 --spin 1/2", 3,
      "",
@@ -1459,12 +1515,12 @@ SWEEP = [
      "which exceeds cap 16777216\n"),
     ("sample --n 30 --spin 1/2", 3,
      "",
-     "error: the outcome distributions of n=30, s=1/2 would hold at least 2**30 "
+     "error: the outcome distributions of n=30, s=1/2 would hold 1152921504606846976 "
      "entries, which exceeds cap 16777216\n"),
     ("sample --n 5 --spin 1 --dim-cap 4", 3,
      "",
-     "error: the outcome distributions of n=5, s=1 would hold at least 2**5 entries, "
-     "which exceeds cap 4\n"),
+     "error: the outcome distributions of n=5, s=1 would hold 512 entries, which "
+     "exceeds cap 4\n"),
     ("report --grid n=2..3 s=1/2..1 --dim-cap 23", 3,
      "",
      "error: the report table of grid n=2..3 s=1/2..1 would hold 24 cells, which "
@@ -1475,7 +1531,7 @@ SWEEP = [
      "which exceeds cap 16777216\n"),
     ("report --grid n=30..30 s=1/2..1/2 --sample", 3,
      "",
-     "error: the outcome distributions of n=30, s=1/2 would hold at least 2**30 "
+     "error: the outcome distributions of n=30, s=1/2 would hold 1152921504606846976 "
      "entries, which exceeds cap 16777216\n"),
     ("report --grid n=1..1000000 s=1/2..1/2", 3,
      "",
@@ -1514,14 +1570,16 @@ SWEEP_BELOW_ROUNDING = [
      "",
      "error: the closed-form top state of n=4, s=3 has residual 3.738e-13, above 1e-20"
      " relative\n"),
-    ("report --grid n=4..2049 s=1/2..1/2", 3,
+    # Every row is certified before the first runs: row 4's certificate fails
+    # before row 2049 leaves the float range, or row 13 the budget.
+    ("report --grid n=4..2049 s=1/2..1/2", 4,
      "",
-     "error: the top eigenvalue of n=2049, s=1/2, or its ratio to the classical bound,"
-     " is past the float range\n"),
-    ("report --grid n=4..13 s=1/2..1/2 --sample", 3,
+     "error: the closed-form top state of n=4, s=1/2 has residual 2.884e-16, above "
+     "1e-20 relative\n"),
+    ("report --grid n=4..13 s=1/2..1/2 --sample", 4,
      "",
-     "error: the outcome distributions of n=13, s=1/2 would hold 33554432 entries, "
-     "which exceeds cap 16777216\n"),
+     "error: the closed-form top state of n=4, s=1/2 has residual 2.884e-16, above "
+     "1e-20 relative\n"),
 ]
 
 

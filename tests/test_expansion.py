@@ -17,6 +17,12 @@ def test_single_party_base_case():
     assert expand_terms(1) == ((1, "A"),)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_no_parties_is_refused(n):
+    with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+        expand_terms(n)
+
+
 def test_two_party_terms():
     assert expand_terms(2) == TWO_PARTY_TERMS
 
