@@ -9,11 +9,13 @@ violation ratio 2**((n-1)/2) by formula and by simulated measurement.
 
 Import the modules: ``spincore``, ``errors``, ``expansion``, ``classical``
 and ``quantum`` do not import NumPy; the array layer ``operators`` and
-``measurement`` does.  A command that does not sample loads ``cli`` and
-those five, ``quantum`` only for the eigenpair commands, and from the
-standard library imports only ``argparse``, ``collections``,
-``fractions``, ``functools``, ``itertools``, ``json``, ``math``, ``os``,
-``re`` and ``sys``, plus ``csv`` and ``io`` for CSV output.  The records are
+``measurement`` does.  A command that does not sample loads ``cli``,
+``spincore``, ``errors`` and ``expansion``, ``classical`` only for the
+commands that print the classical bound and ``quantum`` only for the
+eigenpair commands, and from the standard library imports only
+``argparse``, ``collections``, ``fractions``, ``functools``, ``gc``,
+``itertools``, ``json``, ``math``, ``os``, ``re`` and ``sys``, plus ``csv``
+and ``io`` for CSV output.  The records are
 ``collections.namedtuple`` subclasses, so such a command never imports
 ``inspect``.
 """

@@ -34,19 +34,27 @@ residue classes of b mod 4, in pure Python; ``quantum-max`` and ``ratio``
 build no array, so, like ``classical-max``, they take no ``--dim-cap``.
 Only the commands that sample, ``sample`` and ``report --sample``, import
 ``measurement``, and with it NumPy, to build the 2**n state;
-``classical-max`` and ``expand`` run on the pure-Python exact layer.
+``classical-max`` and ``expand`` run on the pure-Python exact layer.  Only
+the commands that print the classical bound, ``classical-max``, ``ratio``,
+``sample`` and ``report``, import ``classical``; ``quantum-max`` and
+``expand`` never load it.
+
+A process enters through ``run``, which exits with ``main``'s code and
+freezes the garbage collector on the way out, so that CPython's exit-time
+collection has no object to walk.  ``main`` leaves the collector alone: the
+tests and the benchmark's traced runs call it in a running process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
 import sys
 from functools import partial
 
-from . import classical
 from .errors import CapExceeded, MkBellError, NotConverged
 from .expansion import expected_term_count
 from .spincore import DEFAULT_DIM_CAP, Scenario, Spin, check_budget, check_digits
@@ -142,6 +150,8 @@ def _cmd_expand(args):
 
 
 def _cmd_classical_max(args):
+    from . import classical
+
     scenario = Scenario(n=args.n, spin=args.spin)
     # Before the DP: the bound's numerator (2s)**n, halved for integer s, and
     # the strategy count 4**n or (2s+1)**(2n) are printed.
@@ -195,19 +205,21 @@ def _check_fits(scenario, shots=None):
     eigenvalue and that value's ratio to the classical bound are finite
     floats; with ``shots``, also unless its sampled estimate fits the budget
     and one multinomial draw takes each setting's share; last, unless
-    ``quantum.largest_eigenpair`` certifies the top eigenpair.  The estimate
-    counts T 2**n entries, the work of its T permuted distributions, made one
-    at a time from the n + 1 it holds.
+    ``quantum.largest_eigenpair`` certifies the top eigenpair.  The float
+    range is ``quantum.block_scale``, the certificate's first step, called
+    apart only to precede the budget.  The estimate counts T 2**n entries, the
+    work of its T permuted distributions, made one at a time from the n + 1
+    it holds.
 
     Return the certified top eigenvalue and the share, ``shots`` split evenly
     across the T setting contexts, at most 2**63 - 1 (None without ``shots``)."""
     from . import quantum
 
-    quantum.block_scale(scenario)
     share = None
     if shots is not None:
         from . import measurement
 
+        quantum.block_scale(scenario)
         measurement.check_distribution_budget(scenario)
         share = max(1, shots // expected_term_count(scenario.n))
         if share >= 1 << 63:
@@ -217,7 +229,7 @@ def _check_fits(scenario, shots=None):
 
 
 def _cmd_sample(args):
-    from . import measurement, quantum
+    from . import classical, measurement, quantum
 
     scenario = Scenario(n=args.n, spin=args.spin, dim_cap=args.dim_cap)
     _, shots_per_setting = _check_fits(scenario, args.shots)  # certifies the state it samples
@@ -267,7 +279,7 @@ def _parse_grid(tokens):
 
 
 def _cmd_report(args):
-    from . import quantum
+    from . import classical, quantum
     if args.sample:
         from . import measurement
 
@@ -391,5 +403,21 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """The process entry point: exit with ``main``'s code.
+
+    The process is about to end, so its objects need no cyclic collection,
+    yet CPython's finalization runs a full one over every tracked object
+    (about 2 to 5 ms a command, README; ``gc.disable()`` does not stop it).  ``gc.freeze()``
+    moves them out of the collector's reach, so that collection has nothing
+    to walk.  atexit handlers, stdio flushes and refcount teardown still run,
+    on every exit path: each code, ``--help`` and a traceback.  ``main``
+    leaves the collector as it found it, for callers in a running process."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -132,9 +132,9 @@ def check_distribution_budget(scenario: Scenario) -> None:
     length 2**n that ``estimate_bell_value`` samples, fit the array budget.
     The count bounds work: the T permuted copies are made one at a time, from
     the n + 1 distributions held, about (n + 2) 2**n entries with the state."""
-    scenario.check_entries(
-        f"the outcome distributions of {scenario}",
-        lambda: expected_term_count(scenario.n) << scenario.n)
+    n = scenario.n
+    scenario.check_entries(f"the outcome distributions of {scenario}",
+                           lambda: expected_term_count(n) << n, least=n + 2 * (n // 2))
 
 
 def estimate_bell_value(scenario: Scenario, shots_per_setting: int, seed: int) -> BellEstimate:

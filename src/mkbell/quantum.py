@@ -99,7 +99,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .classical import classical_max
 from .errors import CapExceeded, NotConverged
 from .expansion import prefactor
 from .spincore import Scenario
@@ -240,6 +239,8 @@ def spectral_gap(scenario: Scenario) -> float:
 
 def violation_ratio(scenario: Scenario) -> float:
     """Quantum maximum divided by the certified classical maximum."""
+    from .classical import classical_max  # only the ratio needs the classical layer
+
     quantum = largest_eigenpair(scenario).value
     classical = float(classical_max(scenario).max_value)
     return quantum / classical

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
+from mkbell.cli import main
 from mkbell.errors import CapExceeded
 from mkbell.measurement import estimate_bell_value, top_state
 from mkbell.operators import assemble_dense, dense_scaled_product, global_operator
@@ -147,6 +148,18 @@ def test_the_count_is_formed_below_2_to_the_2000(count, least, shown):
         check_budget("the table", 1, counted, "cells", least)
     assert str(info.value) == f"the table would hold {shown} cells, which exceeds cap 1"
     assert formed == ([] if least >= 2000 else [count])
+
+
+@pytest.mark.parametrize("n", [1999, 2000, 2048])
+def test_the_sampled_count_is_shown_with_its_exponent(capsys, n):
+    # T 2**n = 2**(n + 2 floor(n/2)): past 2000 bits the message shows that
+    # exponent, for sample and report --sample alike, without forming the count.
+    least = n + 2 * (n // 2)
+    message = (f"error: the outcome distributions of n={n}, s=1/2 would hold "
+               f"at least 2**{least} entries, which exceeds cap 16777216\n")
+    for argv in (["sample", "--n", str(n), "--spin", "1/2"],
+                 ["report", "--grid", f"n={n}..{n}", "s=1/2..1/2", "--sample"]):
+        assert (main(argv), *capsys.readouterr()) == (3, "", message)
 
 
 def test_a_spin_past_the_digit_limit_still_names_its_scenario():

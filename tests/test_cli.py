@@ -1,5 +1,6 @@
 import argparse
 import csv
+import gc
 import hashlib
 import importlib
 import io
@@ -772,6 +773,23 @@ class TestReport:
         rows = [(n, t) for n in (2, 3) for t in (1, 2)]
         assert events == [("quantum", *row) for row in rows] + [("classical", *row) for row in rows]
 
+    @pytest.mark.parametrize("sampled,calls", [(False, 3), (True, 6)])
+    def test_each_row_checks_the_float_range_once(self, capsys, monkeypatch, sampled, calls):
+        # The certificate's first step is the float range; _check_fits runs it
+        # apart only before the sampled budget.
+        scales = []
+        block_scale = quantum.block_scale
+
+        def counted(scenario):
+            scales.append(scenario.n)
+            return block_scale(scenario)
+
+        monkeypatch.setattr(quantum, "block_scale", counted)
+        argv = ("report", "--grid", "n=2..4", "s=1/2..1/2") + (
+            ("--sample", "--shots", "400") if sampled else ())
+        assert run(capsys, *argv)[::2] == (0, "")
+        assert len(scales) == calls
+
     def test_sampled_grid_bytes(self, capsys):
         # At n = 2 one seed draws the same counts at every spin: the estimate
         # and its error are (2s)**2 times the spin-1/2 ones, 9 times at s = 3/2.
@@ -1024,16 +1042,64 @@ class TestBlasThreads:
         assert (child.returncode, child.stderr, child.stdout) == (0, "", "1\n")
 
 
-def _cli_process(*argv, block_numpy=False, block_dataclasses=False):
-    # With ``sys.modules["numpy"] = None`` every ``import numpy`` raises.
+def _cli_process(*argv, block_numpy=False, block_dataclasses=False, report_freeze=False):
+    # With ``sys.modules["numpy"] = None`` every ``import numpy`` raises.  The
+    # freeze report is the last atexit handler to run, the first registered.
     code = ("import runpy, sys\n"
             + ("sys.modules['numpy'] = None\n" if block_numpy else "")
             + ("sys.modules['dataclasses'] = None\n" if block_dataclasses else "")
+            + ("import atexit, gc\n"
+               "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0,\n"
+               "                               file=sys.stderr))\n" if report_freeze else "")
             + "sys.argv = ['mkbell', *sys.argv[1:]]\n"
             "runpy.run_module('mkbell.cli', run_name='__main__')\n")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("argv,code", [
+        (("quantum-max", "--n", "2", "--spin", "1/2"), 0),
+        (("quantum-max", "--n", "2", "--spin", "0"), 2),
+        (("sample", "--n", "13", "--spin", "1/2"), 3),
+    ], ids=["exit-0", "exit-2", "exit-3"])
+    def test_the_process_exits_with_the_collector_frozen(self, capsys, monkeypatch, argv, code):
+        # ``run`` freezes the collector on every exit path, after ``main``
+        # has written its output; atexit handlers still run.
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal
+        child = _cli_process(*argv, report_freeze=True)
+        exit_code, out, err = run_or_exit(capsys, *argv)
+        assert exit_code == code
+        assert (child.returncode, child.stdout, child.stderr) == (
+            code, out, err + "frozen at exit: True\n")
+
+    def test_main_leaves_the_collector_as_it_found_it(self, capsys):
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert run(capsys, "quantum-max", "--n", "2", "--spin", "1/2")[0] == 0
+        assert run_or_exit(capsys, "quantum-max", "--n", "2", "--spin", "0")[0] == 2
+        assert run(capsys, "sample", "--n", "13", "--spin", "1/2")[0] == 3
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_the_commands_without_the_classical_bound_leave_classical_out(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "from mkbell.cli import main\n"
+             "assert main(['quantum-max', '--n', '4', '--spin', '11/2']) == 0\n"
+             "assert main(['expand', '--n', '3']) == 0\n"
+             "assert 'mkbell.quantum' in sys.modules\n"
+             "assert 'mkbell.classical' not in sys.modules\n"],
+            env=env, check=True, timeout=60, capture_output=True,
+        )
+
+    def test_the_installed_script_enters_through_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(SRC.parent / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"mkbell": "mkbell.cli:run"}
+        assert callable(mkbell.cli.run)
 
 
 class TestExactLayerWithoutNumpy:
