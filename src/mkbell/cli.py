@@ -6,9 +6,9 @@ Exit codes, each limit decided by one function:
 - 0: success.
 - 2: a validation error, among them a ``--spin`` or integer literal past the
   digit limit (``spincore.check_digits``), a negative ``--seed``, a
-  ``--shots`` that puts more than 2**63 - 1 shots on one setting, an option
-  the command does not take and an option that takes a value given twice; or
-  an unwritable ``--output``.
+  ``--shots`` that puts more than 2**63 - 1 shots on one setting
+  (``measurement.shots_per_setting``), an option the command does not take
+  and an option that takes a value given twice; or an unwritable ``--output``.
 - 3: a cap exceeded: the array budget ``--dim-cap``, also counting
   ``report``'s table cells (``spincore.check_budget``); the digits of a
   printed exact integer (``spincore.check_digits``); or a top eigenvalue or
@@ -17,12 +17,14 @@ Exit codes, each limit decided by one function:
   above ``quantum.TOLERANCE``.
 
 ``report`` counts its table's cells against the budget before its first
-row.  ``sample`` and every row of ``report`` are checked and certified once,
-in ``_check_fits``, before any array is built: the float range, then, when
-sampled, the budget and the shots split, then the certificate,
-``quantum.largest_eigenpair``.  It returns the certified top eigenvalue and
-the shots split their estimate draws.  ``classical-max`` prints the bound
-that ``classical.classical_max`` certifies.  Each input has one spelling:
+row.  ``sample`` and every row of ``report`` are certified first, by
+``quantum.largest_eigenpair``, whose first step is the float range; when
+sampled, each is then admitted by ``measurement.shots_per_setting``, the
+sampler's rule for the budget and the shots split.  ``report`` certifies and
+admits every row before the first runs.  ``estimate_bell_value`` takes the
+total ``--shots`` and returns the share each setting drew, which both
+commands print.  ``classical-max`` prints the bound that
+``classical.classical_max`` certifies.  Each input has one spelling:
 ``report`` reads its scenarios only from ``--grid`` (one scenario is
 ``n=N..N s=S..S``), and the array budget is only ``--dim-cap``.  Each typed
 option parses through ``_parsed``; every integer input, the grid's n bounds
@@ -56,7 +58,6 @@ import sys
 from functools import partial
 
 from .errors import CapExceeded, MkBellError, NotConverged
-from .expansion import expected_term_count
 from .spincore import DEFAULT_DIM_CAP, Scenario, Spin, check_budget, check_digits
 
 DEFAULT_SHOTS = 10 ** 6
@@ -200,44 +201,16 @@ def _cmd_ratio(args):
     }
 
 
-def _check_fits(scenario, shots=None):
-    """Certify ``scenario`` before any array is built: raise unless its top
-    eigenvalue and that value's ratio to the classical bound are finite
-    floats; with ``shots``, also unless its sampled estimate fits the budget
-    and one multinomial draw takes each setting's share; last, unless
-    ``quantum.largest_eigenpair`` certifies the top eigenpair.  The float
-    range is ``quantum.block_scale``, the certificate's first step, called
-    apart only to precede the budget.  The estimate counts T 2**n entries, the
-    work of its T permuted distributions, made one at a time from the n + 1
-    it holds.
-
-    Return the certified top eigenvalue and the share, ``shots`` split evenly
-    across the T setting contexts, at most 2**63 - 1 (None without ``shots``)."""
-    from . import quantum
-
-    share = None
-    if shots is not None:
-        from . import measurement
-
-        quantum.block_scale(scenario)
-        measurement.check_distribution_budget(scenario)
-        share = max(1, shots // expected_term_count(scenario.n))
-        if share >= 1 << 63:
-            raise ValueError(f"--shots {shots} puts {share} shots on each setting of "
-                             f"{scenario}, more than the 2**63 - 1 one multinomial draw takes")
-    return quantum.largest_eigenpair(scenario).value, share
-
-
 def _cmd_sample(args):
     from . import classical, measurement, quantum
 
     scenario = Scenario(n=args.n, spin=args.spin, dim_cap=args.dim_cap)
-    _, shots_per_setting = _check_fits(scenario, args.shots)  # certifies the state it samples
-    estimate = measurement.estimate_bell_value(scenario, shots_per_setting, args.seed)
+    quantum.largest_eigenpair(scenario)  # certifies the state it samples
+    estimate = measurement.estimate_bell_value(scenario, args.shots, args.seed)
     sigmas = measurement.violation_sigmas(scenario, estimate)
     return {
         "config": _config_dict(args, shots=args.shots, seed=args.seed),
-        "shots_per_setting": shots_per_setting,
+        "shots_per_setting": estimate.shots_per_setting,
         "per_term": [
             {"labels": labels, "correlation": _fmt(mean), "stderr": _fmt(err)}
             for labels, mean, err in estimate.per_term
@@ -263,7 +236,7 @@ def _parse_grid(tokens):
         if key in ranges:
             raise ValueError(f"grid gives the {key} range twice, in {token!r}")
         if key == "n":
-            bound = partial(_integer, "n", quote=False)  # the token shows the literal
+            bound = partial(_integer, "n", least=1, quote=False)  # the token shows the literal
             try:
                 values = range(bound(lo), bound(hi) + 1)
             except ValueError as exc:
@@ -289,15 +262,17 @@ def _cmd_report(args):
     check_budget(f"the report table of grid {' '.join(args.grid)}", args.dim_cap, lambda: (
         (n_values[-1] - n_values[0] + 1) * (twice_spins[-1] - twice_spins[0] + 1)
         * (9 if args.sample else 6)), "cells")
-    shots = args.shots if args.sample else None
-    # Every row fits and is certified before the first runs; built row by
-    # row, so a huge grid stops at its first row past the budget or the float
-    # range.  Each row keeps its top eigenvalue, one float.
-    checked = [(scenario, *_check_fits(scenario, shots)) for scenario in (
-        Scenario(n=n, spin=Spin(t), dim_cap=args.dim_cap)
-        for n in n_values for t in twice_spins)]
+    # Every row is certified and, when sampled, admitted before the first
+    # runs; row by row, so a huge grid stops at its first row past the float
+    # range or the budget.  Each row keeps its top eigenvalue, one float.
+    checked = []
+    for scenario in (Scenario(n=n, spin=Spin(t), dim_cap=args.dim_cap)
+                     for n in n_values for t in twice_spins):
+        checked.append((scenario, quantum.largest_eigenpair(scenario).value))
+        if args.sample:
+            measurement.shots_per_setting(scenario, args.shots)
     rows = []
-    for scenario, top, shots_per_setting in checked:
+    for scenario, top in checked:
         bound = classical.classical_max(scenario).max_value
         row = {
             "n": scenario.n,
@@ -308,10 +283,9 @@ def _cmd_report(args):
             "gap": _fmt(quantum.spectral_gap(scenario)),
         }
         if args.sample:
-            estimate = measurement.estimate_bell_value(scenario, shots_per_setting, args.seed)
-            row["bell_estimate"] = _fmt(estimate.value)
-            row["bell_stderr"] = _fmt(estimate.stderr)
-            row["shots_per_setting"] = shots_per_setting
+            estimate = measurement.estimate_bell_value(scenario, args.shots, args.seed)
+            row.update(bell_estimate=_fmt(estimate.value), bell_stderr=_fmt(estimate.stderr),
+                       shots_per_setting=estimate.shots_per_setting)
         rows.append(row)
     config = {
         "command": "report",

@@ -14,6 +14,9 @@ bit for bit, axis permutations of one another: ``estimate_bell_value``
 builds one distribution per b (n + 1 at most, not the T = 4**(n//2)
 contexts) and gives each context its permuted copy, the array the termwise
 Born rule gives it (``symmetric_distributions``).
+``estimate_bell_value`` spends a total number of shots over the T contexts;
+``shots_per_setting``, the sampler's one admission rule, checks the budget
+and splits the shots before anything is built.
 Sampling uses NumPy's PCG64 generator; per-term streams are derived from
 the base seed and the term index through ``numpy.random.SeedSequence``, so
 every report is reproducible.
@@ -120,35 +123,51 @@ def sample_outcomes(probs: np.ndarray, shots: int, seed) -> SampleReport:
                         correlation_stderr=stderr)
 
 
-class BellEstimate(namedtuple("BellEstimate", "value stderr per_term")):
+class BellEstimate(namedtuple("BellEstimate", "value stderr per_term shots_per_setting")):
     """Termwise-sampled Bell value with propagated error; ``per_term`` holds a
-    (labels, mean, stderr) triple per term."""
+    (labels, mean, stderr) triple per term, and ``shots_per_setting`` the shots
+    each term's context drew, the share of the total that the function of that
+    name gives."""
 
     __slots__ = ()
 
 
-def check_distribution_budget(scenario: Scenario) -> None:
-    """Raise CapExceeded unless T 2**n entries, the T outcome distributions of
-    length 2**n that ``estimate_bell_value`` samples, fit the array budget.
-    The count bounds work: the T permuted copies are made one at a time, from
-    the n + 1 distributions held, about (n + 2) 2**n entries with the state."""
+def shots_per_setting(scenario: Scenario, shots: int) -> int:
+    """The shots each of the T = 4**(n//2) setting contexts draws when
+    ``estimate_bell_value`` spends ``shots`` in all: ``max(1, shots // T)``.
+
+    This is the sampler's one admission rule, checked in this order: shots
+    below 1 raise ValueError; CapExceeded unless T 2**n entries, the T outcome
+    distributions of length 2**n, fit the array budget (the count bounds work:
+    the T permuted copies are made one at a time, from the n + 1 held, about
+    (n + 2) 2**n entries with the state); and a share past the 2**63 - 1 one
+    multinomial draw takes raises ValueError.  Nothing is built."""
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
     n = scenario.n
     scenario.check_entries(f"the outcome distributions of {scenario}",
                            lambda: expected_term_count(n) << n, least=n + 2 * (n // 2))
+    share = max(1, shots // expected_term_count(n))
+    if share >= 1 << 63:
+        raise ValueError(f"--shots {shots} puts {share} shots on each setting of "
+                         f"{scenario}, more than the 2**63 - 1 one multinomial draw takes")
+    return share
 
 
-def estimate_bell_value(scenario: Scenario, shots_per_setting: int, seed: int) -> BellEstimate:
-    """Sample every term's context in ``top_state``; combine with its coefficient.
+def estimate_bell_value(scenario: Scenario, shots: int, seed: int) -> BellEstimate:
+    """Spend ``shots`` in all, split evenly across the setting contexts of
+    ``top_state``; combine each term's mean with its coefficient.
 
-    Term t uses the stream seeded by SeedSequence([seed, t]) and is sampled
-    at spin 1/2; its mean and error are scaled by (2s)**n.  The combined
-    standard error, the root sum of squares of coefficient-weighted spin-1/2
-    errors, is scaled once, so that no square leaves the float range.  Each
-    context's distribution is a permuted copy of one of the n + 1 built per
-    count of B settings (``symmetric_distributions``).  The budget is checked
-    before the state or any distribution is built.
+    ``shots_per_setting`` admits the estimate and gives each context's share
+    before the state or any distribution is built.  Term t draws its share
+    from the stream seeded by SeedSequence([seed, t]) and is sampled at spin
+    1/2; its mean and error are scaled by (2s)**n.  The combined standard
+    error, the root sum of squares of coefficient-weighted spin-1/2 errors, is
+    scaled once, so that no square leaves the float range.  Each context's
+    distribution is a permuted copy of one of the n + 1 built per count of B
+    settings (``symmetric_distributions``).
     """
-    check_distribution_budget(scenario)
+    share = shots_per_setting(scenario, shots)
     scale = block_scale(scenario)
     terms = expand_terms(scenario.n)
     distributions = symmetric_distributions(top_state(scenario), (labels for _, labels in terms))
@@ -156,13 +175,13 @@ def estimate_bell_value(scenario: Scenario, shots_per_setting: int, seed: int) -
     value = 0.0
     var = 0.0
     for t, ((coeff, labels), probs) in enumerate(zip(terms, distributions)):
-        report = sample_outcomes(probs, shots_per_setting, np.random.SeedSequence([seed, t]))
+        report = sample_outcomes(probs, share, np.random.SeedSequence([seed, t]))
         mean = scale * report.correlation_mean
         per_term.append((labels, mean, scale * report.correlation_stderr))
         value += coeff * mean
         var += (coeff * report.correlation_stderr) ** 2
     return BellEstimate(value=value, stderr=scale * float(np.sqrt(var)),
-                        per_term=tuple(per_term))
+                        per_term=tuple(per_term), shots_per_setting=share)
 
 
 def violation_sigmas(scenario: Scenario, estimate: BellEstimate) -> float:

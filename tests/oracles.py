@@ -79,9 +79,9 @@ from mkbell.errors import DimensionMismatch, MkBellError, NotConverged
 from mkbell.expansion import expand_terms, expected_term_count, pair_step, prefactor
 from mkbell.measurement import (
     BellEstimate,
-    check_distribution_budget,
     joint_distribution,
     sample_outcomes,
+    shots_per_setting,
     top_state,
 )
 from mkbell.operators import (
@@ -677,21 +677,22 @@ def predicted_correlation(n: int, s: float, labels: str) -> float:
     return s ** n * np.cos(b * np.pi / 2 - np.pi * (n - 1) / 4)
 
 
-def termwise_estimate(scenario: Scenario, shots_per_setting: int, seed: int) -> BellEstimate:
+def termwise_estimate(scenario: Scenario, shots: int, seed: int) -> BellEstimate:
     """``estimate_bell_value`` with ``joint_distribution`` run on every term's
-    context: term t is sampled from the stream SeedSequence([seed, t])."""
-    check_distribution_budget(scenario)
+    context: term t draws ``shots_per_setting``'s share of the total ``shots``
+    from the stream SeedSequence([seed, t])."""
+    share = shots_per_setting(scenario, shots)
     scale = block_scale(scenario)
     state = top_state(scenario)
     per_term = []
     value = 0.0
     var = 0.0
     for t, (coeff, labels) in enumerate(expand_terms(scenario.n)):
-        report = sample_outcomes(joint_distribution(state, labels), shots_per_setting,
+        report = sample_outcomes(joint_distribution(state, labels), share,
                                  np.random.SeedSequence([seed, t]))
         mean = scale * report.correlation_mean
         per_term.append((labels, mean, scale * report.correlation_stderr))
         value += coeff * mean
         var += (coeff * report.correlation_stderr) ** 2
     return BellEstimate(value=value, stderr=scale * float(np.sqrt(var)),
-                        per_term=tuple(per_term))
+                        per_term=tuple(per_term), shots_per_setting=share)

@@ -2,8 +2,9 @@
 among the dense test oracles, counts their entries against
 ``Scenario.dim_cap`` and raises before it allocates any.  Each limit is
 decided in one function: the budget in ``spincore.check_budget``, the digit
-limit in ``spincore.check_digits`` and the float range in
-``quantum.block_scale``."""
+limit in ``spincore.check_digits``, the float range in
+``quantum.block_scale`` and the sampler's admission, its budget and shots
+split, in ``measurement.shots_per_setting``."""
 
 import ast
 import sys
@@ -47,7 +48,7 @@ PATHS = [
     ("classical_max_enumerated_full_grid",
      lambda sc, x: classical_max_enumerated(sc, extremal_only=False),
      lambda n, D, T: 2 * n * D * D),
-    ("estimate_bell_value", lambda sc, x: estimate_bell_value(sc, 10, 0),
+    ("estimate_bell_value", lambda sc, x: estimate_bell_value(sc, 10 * 4 ** (sc.n // 2), 0),
      lambda n, D, T: T * 2 ** n),
 ]
 
@@ -120,7 +121,7 @@ def test_a_huge_count_is_never_formed(n):
      "a state vector of n=3, s=1/2 would hold 8"),
     (lambda: global_operator(Scenario(30, Spin(3), dim_cap=4)),
      f"a state vector of n=30, s=3/2 would hold {2 ** 30}"),
-    (lambda: estimate_bell_value(Scenario(30, Spin(1)), 10, 0),
+    (lambda: estimate_bell_value(Scenario(30, Spin(1)), 10 * 4 ** 15, 0),
      f"the outcome distributions of n=30, s=1/2 would hold {2 ** 60}"),
     (lambda: dense_scaled_product(Scenario(30, Spin(2))),
      f"a dense matrix of n=30, s=1 would hold {3 ** 60}"),
@@ -192,16 +193,15 @@ def test_count_is_printed_up_to_2000_bits(count, shown):
 DECIDERS = {("spincore", "check_budget"), ("spincore", "check_digits"), ("quantum", "block_scale")}
 
 
-def _calls(name):
-    """(module, innermost enclosing function, line) of every call in
-    ``src/mkbell`` of a function or method called ``name``."""
+def _sites(matches):
+    """(module, innermost enclosing function, line) of every node in
+    ``src/mkbell`` that ``matches``."""
     sites = []
 
     def visit(node, module, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
-                                                   getattr(node.func, "attr", None)):
+        if matches(node):
             sites.append((module, function, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, module, function)
@@ -209,6 +209,12 @@ def _calls(name):
     for path in sorted((Path(__file__).resolve().parent.parent / "src" / "mkbell").glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, None)
     return sites
+
+
+def _calls(name):
+    """``_sites`` of every call of a function or method called ``name``."""
+    return _sites(lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
 def test_the_digit_limit_is_read_in_one_function():
@@ -219,3 +225,13 @@ def test_the_digit_limit_is_read_in_one_function():
 def test_every_cap_is_raised_by_the_function_that_decides_it():
     sites = _calls("CapExceeded")
     assert sites and {site[:2] for site in sites} <= DECIDERS, sites
+
+
+def test_the_sampler_owns_its_admission_rule():
+    # The budget, the shots split and the 2**63 limit of one multinomial draw
+    # are decided in measurement.shots_per_setting; the CLI recounts none.
+    for name in ("block_scale", "expected_term_count"):
+        assert _calls(name) and "cli" not in {site[0] for site in _calls(name)}, name
+    one_draw = ast.dump(ast.parse("1 << 63", mode="eval").body)
+    sites = _sites(lambda node: ast.dump(node) == one_draw)
+    assert [site[:2] for site in sites] == [("measurement", "shots_per_setting")], sites

@@ -410,7 +410,7 @@ class TestDimensionCap:
                                                         count):
         # Row by row, the spin range at n = 1 stays in the float range up to
         # s of about 1e308, and the rows would fill the memory first.
-        monkeypatch.setattr(mkbell.cli, "_check_fits", _no_row)
+        monkeypatch.setattr(quantum, "largest_eigenpair", _no_row)
         start = time.perf_counter()
         code, out, err = run(capsys, "report", "--grid", *grid)
         assert time.perf_counter() - start < 1.0
@@ -683,11 +683,11 @@ class TestSample:
 
     def test_budget_before_shots_and_before_the_state(self, capsys, monkeypatch):
         # n = 13 fails both the budget (4**6 * 2**13 entries) and the shots
-        # split; like report, sample names the budget, before any eigenpair.
+        # split; like report, sample names the budget, before the state.
         def no_state(*args, **kwargs):
-            raise AssertionError("built the top state before the pre-checks")
+            raise AssertionError("built the top state before the admission rule")
 
-        monkeypatch.setattr(quantum, "largest_eigenpair", no_state)
+        monkeypatch.setattr(measurement, "top_state", no_state)
         shots = str(10 ** 30)
         sample = run(capsys, "sample", "--n", "13", "--spin", "1/2", "--shots", shots)
         report = run(capsys, *one_scenario("report", 13, "1/2"), "--sample", "--shots", shots)
@@ -773,10 +773,10 @@ class TestReport:
         rows = [(n, t) for n in (2, 3) for t in (1, 2)]
         assert events == [("quantum", *row) for row in rows] + [("classical", *row) for row in rows]
 
-    @pytest.mark.parametrize("sampled,calls", [(False, 3), (True, 6)])
+    @pytest.mark.parametrize("sampled,calls", [(False, 3), (True, 3)])
     def test_each_row_checks_the_float_range_once(self, capsys, monkeypatch, sampled, calls):
-        # The certificate's first step is the float range; _check_fits runs it
-        # apart only before the sampled budget.
+        # The certificate's first step is the float range, and it runs before
+        # the sampled budget, so no command checks the range apart.
         scales = []
         block_scale = quantum.block_scale
 
@@ -1555,6 +1555,12 @@ SWEEP = [
     ("report --grid x=1..2 s=1..1", 2,
      "",
      "error: bad grid token 'x=1..2'; expected n=LO..HI or s=LO..HI\n"),
+    ("report --grid n=0..2 s=1/2..1/2", 2,
+     "",
+     "error: bad grid token 'n=0..2': n must be an integer >= 1\n"),
+    ("report --grid n=0..100000000 s=1/2..1/2", 2,
+     "",
+     "error: bad grid token 'n=0..100000000': n must be an integer >= 1\n"),
     ("report --grid n=2..2 s=1/2..1/2 --shots 0", 2,
      "",
      "usage: mkbell report [-h] --grid RANGE [RANGE ...] [--dim-cap DIM_CAP]\n"

@@ -10,6 +10,7 @@ from mkbell.measurement import (
     estimate_bell_value,
     joint_distribution,
     sample_outcomes,
+    shots_per_setting,
     symmetric_distributions,
     top_state,
     violation_sigmas,
@@ -186,8 +187,8 @@ class TestSampling:
 class TestBellEstimate:
     def test_reproducible_and_violating(self):
         scenario = Scenario(2, Spin(1))
-        one = estimate_bell_value(scenario, 100_000, seed=42)
-        two = estimate_bell_value(scenario, 100_000, seed=42)
+        one = estimate_bell_value(scenario, 4 * 100_000, seed=42)
+        two = estimate_bell_value(scenario, 4 * 100_000, seed=42)
         assert one == two
         assert one.value == pytest.approx(np.sqrt(2) / 2, abs=6 * one.stderr)
         assert violation_sigmas(scenario, one) > 5
@@ -197,7 +198,7 @@ class TestBellEstimate:
         # The top state of every spin lives on the levels +-s with the spin-1/2
         # amplitudes, so one seed draws the same counts: the paper's
         # spin-independent ratio, seen in simulation.
-        shots = 10 ** 6 // 4 ** (n // 2)
+        shots = 10 ** 6  # 10**6 // 4**(n//2) on each setting context
         half = estimate_bell_value(Scenario(n, Spin(1)), shots, seed=7)
         for twice in range(2, 6):
             scenario = Scenario(n, Spin(twice))
@@ -208,30 +209,58 @@ class TestBellEstimate:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_is_the_termwise_oracle_at_spin_half(self, n):
         scenario = Scenario(n, Spin(1))
-        self.assert_same(estimate_bell_value(scenario, 2000, seed=42),
-                         termwise_estimate(scenario, 2000, 42))
+        shots = 2000 * 4 ** (n // 2)
+        self.assert_same(estimate_bell_value(scenario, shots, seed=42),
+                         termwise_estimate(scenario, shots, 42))
 
     @pytest.mark.parametrize("n,twice,seed", [(2, 2, 0), (3, 3, 7), (4, 15, 123456789),
                                               (6, 5, 2 ** 40), (7, 2, 1)])
     def test_is_the_termwise_oracle_at_other_spins_and_seeds(self, n, twice, seed):
         scenario = Scenario(n, Spin(twice))
-        self.assert_same(estimate_bell_value(scenario, 5000, seed),
-                         termwise_estimate(scenario, 5000, seed))
+        shots = 5000 * 4 ** (n // 2)
+        self.assert_same(estimate_bell_value(scenario, shots, seed),
+                         termwise_estimate(scenario, shots, seed))
+
+    def test_takes_the_total_shots(self):
+        # max(1, shots // T) on each of the T = 4 contexts at n = 2.
+        scenario = Scenario(2, Spin(1))
+        assert [estimate_bell_value(scenario, shots, seed=0).shots_per_setting
+                for shots in (1, 7, 8, 4003)] == [1, 1, 2, 1000]
+
+    def test_a_share_past_one_draw_is_refused(self):
+        # 2**63 on each setting is one past what one multinomial draw takes.
+        scenario = Scenario(2, Spin(2))
+        with pytest.raises(ValueError) as info:
+            estimate_bell_value(scenario, 2 ** 63 * 4, seed=1)
+        assert str(info.value) == (
+            f"--shots {2 ** 65} puts {2 ** 63} shots on each setting of n=2, s=1, more "
+            "than the 2**63 - 1 one multinomial draw takes")
+        assert shots_per_setting(scenario, (2 ** 63 - 1) * 4 + 3) == 2 ** 63 - 1
+
+    def test_shots_below_one_are_refused_before_the_state(self, monkeypatch):
+        def no_state(*args, **kwargs):
+            raise AssertionError("built the top state before the admission rule")
+
+        monkeypatch.setattr(measurement, "top_state", no_state)
+        for shots in (0, -5):
+            with pytest.raises(ValueError, match=r"^shots must be >= 1$"):
+                estimate_bell_value(Scenario(2, Spin(1)), shots, seed=0)
 
     @staticmethod
     def assert_same(fast, slow):
-        assert (fast.value, fast.stderr) == (slow.value, slow.stderr)
+        assert (fast.value, fast.stderr, fast.shots_per_setting) == (
+            slow.value, slow.stderr, slow.shots_per_setting)
         assert len(fast.per_term) == len(slow.per_term)
         for mine, oracle in zip(fast.per_term, slow.per_term):
             assert mine == oracle
 
     def test_sigma_edge_cases(self):
         scenario = Scenario(2, Spin(1))
-        est = estimate_bell_value(scenario, 1000, seed=0)
-        frozen = type(est)(value=1.0, stderr=0.0, per_term=est.per_term)
+        est = estimate_bell_value(scenario, 4 * 1000, seed=0)
+        frozen = est._replace(value=1.0, stderr=0.0)
         assert violation_sigmas(scenario, frozen) == float("inf")
-        frozen = type(est)(value=0.0, stderr=0.0, per_term=est.per_term)
+        frozen = est._replace(value=0.0, stderr=0.0)
         assert violation_sigmas(scenario, frozen) == float("-inf")
         # On the bound with no spread (every n = 1 estimate): zero sigmas, not -inf.
-        frozen = type(est)(value=0.5, stderr=0.0, per_term=est.per_term)
+        frozen = est._replace(value=0.5, stderr=0.0)
         assert violation_sigmas(scenario, frozen) == 0.0

@@ -175,7 +175,7 @@ class TestApply:
         op = global_operator(scenario)
         op.apply(np.ones(8))
         assert calls == []
-        estimate = measurement.estimate_bell_value(scenario, 10, seed=0)
+        estimate = measurement.estimate_bell_value(scenario, 10 * 4, seed=0)
         assert len(estimate.per_term) == 4
         assert calls == [3]
 

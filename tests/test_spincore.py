@@ -242,7 +242,7 @@ class TestRecordContract:
         (SpectrumReport, ("eigenvalues", "top_value", "degeneracy_of_top")),
         (EigenResult, ("value", "iterations", "residual")),
         (SampleReport, ("outcome_counts", "correlation_mean", "correlation_stderr")),
-        (BellEstimate, ("value", "stderr", "per_term")),
+        (BellEstimate, ("value", "stderr", "per_term", "shots_per_setting")),
         (GlobalOperator, ("scenario",)),
     ])
     def test_every_record_keeps_its_fields(self, record, fields):
