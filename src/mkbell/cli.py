@@ -35,11 +35,12 @@ The eigenpair commands ``quantum-max``, ``ratio`` and ``report`` import
 residue classes of b mod 4, in pure Python; ``quantum-max`` and ``ratio``
 build no array, so, like ``classical-max``, they take no ``--dim-cap``.
 Only the commands that sample, ``sample`` and ``report --sample``, import
-``measurement``, and with it NumPy, to build the 2**n state;
-``classical-max`` and ``expand`` run on the pure-Python exact layer.  Only
-the commands that print the classical bound, ``classical-max``, ``ratio``,
-``sample`` and ``report``, import ``classical``; ``quantum-max`` and
-``expand`` never load it.
+``measurement``, which imports NumPy only for an even n, to build the
+2**n state and draw: at odd n every term's outcome is definite, and the
+estimate is exact without either.  ``classical-max`` and ``expand`` run on
+the pure-Python exact layer.  Only the commands that print the classical
+bound, ``classical-max``, ``ratio``, ``sample`` and ``report``, import
+``classical``; ``quantum-max`` and ``expand`` never load it.
 
 A process enters through ``run``, which exits with ``main``'s code and
 freezes the garbage collector on the way out, so that CPython's exit-time
@@ -362,10 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # NumPy, loaded only to sample, starts OpenBLAS's thread pool, whose thread
-    # busy-waits for about 0.1 s of CPU; no call here is large enough to use it.
-    # One thread alone cut the CPU time of `sample --n 9 --spin 1/2`, whole
-    # process on a 2-vCPU guest, from 0.43 to 0.31 s (BENCH_per_b_sampling.json).
+    # NumPy, loaded only to sample an even n, starts OpenBLAS's thread pool,
+    # whose thread busy-waits for about 0.1 s of CPU; no call here is large
+    # enough to use it.  One thread alone cut the CPU time of `sample --n 9
+    # --spin 1/2`, then a drawing command, whole process on a 2-vCPU guest,
+    # from 0.43 to 0.31 s (BENCH_per_b_sampling.json).
     # A value the caller set is kept.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)

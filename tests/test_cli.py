@@ -652,7 +652,7 @@ class TestSample:
             assert code == expected, (n, shots, err)
             if expected:
                 assert out == ""
-                assert err.startswith(f"error: --shots {shots} puts ")
+                assert err.startswith(f"error: shots {shots} puts ")
 
     def test_estimate_on_the_bound_is_zero_sigmas(self, capsys):
         # At n = 1 the quantum and classical maxima are both s and the one
@@ -856,7 +856,7 @@ class TestReport:
         code, out, err = run(capsys, "report", "--grid", "n=2..2", "s=1/2..1/2", "--sample",
                              "--shots", str(10 ** 23))
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: --shots {10 ** 23} puts {10 ** 23 // 4} shots")
+        assert err.startswith(f"error: shots {10 ** 23} puts {10 ** 23 // 4} shots")
 
     def test_shots_per_setting_matches_sample(self, capsys):
         # The pre-flight's split is the one the row reports, and sample's too.
@@ -1119,6 +1119,9 @@ class TestExactLayerWithoutNumpy:
         ("quantum-max", "--n", "24", "--spin", "3/2"),
         ("ratio", "--n", "30", "--spin", "1/2"),
         ("report", "--grid", "n=1..40", "s=1/2..5/2", "--format", "csv"),
+        # Odd n samples no draw: every term's outcome is definite.
+        ("sample", "--n", "9", "--spin", "1/2", "--shots", "1000000", "--seed", "5"),
+        ("report", "--grid", "n=3..3", "s=1/2..5/2", "--sample"),
     ])
     def test_eigenpair_commands_run_without_numpy(self, argv):
         blocked = _cli_process(*argv, block_numpy=True)
@@ -1135,7 +1138,8 @@ class TestExactLayerWithoutNumpy:
              "from mkbell.cli import main\n"
              "for argv in (['quantum-max', '--n', '3', '--spin', '1'],\n"
              "             ['ratio', '--n', '3', '--spin', '1'],\n"
-             "             ['report', '--grid', 'n=3..3', 's=1..1']):\n"
+             "             ['report', '--grid', 'n=3..3', 's=1..1'],\n"
+             "             ['sample', '--n', '9', '--spin', '1/2', '--shots', '1000000']):\n"
              "    assert main(argv) == 0\n"
              "assert 'numpy' not in sys.modules\n"
              "assert 'dataclasses' not in sys.modules\n"
@@ -1544,7 +1548,7 @@ SWEEP = [
      "mkbell sample: error: argument --n: given more than once\n"),
     ("sample --n 2 --spin 1/2 --shots 100000000000000000000", 2,
      "",
-     "error: --shots 100000000000000000000 puts 25000000000000000000 shots on each "
+     "error: shots 100000000000000000000 puts 25000000000000000000 shots on each "
      "setting of n=2, s=1/2, more than the 2**63 - 1 one multinomial draw takes\n"),
     ("report --grid n=3..2 s=1/2..1/2", 2,
      "",

@@ -206,7 +206,7 @@ class TestBellEstimate:
             assert est.value == pytest.approx(twice ** n * half.value, rel=1e-12, abs=0)
             assert est.stderr == pytest.approx(twice ** n * half.stderr, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", range(1, 12))
     def test_is_the_termwise_oracle_at_spin_half(self, n):
         scenario = Scenario(n, Spin(1))
         shots = 2000 * 4 ** (n // 2)
@@ -221,6 +221,40 @@ class TestBellEstimate:
         self.assert_same(estimate_bell_value(scenario, shots, seed),
                          termwise_estimate(scenario, shots, seed))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_definite_terms_are_exactly_the_odd_n(self, n):
+        # The odd-n shortcut's licence: the sum of |c_t| is 2**(3(n-1)/2),
+        # the top eigenvalue over 2**-n, so every term sits at its extreme.
+        # At even n the sum is sqrt(2) times more and the outcomes are random.
+        total = sum(abs(coeff) for coeff, _ in expand_terms(n))
+        assert (total ** 2 == 2 ** (3 * (n - 1))) == (n % 2 == 1)
+
+    @pytest.mark.parametrize("n,twice", [(n, twice) for n in range(1, 12, 2)
+                                         for twice in (1, 2, 15)])
+    def test_odd_n_builds_and_draws_nothing(self, monkeypatch, n, twice):
+        scenario = Scenario(n, Spin(twice))
+        shots = 1000 * 4 ** (n // 2)
+        expected = termwise_estimate(scenario, shots, 9)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built or drew at odd n")
+
+        monkeypatch.setattr(measurement, "top_state", forbidden)
+        monkeypatch.setattr(measurement, "sample_outcomes", forbidden)
+        self.assert_same(estimate_bell_value(scenario, shots, 9), expected)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_even_n_draws_once_per_context(self, monkeypatch, n):
+        seeds = []
+
+        def counted(probs, shots, seed):
+            seeds.append(seed.entropy)
+            return sample_outcomes(probs, shots, seed)
+
+        monkeypatch.setattr(measurement, "sample_outcomes", counted)
+        estimate_bell_value(Scenario(n, Spin(1)), 100 * 4 ** (n // 2), seed=3)
+        assert seeds == [[3, t] for t in range(4 ** (n // 2))]
+
     def test_takes_the_total_shots(self):
         # max(1, shots // T) on each of the T = 4 contexts at n = 2.
         scenario = Scenario(2, Spin(1))
@@ -233,7 +267,7 @@ class TestBellEstimate:
         with pytest.raises(ValueError) as info:
             estimate_bell_value(scenario, 2 ** 63 * 4, seed=1)
         assert str(info.value) == (
-            f"--shots {2 ** 65} puts {2 ** 63} shots on each setting of n=2, s=1, more "
+            f"shots {2 ** 65} puts {2 ** 63} shots on each setting of n=2, s=1, more "
             "than the 2**63 - 1 one multinomial draw takes")
         assert shots_per_setting(scenario, (2 ** 63 - 1) * 4 + 3) == 2 ** 63 - 1
 
