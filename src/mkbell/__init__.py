@@ -9,9 +9,10 @@ violation ratio 2**((n-1)/2) by formula and by simulated measurement.
 
 Import the modules: ``spincore``, ``errors``, ``expansion``, ``classical``
 and ``quantum`` do not import NumPy; the array layer ``operators`` does,
-and ``measurement`` does inside the functions that build arrays, which
-only an even-n estimate calls: at odd n every term's outcome is definite.
-So a command that samples no even n never imports NumPy.  A command that
+and ``measurement`` does only to draw an even-n estimate's binomial
+agreement counts and inside its Born-rule reference, which no command
+calls: at odd n every term's outcome is definite.  So a command that
+samples no even n never imports NumPy.  A command that
 does not sample loads ``cli``, ``spincore``, ``errors`` and
 ``expansion``, ``classical`` only for the
 commands that print the classical bound and ``quantum`` only for the

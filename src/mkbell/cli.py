@@ -6,13 +6,16 @@ Exit codes, each limit decided by one function:
 - 0: success.
 - 2: a validation error, among them a ``--spin`` or integer literal past the
   digit limit (``spincore.check_digits``), a negative ``--seed``, a
-  ``--shots`` that puts more than 2**63 - 1 shots on one setting
-  (``measurement.shots_per_setting``), an option the command does not take
-  and an option that takes a value given twice; or an unwritable ``--output``.
-- 3: a cap exceeded: the array budget ``--dim-cap``, also counting
-  ``report``'s table cells (``spincore.check_budget``); the digits of a
-  printed exact integer (``spincore.check_digits``); or a top eigenvalue or
-  ratio past the float range (``quantum.block_scale``).
+  ``--shots`` that puts more than 2**63 - 1 shots on one setting, the most
+  one binomial draw takes (``measurement.shots_per_setting``), an option the
+  command does not take and an option that takes a value given twice; or an
+  unwritable ``--output``.
+- 3: a cap exceeded: the array budget ``--dim-cap``, which counts the
+  n 2**n letters of the expansion for ``expand`` and the sampling commands
+  alike (``expansion.check_letters``), and ``report``'s table cells
+  (``spincore.check_budget``); the digits of a printed exact integer
+  (``spincore.check_digits``); or a top eigenvalue or ratio past the float
+  range (``quantum.block_scale``).
 - 4: numerical non-convergence: the closed-form top eigenpair's residual is
   above ``quantum.TOLERANCE``.
 
@@ -35,10 +38,11 @@ The eigenpair commands ``quantum-max``, ``ratio`` and ``report`` import
 residue classes of b mod 4, in pure Python; ``quantum-max`` and ``ratio``
 build no array, so, like ``classical-max``, they take no ``--dim-cap``.
 Only the commands that sample, ``sample`` and ``report --sample``, import
-``measurement``, which imports NumPy only for an even n, to build the
-2**n state and draw: at odd n every term's outcome is definite, and the
-estimate is exact without either.  ``classical-max`` and ``expand`` run on
-the pure-Python exact layer.  Only the commands that print the classical
+``measurement``, which imports NumPy only for an even n, to draw the T
+binomial agreement counts, one per term: at odd n every term's outcome is
+definite, and the estimate is exact without a draw.  No command builds the
+2**n state or its outcome distributions.  ``classical-max`` and ``expand``
+run on the pure-Python exact layer.  Only the commands that print the classical
 bound, ``classical-max``, ``ratio``, ``sample`` and ``report``, import
 ``classical``; ``quantum-max`` and ``expand`` never load it.
 
@@ -143,12 +147,10 @@ def _to_csv(payload):
 
 
 def _cmd_expand(args):
-    from .expansion import expand_terms
+    from .expansion import check_letters, expand_terms
 
-    n = args.n  # n letters in each of 2**n label strings, whatever the spin
-    Scenario(n, Spin(1), args.dim_cap).check_entries(
-        f"the label strings for n={n}", lambda: n << n)
-    return [{"coefficient": c, "labels": labels} for c, labels in expand_terms(n)]
+    check_letters(Scenario(args.n, Spin(1), args.dim_cap))  # whatever the spin
+    return [{"coefficient": c, "labels": labels} for c, labels in expand_terms(args.n)]
 
 
 def _cmd_classical_max(args):
@@ -326,9 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--dim-cap": dict(type=_parsed(partial(_integer, "dim_cap", least=1)),
                           default=DEFAULT_DIM_CAP, help=(
             "array budget: the most array entries the command may build "
-            f"(default {DEFAULT_DIM_CAP}); at every spin "
-            "sampling (which alone imports NumPy) counts 4**(n//2) 2**n, expand "
-            "n 2**n, and report its table's cells, rows times 6 or, sampled, 9")),
+            f"(default {DEFAULT_DIM_CAP}); at every spin expand and sampling "
+            "count the n 2**n letters of the expansion, and report its table's "
+            "cells, rows times 6 or, sampled, 9")),
         "--format": dict(choices=("json", "csv"), default="json"),
         "--output": dict(help="write the report to this file"),
         "--full-grid": dict(action="store_true",
@@ -364,10 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # NumPy, loaded only to sample an even n, starts OpenBLAS's thread pool,
-    # whose thread busy-waits for about 0.1 s of CPU; no call here is large
-    # enough to use it.  One thread alone cut the CPU time of `sample --n 9
-    # --spin 1/2`, then a drawing command, whole process on a 2-vCPU guest,
-    # from 0.43 to 0.31 s (BENCH_per_b_sampling.json).
+    # whose thread busy-waits for about 0.1 s of CPU; no call here uses it.
+    # One thread alone cut the CPU time of `sample --n 9 --spin 1/2`, then a
+    # drawing command, whole process on a 2-vCPU guest, from 0.43 to 0.31 s
+    # (BENCH_per_b_sampling.json).
     # A value the caller set is kept.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)

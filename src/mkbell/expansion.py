@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .spincore import LABEL_B, LABELS
+from .spincore import LABEL_B, LABELS, Scenario
 
 
 def pair_step(m, k, a, b):
@@ -45,6 +45,15 @@ def prefactor(n: int) -> tuple[int, int]:
 def expected_term_count(n: int) -> int:
     """2^(2 * floor(n/2)): 2^n terms for even n, 2^(n-1) for odd n."""
     return 1 << (2 * (n // 2))
+
+
+def check_letters(scenario: Scenario) -> None:
+    """CapExceeded unless the n 2**n letters that ``expand_terms(n)`` goes
+    through, one string of n letters per choice of labels, fit the
+    scenario's array budget: the one rule of ``expand`` and of the sampler,
+    checked before either expands."""
+    n = scenario.n
+    scenario.check_entries(f"the label strings for n={n}", lambda: n << n)
 
 
 def expand_terms(n: int) -> tuple[tuple[int, str], ...]:

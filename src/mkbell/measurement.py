@@ -1,41 +1,52 @@
 """Projective local measurement simulation and finite-sample Bell estimates.
 
-The top state lives on the 2**n strings of the extreme levels +-s
-(``quantum.py`` docstring), where A and B are s sigma_z and s sigma_x.  So
-each setting context follows the spin-1/2 Born rule: rotate each party
-measuring B into B's eigenbasis, then square amplitudes.  An outcome
-product is (2s)**n times the spin-1/2 one, +-2**-n: contexts are sampled at
-spin 1/2, and ``estimate_bell_value`` scales by ``quantum.block_scale`` once.
-At odd n the top state saturates every term, so each term's outcome product
-is definite and ``estimate_bell_value`` returns it without building or
-drawing anything (its docstring).  Only even-n sampling builds the state's
-2**n entries, from the four certified class values, and only it and the
-functions that build arrays import NumPy.
-The state is symmetric under every permutation of the parties, so two
-contexts with the same number b of B settings have distributions that are,
-bit for bit, axis permutations of one another: ``estimate_bell_value``
-builds one distribution per b (n + 1 at most, not the T = 4**(n//2)
-contexts) and gives each context its permuted copy, the array the termwise
-Born rule gives it (``symmetric_distributions``).
-``estimate_bell_value`` spends a total number of shots over the T contexts;
+The top state x lives on the 2**n strings of the extreme levels +-s
+(``quantum.py`` docstring), where A and B are s sigma_z and s sigma_x.  So a
+term's outcome product is (2s)**n times the spin-1/2 one, +-2**-n: terms are
+estimated at spin 1/2, and ``estimate_bell_value`` scales by
+``quantum.block_scale`` once.
+
+**One law for every term.**  x is Cabello's multilevel GHZ state (Phys.
+Rev. A 63, 022104 (2001)).  By the rank-one argument of ``quantum.py``
+(u^T u = 0, so u-bar^T O u = 0 for a product term O), the term with b
+letters B has spin-1/2 correlation 2**-n Re(e^(i theta) i**b), with
+theta = -pi (n-1)/4 the phase of (1 - i)^(n-1), while its coefficient is
+c_t = Re[(1 - i)^(n-1) i**b] = |(1 - i)^(n-1)| Re(e^(i theta) i**b).  So
+each correlation is sign(c_t) 2**-n r with r = |c_t| / |(1 - i)^(n-1)|,
+and each shot, whose product is +-2**-n, agrees with sign(c_t) with
+probability p = (1 + r)/2.  r takes one value over the surviving terms
+(``expansion.py``): at odd n, (1 - i)^(n-1) is real or imaginary, so r = 1
+and every outcome is definite, Mermin's perfect correlations (PRL 65, 1838
+(1990)); at even n its real and imaginary parts have one modulus, so
+r = 1/sqrt(2) and p = cos(pi/8)**2, at every spin.  Shots are independent,
+so term t's count k_t of agreeing shots among its share is
+Binomial(share, p), and the terms' counts are independent of one another.
+Its estimate sign(c_t) 2**-n (2 k_t - share)/share is unbiased, with exact
+standard deviation 2**-n sqrt(1 - r**2)/sqrt(share) (4 p (1 - p) = 1 - r**2):
+0 at odd n, where nothing is drawn, and never 0 at even n.
+``estimate_bell_value`` spends a total number of shots over the T terms;
 ``shots_per_setting``, the sampler's one admission rule, checks the budget
-and splits the shots before anything is built, at every n.
-Sampling uses NumPy's PCG64 generator; per-term streams are derived from
-the base seed and the term index through ``numpy.random.SeedSequence``, so
-every report is reproducible.
+and splits the shots before anything is built.
+
+**The Born-rule reference.**  ``top_state``, ``joint_distribution``,
+``sample_outcomes`` and ``SampleReport`` build x on its 2**n entries, a
+context's 2**n outcome probabilities and multinomial draws from them.  No
+command calls them; the tests check the law above against them.  Only
+they and an even-n estimate import NumPy, so an odd-n estimate never does.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import repeat
 from math import ldexp, sqrt
 from typing import Any
 
 from .classical import classical_bound
 from .errors import DimensionMismatch, NotNormalized
-from .expansion import expand_terms, expected_term_count
+from .expansion import check_letters, expand_terms, expected_term_count, prefactor
 from .quantum import block_scale, ghz_amplitudes
-from .spincore import LABEL_A, LABEL_B, Scenario, validate_labels
+from .spincore import Scenario, validate_labels
 
 
 def top_state(scenario: Scenario) -> Any:
@@ -72,23 +83,6 @@ def joint_distribution(state: Any, settings: str) -> Any:
         if label == "B":
             amps = np.moveaxis(np.tensordot(rotation, amps, axes=(1, j)), 0, j)
     return (amps ** 2).reshape(-1)
-
-
-def symmetric_distributions(state: Any, contexts):
-    """Yield ``joint_distribution(state, settings)`` for each of ``contexts``,
-    bit for bit, for a ``state`` symmetric under every permutation of the
-    parties.  One distribution is built per number b of B settings, for the
-    settings "A"*(n-b) + "B"*b, and held; a context with b B's gets it with
-    party j's axis taken from its place in the stable sort of the settings.
-    """
-    canonical = {}
-    for settings in contexts:
-        n, b = len(settings), settings.count(LABEL_B)
-        if b not in canonical:
-            canonical[b] = joint_distribution(state, LABEL_A * (n - b) + LABEL_B * b)
-        order = sorted(range(n), key=settings.__getitem__)  # A's, then B's
-        axes = sorted(range(n), key=order.__getitem__)  # the inverse of order
-        yield canonical[b].reshape((2,) * n).transpose(axes).reshape(-1)
 
 
 class SampleReport(namedtuple("SampleReport",
@@ -143,69 +137,58 @@ def shots_per_setting(scenario: Scenario, shots: int) -> int:
     ``estimate_bell_value`` spends ``shots`` in all: ``max(1, shots // T)``.
 
     This is the sampler's one admission rule, checked in this order: shots
-    below 1 raise ValueError; CapExceeded unless T 2**n entries, the T outcome
-    distributions of length 2**n, fit the array budget (the count bounds work:
-    the T permuted copies are made one at a time, from the n + 1 held, about
-    (n + 2) 2**n entries with the state); and a share past the 2**63 - 1 one
-    multinomial draw takes raises ValueError.  Nothing is built."""
+    below 1 raise ValueError; CapExceeded unless the n 2**n letters that
+    ``expand_terms`` goes through fit the array budget (``expand``'s rule,
+    ``expansion.check_letters``; the T counts are fewer); and a share past
+    the 2**63 - 1 one binomial draw takes raises ValueError.  Nothing is
+    built."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    n = scenario.n
-    scenario.check_entries(f"the outcome distributions of {scenario}",
-                           lambda: expected_term_count(n) << n, least=n + 2 * (n // 2))
-    share = max(1, shots // expected_term_count(n))
+    check_letters(scenario)
+    share = max(1, shots // expected_term_count(scenario.n))
     if share >= 1 << 63:
         raise ValueError(f"shots {shots} puts {share} shots on each setting of "
-                         f"{scenario}, more than the 2**63 - 1 one multinomial draw takes")
+                         f"{scenario}, more than the 2**63 - 1 one binomial draw takes")
     return share
 
 
 def estimate_bell_value(scenario: Scenario, shots: int, seed: int) -> BellEstimate:
-    """Spend ``shots`` in all, split evenly across the setting contexts of
-    ``top_state``; combine each term's mean with its coefficient.
+    """Spend ``shots`` in all, ``shots_per_setting``'s share on each term's
+    setting context, and combine each term's mean with its coefficient.
 
-    ``shots_per_setting`` admits the estimate and gives each context's share
-    before anything is built, at every n.  Each term is sampled at spin 1/2;
-    its mean and error are scaled by (2s)**n.
-
-    At odd n no term is drawn: every outcome is definite (Mermin's perfect
-    correlations, PRL 65, 1838 (1990)).  The T = 2**(n-1) terms each have
-    |c_t| = 2**((n-1)/2), and a term's spin-1/2 outcome product is +-2**-n,
-    so no state gives more than the sum of |c_t| 2**-n, 2**(3(n-1)/2) 2**-n,
-    the top eigenvalue the state attains.  Each term is then at its extreme:
-    its product reads sign(c_t) 2**-n on every shot, which any draw returns
-    as its mean with plug-in error 0, so term t reads
-    (labels, scale ldexp(sign(c_t), -n), 0.0).  At even n the sum of |c_t| is
-    sqrt(2) times larger and outcomes are random: term t draws its share from
-    the stream seeded by SeedSequence([seed, t]), from a permuted copy of one
-    of the n + 1 distributions built per count of B settings
-    (``symmetric_distributions``).  The combined standard error, the root
-    sum of squares of coefficient-weighted spin-1/2 errors, is scaled once,
-    so that no square leaves the float range.
+    Each term's count of shots that agree with sign(c_t) follows the law of
+    the module docstring.  With r = 1 (odd n) every count is the share and
+    nothing is drawn; otherwise all T counts come from one
+    ``default_rng(seed).binomial`` call, term t's the t-th.  Each term's mean
+    and exact standard deviation are formed at spin 1/2 and scaled by
+    (2s)**n.  The combined error, the root sum of squares of the
+    coefficient-weighted ones, is |c_t| sqrt(T) times a term's, as every
+    term has the same |c_t| and error; no square is formed.
     """
     share = shots_per_setting(scenario, shots)
     scale = block_scale(scenario)
     n = scenario.n
     terms = expand_terms(n)
-    if n % 2:  # every outcome is definite: no state, no draw
-        moments = ((ldexp(1.0 if coeff > 0 else -1.0, -n), 0.0) for coeff, _ in terms)
+    c = abs(terms[0][0])  # every surviving term's |c_t|
+    re, im = prefactor(n)
+    r_squared = c * c / (re * re + im * im)  # exactly 1 or 1/2
+    r = sqrt(r_squared)
+    if r == 1.0:  # every outcome is definite
+        counts = repeat(share)
     else:
         import numpy as np
 
-        distributions = symmetric_distributions(top_state(scenario),
-                                                (labels for _, labels in terms))
-        reports = (sample_outcomes(probs, share, np.random.SeedSequence([seed, t]))
-                   for t, probs in enumerate(distributions))
-        moments = ((report.correlation_mean, report.correlation_stderr) for report in reports)
+        counts = np.random.default_rng(seed).binomial(share, (1 + r) / 2,
+                                                      size=len(terms)).tolist()
+    unit = ldexp(1.0, -n)
+    stderr = unit * sqrt(1.0 - r_squared) / sqrt(share)
     per_term = []
     value = 0.0
-    var = 0.0
-    for (coeff, labels), (mean, stderr) in zip(terms, moments):
-        mean = scale * mean
+    for (coeff, labels), agree in zip(terms, counts):
+        mean = scale * ((unit if coeff > 0 else -unit) * ((2 * agree - share) / share))
         per_term.append((labels, mean, scale * stderr))
         value += coeff * mean
-        var += (coeff * stderr) ** 2
-    return BellEstimate(value=value, stderr=scale * sqrt(var),
+    return BellEstimate(value=value, stderr=scale * (stderr * c * sqrt(len(terms))),
                         per_term=tuple(per_term), shots_per_setting=share)
 
 

@@ -84,9 +84,11 @@ sum_r W_r = 2 and sum_r (-1)**r W_r = 0, so the residual does not check
 them; the tests compare them with the exact binomial class sums.
 ``block_scale`` runs first, as the fail-fast float-range
 check; the certificate holds four floats at any n and counts nothing against
-the array budget.  Only sampling needs x on its 2**n entries;
-``measurement.top_state`` builds it there, indexing the four class values by
-b mod 4.
+the array budget.  No command builds x on its 2**n entries: sampling draws
+from each term's law, which the same rank-one argument gives
+(``measurement.py`` docstring), and ``measurement.top_state``, which builds
+x there by indexing the four class values by b mod 4, is the tests'
+Born-rule reference.
 
 **Gap.**  For n >= 2 the next eigenvalue is the largest of
 (2s)**(n-1) (2s - 2) q (the next largest block scale, s >= 3/2) and 0 (a

@@ -18,11 +18,11 @@ from fractions import Fraction
 from .errors import CapExceeded
 
 #: Default array budget: the total number of entries a path may build, as
-#: counted by that path and decided by ``check_budget``.  With
-#: T = 4**(n//2) terms and at any spin, a state vector counts 2**n, a sampled
-#: estimate T 2**n and the expansion n 2**n letters; the CLI's report table
-#: counts its cells, rows times 6 or, sampled, 9.  With D = (2s+1)**n, a
-#: dense matrix D**2 and, among the test oracles, a full-space state D, the
+#: counted by that path and decided by ``check_budget``.  At any spin, a
+#: state vector counts 2**n, and the expansion n 2**n letters, for ``expand``
+#: and a sampled estimate alike; the CLI's report table counts its cells,
+#: rows times 6 or, sampled, 9.  With D = (2s+1)**n and T = 4**(n//2) terms,
+#: a dense matrix D**2 and, among the test oracles, a full-space state D, the
 #: commutation report T D**2 and the enumeration 2n per strategy.
 DEFAULT_DIM_CAP = 1 << 24
 
@@ -169,7 +169,7 @@ class Scenario(namedtuple("Scenario", "n spin dim_cap")):
         ``dim_cap``.  ``entries`` is a callable that forms the count (default:
         2**n, one state vector), and 2**``least`` a lower bound on it.  Every
         count is at least 2**n, and n is at least a third of the bits of 2**n,
-        n 2**n, T 2**n and 2n 4**n; a count with more bits passes ``least``."""
+        n 2**n and 2n 4**n; a count with more bits passes ``least``."""
         n = self.n
         check_budget(what, self.dim_cap, entries or (lambda: 1 << n), least=max(n, least))
 

@@ -51,9 +51,10 @@ over all D joint outcomes.  ``predicted_correlation`` is each product
 term's correlation in the top state, in closed form.
 
 ``termwise_estimate`` is the sampled Bell estimate with the Born rule run
-once per term, the loop that ``mkbell.measurement.estimate_bell_value``
-replaces by one distribution per count of B settings and its permuted
-copies; on one seed the two agree exactly.
+once per term, the multinomial draws that
+``mkbell.measurement.estimate_bell_value`` replaces by one binomial count
+per term, from each term's exact law; the two agree bit for bit at odd n,
+where neither draws, and in law at even n.
 
 The term-level oracles work one product term at a time: ``pair_recursion``
 expands the real pair recursion (M_n, K_n) on label strings,

@@ -4,7 +4,8 @@ among the dense test oracles, counts their entries against
 decided in one function: the budget in ``spincore.check_budget``, the digit
 limit in ``spincore.check_digits``, the float range in
 ``quantum.block_scale`` and the sampler's admission, its budget and shots
-split, in ``measurement.shots_per_setting``."""
+split, in ``measurement.shots_per_setting``, whose budget is ``expand``'s
+(``expansion.check_letters``)."""
 
 import ast
 import sys
@@ -49,7 +50,7 @@ PATHS = [
      lambda sc, x: classical_max_enumerated(sc, extremal_only=False),
      lambda n, D, T: 2 * n * D * D),
     ("estimate_bell_value", lambda sc, x: estimate_bell_value(sc, 10 * 4 ** (sc.n // 2), 0),
-     lambda n, D, T: T * 2 ** n),
+     lambda n, D, T: n * 2 ** n),
 ]
 
 #: NumPy constructors the budgeted paths allocate with.
@@ -122,10 +123,10 @@ def test_a_huge_count_is_never_formed(n):
     (lambda: global_operator(Scenario(30, Spin(3), dim_cap=4)),
      f"a state vector of n=30, s=3/2 would hold {2 ** 30}"),
     (lambda: estimate_bell_value(Scenario(30, Spin(1)), 10 * 4 ** 15, 0),
-     f"the outcome distributions of n=30, s=1/2 would hold {2 ** 60}"),
+     f"the label strings for n=30 would hold {30 * 2 ** 30}"),
     (lambda: dense_scaled_product(Scenario(30, Spin(2))),
      f"a dense matrix of n=30, s=1 would hold {3 ** 60}"),
-], ids=["state-8", "state-2**30", "distributions-2**60", "dense-3**60"])
+], ids=["state-8", "state-2**30", "letters-30*2**30", "dense-3**60"])
 def test_a_small_count_is_shown_exactly(call, shown):
     # 2**least past the cap no longer stands for a count of at most 2000 bits.
     with pytest.raises(CapExceeded) as info:
@@ -153,11 +154,14 @@ def test_the_count_is_formed_below_2_to_the_2000(count, least, shown):
 
 @pytest.mark.parametrize("n", [1999, 2000, 2048])
 def test_the_sampled_count_is_shown_with_its_exponent(capsys, n):
-    # T 2**n = 2**(n + 2 floor(n/2)): past 2000 bits the message shows that
-    # exponent, for sample and report --sample alike, without forming the count.
-    least = n + 2 * (n // 2)
-    message = (f"error: the outcome distributions of n={n}, s=1/2 would hold "
-               f"at least 2**{least} entries, which exceeds cap 16777216\n")
+    # n 2**n letters, expand's count and message: past 2000 bits the message
+    # shows a power of two, the count's own while 2**n is below 2**2000, and
+    # 2**n from there on, where the count is not formed; for sample and
+    # report --sample alike.
+    least = (n << n).bit_length() - 1 if n < 2000 else n
+    message = (f"error: the label strings for n={n} would hold at least 2**{least} "
+               "entries, which exceeds cap 16777216\n")
+    assert (main(["expand", "--n", str(n)]), *capsys.readouterr()) == (3, "", message)
     for argv in (["sample", "--n", str(n), "--spin", "1/2"],
                  ["report", "--grid", f"n={n}..{n}", "s=1/2..1/2", "--sample"]):
         assert (main(argv), *capsys.readouterr()) == (3, "", message)
@@ -228,7 +232,7 @@ def test_every_cap_is_raised_by_the_function_that_decides_it():
 
 
 def test_the_sampler_owns_its_admission_rule():
-    # The budget, the shots split and the 2**63 limit of one multinomial draw
+    # The budget, the shots split and the 2**63 limit of one binomial draw
     # are decided in measurement.shots_per_setting; the CLI recounts none.
     for name in ("block_scale", "expected_term_count"):
         assert _calls(name) and "cli" not in {site[0] for site in _calls(name)}, name

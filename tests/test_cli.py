@@ -314,12 +314,12 @@ class TestClassicalMax:
 class TestDimensionCap:
     @pytest.mark.parametrize("command", ["quantum-max", "ratio", "sample", "report"])
     def test_first_n_past_default_cap(self, capsys, monkeypatch, command):
-        # 2**25 > 2**24: sample exits 3 before the top state is built; the
-        # eigenpair commands build no state at all.
-        def no_state(*args, **kwargs):
-            raise AssertionError("built a state beyond the cap")
+        # 25 2**25 letters > 2**24: sample exits 3 before the terms are
+        # expanded; the eigenpair commands build no state at all.
+        def no_terms(*args, **kwargs):
+            raise AssertionError("expanded the terms beyond the cap")
 
-        monkeypatch.setattr(measurement, "top_state", no_state)
+        monkeypatch.setattr(measurement, "expand_terms", no_terms)
         code, out, err = run(capsys, *one_scenario(command, 25, "1/2"))
         if command == "sample":
             assert (code, out) == (3, "")
@@ -333,11 +333,11 @@ class TestDimensionCap:
 
     @pytest.mark.parametrize("argv", [
         ("expand", "--n", "20"),
-        ("sample", "--n", "14", "--spin", "1/2"),
-        ("report", "--grid", "n=13..13", "s=1/2..1/2", "--sample"),
+        ("sample", "--n", "20", "--spin", "1/2"),
+        ("report", "--grid", "n=20..20", "s=1/2..1/2", "--sample"),
     ])
     def test_past_the_budget_fails_fast(self, capsys, argv):
-        # 20 * 2**20 letters, 4**7 * 2**14 and 4**6 * 2**13 outcome probabilities.
+        # 20 * 2**20 letters, which expand and the sampler both go through.
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0
@@ -345,17 +345,17 @@ class TestDimensionCap:
         assert "exceeds cap 16777216" in err
 
     def test_grid_checks_every_row_before_the_first(self, capsys, monkeypatch):
-        # Rows n = 10..12 fit; n = 13 samples 4**6 * 2**13 > 2**24 entries.
+        # Rows n = 17..19 fit; n = 20 samples 20 * 2**20 > 2**24 letters.
         def no_row(*args, **kwargs):
             raise AssertionError("computed a row of a grid past the budget")
 
         monkeypatch.setattr(classical, "classical_max", no_row)
         start = time.perf_counter()
-        code, out, err = run(capsys, "report", "--grid", "n=10..13", "s=1/2..1/2",
+        code, out, err = run(capsys, "report", "--grid", "n=17..20", "s=1/2..1/2",
                              "--sample")
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (3, "")
-        assert "the outcome distributions of n=13, s=1/2" in err
+        assert "the label strings for n=20" in err
         assert "exceeds cap 16777216" in err
 
     def test_huge_grid_stops_at_its_first_row_past_the_budget(self, capsys, monkeypatch):
@@ -553,12 +553,12 @@ class TestBlockPath:
         assert out
 
     def test_sample_budget_is_the_block(self, capsys):
-        # 4**2 contexts of 2**5 outcomes at spin 15/2: 512 entries, not 16 * 16**5.
+        # 5 2**5 letters at spin 15/2: 160 entries, not 16 * 16**5.
         argv = ("sample", "--n", "5", "--spin", "15/2", "--shots", "4000", "--dim-cap")
-        code, out, err = run(capsys, *argv, "511")
+        code, out, err = run(capsys, *argv, "159")
         assert (code, out) == (3, "")
-        assert "exceeds cap 511" in err
-        code, out, _ = run(capsys, *argv, "512")
+        assert "exceeds cap 159" in err
+        code, out, _ = run(capsys, *argv, "160")
         assert code == 0
         assert len(json.loads(out)["per_term"]) == 16
 
@@ -643,7 +643,7 @@ class TestSample:
         assert "shots must be an integer >= 1" in capsys.readouterr().err
 
     def test_shots_past_one_draw_are_usage_errors(self, capsys):
-        # One multinomial draw takes at most 2**63 - 1 shots; n = 1 has one
+        # One binomial draw takes at most 2**63 - 1 shots; n = 1 has one
         # setting, n = 2 four.
         for n, shots, expected in [("1", 2 ** 63 - 1, 0), ("1", 2 ** 63, 2),
                                    ("2", 2 ** 63, 0), ("2", 10 ** 23, 2)]:
@@ -664,36 +664,36 @@ class TestSample:
         assert payload["classical_bound"] == "3/2"
         assert '"sigmas_above_classical": 0.0\n' in out
 
-    def test_budget_counts_distributions(self, capsys, monkeypatch):
-        # 4**2 setting contexts, each a distribution over 2**4 outcomes: 256
-        # entries.  At cap 255, exit 3 before the first distribution.
-        def no_distribution(*args, **kwargs):
-            raise AssertionError("built a distribution past the cap")
+    def test_budget_counts_letters(self, capsys, monkeypatch):
+        # expand's rule: 4 2**4 = 64 letters, for the 4**2 terms drawn.  At
+        # cap 63, exit 3 with expand's message, before the terms are expanded.
+        def no_terms(*args, **kwargs):
+            raise AssertionError("expanded the terms past the cap")
 
         argv = ("sample", "--n", "4", "--spin", "1/2", "--dim-cap")
         with monkeypatch.context() as patch:
-            patch.setattr(measurement, "joint_distribution", no_distribution)
-            code, out, err = run(capsys, *argv, "255")
+            patch.setattr(measurement, "expand_terms", no_terms)
+            code, out, err = run(capsys, *argv, "63")
         assert (code, out) == (3, "")
-        assert "exceeds cap 255" in err
-        code, out, _ = run(capsys, *argv, "256")
+        assert err == run(capsys, "expand", "--n", "4", "--dim-cap", "63")[2] == (
+            "error: the label strings for n=4 would hold 64 entries, which exceeds cap 63\n")
+        code, out, _ = run(capsys, *argv, "64")
         assert code == 0
         assert len(json.loads(out)["per_term"]) == 16
 
-
     def test_budget_before_shots_and_before_the_state(self, capsys, monkeypatch):
-        # n = 13 fails both the budget (4**6 * 2**13 entries) and the shots
-        # split; like report, sample names the budget, before the state.
-        def no_state(*args, **kwargs):
-            raise AssertionError("built the top state before the admission rule")
+        # n = 20 fails both the budget (20 * 2**20 letters) and the shots
+        # split; like report, sample names the budget, before the terms.
+        def no_terms(*args, **kwargs):
+            raise AssertionError("expanded the terms before the admission rule")
 
-        monkeypatch.setattr(measurement, "top_state", no_state)
+        monkeypatch.setattr(measurement, "expand_terms", no_terms)
         shots = str(10 ** 30)
-        sample = run(capsys, "sample", "--n", "13", "--spin", "1/2", "--shots", shots)
-        report = run(capsys, *one_scenario("report", 13, "1/2"), "--sample", "--shots", shots)
+        sample = run(capsys, "sample", "--n", "20", "--spin", "1/2", "--shots", shots)
+        report = run(capsys, *one_scenario("report", 20, "1/2"), "--sample", "--shots", shots)
         assert sample == report == (3, "", (
-            "error: the outcome distributions of n=13, s=1/2 would hold 33554432 "
-            "entries, which exceeds cap 16777216\n"))
+            "error: the label strings for n=20 would hold 20971520 entries, which "
+            "exceeds cap 16777216\n"))
 
     @pytest.mark.parametrize("command", [one_scenario("sample", 2, "1/2"),
                                          (*one_scenario("report", 2, "1/2"), "--sample")],
@@ -734,13 +734,12 @@ class TestSample:
             "sigmas_above_classical,inf\n"
         )
 
-    def test_largest_default_n_bytes(self, capsys):
-        # n = 12 samples 4096 contexts from 13 distributions; the digest is
-        # that of the termwise Born rule's output, one distribution per context.
+    def test_n_12_bytes(self, capsys):
+        # n = 12 draws its 4096 agreement counts in one binomial call.
         code, out, err = run(capsys, "sample", "--n", "12", "--spin", "1/2")
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "45acc471b337e62f2d280991038f385ffa1cda5bc8c67cd400393d952e8d564d")
+            "2eb56ca763023aa834e12f4130f1d03e215a4d0f2859592deade981bbd823ac6")
 
     def test_certifies_once(self, capsys, monkeypatch):
         calls = []
@@ -792,19 +791,20 @@ class TestReport:
 
     def test_sampled_grid_bytes(self, capsys):
         # At n = 2 one seed draws the same counts at every spin: the estimate
-        # and its error are (2s)**2 times the spin-1/2 ones, 9 times at s = 3/2.
+        # and its exact error are (2s)**2 times the spin-1/2 ones, 9 times at
+        # s = 3/2; the error is 2**-2 sqrt(1/2) / sqrt(2500) times sqrt(4).
         code, out, err = run(capsys, "report", "--grid", "n=2..3", "s=1/2..3/2", "--sample",
                              "--shots", "10000", "--seed", "7")
         assert (code, err) == (0, "")
         keys = ("n", "s", "classical", "quantum", "ratio", "gap", "bell_estimate",
                 "bell_stderr", "shots_per_setting")
         rows = [
-            (2, "1/2", "1/2", 0.707106781187, 1.41421356237, 0.707106781187, 0.7052,
-             0.00708883290817, 2500),
-            (2, "1", "2", 2.82842712475, 1.41421356237, 2.82842712475, 2.8208,
-             0.0283553316327, 2500),
-            (2, "3/2", "9/2", 6.36396103068, 1.41421356237, 4.24264068712, 6.3468,
-             0.0637994961736, 2500),
+            (2, "1/2", "1/2", 0.707106781187, 1.41421356237, 0.707106781187, 0.7172,
+             0.00707106781187, 2500),
+            (2, "1", "2", 2.82842712475, 1.41421356237, 2.82842712475, 2.8688,
+             0.0282842712475, 2500),
+            (2, "3/2", "9/2", 6.36396103068, 1.41421356237, 4.24264068712, 6.4548,
+             0.0636396103068, 2500),
             (3, "1/2", "1/2", 1.0, 2.0, 1.0, 1.0, 0.0, 2500),
             (3, "1", "4", 8.0, 2.0, 8.0, 8.0, 0.0, 2500),
             (3, "3/2", "27/2", 27.0, 2.0, 18.0, 27.0, 0.0, 2500),
@@ -1062,7 +1062,7 @@ class TestProcessEntry:
     @pytest.mark.parametrize("argv,code", [
         (("quantum-max", "--n", "2", "--spin", "1/2"), 0),
         (("quantum-max", "--n", "2", "--spin", "0"), 2),
-        (("sample", "--n", "13", "--spin", "1/2"), 3),
+        (("sample", "--n", "20", "--spin", "1/2"), 3),
     ], ids=["exit-0", "exit-2", "exit-3"])
     def test_the_process_exits_with_the_collector_frozen(self, capsys, monkeypatch, argv, code):
         # ``run`` freezes the collector on every exit path, after ``main``
@@ -1078,7 +1078,7 @@ class TestProcessEntry:
         before = gc.get_freeze_count(), gc.isenabled()
         assert run(capsys, "quantum-max", "--n", "2", "--spin", "1/2")[0] == 0
         assert run_or_exit(capsys, "quantum-max", "--n", "2", "--spin", "0")[0] == 2
-        assert run(capsys, "sample", "--n", "13", "--spin", "1/2")[0] == 3
+        assert run(capsys, "sample", "--n", "20", "--spin", "1/2")[0] == 3
         assert (gc.get_freeze_count(), gc.isenabled()) == before
 
     def test_the_commands_without_the_classical_bound_leave_classical_out(self):
@@ -1208,6 +1208,8 @@ class TestBenchmarkHooks:
         # The span attributes read the hooked functions' arguments and results
         # (``shots`` is sample_outcomes' second positional argument); one tiny
         # command per layer runs under the trace, as traced benchmark runs do.
+        # No command reaches the 2**n matvec or the Born-rule reference, which
+        # the benchmark still hooks: they are called directly.
         monkeypatch.syspath_prepend(str(PERFBENCH))
         tracing = importlib.import_module("tracing")
         with tracing.Trace() as trace:
@@ -1216,12 +1218,14 @@ class TestBenchmarkHooks:
             assert run(capsys, "classical-max", "--n", "3", "--spin", "1/2")[0] == 0
             assert run(capsys, "classical-max", "--n", "2", "--spin", "1", "--full-grid")[0] == 0
             assert run(capsys, "expand", "--n", "3")[0] == 0
-            # No command runs the 2**n matvec; the benchmark still hooks it.
             for n in (2, 3):
                 operators.global_operator(Scenario(n, Spin(1))).apply(np.ones(1 << n))
+            state = measurement.top_state(Scenario(2, Spin(1)))
+            for settings in ("AA", "AB", "BB"):
+                measurement.sample_outcomes(measurement.joint_distribution(state, settings),
+                                            100, seed=7)
         assert trace.absent == []
-        assert [span.attrs for span in trace.named("measurement.sample")] == [{"shots": 100}] * 4
-        # One distribution per count of B settings, b = 0, 1, 2, for 4 contexts.
+        assert [span.attrs for span in trace.named("measurement.sample")] == [{"shots": 100}] * 3
         assert len(trace.named("measurement.distribution")) == 3
         assert {span.attrs["amps"] for span in trace.named("kernels.matvec")} == {4, 8}
         assert len(trace.named("operators.build")) == 2
@@ -1495,19 +1499,32 @@ SWEEP = [
      "ebc52979a29bcd1468cba4136924a1634d9d548f725e394345e284d068093657",
      ""),
     ("sample --n 4 --spin 3/2 --shots 5000 --format csv", 0,
-     "d830446cade9421d6e5fbaac1212dd716aa296c12ac400ca26abb83ff0810ba2",
+     "fd3ce2300d7e82a43f93e62c9de5a11c321473fffe99c261d022e480166868d9",
      ""),
     ("sample --n 2 --spin 1/2 --shots 100 --output {out}", 0,
-     "5256ccae1fa6b1f40ae8506b7e8162f2880de4b25656e5036704af12edb19590",
+     "93b7505be0565b3473157cd3164beb697aa665428fa71f11269e04296d585010",
+     ""),
+    # One shot on a setting: the exact error is not 0 (ZERO_SPREAD below).
+    ("sample --n 2 --spin 1/2 --shots 4 --seed 5", 0,
+     "b816288c1259444ccf6ed83a90b5cee6dba366d6f00980d6d69ae206d69f83ad",
+     ""),
+    ("sample --n 12 --spin 1/2 --shots 1", 0,
+     "0e313fc6f56282813005a98790f6afb5eb33c16c2204f9a2fddccbfda72d6a7c",
+     ""),
+    ("sample --n 13 --spin 1/2", 0,
+     "c979df6531f941dd0949c440b2a11caa4db8e3031471feea736277a93fe08dc7",
      ""),
     ("report --grid n=2..3 s=1/2..1", 0,
      "02bae4872403dee1aa210f9037a1df0ae3b52756c0b72e296550a89b92e46be6",
      ""),
     ("report --grid n=2..3 s=1/2..1 --sample --shots 400 --format csv", 0,
-     "9d2283579520733be44fad2e5ac70301b695a70eae02672235f41545e8631438",
+     "9f2243ca9fe6e8bdc96c57df091f8a97b12f95f36350b0e25f1f5da831258c4d",
      ""),
     ("report --grid n=1..2 s=1/2..1/2 --sample --shots 100 --output {out}", 0,
-     "f6b4cf73b4f201e8c712cb086ef6bc092ec94e16107e9015b4e9640560479dc2",
+     "8e4a7ccb57da12784516123110f5477f06c80b2efa0890657b3d980e223a3102",
+     ""),
+    ("report --grid n=10..13 s=1/2..1/2 --sample", 0,
+     "331817d8bf643df20889761f96394e825d8f6dbdc1400f480a6d8ec72aa4d320",
      ""),
     ("classical-max --n 2 --spin 1/3", 2,
      "",
@@ -1549,7 +1566,7 @@ SWEEP = [
     ("sample --n 2 --spin 1/2 --shots 100000000000000000000", 2,
      "",
      "error: shots 100000000000000000000 puts 25000000000000000000 shots on each "
-     "setting of n=2, s=1/2, more than the 2**63 - 1 one multinomial draw takes\n"),
+     "setting of n=2, s=1/2, more than the 2**63 - 1 one binomial draw takes\n"),
     ("report --grid n=3..2 s=1/2..1/2", 2,
      "",
      "error: empty grid range 'n=3..2': LO is above HI\n"),
@@ -1585,30 +1602,29 @@ SWEEP = [
      "",
      "error: the label strings for n=1999 would hold at least 2**2009 entries, which "
      "exceeds cap 16777216\n"),
-    ("sample --n 13 --spin 1/2", 3,
+    ("sample --n 20 --spin 1/2", 3,
      "",
-     "error: the outcome distributions of n=13, s=1/2 would hold 33554432 entries, "
-     "which exceeds cap 16777216\n"),
+     "error: the label strings for n=20 would hold 20971520 entries, which exceeds "
+     "cap 16777216\n"),
     ("sample --n 30 --spin 1/2", 3,
      "",
-     "error: the outcome distributions of n=30, s=1/2 would hold 1152921504606846976 "
-     "entries, which exceeds cap 16777216\n"),
+     "error: the label strings for n=30 would hold 32212254720 entries, which exceeds "
+     "cap 16777216\n"),
     ("sample --n 5 --spin 1 --dim-cap 4", 3,
      "",
-     "error: the outcome distributions of n=5, s=1 would hold 512 entries, which "
-     "exceeds cap 4\n"),
+     "error: the label strings for n=5 would hold 160 entries, which exceeds cap 4\n"),
     ("report --grid n=2..3 s=1/2..1 --dim-cap 23", 3,
      "",
      "error: the report table of grid n=2..3 s=1/2..1 would hold 24 cells, which "
      "exceeds cap 23\n"),
-    ("report --grid n=10..13 s=1/2..1/2 --sample", 3,
+    ("report --grid n=10..20 s=1/2..1/2 --sample", 3,
      "",
-     "error: the outcome distributions of n=13, s=1/2 would hold 33554432 entries, "
-     "which exceeds cap 16777216\n"),
+     "error: the label strings for n=20 would hold 20971520 entries, which exceeds "
+     "cap 16777216\n"),
     ("report --grid n=30..30 s=1/2..1/2 --sample", 3,
      "",
-     "error: the outcome distributions of n=30, s=1/2 would hold 1152921504606846976 "
-     "entries, which exceeds cap 16777216\n"),
+     "error: the label strings for n=30 would hold 32212254720 entries, which exceeds "
+     "cap 16777216\n"),
     ("report --grid n=1..1000000 s=1/2..1/2", 3,
      "",
      "error: the top eigenvalue of n=2049, s=1/2, or its ratio to the classical bound,"
@@ -1647,7 +1663,7 @@ SWEEP_BELOW_ROUNDING = [
      "error: the closed-form top state of n=4, s=3 has residual 3.738e-13, above 1e-20"
      " relative\n"),
     # Every row is certified before the first runs: row 4's certificate fails
-    # before row 2049 leaves the float range, or row 13 the budget.
+    # before row 2049 leaves the float range, or row 13 is sampled.
     ("report --grid n=4..2049 s=1/2..1/2", 4,
      "",
      "error: the closed-form top state of n=4, s=1/2 has residual 2.884e-16, above "
@@ -1657,6 +1673,10 @@ SWEEP_BELOW_ROUNDING = [
      "error: the closed-form top state of n=4, s=1/2 has residual 2.884e-16, above "
      "1e-20 relative\n"),
 ]
+
+
+#: Sweep entries that put one shot on each setting at even n.
+ZERO_SPREAD = ["sample --n 2 --spin 1/2 --shots 4 --seed 5", "sample --n 12 --spin 1/2 --shots 1"]
 
 
 def _sweep(capsys, tmp_path, argv):
@@ -1684,3 +1704,14 @@ class TestSweep:
     def test_bytes_below_rounding(self, capsys, monkeypatch, tmp_path, argv, code, digest, err):
         monkeypatch.setattr(quantum, "TOLERANCE", 1e-20)
         assert _sweep(capsys, tmp_path, argv) == (code, digest, err)
+
+    @pytest.mark.parametrize("argv", ZERO_SPREAD)
+    def test_one_shot_a_setting_has_spread(self, capsys, argv):
+        # A single draw's plug-in variance is 0; the exact one is not, so
+        # no even n reports a violation of infinite significance.
+        code, out, err = run(capsys, *argv.split())
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["shots_per_setting"] == 1
+        assert payload["bell_stderr"] > 0
+        assert math.isfinite(payload["sigmas_above_classical"])

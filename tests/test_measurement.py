@@ -1,4 +1,5 @@
 import itertools
+from math import cos, pi, sqrt
 
 import numpy as np
 import pytest
@@ -10,8 +11,6 @@ from mkbell.measurement import (
     estimate_bell_value,
     joint_distribution,
     sample_outcomes,
-    shots_per_setting,
-    symmetric_distributions,
     top_state,
     violation_sigmas,
 )
@@ -84,34 +83,50 @@ class TestJointDistribution:
             joint_distribution(good, "AC")
 
 
-class TestSymmetricDistributions:
+class TestTermLaw:
+    """The law ``estimate_bell_value`` draws from, checked on the Born-rule
+    reference: each shot of term t agrees with sign(c_t) with probability
+    p = (1 + r)/2, r = 1 at odd n and cos(pi/4) at even n."""
+
+    @staticmethod
+    def agreement(n):
+        return (1 + (1.0 if n % 2 else cos(pi / 4))) / 2
+
     @pytest.mark.parametrize("n", range(1, 11))
-    def test_every_context_is_its_born_rule_bit_for_bit(self, n):
-        # Every string of settings, the terms' contexts among them: the
-        # permuted copy is the array the Born rule builds for it, to the bit.
+    def test_every_term_agrees_with_its_sign_at_p(self, n):
+        # The outcome product is negative where an odd number of parties read -s.
         state = top_state(Scenario(n, Spin(1)))
-        contexts = list(map("".join, itertools.product("AB", repeat=n)))
-        copies = list(symmetric_distributions(state, contexts))
-        assert len(copies) == len(contexts)
-        for settings, probs in zip(contexts, copies):
-            expected = joint_distribution(state, settings)
-            assert probs.shape == expected.shape == (1 << n,)
-            assert np.array_equal(probs.view(np.uint64), expected.view(np.uint64)), settings
+        negative = np.bitwise_count(np.arange(1 << n)) % 2 == 1
+        for coeff, labels in expand_terms(n):
+            probs = joint_distribution(state, labels)
+            agree = probs[negative].sum() if coeff < 0 else probs[~negative].sum()
+            assert abs(agree - self.agreement(n)) <= 1e-14, labels
 
-    @pytest.mark.parametrize("n", [2, 5, 8])
-    def test_builds_one_distribution_per_count_of_b(self, monkeypatch, n):
-        built = []
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_counts_fit_the_born_rule_draws(self, n):
+        # Two-sample Kolmogorov-Smirnov test between the agreement counts of
+        # the binomial sampler and of the multinomial oracle, pooled over the
+        # terms and the seeds 0..49 at 50 shots per setting.  For two samples
+        # of m counts, sqrt(m/2) D stays below 2.7 with asymptotic probability
+        # 1 - 2 exp(-2 * 2.7**2) > 1 - 1e-6, and the test is conservative on
+        # counts: a correct sampler fails with probability below 1e-6.
+        scenario, share = Scenario(n, Spin(1)), 50
+        shots = share * 4 ** (n // 2)
+        unit = 2.0 ** -n
 
-        def counted(state, settings):
-            built.append(settings)
-            return joint_distribution(state, settings)
+        def counts(estimate):
+            signs = [1 if coeff > 0 else -1 for coeff, _ in expand_terms(n)]
+            return [round((sign * mean / unit * share + share) / 2)
+                    for sign, (_, mean, _) in zip(signs, estimate.per_term)]
 
-        monkeypatch.setattr(measurement, "joint_distribution", counted)
-        terms = expand_terms(n)
-        list(symmetric_distributions(top_state(Scenario(n, Spin(1))),
-                                     [labels for _, labels in terms]))
-        counts = sorted({labels.count("B") for _, labels in terms})
-        assert built == ["A" * (n - b) + "B" * b for b in counts]
+        fast, slow = [], []
+        for seed in range(50):
+            fast += counts(estimate_bell_value(scenario, shots, seed))
+            slow += counts(termwise_estimate(scenario, shots, seed))
+        grid = np.arange(share + 1)
+        gap = np.max(np.abs(np.searchsorted(np.sort(fast), grid, side="right")
+                            - np.searchsorted(np.sort(slow), grid, side="right"))) / len(fast)
+        assert sqrt(len(fast) / 2) * gap < 2.7
 
 
 class TestCorrelationAgainstOperator:
@@ -210,16 +225,16 @@ class TestBellEstimate:
     def test_is_the_termwise_oracle_at_spin_half(self, n):
         scenario = Scenario(n, Spin(1))
         shots = 2000 * 4 ** (n // 2)
-        self.assert_same(estimate_bell_value(scenario, shots, seed=42),
-                         termwise_estimate(scenario, shots, 42))
+        self.assert_oracle(scenario, estimate_bell_value(scenario, shots, seed=42),
+                           termwise_estimate(scenario, shots, 42))
 
     @pytest.mark.parametrize("n,twice,seed", [(2, 2, 0), (3, 3, 7), (4, 15, 123456789),
                                               (6, 5, 2 ** 40), (7, 2, 1)])
     def test_is_the_termwise_oracle_at_other_spins_and_seeds(self, n, twice, seed):
         scenario = Scenario(n, Spin(twice))
         shots = 5000 * 4 ** (n // 2)
-        self.assert_same(estimate_bell_value(scenario, shots, seed),
-                         termwise_estimate(scenario, shots, seed))
+        self.assert_oracle(scenario, estimate_bell_value(scenario, shots, seed),
+                           termwise_estimate(scenario, shots, seed))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_definite_terms_are_exactly_the_odd_n(self, n):
@@ -239,21 +254,46 @@ class TestBellEstimate:
         def forbidden(*args, **kwargs):
             raise AssertionError("built or drew at odd n")
 
-        monkeypatch.setattr(measurement, "top_state", forbidden)
-        monkeypatch.setattr(measurement, "sample_outcomes", forbidden)
+        for name in ("top_state", "joint_distribution", "sample_outcomes"):
+            monkeypatch.setattr(measurement, name, forbidden)
         self.assert_same(estimate_bell_value(scenario, shots, 9), expected)
+
+    @pytest.mark.parametrize("n,twice", [(n, twice) for n in range(2, 13, 2)
+                                         for twice in (1, 2, 15)])
+    def test_even_n_reaches_no_born_rule_reference(self, monkeypatch, n, twice):
+        # As at odd n, with the law's spread: one count per term is drawn.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("reached the Born-rule reference at even n")
+
+        for name in ("top_state", "joint_distribution", "sample_outcomes"):
+            monkeypatch.setattr(measurement, name, forbidden)
+        estimate = estimate_bell_value(Scenario(n, Spin(twice)), 100 * 4 ** (n // 2), seed=1)
+        assert len(estimate.per_term) == 4 ** (n // 2)
+        assert estimate.stderr > 0
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_even_n_draws_once_per_context(self, monkeypatch, n):
-        seeds = []
+        # One count per context, all T from one binomial call on the stream
+        # default_rng(seed), with the law's p = cos(pi/8)**2.
+        calls = []
+        default_rng = np.random.default_rng
 
-        def counted(probs, shots, seed):
-            seeds.append(seed.entropy)
-            return sample_outcomes(probs, shots, seed)
+        class Recorded:
+            def __init__(self, seed):
+                calls.append(("default_rng", seed))
+                self.rng = default_rng(seed)
 
-        monkeypatch.setattr(measurement, "sample_outcomes", counted)
-        estimate_bell_value(Scenario(n, Spin(1)), 100 * 4 ** (n // 2), seed=3)
-        assert seeds == [[3, t] for t in range(4 ** (n // 2))]
+            def binomial(self, *args, **kwargs):
+                calls.append(("binomial", args, kwargs))
+                return self.rng.binomial(*args, **kwargs)
+
+        scenario, terms = Scenario(n, Spin(1)), 4 ** (n // 2)
+        expected = estimate_bell_value(scenario, 100 * terms, seed=3)
+        monkeypatch.setattr(np.random, "default_rng", Recorded)
+        assert estimate_bell_value(scenario, 100 * terms, seed=3) == expected
+        assert calls == [("default_rng", 3), ("binomial", (100, pytest.approx(cos(pi / 8) ** 2,
+                                                                               rel=1e-15)),
+                                              {"size": terms})]
 
     def test_takes_the_total_shots(self):
         # max(1, shots // T) on each of the T = 4 contexts at n = 2.
@@ -262,23 +302,48 @@ class TestBellEstimate:
                 for shots in (1, 7, 8, 4003)] == [1, 1, 2, 1000]
 
     def test_a_share_past_one_draw_is_refused(self):
-        # 2**63 on each setting is one past what one multinomial draw takes.
+        # 2**63 on each setting is one past what one binomial draw takes; the
+        # largest share draws.
         scenario = Scenario(2, Spin(2))
         with pytest.raises(ValueError) as info:
             estimate_bell_value(scenario, 2 ** 63 * 4, seed=1)
         assert str(info.value) == (
             f"shots {2 ** 65} puts {2 ** 63} shots on each setting of n=2, s=1, more "
-            "than the 2**63 - 1 one multinomial draw takes")
-        assert shots_per_setting(scenario, (2 ** 63 - 1) * 4 + 3) == 2 ** 63 - 1
+            "than the 2**63 - 1 one binomial draw takes")
+        largest = estimate_bell_value(scenario, (2 ** 63 - 1) * 4 + 3, seed=1)
+        assert largest.shots_per_setting == 2 ** 63 - 1
+        assert largest.value == pytest.approx(2 * sqrt(2), rel=1e-8)
 
     def test_shots_below_one_are_refused_before_the_state(self, monkeypatch):
-        def no_state(*args, **kwargs):
-            raise AssertionError("built the top state before the admission rule")
+        def no_terms(*args, **kwargs):
+            raise AssertionError("expanded the terms before the admission rule")
 
-        monkeypatch.setattr(measurement, "top_state", no_state)
+        monkeypatch.setattr(measurement, "expand_terms", no_terms)
         for shots in (0, -5):
             with pytest.raises(ValueError, match=r"^shots must be >= 1$"):
                 estimate_bell_value(Scenario(2, Spin(1)), shots, seed=0)
+
+    @classmethod
+    def assert_oracle(cls, scenario, fast, slow):
+        """Bit for bit at odd n, where neither draws.  At even n the two draw
+        from other streams: the same terms and shares, the law's exact errors,
+        and each term's mean, and the value, within 6 standard deviations of
+        their difference, sqrt(2) times one estimate's (false failure below
+        2e-9 a term)."""
+        if scenario.n % 2:
+            cls.assert_same(fast, slow)
+            return
+        n, twice, share = scenario.n, scenario.spin.twice_spin, fast.shots_per_setting
+        err = twice ** n * 2.0 ** -n * sqrt(0.5 / share)
+        assert share == slow.shots_per_setting
+        assert [labels for labels, _, _ in fast.per_term] == [
+            labels for _, labels in expand_terms(n)] == [labels for labels, _, _ in slow.per_term]
+        for (_, mean, stderr), (_, oracle, _) in zip(fast.per_term, slow.per_term):
+            assert stderr == pytest.approx(err, rel=1e-14)
+            assert abs(mean - oracle) <= 6 * sqrt(2) * err
+        norm = sqrt(sum(coeff * coeff for coeff, _ in expand_terms(n)))
+        assert fast.stderr == pytest.approx(norm * err, rel=1e-14)
+        assert abs(fast.value - slow.value) <= 6 * sqrt(2) * fast.stderr
 
     @staticmethod
     def assert_same(fast, slow):
