@@ -26,8 +26,8 @@ sampled, each is then admitted by ``measurement.shots_per_setting``, the
 sampler's rule for the budget and the shots split.  ``report`` certifies and
 admits every row before the first runs.  ``estimate_bell_value`` takes the
 total ``--shots`` and returns the share each setting drew, which both
-commands print.  ``classical-max`` prints the bound that
-``classical.classical_max`` certifies.  Each input has one spelling:
+commands print.  ``classical-max`` prints the closed-form bound of
+``classical.classical_max``.  Each input has one spelling:
 ``report`` reads its scenarios only from ``--grid`` (one scenario is
 ``n=N..N s=S..S``), and the array budget is only ``--dim-cap``.  Each typed
 option parses through ``_parsed``; every integer input, the grid's n bounds
@@ -42,9 +42,12 @@ Only the commands that sample, ``sample`` and ``report --sample``, import
 binomial agreement counts, one per term: at odd n every term's outcome is
 definite, and the estimate is exact without a draw.  No command builds the
 2**n state or its outcome distributions.  ``classical-max`` and ``expand``
-run on the pure-Python exact layer.  Only the commands that print the classical
-bound, ``classical-max``, ``ratio``, ``sample`` and ``report``, import
-``classical``; ``quantum-max`` and ``expand`` never load it.
+run on the pure-Python exact layer; ``classical-max`` loads ``classical``,
+which imports nothing from ``expansion``.  Only the commands
+that print the classical bound, ``classical-max``, ``ratio``, ``sample`` and
+``report``, import ``classical``; ``quantum-max`` and ``expand`` never load
+it.  ``ratio`` divides the top eigenvalue by the bound as a float, as each
+``report`` row does.
 
 A process enters through ``run``, which exits with ``main``'s code and
 freezes the garbage collector on the way out, so that CPython's exit-time
@@ -157,8 +160,8 @@ def _cmd_classical_max(args):
     from . import classical
 
     scenario = Scenario(n=args.n, spin=args.spin)
-    # Before the DP: the bound's numerator (2s)**n, halved for integer s, and
-    # the strategy count 4**n or (2s+1)**(2n) are printed.
+    # Before either is formed: the bound's numerator (2s)**n, halved for
+    # integer s, and the strategy count 4**n or (2s+1)**(2n) are printed.
     t, n = args.spin.twice_spin, args.n
     printed = f"an integer in the certificate for {scenario}"
     check_digits(printed, t, n, 1 - t % 2, CapExceeded)
@@ -167,7 +170,7 @@ def _cmd_classical_max(args):
     return {
         "config": _config_dict(args, full_grid=args.full_grid),
         "bound": str(result.max_value),
-        "achieved": True,  # classical_max raises unless its DP attains the bound
+        "achieved": True,  # every outcome +s attains the bound (classical docstring)
         "argmax_a": [str(v) for v in result.argmax.a],
         "argmax_b": [str(v) for v in result.argmax.b],
         "strategies_checked": result.strategies_checked,
@@ -191,10 +194,11 @@ def _cmd_quantum_max(args):
 
 
 def _cmd_ratio(args):
-    from . import quantum
+    from . import classical, quantum
 
     scenario = Scenario(n=args.n, spin=args.spin)
-    ratio = quantum.violation_ratio(scenario)
+    top = quantum.largest_eigenpair(scenario).value
+    ratio = top / float(classical.classical_max(scenario).max_value)
     predicted = quantum.predicted_ratio(args.n)
     return {
         "config": _config_dict(args, tol=quantum.TOLERANCE),
@@ -344,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, func, text, required, optional in [
         ("expand", _cmd_expand, "term expansion of the Bell expression",
          "--n", "--dim-cap --format --output"),
-        ("classical-max", _cmd_classical_max, "exact classical maximum, certified by a DP on signs",
+        ("classical-max", _cmd_classical_max, "exact classical maximum 2**(n-1) s**n (closed form)",
          "--n --spin", "--format --output --full-grid"),
         ("quantum-max", _cmd_quantum_max, "largest eigenvalue of the Bell operator",
          "--n --spin", "--format --output"),

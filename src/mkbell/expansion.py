@@ -12,13 +12,14 @@ Z_k = Z_{k-1} (1 - i)(A_k + i B_k), so every party contributes one factor:
 
 M_n = Re Z_n and K_n = Im Z_n: Mermin's Re prod_j (sigma_x + i sigma_y)
 (PRL 65, 1838 (1990); Belinskii & Klyshko, Phys. Usp. 36, 653 (1993)).  It
-holds wherever A_j and B_j take values: strategy outcomes
-(``classical.py``), matrices and states (``operators.py``) and label
-strings (here).  ``prefactor`` is (1 - i)^(n-1) and ``pair_step`` one factor
-(1 - i)(a + i b), on (real, imaginary) pairs of exact values, ints or
-arrays.  The label string with b letters B has coefficient
-Re[(1 - i)^(n-1) i^b] in M_n.  For odd n, (1 - i)^(n-1) is real or
-imaginary, so half of the coefficients vanish and 2^(n-1) terms survive.
+holds wherever A_j and B_j take values: strategy outcomes (the proof of
+the bound in ``classical.py``, and the tests' strategy values), matrices
+and states (``operators.py``) and label strings (here).  ``prefactor`` is
+(1 - i)^(n-1) and ``pair_step`` one factor (1 - i)(a + i b), on
+(real, imaginary) pairs of exact values, ints or arrays.  The label string
+with b letters B has coefficient Re[(1 - i)^(n-1) i^b] in M_n.  For odd n,
+(1 - i)^(n-1) is real or imaginary, so half of the coefficients vanish and
+2^(n-1) terms survive.
 """
 
 from __future__ import annotations

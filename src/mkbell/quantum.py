@@ -2,7 +2,9 @@
 
 The operator is real symmetric, so the whole pipeline works over real
 vectors.  A dense symmetric eigensolver gives full spectra for small
-dimensions and serves as the oracle there.
+dimensions, a test oracle.  The module never imports ``classical``: the
+commands that print the ratio to the classical bound divide by it
+themselves.
 
 **Blocks.**  Label the local levels by outcome s, s-1, ..., -s and pair
 level s-p with level -(s-p), p = 0, ..., ceil(s)-1.  A is diagonal and B
@@ -238,11 +240,3 @@ def spectral_gap(scenario: Scenario) -> float:
         return 1.0
     return predicted_quantum_max(scenario) * min(1.0, 2.0 / scenario.spin.twice_spin)
 
-
-def violation_ratio(scenario: Scenario) -> float:
-    """Quantum maximum divided by the certified classical maximum."""
-    from .classical import classical_max  # only the ratio needs the classical layer
-
-    quantum = largest_eigenpair(scenario).value
-    classical = float(classical_max(scenario).max_value)
-    return quantum / classical

@@ -1,4 +1,4 @@
-"""Independent solvers, kept as test oracles for the closed forms and the DP.
+"""Independent solvers, kept as test oracles for the closed forms.
 
 ``lanczos_top`` is restarted Lanczos iteration (Lanczos, J. Res. Nat. Bur.
 Standards 45, 255 (1950)) on the matrix-free applier.  A cycle grows an
@@ -25,18 +25,21 @@ amplitudes, one per b, with exact-integer weights C(n, b) / 2**(n-1): the
 Dicke-basis reduction before the four classes.
 
 ``predicted_quantum_max_by_powers`` is the closed-form top eigenvalue as
-it was formed before the float range was decided from exponents.
+it was formed before the float range was decided from exponents, and
+``violation_ratio`` the quantum-to-classical ratio as the library formed it
+before ``ratio`` and ``report`` divided the two themselves.
 
 ``block_spectrum`` is the spectrum as scaled copies of the spin-1/2
 spectrum, one per level-pair block, plus the zero blocks (the block
 argument of the ``quantum.py`` docstring), from one dense solve of
 dimension 2**n.
 
-``classical_max_enumerated`` is the oracle for the classical certificate
-``mkbell.classical.classical_max``: it evaluates every strategy of the
-table on NumPy arrays, within the array budget.  ``twice_value_states`` is
-the certificate's DP on twice-values (+-2s) instead of halved sign pairs,
-every party's step kept, with no early stop.  ``strategy_value`` evaluates
+``classical_max_enumerated`` is the oracle for the closed-form classical
+bound ``mkbell.classical.classical_max``: it evaluates every strategy of
+the table on NumPy arrays, within the array budget.  ``twice_value_states``
+is the set of reachable states of the pair recursion on twice-values
+(+-2s), every party's step taken: the closure argument of the
+``classical.py`` docstring, unrolled.  ``strategy_value`` evaluates
 one strategy by the pair recursion, ``value_from_terms`` on the expanded
 terms instead, and ``lhv_sample``, the classical control of the simulated
 experiment, averages sampled strategies.
@@ -75,7 +78,7 @@ from math import cos, fsum, ldexp, pi, sqrt
 
 import numpy as np
 
-from mkbell.classical import ClassicalResult, Strategy, strategy_count
+from mkbell.classical import ClassicalResult, Strategy, classical_max, strategy_count
 from mkbell.errors import DimensionMismatch, MkBellError, NotConverged
 from mkbell.expansion import expand_terms, expected_term_count, pair_step, prefactor
 from mkbell.measurement import (
@@ -93,7 +96,7 @@ from mkbell.operators import (
     make_A,
     make_B,
 )
-from mkbell.quantum import RANK_ONE, TOLERANCE, EigenResult, block_scale
+from mkbell.quantum import RANK_ONE, TOLERANCE, EigenResult, block_scale, largest_eigenpair
 from mkbell.spincore import LABEL_A, LABEL_B, Scenario, Spin, validate_labels
 
 #: Largest Krylov basis, in rows of the global dimension, per Lanczos cycle.
@@ -355,6 +358,12 @@ def predicted_quantum_max_by_powers(scenario: Scenario) -> float:
     return 2.0 ** (1.5 * (scenario.n - 1)) * s ** scenario.n
 
 
+def violation_ratio(scenario: Scenario) -> float:
+    """The certified top eigenvalue over the classical bound, as a float:
+    the ratio that ``ratio`` and every ``report`` row print."""
+    return largest_eigenpair(scenario).value / float(classical_max(scenario).max_value)
+
+
 def block_spectrum(scenario: Scenario) -> np.ndarray:
     """The whole spectrum, ascending: the spin-1/2 spectrum times every block
     scale prod_j 2(s - p_j), plus one zero per dimension of the blocks that
@@ -421,7 +430,7 @@ def _strategy_at(scenario: Scenario, a_cols, b_cols, index: int) -> Strategy:
 
 def twice_value_states(n: int, t: int) -> set:
     """The reachable final twice-value states (m, k) of the extremal strategies,
-    t = 2s: the n-party DP with the factor 2t of each step kept."""
+    t = 2s: the n-party pair recursion with the factor 2t of each step kept."""
     pairs = ((t, t), (t, -t), (-t, t), (-t, -t))
     states = set(pairs)
     for _ in range(1, n):

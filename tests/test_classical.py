@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mkbell import classical
 from mkbell.classical import Strategy, classical_bound, classical_max
 from mkbell.errors import CapExceeded
 from mkbell.expansion import pair_step
@@ -19,7 +18,7 @@ from oracles import (
 )
 
 
-#: (a, b) in {+-1}**2, the sign pairs the classical DP runs on.
+#: (a, b) in {+-1}**2, the sign pairs: the outcomes +-s over s.
 SIGN_PAIRS = {(1, 1), (1, -1), (-1, 1), (-1, -1)}
 
 
@@ -114,50 +113,22 @@ class TestClassicalMax:
             assert (classical_max(scenario, extremal_only=False)
                     == classical_max_enumerated(scenario, extremal_only=False))
 
-    @pytest.mark.parametrize("n,twice", [(2, 1), (3, 2), (4, 1)])
-    @pytest.mark.parametrize("extremal_only", [True, False])
-    def test_certificate_raises_on_a_wrong_state_set(self, monkeypatch, n, twice,
-                                                     extremal_only):
-        # The all-+s state (1, 1), the DP's maximum and the bound must agree:
-        # a set above the bound, one that lacks (1, 1), or one whose last step
-        # skipped the halving, is refused.
-        states = classical._extremal_states(n)
-        assert (1, 1) in states and (-1, -1) in states
-        unhalved = {pair_step(m, k, a, b) for m, k in states for a, b in SIGN_PAIRS}
-        for wrong in (states | {(2, 1)}, states - {(1, 1)}, unhalved):
-            monkeypatch.setattr(classical, "_extremal_states", lambda n, wrong=wrong: wrong)
-            with pytest.raises(AssertionError, match="all \\+s attains"):
-                classical_max(Scenario(n, Spin(twice)), extremal_only=extremal_only)
+    def test_one_halved_step_closes_the_sign_pairs(self):
+        # The closed form's proof (classical docstring): for every sign pair
+        # (a, b), one step (1 - i)(a + i b) of the pair recursion maps the four
+        # sign pairs onto themselves, exactly halved.
+        for a, b in SIGN_PAIRS:
+            steps = [pair_step(m, k, a, b) for m, k in SIGN_PAIRS]
+            assert all(m % 2 == k % 2 == 0 for m, k in steps), (a, b)
+            assert {(m // 2, k // 2) for m, k in steps} == SIGN_PAIRS, (a, b)
 
     @pytest.mark.parametrize("twice", range(1, 10))
     def test_four_states_per_party(self, twice):
         # Every party leaves the four rotations of (1, 1), the sign pairs; scaled
-        # by t (2t)**(n-1), they are the twice-value DP's states.
+        # by t (2t)**(n-1), they are the twice-value recursion's states.
         for n in range(1, 61):
-            states = classical._extremal_states(n)
-            assert states == SIGN_PAIRS, n
             scale = twice * (2 * twice) ** (n - 1)
-            assert {(scale * m, scale * k) for m, k in states} == twice_value_states(n, twice)
-
-    @pytest.mark.parametrize("n", [2, 3, 60, 10 ** 6])
-    def test_dp_stops_at_its_fixed_point(self, monkeypatch, n):
-        # Party 2's step returns party 1's set, so the loop ends there: one
-        # step, 4 states times 4 sign pairs, at any n.
-        calls = []
-        monkeypatch.setattr(classical, "pair_step",
-                            lambda *args: calls.append(args) or pair_step(*args))
-        classical._extremal_states(n)
-        assert len(calls) == 16
-
-    @pytest.mark.parametrize("n", [2, 3, 60])
-    def test_closure_check_refuses_a_step_that_leaves_the_sign_pairs(self, monkeypatch, n):
-        # A step that forgets the factor (1 - i) maps (1, 1) by (1, 1) to
-        # (0, 2), which halves to (0, 1), off the four sign pairs.
-        monkeypatch.setattr(classical, "pair_step",
-                            lambda m, k, a, b: (m * a - k * b, m * b + k * a))
-        with pytest.raises(AssertionError,
-                           match="^one halved step does not close the four sign pairs$"):
-            classical_max(Scenario(n, Spin(1)))
+            assert {(scale * m, scale * k) for m, k in SIGN_PAIRS} == twice_value_states(n, twice)
 
     def test_huge_n_is_fast(self):
         start = time.perf_counter()

@@ -149,7 +149,7 @@ class TestClassicalMax:
 
     @pytest.mark.parametrize("grid", [(), ("--full-grid",)], ids=["signs", "full-grid"])
     def test_bound_is_formed_once(self, capsys, monkeypatch, grid):
-        # The printed bound is the certificate's: classical_bound runs once,
+        # The printed bound is classical_max's: classical_bound runs once,
         # inside classical_max, and never from the CLI.
         callers = []
         bound = classical.classical_bound
@@ -246,7 +246,7 @@ class TestClassicalMax:
     def test_digit_cap(self, capsys, digits, spin, twice, grid):
         # Exit 3 at the first n whose report holds an exact integer longer than
         # Python converts to text: the strategy count 4**n, 9**n or the bound's
-        # numerator 5**n.  The DP runs below it only at the short limit.
+        # numerator 5**n.  The command runs below it only at the short limit.
         default = sys.get_int_max_str_digits()
         limit = 10 ** (digits or default)
 
@@ -1091,6 +1091,19 @@ class TestProcessEntry:
              "assert main(['expand', '--n', '3']) == 0\n"
              "assert 'mkbell.quantum' in sys.modules\n"
              "assert 'mkbell.classical' not in sys.modules\n"],
+            env=env, check=True, timeout=60, capture_output=True,
+        )
+
+    def test_classical_max_leaves_expansion_out(self):
+        # The bound is a closed form: no step of the pair recursion runs.
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "from mkbell.cli import main\n"
+             "assert main(['classical-max', '--n', '4', '--spin', '11/2', '--full-grid']) == 0\n"
+             "assert 'mkbell.classical' in sys.modules\n"
+             "assert 'mkbell.expansion' not in sys.modules\n"],
             env=env, check=True, timeout=60, capture_output=True,
         )
 

@@ -20,7 +20,6 @@ from mkbell.quantum import (
     predicted_quantum_max,
     predicted_ratio,
     spectral_gap,
-    violation_ratio,
 )
 from mkbell.spincore import Scenario, Spin
 from oracles import (
@@ -31,6 +30,7 @@ from oracles import (
     matvec_certificate,
     predicted_quantum_max_by_powers,
     symmetric_certificate,
+    violation_ratio,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -119,7 +119,7 @@ class TestDenseSpectrum:
             dense_spectrum(Scenario(8, Spin(2)))
 
 
-class TestPowerIteration:
+class TestLargestEigenpair:
     """``largest_eigenpair``: the closed-form state, checked by one matvec."""
 
     @pytest.mark.parametrize("n,twice", [(2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (5, 1)])
@@ -134,9 +134,10 @@ class TestPowerIteration:
         residual = np.linalg.norm(assemble_dense(scenario) @ full - result.value * full)
         assert residual <= 1e-9 * max(1.0, abs(result.value))
 
-    def test_survives_all_ones_fixed_point(self):
+    def test_agrees_with_lanczos_where_the_uniform_vector_is_not_on_top(self):
         # For three spin-1 parties the uniform vector sits in a lower
-        # eigenspace; the solver must still find the true maximum.
+        # eigenspace; the closed form and Lanczos from a random start both
+        # give the true maximum.
         result = largest_eigenpair(Scenario(3, Spin(2)))
         assert result.value == pytest.approx(8.0, rel=1e-8)
         assert lanczos_top(Scenario(3, Spin(2))).value == pytest.approx(8.0, rel=1e-8)
