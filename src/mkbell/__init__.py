@@ -17,9 +17,9 @@ does not sample loads ``cli``, ``spincore`` and ``errors``;
 ``expansion`` for every command but ``classical-max``, ``classical`` only
 for the commands that print the classical bound and ``quantum`` only for
 the eigenpair commands; and from the standard library it imports only
-``argparse``, ``collections``, ``fractions``, ``functools``, ``gc``,
-``itertools``, ``json``, ``math``, ``os``, ``re`` and ``sys``, plus ``csv``
-and ``io`` for CSV output.  The records are
+``argparse``, ``collections``, ``contextlib``, ``fractions``,
+``functools``, ``gc``, ``itertools``, ``json``, ``math``, ``os``, ``re`` and
+``sys``, plus ``csv`` and ``io`` for CSV output.  The records are
 ``collections.namedtuple`` subclasses, so such a command never imports
 ``inspect``.
 """

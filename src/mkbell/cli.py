@@ -1,6 +1,9 @@
 """Command-line interface tying the toolkit into reproducible reports.
 
 Each command returns its payload; ``main`` writes it, or the error, once.
+The payload goes through ``_emit``'s one write path, stdout or ``--output``,
+whole before the first write, so a failing command writes nothing; JSON
+leaves in its encoder's chunks, never as one string.
 Exit codes, each limit decided by one function:
 
 - 0: success.
@@ -26,8 +29,11 @@ sampled, each is then admitted by ``measurement.shots_per_setting``, the
 sampler's rule for the budget and the shots split.  ``report`` certifies and
 admits every row before the first runs.  ``estimate_bell_value`` takes the
 total ``--shots`` and returns the share each setting drew, which both
-commands print.  ``classical-max`` prints the closed-form bound of
-``classical.classical_max``.  Each input has one spelling:
+commands print.  ``classical-max`` prints ``classical.classical_max``, the
+closed-form bound with its argmax and strategy count; every other command
+that prints the bound reads it alone from ``classical.classical_bound``, and
+``sample`` passes it to ``measurement.violation_sigmas``.  Each input has one
+spelling:
 ``report`` reads its scenarios only from ``--grid`` (one scenario is
 ``n=N..N s=S..S``), and the array budget is only ``--dim-cap``.  Each typed
 option parses through ``_parsed``; every integer input, the grid's n bounds
@@ -58,12 +64,14 @@ tests and the benchmark's traced runs call it in a running process.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import os
 import re
 import sys
 from functools import partial
+from itertools import chain, islice
 
 from .errors import CapExceeded, MkBellError, NotConverged
 from .spincore import DEFAULT_DIM_CAP, Scenario, Spin, check_budget, check_digits
@@ -119,15 +127,13 @@ def _config_dict(args, **extra):
 
 
 def _emit(args, payload):
-    if args.format == "csv":
-        text = _to_csv(payload)
-    else:
-        text = json.dumps(payload, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # json.dumps(payload, indent=2) joins these same chunks; written 65536 at
+    # a time, the whole text is never one string.
+    chunks = iter([_to_csv(payload)] if args.format == "csv" else
+                  chain(json.JSONEncoder(indent=2).iterencode(payload), "\n"))
+    with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
+        for block in iter(lambda: "".join(islice(chunks, 65536)), ""):
+            fh.write(block)
 
 
 def _to_csv(payload):
@@ -198,7 +204,7 @@ def _cmd_ratio(args):
 
     scenario = Scenario(n=args.n, spin=args.spin)
     top = quantum.largest_eigenpair(scenario).value
-    ratio = top / float(classical.classical_max(scenario).max_value)
+    ratio = top / float(classical.classical_bound(scenario))
     predicted = quantum.predicted_ratio(args.n)
     return {
         "config": _config_dict(args, tol=quantum.TOLERANCE),
@@ -214,7 +220,8 @@ def _cmd_sample(args):
     scenario = Scenario(n=args.n, spin=args.spin, dim_cap=args.dim_cap)
     quantum.largest_eigenpair(scenario)  # certifies the state it samples
     estimate = measurement.estimate_bell_value(scenario, args.shots, args.seed)
-    sigmas = measurement.violation_sigmas(scenario, estimate)
+    bound = classical.classical_bound(scenario)
+    sigmas = measurement.violation_sigmas(estimate, bound)
     return {
         "config": _config_dict(args, shots=args.shots, seed=args.seed),
         "shots_per_setting": estimate.shots_per_setting,
@@ -224,7 +231,7 @@ def _cmd_sample(args):
         ],
         "bell_estimate": _fmt(estimate.value),
         "bell_stderr": _fmt(estimate.stderr),
-        "classical_bound": str(classical.classical_bound(scenario)),
+        "classical_bound": str(bound),
         "quantum_prediction": _fmt(quantum.predicted_quantum_max(scenario)),
         "sigmas_above_classical": _fmt(sigmas) if sigmas not in (float("inf"), float("-inf")) else str(sigmas),
     }
@@ -280,7 +287,7 @@ def _cmd_report(args):
             measurement.shots_per_setting(scenario, args.shots)
     rows = []
     for scenario, top in checked:
-        bound = classical.classical_max(scenario).max_value
+        bound = classical.classical_bound(scenario)
         row = {
             "n": scenario.n,
             "s": str(scenario.spin),

@@ -12,21 +12,24 @@ Rev. A 63, 022104 (2001)).  By the rank-one argument of ``quantum.py``
 letters B has spin-1/2 correlation 2**-n Re(e^(i theta) i**b), with
 theta = -pi (n-1)/4 the phase of (1 - i)^(n-1), while its coefficient is
 c_t = Re[(1 - i)^(n-1) i**b] = |(1 - i)^(n-1)| Re(e^(i theta) i**b).  So
-each correlation is sign(c_t) 2**-n r with r = |c_t| / |(1 - i)^(n-1)|,
-and each shot, whose product is +-2**-n, agrees with sign(c_t) with
-probability p = (1 + r)/2.  r takes one value over the surviving terms
-(``expansion.py``): at odd n, (1 - i)^(n-1) is real or imaginary, so r = 1
-and every outcome is definite, Mermin's perfect correlations (PRL 65, 1838
-(1990)); at even n its real and imaginary parts have one modulus, so
-r = 1/sqrt(2) and p = cos(pi/8)**2, at every spin.  Shots are independent,
-so term t's count k_t of agreeing shots among its share is
-Binomial(share, p), and the terms' counts are independent of one another.
-Its estimate sign(c_t) 2**-n (2 k_t - share)/share is unbiased, with exact
-standard deviation 2**-n sqrt(1 - r**2)/sqrt(share) (4 p (1 - p) = 1 - r**2):
-0 at odd n, where nothing is drawn, and never 0 at even n.
+each correlation is sign(c_t) 2**-n r with r = |c_t| / |(1 - i)^(n-1)|:
+r**2 = c_t**2 / 2**(n-1), as |1 - i|**2 = 2.  Each shot, whose product is
++-2**-n, agrees with sign(c_t) with probability p = (1 + r)/2.  r takes one
+value over the surviving terms (``expansion.py``): at odd n, (1 - i)^(n-1)
+is real or imaginary, so r = 1 and every outcome is definite, Mermin's
+perfect correlations (PRL 65, 1838 (1990)); at even n its real and
+imaginary parts have one modulus, so r = 1/sqrt(2) and p = cos(pi/8)**2, at
+every spin.  Shots are independent, so term t's count k_t of agreeing shots
+among its share is Binomial(share, p), and the terms' counts are
+independent of one another.  Its estimate sign(c_t) 2**-n (2 k_t - share)/share
+is unbiased, with exact standard deviation 2**-n sqrt(1 - r**2)/sqrt(share)
+(4 p (1 - p) = 1 - r**2): 0 at odd n, where nothing is drawn, and never 0 at
+even n.
 ``estimate_bell_value`` spends a total number of shots over the T terms;
 ``shots_per_setting``, the sampler's one admission rule, checks the budget
-and splits the shots before anything is built.
+and splits the shots before anything is built.  ``violation_sigmas`` takes
+the classical bound from its caller, so this module imports nothing from
+``classical``.
 
 **The Born-rule reference.**  ``top_state``, ``joint_distribution``,
 ``sample_outcomes`` and ``SampleReport`` build x on its 2**n entries, a
@@ -42,9 +45,8 @@ from itertools import repeat
 from math import ldexp, sqrt
 from typing import Any
 
-from .classical import classical_bound
 from .errors import DimensionMismatch, NotNormalized
-from .expansion import check_letters, expand_terms, expected_term_count, prefactor
+from .expansion import check_letters, expand_terms, expected_term_count
 from .quantum import block_scale, ghz_amplitudes
 from .spincore import Scenario, validate_labels
 
@@ -170,8 +172,7 @@ def estimate_bell_value(scenario: Scenario, shots: int, seed: int) -> BellEstima
     n = scenario.n
     terms = expand_terms(n)
     c = abs(terms[0][0])  # every surviving term's |c_t|
-    re, im = prefactor(n)
-    r_squared = c * c / (re * re + im * im)  # exactly 1 or 1/2
+    r_squared = c * c / 2 ** (n - 1)  # exactly 1 or 1/2 (module docstring)
     r = sqrt(r_squared)
     if r == 1.0:  # every outcome is definite
         counts = repeat(share)
@@ -192,10 +193,11 @@ def estimate_bell_value(scenario: Scenario, shots: int, seed: int) -> BellEstima
                         per_term=tuple(per_term), shots_per_setting=share)
 
 
-def violation_sigmas(scenario: Scenario, estimate: BellEstimate) -> float:
-    """How many combined standard errors the estimate sits above the classical
-    bound; with no spread, +-inf off the bound and 0.0 on it (n = 1)."""
-    margin = estimate.value - float(classical_bound(scenario))
+def violation_sigmas(estimate: BellEstimate, bound) -> float:
+    """How many combined standard errors the estimate sits above ``bound``,
+    the classical bound; with no spread, +-inf off the bound and 0.0 on it
+    (n = 1)."""
+    margin = estimate.value - float(bound)
     if estimate.stderr == 0.0:
         return float("inf") if margin > 0 else float("-inf") if margin < 0 else 0.0
     return margin / estimate.stderr

@@ -347,7 +347,7 @@ def test_simulated_experiment_shows_statistical_violation():
         scenario = Scenario(n, Spin(twice))
         estimate = estimate_bell_value(scenario, total_shots, seed)
         assert estimate.shots_per_setting == total_shots // expected_term_count(n)
-        assert violation_sigmas(scenario, estimate) >= 5, (n, twice)
+        assert violation_sigmas(estimate, classical_bound(scenario)) >= 5, (n, twice)
         quantum = predicted_quantum_max(scenario)
         assert abs(estimate.value - quantum) <= 5 * estimate.stderr, (n, twice)
         control = lhv_sample(scenario, total_shots, seed)

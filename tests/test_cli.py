@@ -349,7 +349,7 @@ class TestDimensionCap:
         def no_row(*args, **kwargs):
             raise AssertionError("computed a row of a grid past the budget")
 
-        monkeypatch.setattr(classical, "classical_max", no_row)
+        monkeypatch.setattr(classical, "classical_bound", no_row)
         start = time.perf_counter()
         code, out, err = run(capsys, "report", "--grid", "n=17..20", "s=1/2..1/2",
                              "--sample")
@@ -392,7 +392,7 @@ class TestDimensionCap:
         # first row.  The sampled rows' own budget, 4 * 2**3 entries, fits.
         argv = ("report", "--grid", "n=2..3", "s=1/2..1", *sample, "--dim-cap")
         with monkeypatch.context() as patch:
-            patch.setattr(classical, "classical_max", _no_row)
+            patch.setattr(classical, "classical_bound", _no_row)
             code, out, err = run(capsys, *argv, str(cells - 1))
         assert (code, out) == (3, "")
         assert err == (f"error: the report table of grid n=2..3 s=1/2..1 would hold {cells} "
@@ -593,7 +593,7 @@ class TestFloatRange:
         def no_row(*args, **kwargs):
             raise AssertionError("computed a row of a grid past the float range")
 
-        monkeypatch.setattr(classical, "classical_max", no_row)
+        monkeypatch.setattr(classical, "classical_bound", no_row)
         code, out, err = run(capsys, "report", "--grid", "n=1..2", "s=1e200..1e200")
         assert (code, out) == (3, "")
         assert "the top eigenvalue of n=2" in err
@@ -754,28 +754,31 @@ class TestSample:
 class TestReport:
     def test_certifies_every_row_once_before_the_first(self, capsys, monkeypatch):
         events = []
-        certify, certify_classical = quantum.largest_eigenpair, classical.classical_max
+        certify, bound = quantum.largest_eigenpair, classical.classical_bound
 
         def certified(scenario):
             events.append(("quantum", scenario.n, scenario.spin.twice_spin))
             return certify(scenario)
 
-        def classical_row(scenario, **kwargs):
+        def classical_row(scenario):
             events.append(("classical", scenario.n, scenario.spin.twice_spin))
-            return certify_classical(scenario, **kwargs)
+            return bound(scenario)
 
         monkeypatch.setattr(quantum, "largest_eigenpair", certified)
-        monkeypatch.setattr(classical, "classical_max", classical_row)
+        monkeypatch.setattr(classical, "classical_bound", classical_row)
         code, _, err = run(capsys, "report", "--grid", "n=2..3", "s=1/2..1", "--sample",
                            "--shots", "400")
         assert (code, err) == (0, "")
         rows = [(n, t) for n in (2, 3) for t in (1, 2)]
         assert events == [("quantum", *row) for row in rows] + [("classical", *row) for row in rows]
 
-    @pytest.mark.parametrize("sampled,calls", [(False, 3), (True, 3)])
-    def test_each_row_checks_the_float_range_once(self, capsys, monkeypatch, sampled, calls):
+    @pytest.mark.parametrize("sampled,calls", [(False, 3), (True, 6)])
+    def test_checks_the_float_range_only_in_the_certificate_and_the_sampler(
+            self, capsys, monkeypatch, sampled, calls):
         # The certificate's first step is the float range, and it runs before
-        # the sampled budget, so no command checks the range apart.
+        # the sampled budget; the sampler scales its estimate with the same
+        # function.  So a row checks the range once, a sampled row twice, and
+        # the CLI never calls it apart.
         scales = []
         block_scale = quantum.block_scale
 
@@ -784,6 +787,7 @@ class TestReport:
             return block_scale(scenario)
 
         monkeypatch.setattr(quantum, "block_scale", counted)
+        monkeypatch.setattr(measurement, "block_scale", counted)
         argv = ("report", "--grid", "n=2..4", "s=1/2..1/2") + (
             ("--sample", "--shots", "400") if sampled else ())
         assert run(capsys, *argv)[::2] == (0, "")
@@ -852,7 +856,7 @@ class TestReport:
         def no_row(*args, **kwargs):
             raise AssertionError("computed a row with too many shots per setting")
 
-        monkeypatch.setattr(classical, "classical_max", no_row)
+        monkeypatch.setattr(classical, "classical_bound", no_row)
         code, out, err = run(capsys, "report", "--grid", "n=2..2", "s=1/2..1/2", "--sample",
                              "--shots", str(10 ** 23))
         assert (code, out) == (2, "")
@@ -1717,6 +1721,17 @@ class TestSweep:
     def test_bytes_below_rounding(self, capsys, monkeypatch, tmp_path, argv, code, digest, err):
         monkeypatch.setattr(quantum, "TOLERANCE", 1e-20)
         assert _sweep(capsys, tmp_path, argv) == (code, digest, err)
+
+    def test_a_failing_run_writes_no_file(self, capsys, tmp_path):
+        # The payload is whole before the first write, so a command that
+        # fails opens no --output file: here row n = 2049 leaves the float
+        # range.  _sweep reads {out} whatever the exit code.
+        target = tmp_path / "out.txt"
+        code, out, err = run(capsys, "report", "--grid", "n=1..1000000", "s=1/2..1/2",
+                             "--output", str(target))
+        assert (code, out) == (3, "")
+        assert err.endswith(" is past the float range\n")
+        assert not target.exists()
 
     @pytest.mark.parametrize("argv", ZERO_SPREAD)
     def test_one_shot_a_setting_has_spread(self, capsys, argv):

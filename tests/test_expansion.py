@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -35,6 +36,22 @@ def test_three_party_terms():
 def test_term_count(n):
     e = expand_terms(n)
     assert len(e) == expected_term_count(n) == 1 << (2 * (n // 2))
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_term_count_without_expanding(n):
+    # The C(n, b) label strings with b letters B survive where
+    # Re[(1 - i)^(n-1) i^b] != 0; summed, they are the count expand_terms
+    # returns, here up to n = 60, far past any n whose strings fit in memory.
+    re, im = 1, 0
+    for _ in range(n - 1):
+        re, im = re + im, im - re  # times (1 - i)
+    count = 0
+    for b in range(n + 1):
+        if re:
+            count += comb(n, b)
+        re, im = -im, re  # times i
+    assert count == expected_term_count(n)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])

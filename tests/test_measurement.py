@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mkbell import measurement
+from mkbell.classical import classical_bound
 from mkbell.errors import DimensionMismatch, NotNormalized
 from mkbell.expansion import expand_terms
 from mkbell.measurement import (
@@ -206,7 +207,7 @@ class TestBellEstimate:
         two = estimate_bell_value(scenario, 4 * 100_000, seed=42)
         assert one == two
         assert one.value == pytest.approx(np.sqrt(2) / 2, abs=6 * one.stderr)
-        assert violation_sigmas(scenario, one) > 5
+        assert violation_sigmas(one, classical_bound(scenario)) > 5
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_spin_s_estimate_scales_spin_half(self, n):
@@ -355,11 +356,12 @@ class TestBellEstimate:
 
     def test_sigma_edge_cases(self):
         scenario = Scenario(2, Spin(1))
+        bound = classical_bound(scenario)  # 1/2
         est = estimate_bell_value(scenario, 4 * 1000, seed=0)
         frozen = est._replace(value=1.0, stderr=0.0)
-        assert violation_sigmas(scenario, frozen) == float("inf")
+        assert violation_sigmas(frozen, bound) == float("inf")
         frozen = est._replace(value=0.0, stderr=0.0)
-        assert violation_sigmas(scenario, frozen) == float("-inf")
+        assert violation_sigmas(frozen, bound) == float("-inf")
         # On the bound with no spread (every n = 1 estimate): zero sigmas, not -inf.
         frozen = est._replace(value=0.5, stderr=0.0)
-        assert violation_sigmas(scenario, frozen) == 0.0
+        assert violation_sigmas(frozen, bound) == 0.0
